@@ -1,0 +1,317 @@
+(* An independent oracle for Gao-Rexford propagation.
+
+   [naive] below is a deliberately naive reference engine: a synchronous
+   path-vector iteration over ASN-keyed maps, with no workspace, no flat
+   arrays, no stages and no incremental repair. Every round, each AS
+   re-selects the best route among what its neighbours export to it
+   (customer > peer > provider, then shortest path, then lowest next-hop
+   ASN), rejecting paths that already contain it, until no AS changes.
+   Under Gao-Rexford conditions (acyclic provider hierarchy, the generator
+   below guarantees it) the system has a unique stable assignment, so the
+   staged engine in [Propagate.compute] must land on exactly the same
+   routes.
+
+   The property varies every announcement shape the engine honours:
+   failed links, prepends, 1-3 competing origins (hijacks and
+   interception-style forged suffixes), [export_to] community scoping,
+   [max_radius] and route-origin validation. Per AS it compares the route
+   class, the path bytes and [winning_announcement]. *)
+
+let asn = Asn.of_int
+let pfx = Prefix.of_string "10.0.0.0/24"
+
+type nroute = {
+  cls : int;            (* 3 origin, 2 customer, 1 peer, 0 provider *)
+  path : Asn.t list;    (* as exported: this AS first, claimed origin last *)
+  ann : int;            (* index of the announcement it descends from *)
+  depth : int;          (* hops from the originating AS *)
+}
+
+let rec last = function
+  | [ x ] -> x
+  | _ :: rest -> last rest
+  | [] -> invalid_arg "last"
+
+let naive g ?(failed = Link_set.empty) ?rov anns =
+  let anns = Array.of_list anns in
+  let invalid k =
+    match rov with
+    | None -> false
+    | Some (table, _) ->
+        Rpki.validate table anns.(k).Announcement.prefix
+          (last (Announcement.announced_path anns.(k)))
+        = Rpki.Invalid
+  in
+  let deploys v =
+    match rov with None -> false | Some (_, d) -> Asn.Set.mem v d
+  in
+  (* An origin always keeps its own announcement: the shortest claimed
+     path among the ones it makes, the first on a tie. *)
+  let own v =
+    let best = ref None in
+    Array.iteri
+      (fun k (a : Announcement.t) ->
+         if Asn.equal a.Announcement.origin v then begin
+           let path = Announcement.announced_path a in
+           match !best with
+           | Some r when List.length r.path <= List.length path -> ()
+           | _ -> best := Some { cls = 3; path; ann = k; depth = 0 }
+         end)
+      anns;
+    !best
+  in
+  (* Does [u], holding [r], export it to neighbour [v] (what [v] is to
+     [u] is [rel])? *)
+  let exports u r v rel =
+    (not (Link_set.mem u v failed))
+    && (r.cls >= 2 || Relationship.equal rel Relationship.Customer)
+    && (match anns.(r.ann).Announcement.max_radius with
+        | Some radius -> r.depth < radius
+        | None -> true)
+    && (r.cls <> 3
+        || match anns.(r.ann).Announcement.export_to with
+        | None -> true
+        | Some set -> Asn.Set.mem v set)
+  in
+  let accepts v r =
+    (not (List.exists (Asn.equal v) r.path))
+    && not (invalid r.ann && deploys v)
+  in
+  let better (c, p) = function
+    | None -> true
+    | Some (c', p') ->
+        c > c'
+        || (c = c'
+            && (List.length p < List.length p'
+                || (List.length p = List.length p'
+                    && Asn.compare (List.hd p) (List.hd p') < 0)))
+  in
+  let select cur v =
+    match own v with
+    | Some r -> Some r
+    | None ->
+        let best = ref None in
+        List.iter
+          (fun (u, rel_u) ->
+             match Asn.Map.find_opt u cur with
+             | Some r when exports u r v (Relationship.invert rel_u)
+                           && accepts v r ->
+                 let cls =
+                   match rel_u with
+                   | Relationship.Customer -> 2
+                   | Relationship.Peer -> 1
+                   | Relationship.Provider -> 0
+                 in
+                 if better (cls, r.path)
+                      (Option.map (fun b -> (b.cls, List.tl b.path)) !best)
+                 then
+                   best :=
+                     Some { cls; path = v :: r.path; ann = r.ann;
+                            depth = r.depth + 1 }
+             | Some _ | None -> ())
+          (As_graph.neighbors g v);
+        !best
+  in
+  let ases = As_graph.ases g in
+  let round cur =
+    List.fold_left
+      (fun m v ->
+         match select cur v with
+         | Some r -> Asn.Map.add v r m
+         | None -> m)
+      Asn.Map.empty ases
+  in
+  let rec iterate cur budget =
+    if budget = 0 then failwith "naive path-vector did not converge";
+    let next = round cur in
+    if Asn.Map.equal ( = ) next cur then cur else iterate next (budget - 1)
+  in
+  iterate Asn.Map.empty ((4 * List.length ases) + 8)
+
+(* A random valley-free topology: ASes get a random rank, and every
+   provider outranks its customers, so the customer-provider digraph is
+   acyclic. ASNs are scattered so the lowest-ASN tie-break is exercised
+   independently of insertion order. *)
+let random_graph rng =
+  let n = 3 + Rng.int rng 10 in
+  let pool = Array.init 60 (fun i -> i + 1) in
+  Rng.shuffle rng pool;
+  let ranked = Array.sub pool 0 n in
+  let g = As_graph.create () in
+  Array.iter
+    (fun a ->
+       As_graph.add_as g (asn a)
+         { As_graph.name = ""; tier = As_graph.Stub; hosting_weight = 0. })
+    ranked;
+  let p_link = 0.2 +. Rng.float rng 0.4 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Rng.float rng 1.0 < p_link then
+        if Rng.float rng 1.0 < 0.7 then
+          As_graph.add_provider_customer g ~provider:(asn ranked.(i))
+            ~customer:(asn ranked.(j))
+        else As_graph.add_peering g (asn ranked.(i)) (asn ranked.(j))
+    done
+  done;
+  g
+
+type case = {
+  graph : As_graph.t;
+  failed : Link_set.t;
+  anns : Announcement.t list;
+  rov : (Rpki.t * Asn.Set.t) option;
+}
+
+let random_case seed =
+  let rng = Rng.of_int seed in
+  let graph = random_graph rng in
+  let ases = Array.of_list (As_graph.ases graph) in
+  let failed =
+    List.fold_left
+      (fun s (a, b, _) -> if Rng.float rng 1.0 < 0.15 then Link_set.add a b s else s)
+      Link_set.empty (As_graph.links graph)
+  in
+  let victim = Rng.pick rng ases in
+  let shape (a : Announcement.t) =
+    let a = Announcement.with_prepend (Rng.int rng 3) a in
+    let a =
+      match As_graph.neighbors graph a.Announcement.origin with
+      | (_ :: _ as ns) when Rng.float rng 1.0 < 0.2 ->
+          let scope =
+            List.filter (fun _ -> Rng.bool rng) (List.map fst ns)
+          in
+          Announcement.with_export_to (Asn.Set.of_list scope) a
+      | _ -> a
+    in
+    if Rng.float rng 1.0 < 0.2 then
+      Announcement.with_max_radius (1 + Rng.int rng 3) a
+    else a
+  in
+  let legit = shape (Announcement.originate victim pfx) in
+  let competitors =
+    List.init (Rng.int rng 3) (fun _ ->
+        let attacker = Rng.pick rng ases in
+        let a = Announcement.originate attacker pfx in
+        (* Interception-style: the attacker forges the victim as the
+           origin, keeping the path's claimed origin valid. *)
+        let a =
+          if Rng.bool rng && not (Asn.equal attacker victim) then
+            Announcement.with_fake_suffix [ victim ] a
+          else a
+        in
+        shape a)
+  in
+  let rov =
+    if Rng.float rng 1.0 < 0.3 then
+      let table =
+        Rpki.add_roa Rpki.empty
+          { Rpki.roa_prefix = pfx; max_length = 24; authorized = victim }
+      in
+      let deployers =
+        Array.to_list ases |> List.filter (fun _ -> Rng.bool rng)
+      in
+      Some (table, Asn.Set.of_list deployers)
+    else None
+  in
+  { graph; failed; anns = legit :: competitors; rov }
+
+let agrees c =
+  let ix = As_graph.Indexed.of_graph c.graph in
+  let fast = Propagate.compute ix ~failed:c.failed ?rov:c.rov c.anns in
+  let slow = naive c.graph ~failed:c.failed ?rov:c.rov c.anns in
+  let code = function
+    | Some `Origin -> 3
+    | Some `Customer -> 2
+    | Some `Peer -> 1
+    | Some `Provider -> 0
+    | None -> -1
+  in
+  List.for_all
+    (fun a ->
+       let expect = Asn.Map.find_opt a slow in
+       code (Propagate.route_class_at fast a)
+       = (match expect with Some r -> r.cls | None -> -1)
+       && Option.map (fun (r : Route.t) -> r.Route.as_path)
+            (Propagate.route_at fast a)
+          = Option.map (fun r -> r.path) expect
+       && Propagate.winning_announcement fast a
+          = Option.map (fun r -> r.ann) expect)
+    (As_graph.ases c.graph)
+
+let prop_oracle =
+  QCheck.Test.make ~name:"compute = naive path-vector on random graphs"
+    ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> agrees (random_case seed))
+
+(* The same law through a reused workspace: scratch left over from a
+   different case must never leak into the next outcome. *)
+let prop_oracle_workspace =
+  let ws = Propagate.Workspace.create () in
+  QCheck.Test.make ~name:"workspace compute = naive path-vector" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+       let c = random_case seed in
+       let ix = As_graph.Indexed.of_graph c.graph in
+       let fresh = Propagate.compute ix ~failed:c.failed ?rov:c.rov c.anns in
+       let reused =
+         Propagate.compute ix ~workspace:ws ~failed:c.failed ?rov:c.rov c.anns
+       in
+       agrees c
+       && List.for_all
+            (fun a ->
+               Propagate.route_at fresh a = Propagate.route_at reused a
+               && Propagate.winning_announcement fresh a
+                  = Propagate.winning_announcement reused a)
+            (As_graph.ases c.graph))
+
+(* The oracle itself must see the shapes it claims to cover, or the
+   property could pass vacuously. *)
+let test_generator_covers_shapes () =
+  let cases = List.init 400 random_case in
+  let count p = List.length (List.filter p cases) in
+  let any_ann p c = List.exists p c.anns in
+  List.iter
+    (fun (name, n) ->
+       Alcotest.(check bool) (name ^ " exercised") true (n >= 10))
+    [ ("failed links", count (fun c -> not (Link_set.is_empty c.failed)));
+      ("prepends", count (any_ann (fun a -> a.Announcement.prepend > 0)));
+      ("competing origins", count (fun c -> List.length c.anns >= 2));
+      ("three origins", count (fun c -> List.length c.anns = 3));
+      ("forged suffix",
+       count (any_ann (fun a -> a.Announcement.fake_suffix <> [])));
+      ("export_to", count (any_ann (fun a -> a.Announcement.export_to <> None)));
+      ("max_radius",
+       count (any_ann (fun a -> a.Announcement.max_radius <> None)));
+      ("rov", count (fun c -> c.rov <> None)) ]
+
+(* Hand-checked anchor so the oracle is not only compared with itself:
+   the diamond 1 > {2, 3}, 2 ~ 3, {2, 3} > 4. *)
+let test_naive_diamond () =
+  let g = As_graph.create () in
+  List.iter
+    (fun i ->
+       As_graph.add_as g (asn i)
+         { As_graph.name = ""; tier = As_graph.Stub; hosting_weight = 0. })
+    [ 1; 2; 3; 4 ];
+  As_graph.add_provider_customer g ~provider:(asn 1) ~customer:(asn 2);
+  As_graph.add_provider_customer g ~provider:(asn 1) ~customer:(asn 3);
+  As_graph.add_peering g (asn 2) (asn 3);
+  As_graph.add_provider_customer g ~provider:(asn 2) ~customer:(asn 4);
+  As_graph.add_provider_customer g ~provider:(asn 3) ~customer:(asn 4);
+  let m = naive g [ Announcement.originate (asn 4) pfx ] in
+  let path a =
+    List.map Asn.to_int (Asn.Map.find (asn a) m).path
+  in
+  Alcotest.(check (list int)) "1 tie-breaks to 2" [ 1; 2; 4 ] (path 1);
+  Alcotest.(check (list int)) "3 direct" [ 3; 4 ] (path 3);
+  Alcotest.(check int) "1 learns a customer route" 2 (Asn.Map.find (asn 1) m).cls
+
+let () =
+  Alcotest.run "qs_oracle"
+    [ ("oracle",
+       [ Alcotest.test_case "naive diamond" `Quick test_naive_diamond;
+         Alcotest.test_case "generator covers shapes" `Quick
+           test_generator_covers_shapes ]
+       @ List.map (fun t -> QCheck_alcotest.to_alcotest t)
+           [ prop_oracle; prop_oracle_workspace ]) ]
