@@ -289,8 +289,8 @@ let replay ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
     create ~config ~duration ~watched:(watched_of config scenario) ~sinks
       ~exec ()
   in
-  (* Feed plumbing identical to [Measurement.run]: same RNG stream name,
-     same session-reset filtering, same time-merge of extra updates — so
+  (* Feed plumbing identical to [Measurement.run]: same RNG stream names
+     (dynamics and trace churn), same session-reset filtering, same time-merge of extra updates — so
      the update multiset entering the service is exactly the batch one. *)
   let rng = Scenario.rng_for scenario "measurement" in
   let pending_extra = ref extra_updates in
@@ -339,7 +339,9 @@ let replay ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
       initial
   in
   let initial, dyn_stats =
-    Dynamics.run ~rng ~on_initial dynamics scenario.Scenario.world ~emit
+    Dynamics.run ~rng
+      ~trace_rng:(Scenario.rng_for scenario "trace-churn")
+      ~on_initial dynamics scenario.Scenario.world ~emit
   in
   (match filter_state with
    | Some f -> Session_reset.flush f

@@ -619,6 +619,25 @@ let test_replay_jobs_identity () =
   check_int "same released count" r1.Serve.r_ingest.Ingest.released
     r4.Serve.r_ingest.Ingest.released
 
+(* Regression: under trace-shaped session churn, replay must draw the
+   churn trace from the scenario's "trace-churn" stream exactly as
+   [Measurement.run] does. Replay used to fall back to a split of the
+   measurement stream and fed the service a different update sequence. *)
+let test_replay_trace_churn_matches_batch () =
+  let s = Lazy.force replay_scenario in
+  let dynamics =
+    { replay_dynamics with Dynamics.session_churn = Some Churn.pareto_day }
+  in
+  Pool.with_pool ~jobs:1 @@ fun exec ->
+  let r = Serve.replay ~dynamics ~config:replay_config ~exec s in
+  let m, batch =
+    Serve.batch_alerts ~dynamics
+      ~learning_period:replay_config.Serve.Config.learning_period s
+  in
+  check_bool "trace churn fired" true (r.Serve.r_dyn.Dynamics.churn_events > 0);
+  Alcotest.(check (list string)) "streaming = batch under trace churn" []
+    (Serve.diff_against_batch r m batch)
+
 (* ----------------------------------------------------------------------- *)
 
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
@@ -654,4 +673,6 @@ let () =
        [ Alcotest.test_case "streaming = batch" `Slow
            test_replay_matches_batch;
          Alcotest.test_case "jobs byte-identity" `Slow
-           test_replay_jobs_identity ]) ]
+           test_replay_jobs_identity;
+         Alcotest.test_case "trace churn = batch" `Slow
+           test_replay_trace_churn_matches_batch ]) ]
