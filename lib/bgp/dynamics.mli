@@ -53,8 +53,10 @@ type config = {
                                      cache only avoids recomputing
                                      propagation outcomes already seen
                                      (default: 512). *)
-  delta_states : int;            (** LRU capacity of per-prefix
-                                     {!Propagate.Delta} states; [<= 0]
+  delta_states : int;            (** LRU capacity of per-origin
+                                     {!Propagate.Delta} states (an
+                                     evicted state's arrays are recycled
+                                     for the next origin); [<= 0]
                                      disables the incremental engine and
                                      every compute runs full. The stream is
                                      byte-identical either way — delta

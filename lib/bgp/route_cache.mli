@@ -15,13 +15,15 @@
     use one cache per (graph, rov) pair and never share it across
     scenarios.
 
-    Cached outcomes are stored by reference and must own their arrays.
-    The simulator's miss path computes through a reused
-    {!Propagate.Workspace} (or the delta engine's scratch state) and
-    inserts a {!Propagate.copy} of the result — copy-out-on-insert —
-    because workspace-backed outcomes are invalidated by the workspace's
-    next compute. Never insert a workspace- or scratch-backed [t]
-    directly. *)
+    The cache owns the outcomes it stores: {!add} takes a
+    {!Propagate.copy} of its argument, so the simulator's miss path can
+    insert the very workspace- or delta-state-backed view it just
+    computed. A full cache copies into the arrays of the entry it
+    evicts instead of allocating new ones.
+
+    {b Validity.} An outcome returned by {!find} stays valid until the
+    next {!add}, which may evict it and overwrite its arrays. The
+    simulator consumes each outcome before requesting the next. *)
 
 type t
 
@@ -37,11 +39,12 @@ val key : anns:Announcement.t list -> failed:Link_set.t -> string
 
 val find : t -> string -> Propagate.t option
 (** Lookup; a hit refreshes the entry's recency. Counts toward
-    [hits]/[misses]. *)
+    [hits]/[misses]. The outcome is valid until the next {!add}. *)
 
 val add : t -> string -> Propagate.t -> unit
-(** Insert (or refresh) an entry, evicting the least-recently-used one
-    when over capacity. *)
+(** Insert (or refresh) a copy of the outcome. A full cache first evicts
+    its least-recently-used entry and recycles that entry's arrays for
+    the copy. *)
 
 val length : t -> int
 

@@ -41,7 +41,12 @@ module Key_table : Hashtbl.S with type key = key
     depend only on that key's update subsequence, so any consumer that
     preserves per-key time order reproduces the batch numbers exactly
     (path changes, residency, longest contiguous runs are all computed by
-    the same code). *)
+    the same code).
+
+    An accumulator that holds only its baseline — nearly every cell at
+    paper scale — keeps no per-AS tables until its first update, and
+    seals in O(1) to every baseline AS at the horizon. Every read, the
+    seal and the first update behave exactly as with the tables. *)
 module Acc : sig
   type t
 

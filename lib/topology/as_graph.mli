@@ -76,6 +76,9 @@ module Indexed : sig
   type t
 
   val of_graph : graph -> t
+  (** Ids are assigned in ascending ASN order, so comparing two ids
+      compares their ASNs: a lowest-ASN tie-break is a lowest-id one. *)
+
   val n : t -> int
   val asn_of_id : t -> int -> Asn.t
   val id_of_asn : t -> Asn.t -> int
@@ -85,4 +88,24 @@ module Indexed : sig
   (** Neighbor ids with what-the-neighbor-is-to-me. *)
 
   val tier : t -> int -> tier
+
+  (** {2 Relationship rows}
+
+      Every AS's neighbour ids in one flat array, grouped by what the
+      neighbour is to the AS. For AS [i], with [s = row_start t], [p =
+      peers_from t] and [c = customers_from t]: its providers are
+      [rows.(k)] for [s.(i) <= k < p.(i)], its peers for
+      [p.(i) <= k < c.(i)] and its customers for [c.(i) <= k < s.(i+1)],
+      each group in {!neighbors} order. Built once by {!of_graph}; the
+      arrays are shared, never copy-on-read — do not mutate them. This is
+      the layout the propagation engine sweeps: one relationship's
+      neighbours are a contiguous int range, with no tuple to unpack and
+      no relationship to match per edge. *)
+
+  val rows : t -> int array
+  val row_start : t -> int array
+  (** [n + 1] entries; [row_start.(n)] is the total adjacency count. *)
+
+  val peers_from : t -> int array
+  val customers_from : t -> int array
 end

@@ -511,6 +511,116 @@ let test_fingerprint_params_identity () =
   check_bool "length-prefixed rendering cannot alias" true
     (fp [ ("a", "1=2:x") ] <> fp [ ("a=1", "2:x") ])
 
+(* ---- Fresh accumulators ------------------------------------------------ *)
+
+(* A cell that only ever holds its time-0 route keeps no tables; these
+   pin that its reads, its seal and its first update all behave exactly
+   like the table-backed accumulator. *)
+
+let acc_key =
+  { Measurement.session =
+      { Update.collector = "rrc00"; peer = Asn.of_int 64512 };
+    prefix = Prefix.of_string "10.0.0.0/24" }
+
+let ases l = Asn.Set.of_list (List.map Asn.of_int l)
+
+let sorted_runs l =
+  List.sort (fun (a, _) (b, _) -> Asn.compare a b) l
+  |> List.map (fun (a, d) -> (Asn.to_int a, Int64.bits_of_float d))
+
+let runs_t = Alcotest.(list (pair int int64))
+
+let bits l = List.map (fun (a, d) -> (a, Int64.bits_of_float d)) l
+
+let fresh_acc base =
+  let acc = Measurement.Acc.create () in
+  Measurement.Acc.set_baseline acc (ases base);
+  acc
+
+let test_fresh_acc_seals_to_baseline () =
+  (* A duration with no short binary expansion: the seal must carry it
+     bit for bit. *)
+  let duration = 3600.1 in
+  let acc = fresh_acc [ 3; 1; 2 ] in
+  Measurement.Acc.seal acc duration;
+  match Measurement.Acc.cell acc_key acc with
+  | None -> Alcotest.fail "a baseline cell materializes"
+  | Some c ->
+      let every = bits [ (1, duration); (2, duration); (3, duration) ] in
+      Alcotest.check runs_t "residency = every baseline AS at duration" every
+        (sorted_runs c.Measurement.residency);
+      Alcotest.check runs_t "contiguous = every baseline AS at duration" every
+        (sorted_runs c.Measurement.contiguous);
+      check_int "no updates" 0 c.Measurement.updates;
+      check_bool "final set is the baseline" true
+        (Option.equal Asn.Set.equal c.Measurement.final_set
+           (Some (ases [ 1; 2; 3 ])))
+
+let test_fresh_acc_seal_at_zero () =
+  let acc = fresh_acc [ 1; 2 ] in
+  Measurement.Acc.seal acc 0.;
+  match Measurement.Acc.cell acc_key acc with
+  | None -> Alcotest.fail "a baseline cell materializes"
+  | Some c ->
+      Alcotest.check runs_t "no residency at t = 0" []
+        (sorted_runs c.Measurement.residency);
+      Alcotest.check runs_t "no runs at t = 0" []
+        (sorted_runs c.Measurement.contiguous)
+
+let test_fresh_acc_reads () =
+  let acc = fresh_acc [ 1; 2 ] in
+  Alcotest.(check (option (float 0.))) "baseline AS on a run since 0"
+    (Some 0.) (Measurement.Acc.run_start acc (Asn.of_int 1));
+  Alcotest.(check (option (float 0.))) "other AS not on the path" None
+    (Measurement.Acc.run_start acc (Asn.of_int 7));
+  Alcotest.(check (float 0.)) "open run counts up to [at]" 42.5
+    (Measurement.Acc.longest_run acc ~at:42.5 (Asn.of_int 2));
+  Alcotest.(check (float 0.)) "off-path AS has no run" 0.
+    (Measurement.Acc.longest_run acc ~at:42.5 (Asn.of_int 7));
+  Alcotest.(check (float 0.)) "no completed run yet" 0.
+    (Measurement.Acc.best_run acc (Asn.of_int 1));
+  Alcotest.check runs_t "nothing credited before an update" []
+    (sorted_runs (Measurement.Acc.residency acc));
+  Alcotest.check runs_t "no completed runs before an update" []
+    (sorted_runs (Measurement.Acc.contiguous acc))
+
+(* Reads on a fresh accumulator change nothing: the first update then
+   yields exactly the cell an unread accumulator yields, and both match
+   the hand-computed eager numbers. *)
+let test_fresh_acc_first_consume () =
+  let feed =
+    [ { Update.time = 100.; session = acc_key.Measurement.session;
+        kind =
+          Update.Announce
+            (Route.make acc_key.Measurement.prefix
+               (List.map Asn.of_int [ 1; 4 ])) } ]
+  in
+  let run ~read =
+    let acc = fresh_acc [ 1; 2; 3 ] in
+    if read then begin
+      ignore (Measurement.Acc.run_start acc (Asn.of_int 2));
+      ignore (Measurement.Acc.longest_run acc ~at:50. (Asn.of_int 3));
+      ignore (Measurement.Acc.residency acc);
+      ignore (Measurement.Acc.contiguous acc)
+    end;
+    List.iter (fun u -> ignore (Measurement.Acc.consume acc u)) feed;
+    Alcotest.(check (float 0.)) "run of a kept AS is still open since 0"
+      100. (Measurement.Acc.longest_run acc ~at:100. (Asn.of_int 1));
+    Measurement.Acc.seal acc 500.;
+    Option.get (Measurement.Acc.cell acc_key acc)
+  in
+  let read = run ~read:true and unread = run ~read:false in
+  let expect = bits [ (1, 500.); (2, 100.); (3, 100.); (4, 400.) ] in
+  List.iter
+    (fun (name, (c : Measurement.cell)) ->
+       Alcotest.check runs_t (name ^ ": residency") expect
+         (sorted_runs c.Measurement.residency);
+       Alcotest.check runs_t (name ^ ": contiguous") expect
+         (sorted_runs c.Measurement.contiguous);
+       check_int (name ^ ": one update") 1 c.Measurement.updates;
+       check_int (name ^ ": one path change") 1 c.Measurement.path_changes)
+    [ ("after reads", read); ("unread", unread) ]
+
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
 let () =
@@ -536,7 +646,14 @@ let () =
          Alcotest.test_case "visibility bounds" `Quick
            test_measurement_visibility_bounds;
          Alcotest.test_case "extra updates merged" `Quick
-           test_measurement_extra_updates_merged ]);
+           test_measurement_extra_updates_merged;
+         Alcotest.test_case "fresh acc seals to baseline" `Quick
+           test_fresh_acc_seals_to_baseline;
+         Alcotest.test_case "fresh acc sealed at 0" `Quick
+           test_fresh_acc_seal_at_zero;
+         Alcotest.test_case "fresh acc reads" `Quick test_fresh_acc_reads;
+         Alcotest.test_case "fresh acc first consume" `Quick
+           test_fresh_acc_first_consume ]);
       ("experiments",
        [ Alcotest.test_case "T1 dataset" `Quick test_dataset;
          Alcotest.test_case "F2L concentration" `Quick test_concentration;

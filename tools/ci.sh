@@ -43,7 +43,12 @@
 #                         reruns, outputs independent of the worker count;
 #  10. quicksand sweep --matrix churn-trace-day
 #                       — the trace-shaped churn day, same three-way
-#                         byte-identity gate (jobs=1 vs jobs=4 vs rerun).
+#                         byte-identity gate (jobs=1 vs jobs=4 vs rerun);
+#  11. dune build @qsbench/smoke
+#                       — every benchmark workload at smoke size, one
+#                         plain and one staged rep each, with every
+#                         result-digest and accounting check and every
+#                         metric BENCHMARK.json declares.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -101,5 +106,8 @@ dune exec bin/quicksand.exe -- sweep --matrix churn-trace-day --jobs 1 \
   --out "$sweep_tmp/trace-j1-rerun"
 diff -r "$sweep_tmp/trace-j1" "$sweep_tmp/trace-j4"
 diff -r "$sweep_tmp/trace-j1" "$sweep_tmp/trace-j1-rerun"
+
+echo "== dune build @qsbench/smoke (every benchmark workload, smoke size)"
+dune build @qsbench/smoke
 
 echo "CI OK"
