@@ -268,83 +268,18 @@ let () =
             (Community_attack.sweep_radius scenario.Scenario.indexed ~victim
                ~attacker ~monitors [ 1; 2; 3; 5; 8 ]));
 
-  section "AB-cache" "ablation — route cache on/off (same stream, fewer recomputes)"
-    (fun () ->
-       (* Declared as the `ab-cache` sweep registry entry: `quicksand
-          sweep --matrix ab-cache` runs the same two arms and writes
-          their results directories; this bench arm keeps the wall-clock
-          comparison, which the sweep deliberately never records. *)
-       (* Short outages keep failures mostly non-overlapping, so reverts
-          return to an exact previously-seen (announcement, failed)
-          configuration — the reuse pattern the cache exists for. Long
-          overlapping outages make the global failed set churn constantly
-          and no exact configuration ever repeats. *)
-       let cfg =
-         { Dynamics.short_config with
-           Dynamics.duration = 1. *. 86_400.;
-           base_churn_rate = 2.0;
-           mean_outage = 5.;
-           mean_global_outage = 5.;
-           (* Delta repair off: this ablation isolates the cache over the
-              full-recompute engine (AB-delta below isolates the delta
-              engine). *)
-           delta_states = 0 }
-       in
-       let capacity = if !scale = "small" then 4096 else 1024 in
-       (* Timed runs discard updates so the clock measures route
-          computation, not pretty-printing. *)
-       let timed cache_size =
-         let rng = Scenario.rng_for scenario "ab-cache" in
-         let start = Clock.now () in
-         let _, stats =
-           Dynamics.run ~rng
-             { cfg with Dynamics.route_cache_size = cache_size }
-             scenario.Scenario.world ~emit:ignore
-         in
-         (Clock.now () -. start, stats)
-       in
-       (* Separate (untimed) runs capture the full rendered streams for
-          the byte-identity check. *)
-       let capture cache_size =
-         let buf = Buffer.create (1 lsl 20) in
-         let ppf = Format.formatter_of_buffer buf in
-         let _ =
-           Dynamics.run ~rng:(Scenario.rng_for scenario "ab-cache")
-             { cfg with Dynamics.route_cache_size = cache_size }
-             scenario.Scenario.world
-             ~emit:(fun u -> Format.fprintf ppf "%a@." Update.pp u)
-         in
-         Format.pp_print_flush ppf ();
-         Buffer.contents buf
-       in
-       let t_off, s_off = timed 0 in
-       let t_on, s_on = timed capacity in
-       Format.printf
-         "  cache off: %.2f s, %d recomputations@." t_off
-         s_off.Dynamics.full_recomputations;
-       Format.printf
-         "  cache on:  %.2f s, %d recomputations, %d hits / %d misses / %d evictions@."
-         t_on s_on.Dynamics.full_recomputations s_on.Dynamics.cache_hits
-         s_on.Dynamics.cache_misses s_on.Dynamics.cache_evictions;
-       Format.printf "  speedup: %.2fx; streams byte-identical: %b@."
-         (t_off /. Float.max t_on 1e-9)
-         (String.equal (capture 0) (capture capacity)));
-
-  section "AB-delta"
-    "ablation — incremental delta repair vs full recompute (cache disabled)"
+  section "AB-delta" "ablation — incremental delta repair vs full recompute"
     (fun () ->
        (* Declared as the `ab-delta` sweep registry entry — same two
-          arms, results-directory form. The churn-heavy day from
-          AB-cache, with the route cache off in both arms so the clock
-          compares the two propagation engines directly: every outcome
-          request either full-computes or delta-repairs. *)
+          arms, results-directory form. A churn-heavy day: every outcome
+          request either full-computes or delta-repairs, so the clock
+          compares the two propagation engines directly. *)
        let cfg =
          { Dynamics.short_config with
            Dynamics.duration = 1. *. 86_400.;
            base_churn_rate = 2.0;
            mean_outage = 5.;
-           mean_global_outage = 5.;
-           route_cache_size = 0 }
+           mean_global_outage = 5. }
        in
        let timed delta_states =
          let rng = Scenario.rng_for scenario "ab-delta" in
@@ -421,11 +356,11 @@ let () =
        (* Declared as the `ab-obs` sweep registry entry, whose test pins
           the correctness half (identical measured numbers both arms);
           this bench arm keeps the cost half. *)
-       (* Every hot-path counter bump in Dynamics/Route_cache/
-          Session_reset/Pool goes through the registry; this proves the
-          cost is in the noise. Runs alternate on/off so drift hits both
-          arms equally, and each arm keeps its best-of — the stable
-          estimate of kernel time under timer jitter. *)
+       (* Every hot-path counter bump in Dynamics/Session_reset/Pool
+          goes through the registry; this proves the cost is in the
+          noise. Runs alternate on/off so drift hits both arms equally,
+          and each arm keeps its best-of — the stable estimate of kernel
+          time under timer jitter. *)
        let cfg =
          { Dynamics.short_config with
            Dynamics.duration = 1. *. 86_400.;
@@ -706,42 +641,24 @@ let () =
            (Printf.sprintf "delta-step-flap-%d-ases" n_main) t
      | None -> Format.printf "  (no estimate for the delta-step kernel)@.");
 
-    (* The month-dynamics kernels each run a whole simulation (~0.1–0.5 s),
-       so they get their own, longer quota — the 0.5 s above would fit a
-       single run. Short mostly non-overlapping outages are the regime the
-       route cache exists for: reverts land back on previously-seen
-       configurations (see the AB-cache ablation). *)
-    Format.printf "@.=== micro: month-dynamics kernel, cached vs uncached ===@.";
-    (* [base_churn_rate] is per-duration, so shrinking the horizon does not
-       shrink the event count — it compresses the timeline and makes
-       outages overlap (killing exact-configuration reuse). Keep the full
-       day and lower the churn instead. *)
-    let dyn_cfg cache =
+    (* The month-dynamics kernel runs a whole simulation (~0.1–0.5 s),
+       so it gets its own, longer quota — the 0.5 s above would fit a
+       single run. The AB-delta ablation above carries the
+       full-recompute comparison. *)
+    Format.printf "@.=== micro: month-dynamics kernel, delta repair ===@.";
+    let dyn_cfg =
       { Dynamics.short_config with
         Dynamics.duration = 1. *. 86_400.;
         base_churn_rate = 0.5;
         mean_outage = 5.;
         mean_global_outage = 5.;
-        route_cache_size = cache;
-        (* Cached/uncached isolate the memoization layer over the
-           full-recompute engine; the -delta row below swaps in the
-           incremental repair engine with no cache. *)
-        delta_states = 0 }
+        delta_states = 4096 }
     in
     let dyn_tests =
       Test.make_grouped ~name:"quicksand"
-        [ Test.make ~name:"F3L-dynamics-cached"
+        [ Test.make ~name:"F3L-dynamics-delta"
             (Staged.stage (fun () ->
-                 Dynamics.run ~rng:(Rng.of_int 11) (dyn_cfg 4096)
-                   small.Scenario.world ~emit:ignore));
-          Test.make ~name:"F3L-dynamics-uncached"
-            (Staged.stage (fun () ->
-                 Dynamics.run ~rng:(Rng.of_int 11) (dyn_cfg 0)
-                   small.Scenario.world ~emit:ignore));
-          Test.make ~name:"F3L-dynamics-delta"
-            (Staged.stage (fun () ->
-                 Dynamics.run ~rng:(Rng.of_int 11)
-                   { (dyn_cfg 0) with Dynamics.delta_states = 4096 }
+                 Dynamics.run ~rng:(Rng.of_int 11) dyn_cfg
                    small.Scenario.world ~emit:ignore)) ]
     in
     let dyn_cfg_bench =
@@ -749,28 +666,14 @@ let () =
     in
     let raw = Benchmark.all dyn_cfg_bench Instance.[ monotonic_clock ] dyn_tests in
     let results = Analyze.all ols Instance.monotonic_clock raw in
-    let estimate name =
-      match Hashtbl.find_opt results name with
-      | Some o ->
-          (match Analyze.OLS.estimates o with
-           | Some (t :: _) -> Some t
-           | Some [] | None -> None)
-      | None -> None
-    in
-    let cached = estimate "quicksand/F3L-dynamics-cached" in
-    let uncached = estimate "quicksand/F3L-dynamics-uncached" in
-    let delta = estimate "quicksand/F3L-dynamics-delta" in
-    (match (cached, uncached) with
-     | Some c, Some u ->
-         Format.printf "  %-40s %12.1f ns/run@." "F3L-dynamics-cached" c;
-         Format.printf "  %-40s %12.1f ns/run@." "F3L-dynamics-uncached" u;
-         Format.printf "  cache speedup: %.2fx@." (u /. Float.max c 1.)
-     | _ -> Format.printf "  (no estimate for the dynamics kernels)@.");
-    (match (delta, uncached) with
-     | Some d, Some u ->
-         Format.printf "  %-40s %12.1f ns/run@." "F3L-dynamics-delta" d;
-         Format.printf "  delta speedup: %.2fx@." (u /. Float.max d 1.)
-     | _ -> Format.printf "  (no estimate for the delta dynamics kernel)@.");
+    (match
+       Option.bind (Hashtbl.find_opt results "quicksand/F3L-dynamics-delta")
+         Analyze.OLS.estimates
+     with
+     | Some (d :: _) ->
+         Format.printf "  %-40s %12.1f ns/run@." "F3L-dynamics-delta" d
+     | Some [] | None ->
+         Format.printf "  (no estimate for the delta dynamics kernel)@.");
 
     (* Scheduling overhead of Pool.map on tiny tasks: mapping 8192 trivial
        items stresses chunk bookkeeping, not the work itself. chunk=1 is

@@ -19,9 +19,25 @@ let scale =
          Scenario.Small
        & info [ "scale" ] ~docv:"SIZE" ~doc)
 
+(* [conv] narrowed to the values [ok] accepts; anything else is a parse
+   error, so Cmdliner prints [msg] with the usage line and exits 124. *)
+let checked conv ok msg =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s, got %s" msg s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
 let days =
-  let doc = "Simulated measurement duration in days." in
-  Arg.(value & opt float 2. & info [ "days" ] ~docv:"DAYS" ~doc)
+  let doc = "Simulated measurement duration in days, in (0, 366]." in
+  let days_conv =
+    checked Arg.float
+      (fun d -> Float.is_finite d && d > 0. && d <= 366.)
+      "must be a finite number in (0, 366]"
+  in
+  Arg.(value & opt days_conv 2. & info [ "days" ] ~docv:"DAYS" ~doc)
 
 let json_flag =
   Arg.(value & flag & info [ "json" ]
@@ -29,10 +45,18 @@ let json_flag =
 
 let jobs =
   let doc =
-    "Worker domains for parallel sweeps. Results are byte-identical at any \
-     value; the default is what the runtime recommends for this machine."
+    Printf.sprintf
+      "Worker domains for parallel sweeps, in [1, %d]. Results are \
+       byte-identical at any value; the default is what the runtime \
+       recommends for this machine."
+      Pool.max_jobs
   in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  let jobs_conv =
+    checked Arg.int
+      (fun j -> j >= 1 && j <= Pool.max_jobs)
+      (Printf.sprintf "must be in [1, %d]" Pool.max_jobs)
+  in
+  Arg.(value & opt (some jobs_conv) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* Shared per-flag definitions for options that several subcommands take.
    One definition per flag keeps names, docv and defaults from drifting
@@ -943,7 +967,7 @@ let check_cmd =
     let run_diff () =
       let seeds = List.init (if seeds = 0 then 2 else seeds) (fun i -> i + 1) in
       if not json then
-        Format.printf "differential: %d seeds x 4 configuration pairs@."
+        Format.printf "differential: %d seeds x 3 configuration pairs@."
           (List.length seeds);
       let outcomes = Differential.run ~seeds scale in
       Report.differential ~json fmt outcomes;
@@ -972,7 +996,7 @@ let check_cmd =
       if not json then
         Format.printf
           "delta: %d seeds, incremental repair vs full recompute (streams, \
-           final tables, cache layering, jobs)@."
+           final tables, jobs)@."
           (List.length seeds);
       let outcomes = Differential.delta ~seeds scale in
       Report.differential ~json fmt outcomes;
@@ -1020,7 +1044,8 @@ let check_cmd =
                    structure, byte-identity), or $(b,all).")
   in
   let seeds =
-    Arg.(value & opt int 0 & info [ "seeds" ] ~docv:"N"
+    let seeds_conv = checked Arg.int (fun n -> n >= 0) "must be >= 0" in
+    Arg.(value & opt seeds_conv 0 & info [ "seeds" ] ~docv:"N"
            ~doc:"Seed count for $(b,diff) (default 2), $(b,fuzz) \
                  (default 200), $(b,static) (default 5), $(b,delta) \
                  (default 5) and $(b,churn) (default 5). Ignored by \

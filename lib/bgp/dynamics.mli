@@ -46,13 +46,6 @@ type config = {
   pathological_prefixes : int;   (** super-flappers among hosting prefixes
                                      (the paper's 2000x-median anecdote) *)
   pathological_multiplier : float;
-  route_cache_size : int;        (** LRU capacity of the route cache keyed
-                                     by (announcement, failed links); [<= 0]
-                                     disables it. The emitted update stream
-                                     is byte-identical either way — the
-                                     cache only avoids recomputing
-                                     propagation outcomes already seen
-                                     (default: 512). *)
   delta_states : int;            (** LRU capacity of per-origin
                                      {!Propagate.Delta} states (an
                                      evicted state's arrays are recycled
@@ -109,8 +102,7 @@ type stats = {
           unsupported shapes, plus every compute when the delta engine is
           off. Delta steps are deliberately {e not} counted here — AB
           tables comparing engines would otherwise lie.
-          [cache_hits + full_recomputations + delta_steps] = outcome
-          requests *)
+          [full_recomputations + delta_steps] = outcome requests *)
   delta_steps : int;
       (** outcome requests served by incremental {!Propagate.Delta}
           repair instead of a full recompute *)
@@ -118,8 +110,12 @@ type stats = {
       (** link repairs inside those steps proven no-ops in O(1) (the
           flapped link carried no selected route) *)
   cache_hits : int;
+      (** benchmark compatibility only: always [0] (no route cache) *)
   cache_misses : int;
+      (** benchmark compatibility only: the number of outcome requests,
+          [full_recomputations + delta_steps] *)
   cache_evictions : int;
+      (** benchmark compatibility only: always [0] *)
   post_horizon_dropped : int;
       (** updates scheduled past [duration] and never emitted — convergence
           delays and reset replays near the end of the run overshoot the

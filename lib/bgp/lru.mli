@@ -1,12 +1,11 @@
 (** A bounded least-recently-used map whose evicted values are handed
     back for reuse.
 
-    The dynamics simulator keeps two of these over large per-AS arrays —
-    the {!Route_cache} of propagation outcomes and the per-origin
-    {!Propagate.Delta} states. Once full, every insertion evicts the
-    least-recently-used entry, and the value it held is passed to the
-    inserting caller, which overwrites it in place instead of allocating
-    a fresh one. Keys use structural equality and [Hashtbl.hash].
+    The dynamics simulator keeps one over large per-AS arrays: the
+    per-origin {!Propagate.Delta} states. Once full, every insertion
+    evicts the least-recently-used entry, and the value it held is passed
+    to the inserting caller, which overwrites it in place instead of
+    allocating a fresh one. Keys use structural equality and [Hashtbl.hash].
 
     [find] and [add] are O(1) plus the key's hash: recency is an
     intrusive doubly-linked list, and the victim is its oldest end. *)

@@ -461,32 +461,14 @@ let routed_count t =
   done;
   !acc
 
-(* A typed int loop, not [Array.blit]: into a major-heap array the
-   generic blit goes through the write barrier per element and is
-   several times slower. *)
-let copy_ints (src : int array) (dst : int array) n =
-  for i = 0 to n - 1 do
-    dst.(i) <- src.(i)
-  done;
-  dst
-
-let copy ?into t =
+let copy t =
   let n = As_graph.Indexed.n t.graph in
-  match into with
-  | Some d when Array.length d.cls >= n ->
-      { t with
-        cls = copy_ints t.cls d.cls n;
-        len = copy_ints t.len d.len n;
-        next = copy_ints t.next d.next n;
-        src = copy_ints t.src d.src n;
-        depth = copy_ints t.depth d.depth n }
-  | Some _ | None ->
-      { t with
-        cls = Array.sub t.cls 0 n;
-        len = Array.sub t.len 0 n;
-        next = Array.sub t.next 0 n;
-        src = Array.sub t.src 0 n;
-        depth = Array.sub t.depth 0 n }
+  { t with
+    cls = Array.sub t.cls 0 n;
+    len = Array.sub t.len 0 n;
+    next = Array.sub t.next 0 n;
+    src = Array.sub t.src 0 n;
+    depth = Array.sub t.depth 0 n }
 
 let candidates_at t a =
   match id_opt t a with

@@ -47,8 +47,8 @@ module Workspace : sig
       previous outcome} it produced: reading a retained outcome after the
       next compute observes the new prefix's routes, silently. Use a
       workspace only where each outcome is fully consumed before the next
-      compute — never for outcomes that are stored (e.g. in a
-      {!Route_cache}, which must use plain [compute]). A regression test
+      compute — never for outcomes that are stored ({!copy} them, or
+      use plain [compute]). A regression test
       in [test/test_bgp.ml] pins this clobbering behaviour down.
 
       {b One workspace per domain.} A workspace is single-threaded
@@ -145,17 +145,11 @@ val candidates_at : t -> Asn.t -> Route.t list
 val routed_count : t -> int
 (** Number of ASes that have a route. *)
 
-val copy : ?into:t -> t -> t
+val copy : t -> t
 (** An outcome that owns its arrays. Computing through a
     {!Workspace} (or a {!Delta.state}) yields a view over reused scratch
     that the next compute invalidates; [copy] snapshots it so it can be
-    retained — this is how outcomes enter a {!Route_cache}. O(n) int
-    copies, no recomputation.
-
-    [into] recycles the arrays of an outcome the caller owns and no
-    longer needs (a {!Route_cache} passes its evicted entry's): they are
-    overwritten and returned inside the copy, so [into] itself is
-    invalidated. Arrays too short for this graph are not reused. *)
+    retained. O(n) int copies, no recomputation. *)
 
 (** Incremental route repair: apply a configuration change to a retained
     outcome and re-run the Gao–Rexford decision only where it can matter,

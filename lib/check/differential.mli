@@ -1,23 +1,22 @@
 (** Differential oracles: configuration pairs that must not change
     results.
 
-    The route cache (PR 2) and the domain pool (PR 3) are pure
-    memoization/execution layers, and the session-reset filter is inert
-    on a stream without resets. Each oracle runs a seeded scenario under
-    both halves of such a pair, renders the experiment output (F3L, F3R,
-    M1, or a raw per-cell kernel) and diffs the two renderings
-    byte-for-byte, reporting the first divergent line.
+    The domain pool is a pure execution layer, and the session-reset
+    filter is inert on a stream without resets. Each oracle runs a
+    seeded scenario under both halves of such a pair, renders the
+    experiment output (F3L, F3R, M1, or a raw per-cell kernel) and diffs
+    the two renderings byte-for-byte, reporting the first divergent
+    line.
 
     | pair                   | halves                             | outputs        |
     |------------------------|------------------------------------|----------------|
-    | route-cache-on-vs-off  | [route_cache_size] 512 vs 0        | F3L, F3R       |
     | jobs-1-vs-2            | pool [jobs] 1 vs 2                 | F3L, F3R, M1   |
     | chunk-1-vs-64          | [Pool.map ~chunk] 1 vs 64          | per-cell F3R   |
     | filter-on-reset-free   | filter on vs off, 0 resets/session | F3L, F3R       | *)
 
 type outcome = {
   seed : int;
-  pair : string;        (** e.g. ["route-cache-on-vs-off"] *)
+  pair : string;        (** e.g. ["jobs-1-vs-2"] *)
   experiment : string;  (** e.g. ["F3R"] *)
   ok : bool;
   detail : string option;  (** first divergent line, when [not ok] *)
@@ -42,15 +41,13 @@ val delta :
 (** The delta-vs-full propagation oracle (default seeds [1..5]): per
     seed, runs the same measurement with [Dynamics.delta_states] 0
     (every churn event is a full recompute) and 512 (incremental
-    repair), both with the route cache disabled, and demands
-    byte-identical collector update streams and final (session, prefix)
-    tables; then layers the route cache on top of the delta engine
-    (still byte-identical), checks worker count does not leak into
-    delta-backed F3L output (jobs 1 vs 4), and finally that the delta
-    run actually took delta steps — without which the identities would
-    be vacuous. A divergence is a repair-engine bug by construction:
-    Gao-Rexford safety makes the stable assignment unique, so any
-    correct repair must land on the full-compute fixed point. *)
+    repair), and demands byte-identical collector update streams and
+    final (session, prefix) tables; then checks worker count does not
+    leak into delta-backed F3L output (jobs 1 vs 4), and finally that
+    the delta run actually took delta steps — without which the
+    identities would be vacuous. A divergence is a repair-engine bug by
+    construction: Gao-Rexford safety makes the stable assignment unique,
+    so any correct repair must land on the full-compute fixed point. *)
 
 val static :
   ?dynamics:Dynamics.config -> ?seeds:int list -> Scenario.size ->

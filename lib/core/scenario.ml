@@ -138,13 +138,13 @@ let rng_for t name =
    checks all pairs derive distinct seeds (and any new generator's name
    belongs in this list). Sorted, duplicates would be a bug. *)
 let stream_names =
-  [ "ab-cache"; "ab-delta"; "ab-jobs"; "ab-loss"; "ab-obs"; "ab-radius";
-    "asymmetric"; "asymmetry"; "check-static"; "compromise";
-    "consensus-epochs"; "guard-inference"; "guard-monitoring"; "hijack";
-    "hijack-detect"; "interception"; "interception-path"; "long-term";
-    "measurement"; "monitoring"; "mrt-dump"; "mrt-roundtrip"; "quickstart";
-    "reset-truth"; "rov"; "selection"; "serve"; "stealth"; "surface";
-    "sweep-m2"; "trace-churn"; "wikileaks" ]
+  [ "ab-delta"; "ab-jobs"; "ab-loss"; "ab-obs"; "ab-radius"; "asymmetric";
+    "asymmetry"; "check-static"; "compromise"; "consensus-epochs";
+    "guard-inference"; "guard-monitoring"; "hijack"; "hijack-detect";
+    "interception"; "interception-path"; "long-term"; "measurement";
+    "monitoring"; "mrt-dump"; "mrt-roundtrip"; "quickstart"; "reset-truth";
+    "rov"; "selection"; "serve"; "stealth"; "surface"; "sweep-m2";
+    "trace-churn"; "wikileaks" ]
 
 let guard_announcement t relay =
   match Tor_prefix.prefix_of_relay t.tor_prefixes relay with

@@ -129,9 +129,12 @@ let worker_loop t w =
     end
   done
 
+let max_jobs = 512
+
 let create ~jobs () =
-  if jobs < 1 || jobs > 512 then
-    invalid_arg "Pool.create: jobs must be in [1, 512]";
+  if jobs < 1 || jobs > max_jobs then
+    invalid_arg
+      (Printf.sprintf "Pool.create: jobs must be in [1, %d]" max_jobs);
   let t =
     { n_jobs = jobs;
       m = Mutex.create ();

@@ -14,9 +14,9 @@
     is byte-identical at [jobs = 1] and [jobs = N]. A property test in
     [test/test_exec.ml] and the QS305 lint rule enforce this end to end.
 
-    {b Isolation.} Mutable scratch state (a {!Propagate.Workspace.t}, a
-    route cache) must never be shared across domains. {!per_domain} is the
-    resource combinator for that rule: it lazily creates one instance per
+    {b Isolation.} Mutable scratch state (a {!Propagate.Workspace.t}, an
+    outcome table) must never be shared across domains. {!per_domain} is
+    the resource combinator for that rule: it lazily creates one instance per
     domain, so a task may freely use {!get} on whatever domain it happens
     to run.
 
@@ -34,12 +34,15 @@ type t
     process exit); between calls they block on a condition variable, so an
     idle pool costs nothing. *)
 
+val max_jobs : int
+(** The widest pool {!create} accepts (512). *)
+
 val create : jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains. [jobs = 1] is the
     sequential pool: no domains are spawned and every task runs inline in
     the caller — by the determinism guarantee it computes exactly what any
     wider pool computes.
-    @raise Invalid_argument unless [1 <= jobs <= 512]. *)
+    @raise Invalid_argument unless [1 <= jobs <= max_jobs]. *)
 
 val jobs : t -> int
 (** The worker count the pool was created with (caller included). *)

@@ -23,7 +23,6 @@ let rules = [ metric_registry_mismatch ]
 let () =
   let force : 'a. 'a -> unit = fun _ -> () in
   force Pool.jobs;
-  force Route_cache.zero_stats;
   force Session_reset.default_config;
   force Churn.pareto_day;
   force Consensus_dynamics.default_params;

@@ -10,7 +10,6 @@ type vars = {
   days : float;
   churn : churn;
   consensus : consensus;
-  cache : int;
   delta : int;
   obs : bool;
   adversary : float;
@@ -24,7 +23,6 @@ let default_vars =
     days = 1.;
     churn = Baseline;
     consensus = Frozen;
-    cache = 512;
     delta = 512;
     obs = true;
     adversary = 0.;
@@ -40,7 +38,6 @@ let known_keys =
     ("consensus", "M2 consensus model: frozen (no M2 stage) | frozen-m2 \
                    (M2 on the frozen snapshot) | live-hourly | live-heavy \
                    (M2 on hourly living epochs)");
-    ("cache", "route-cache LRU capacity; 0 disables");
     ("delta", "delta-state LRU capacity; 0 disables");
     ("obs", "qs_obs instrumentation during the cell: on | off");
     ("adversary", "fraction of malicious ASes, in [0, 1]; 0 = no adversary");
@@ -146,10 +143,6 @@ let set v ~key ~value =
              "consensus: expected frozen | frozen-m2 | live-hourly | \
               live-heavy, got %S"
              value)
-  | "cache" ->
-      as_int "cache" (fun i ->
-          if i < 0 then bad "cache: must be >= 0, got %d" i
-          else Ok { v with cache = i })
   | "delta" ->
       as_int "delta" (fun i ->
           if i < 0 then bad "delta: must be >= 0, got %d" i
@@ -174,13 +167,12 @@ let set v ~key ~value =
           else Ok { v with threshold = x })
   | k -> bad "unknown key %S (see `quicksand sweep --list`)" k
 
-(* Sorted by key: adversary, cache, churn, consensus, days, delta, guards,
-   obs, threshold. Seed and size are carried by the fingerprint's own
+(* Sorted by key: adversary, churn, consensus, days, delta, guards, obs,
+   threshold. Seed and size are carried by the fingerprint's own
    identity section, so repeating them here would double-count nothing and
    desync eventually. *)
 let canonical_bindings v =
   [ ("adversary", float_str v.adversary);
-    ("cache", string_of_int v.cache);
     ("churn", churn_to_string v.churn);
     ("consensus", consensus_to_string v.consensus);
     ("days", float_str v.days);
@@ -211,8 +203,8 @@ let dynamics v =
           Dynamics.base_churn_rate = base.Dynamics.base_churn_rate *. 0.25;
           resets_per_session = base.Dynamics.resets_per_session *. 0.5 }
     | Heavy ->
-        (* The churn-heavy day the AB-cache/AB-delta ablations in
-           bench/main.ml stress: pathological flap rates with very short
+        (* The churn-heavy day the AB-delta ablation in bench/main.ml
+           stresses: pathological flap rates with very short
            outages, so the update stream is dominated by re-announcements. *)
         { base with
           Dynamics.base_churn_rate = 2.0;
@@ -226,7 +218,7 @@ let dynamics v =
     | Trace_lognormal ->
         { base with Dynamics.session_churn = Some Churn.lognormal_day }
   in
-  { base with Dynamics.route_cache_size = v.cache; delta_states = v.delta }
+  { base with Dynamics.delta_states = v.delta }
 
 type entry = {
   name : string;
@@ -247,17 +239,11 @@ let builtin =
       base = Some "base-small-day";
       overlay = [ ("churn", "heavy") ];
       axes = [] };
-    { name = "ab-cache";
-      doc = "AB-cache ablation (bench/main.ml): route cache off vs large \
-             on a churn-heavy day, deltas disabled";
-      base = Some "churn-day";
-      overlay = [ ("delta", "0") ];
-      axes = [ ("cache", [ "0"; "4096" ]) ] };
     { name = "ab-delta";
       doc = "AB-delta ablation (bench/main.ml): delta states off vs large \
-             on a churn-heavy day, cache disabled";
+             on a churn-heavy day";
       base = Some "churn-day";
-      overlay = [ ("cache", "0") ];
+      overlay = [];
       axes = [ ("delta", [ "0"; "4096" ]) ] };
     { name = "ab-obs";
       doc = "AB-obs ablation (bench/main.ml): instrumentation off vs on — \

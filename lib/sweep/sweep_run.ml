@@ -84,7 +84,6 @@ let vars_fields (v : Sweep.vars) =
     ("days", jfloat v.Sweep.days);
     ("churn", jstr (Sweep.churn_to_string v.Sweep.churn));
     ("consensus", jstr (Sweep.consensus_to_string v.Sweep.consensus));
-    ("cache", string_of_int v.Sweep.cache);
     ("delta", string_of_int v.Sweep.delta);
     ("obs", if v.Sweep.obs then "true" else "false");
     ("adversary", jfloat v.Sweep.adversary);
@@ -123,9 +122,7 @@ let summary_json_of ~entry ~slug ~fingerprint (c : Sweep.cell)
             ("announces", string_of_int d.Dynamics.announces);
             ("withdraws", string_of_int d.Dynamics.withdraws);
             ("full_recomputations", string_of_int d.Dynamics.full_recomputations);
-            ("delta_steps", string_of_int d.Dynamics.delta_steps);
-            ("cache_hits", string_of_int d.Dynamics.cache_hits);
-            ("cache_misses", string_of_int d.Dynamics.cache_misses) ] );
+            ("delta_steps", string_of_int d.Dynamics.delta_steps) ] );
       ( "f3l",
         jobj_inline
           [ ("cases", string_of_int (List.length f3l.Path_changes.ratios));
@@ -192,8 +189,6 @@ let cell_samples (m : Measurement.t) (f3l : Path_changes.t)
       c "churn_events" d.Dynamics.churn_events;
       c "full_recomputations" d.Dynamics.full_recomputations;
       c "delta_steps" d.Dynamics.delta_steps;
-      c "cache_hits" d.Dynamics.cache_hits;
-      c "cache_misses" d.Dynamics.cache_misses;
       c "path_changes" total_changes;
       c "cases_f3l" (List.length f3l.Path_changes.ratios);
       c "cases_f3r" (List.length f3r.As_exposure.extras);

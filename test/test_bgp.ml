@@ -228,7 +228,7 @@ let test_copy_owns_arrays () =
     (Some 4) (hop first (asn 2));
   check_int "copy still counts all routed ASes" 4 (Propagate.routed_count first)
 
-(* The dynamics cache-miss path is [compute ~workspace] + [copy]: it must
+(* Retaining a workspace outcome is [compute ~workspace] + [copy]: it must
    allocate strictly less than a cold [compute] (which builds all five
    arrays, two settle arrays and two bucket tables from scratch). *)
 let test_workspace_copy_alloc_bound () =
@@ -979,38 +979,6 @@ let dynamics_stream config world rng =
   Format.pp_print_flush ppf ();
   (Buffer.contents buf, stats)
 
-(* The route cache is a pure memoization: same seed, byte-identical
-   rendered stream with the cache on and off. *)
-let test_dynamics_cache_transparent () =
-  let cached_cfg = { tiny_config with Dynamics.route_cache_size = 64 } in
-  let uncached_cfg = { tiny_config with Dynamics.route_cache_size = 0 } in
-  let rng, world = small_world 11 in
-  let cached, cs = dynamics_stream cached_cfg world rng in
-  let rng, world = small_world 11 in
-  let uncached, us = dynamics_stream uncached_cfg world rng in
-  check_bool "streams byte-identical" true (String.equal cached uncached);
-  check_bool "cache actually used" true (cs.Dynamics.cache_hits > 0);
-  check_int "uncached run has no hits" 0 us.Dynamics.cache_hits;
-  check_int "hits + computes = outcome requests"
-    (us.Dynamics.full_recomputations + us.Dynamics.delta_steps)
-    (cs.Dynamics.cache_hits + cs.Dynamics.full_recomputations
-     + cs.Dynamics.delta_steps)
-
-let prop_dynamics_cache_identical =
-  QCheck.Test.make ~name:"cache on/off streams identical across seeds"
-    ~count:5
-    QCheck.(int_bound 1000)
-    (fun seed ->
-       let run cache_size =
-         let rng, world = small_world seed in
-         dynamics_stream
-           { tiny_config with Dynamics.route_cache_size = cache_size }
-           world rng
-       in
-       let cached, _ = run 32 in
-       let uncached, _ = run 0 in
-       String.equal cached uncached)
-
 (* The delta engine is a pure reimplementation of propagation: same seed,
    byte-identical stream with delta repair on and off (and the delta run
    must actually take delta steps for the claim to mean anything). *)
@@ -1018,8 +986,7 @@ let test_dynamics_delta_transparent () =
   let run delta_states =
     let rng, world = small_world 13 in
     dynamics_stream
-      { tiny_config with
-        Dynamics.route_cache_size = 0; delta_states }
+      { tiny_config with Dynamics.delta_states }
       world rng
   in
   let on, s_on = run 4096 in
@@ -1038,9 +1005,7 @@ let test_dynamics_delta_transparent () =
 let test_dynamics_delta_eviction_transparent () =
   let run delta_states =
     let rng, world = small_world 17 in
-    dynamics_stream
-      { tiny_config with Dynamics.route_cache_size = 0; delta_states }
-      world rng
+    dynamics_stream { tiny_config with Dynamics.delta_states } world rng
   in
   let tiny, s_tiny = run 2 in
   let big, _ = run 4096 in
@@ -1057,9 +1022,7 @@ let prop_dynamics_delta_identical =
     (fun seed ->
        let run delta_states =
          let rng, world = small_world seed in
-         dynamics_stream
-           { tiny_config with Dynamics.route_cache_size = 0; delta_states }
-           world rng
+         dynamics_stream { tiny_config with Dynamics.delta_states } world rng
        in
        let on, _ = run 4096 in
        let off, _ = run 0 in
@@ -1100,27 +1063,23 @@ let prop_lru_matches_tick_scan =
                 && Lru.length lru = Hashtbl.length ticks)
          keys)
 
-(* Buffer reuse is invisible: with one cache entry and one delta state,
-   every outcome request evicts and recycles the arrays of the previous
-   one; with both off nothing is retained; the defaults retain hundreds.
+(* Buffer reuse is invisible: with one delta state, every request for a
+   new origin evicts and recycles the arrays of the previous one; with
+   delta states off nothing is retained; the defaults retain hundreds.
    The rendered stream must be the same bytes in all three. *)
 let prop_dynamics_buffer_reuse_identical =
   QCheck.Test.make ~name:"recycled route buffers leave the stream identical"
     ~count:5
     QCheck.(int_bound 1000)
     (fun seed ->
-       let run route_cache_size delta_states =
+       let run delta_states =
          let rng, world = small_world seed in
          fst
-           (dynamics_stream
-              { tiny_config with Dynamics.route_cache_size; delta_states }
-              world rng)
+           (dynamics_stream { tiny_config with Dynamics.delta_states } world
+              rng)
        in
-       let defaults =
-         run tiny_config.Dynamics.route_cache_size
-           tiny_config.Dynamics.delta_states
-       in
-       String.equal defaults (run 1 1) && String.equal defaults (run 0 0))
+       let defaults = run tiny_config.Dynamics.delta_states in
+       String.equal defaults (run 1) && String.equal defaults (run 0))
 
 (* Property: the reset filter never drops anything from a burst-free
    stream (sparse updates across many prefixes). *)
@@ -1323,12 +1282,10 @@ let () =
          Alcotest.test_case "horizon clamp" `Quick test_dynamics_horizon_clamp;
          Alcotest.test_case "reverts past horizon" `Quick
            test_dynamics_reverts_past_horizon;
-         Alcotest.test_case "cache transparent" `Quick
-           test_dynamics_cache_transparent;
          Alcotest.test_case "delta transparent" `Quick
            test_dynamics_delta_transparent;
          Alcotest.test_case "delta eviction transparent" `Quick
            test_dynamics_delta_eviction_transparent ]
        @ qsuite
-           [ prop_dynamics_cache_identical; prop_dynamics_delta_identical;
+           [ prop_dynamics_delta_identical;
              prop_dynamics_buffer_reuse_identical; prop_lru_matches_tick_scan ]) ]

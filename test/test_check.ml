@@ -299,7 +299,7 @@ let test_differential_small () =
        if not o.Differential.ok then
          Format.eprintf "%a@." Differential.pp_outcome o)
     outcomes;
-  check_int "8 pair checks" 8 (List.length outcomes);
+  check_int "6 pair checks" 6 (List.length outcomes);
   check_bool "all identical" true (Differential.all_ok outcomes)
 
 let test_static_suite_small () =

@@ -273,13 +273,6 @@ let test_registry_matches_legacy_stats () =
   let s = Scenario.build ~seed:3 Scenario.Small in
   let m = Measurement.run ~dynamics:short_dynamics s in
   let d = m.Measurement.dyn_stats in
-  check_int "route_cache.hits pins cache_hits" d.Dynamics.cache_hits
-    (counter_value "route_cache.hits");
-  check_int "route_cache.misses pins cache_misses" d.Dynamics.cache_misses
-    (counter_value "route_cache.misses");
-  check_int "hits + misses pin the request total"
-    (d.Dynamics.cache_hits + d.Dynamics.cache_misses)
-    (counter_value "route_cache.hits" + counter_value "route_cache.misses");
   check_int "dynamics.updates_emitted pins the stream size"
     d.Dynamics.updates_emitted
     (counter_value "dynamics.updates_emitted");
@@ -288,11 +281,9 @@ let test_registry_matches_legacy_stats () =
     (counter_value "dynamics.full_recomputations");
   check_int "dynamics.delta_steps pins delta steps" d.Dynamics.delta_steps
     (counter_value "dynamics.delta_steps");
-  check_int "hits + full + delta pin the outcome request total"
-    (d.Dynamics.cache_hits + d.Dynamics.full_recomputations
-     + d.Dynamics.delta_steps)
-    (counter_value "route_cache.hits"
-     + counter_value "dynamics.full_recomputations"
+  check_int "full + delta pin the outcome request total"
+    d.Dynamics.cache_misses
+    (counter_value "dynamics.full_recomputations"
      + counter_value "dynamics.delta_steps");
   match m.Measurement.filter_stats with
   | None -> Alcotest.fail "session-reset filter expected on by default"
@@ -370,8 +361,8 @@ let golden = {gold|{
   "churn.trace_events": 0,
   "dynamics.announces": 21636,
   "dynamics.churn_events": 883,
-  "dynamics.delta_steps": 10931,
-  "dynamics.delta_stop_early": 23368,
+  "dynamics.delta_steps": 10962,
+  "dynamics.delta_stop_early": 23372,
   "dynamics.full_recomputations": 220,
   "dynamics.post_horizon_dropped": 1,
   "dynamics.updates_emitted": 28664,
@@ -381,9 +372,6 @@ let golden = {gold|{
   "measurement.cells": 3985,
   "measurement.updates": 26678,
   "obs.spans": 0,
-  "route_cache.evictions": 10639,
-  "route_cache.hits": 31,
-  "route_cache.misses": 11151,
   "scenario.builds": 1,
   "session_reset.bursts": 7,
   "session_reset.dropped": 1986,
@@ -394,7 +382,7 @@ let golden = {gold|{
   "exec.jobs": <jobs-dependent>
 },
 "histograms": {
-  "dynamics.delta_frontier": {"count": 10931, <timing and buckets masked>,
+  "dynamics.delta_frontier": {"count": 10962, <timing and buckets masked>,
   "exec.busy_seconds": {"count": 1, <timing and buckets masked>,
   "exec.sweep_seconds": {"count": 1, <timing and buckets masked>,
   "exec.wait_seconds": {"count": 1, <timing and buckets masked>

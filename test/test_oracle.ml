@@ -15,7 +15,12 @@
    failed links, prepends, 1-3 competing origins (hijacks and
    interception-style forged suffixes), [export_to] community scoping,
    [max_radius] and route-origin validation. Per AS it compares the route
-   class, the path bytes and [winning_announcement]. *)
+   class, the path bytes and [winning_announcement].
+
+   The incremental engine ([Propagate.Delta]) answers to the same oracle:
+   one retained state is driven through a random sequence of link
+   failures, restores and prepend toggles, and every repaired outcome
+   must equal the naive fixed point of the configuration it reached. *)
 
 let asn = Asn.of_int
 let pfx = Prefix.of_string "10.0.0.0/24"
@@ -215,10 +220,8 @@ let random_case seed =
   in
   { graph; failed; anns = legit :: competitors; rov }
 
-let agrees c =
-  let ix = As_graph.Indexed.of_graph c.graph in
-  let fast = Propagate.compute ix ~failed:c.failed ?rov:c.rov c.anns in
-  let slow = naive c.graph ~failed:c.failed ?rov:c.rov c.anns in
+(* Per AS: route class, path bytes and winning announcement. *)
+let matches graph fast slow =
   let code = function
     | Some `Origin -> 3
     | Some `Customer -> 2
@@ -236,7 +239,13 @@ let agrees c =
           = Option.map (fun r -> r.path) expect
        && Propagate.winning_announcement fast a
           = Option.map (fun r -> r.ann) expect)
-    (As_graph.ases c.graph)
+    (As_graph.ases graph)
+
+let agrees c =
+  let ix = As_graph.Indexed.of_graph c.graph in
+  matches c.graph
+    (Propagate.compute ix ~failed:c.failed ?rov:c.rov c.anns)
+    (naive c.graph ~failed:c.failed ?rov:c.rov c.anns)
 
 let prop_oracle =
   QCheck.Test.make ~name:"compute = naive path-vector on random graphs"
@@ -265,6 +274,52 @@ let prop_oracle_workspace =
                   = Propagate.winning_announcement reused a)
             (As_graph.ases c.graph))
 
+(* One [Delta] state through 5-20 random steps: each fails or restores
+   a random link, or toggles the origin's prepend between 0 and 2. After
+   every step the repaired outcome must match [naive] on the
+   configuration reached. Returns whether every step matched and how
+   many steps were incremental repairs rather than rebuilds. *)
+let delta_sequence seed =
+  let rng = Rng.of_int seed in
+  let graph = random_graph rng in
+  let ix = As_graph.Indexed.of_graph graph in
+  let links = Array.of_list (As_graph.links graph) in
+  let origin = Rng.pick rng (Array.of_list (As_graph.ases graph)) in
+  let st = Propagate.Delta.create ix in
+  let scratch = Propagate.Delta.create_scratch () in
+  let rec go steps failed prepend ok repairs =
+    if steps = 0 || not ok then (ok, repairs)
+    else begin
+      let failed, prepend =
+        if Array.length links > 0 && Rng.float rng 1.0 < 0.7 then
+          let a, b, _ = Rng.pick rng links in
+          ((if Link_set.mem a b failed then Link_set.remove a b failed
+            else Link_set.add a b failed),
+           prepend)
+        else (failed, 2 - prepend)
+      in
+      let anns =
+        [ Announcement.with_prepend prepend
+            (Announcement.originate origin pfx) ]
+      in
+      let outcome, kind = Propagate.Delta.update st scratch ~failed anns in
+      let ok = matches graph outcome (naive graph ~failed anns) in
+      let repairs =
+        match kind with
+        | Propagate.Delta.Steps _ -> repairs + 1
+        | Propagate.Delta.Full_rebuild -> repairs
+      in
+      go (steps - 1) failed prepend ok repairs
+    end
+  in
+  go (5 + Rng.int rng 16) Link_set.empty 0 true 0
+
+let prop_oracle_delta =
+  QCheck.Test.make ~name:"delta repair = naive path-vector after random events"
+    ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> fst (delta_sequence seed))
+
 (* The oracle itself must see the shapes it claims to cover, or the
    property could pass vacuously. *)
 let test_generator_covers_shapes () =
@@ -283,7 +338,13 @@ let test_generator_covers_shapes () =
       ("export_to", count (any_ann (fun a -> a.Announcement.export_to <> None)));
       ("max_radius",
        count (any_ann (fun a -> a.Announcement.max_radius <> None)));
-      ("rov", count (fun c -> c.rov <> None)) ]
+      ("rov", count (fun c -> c.rov <> None)) ];
+  (* Likewise the delta sequences must mostly repair, not rebuild. *)
+  let repairs =
+    List.fold_left (fun n s -> n + snd (delta_sequence s)) 0
+      (List.init 100 Fun.id)
+  in
+  Alcotest.(check bool) "delta repairs exercised" true (repairs >= 500)
 
 (* Hand-checked anchor so the oracle is not only compared with itself:
    the diamond 1 > {2, 3}, 2 ~ 3, {2, 3} > 4. *)
@@ -314,4 +375,4 @@ let () =
          Alcotest.test_case "generator covers shapes" `Quick
            test_generator_covers_shapes ]
        @ List.map (fun t -> QCheck_alcotest.to_alcotest t)
-           [ prop_oracle; prop_oracle_workspace ]) ]
+           [ prop_oracle; prop_oracle_workspace; prop_oracle_delta ]) ]

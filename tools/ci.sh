@@ -4,9 +4,10 @@
 # .github/workflows/ci.yml, which just calls this script.
 #
 #   1. dune build       — the whole tree, warnings-as-errors;
-#   2. dune runtest     — unit/property/golden suites plus the @lint
-#                         alias (check_mli.sh hygiene gate, quicksand
-#                         lint --fail-on error, conformance smoke);
+#   2. dune runtest     — unit/property/golden suites, the CLI exit-code
+#                         table (test/dune), plus the @lint alias
+#                         (check_mli.sh hygiene gate, quicksand lint
+#                         --fail-on error, conformance smoke);
 #   3. quicksand lint --fail-on warning
 #                       — the full rule registry on the Small scenario,
 #                         no exclusions (the generator's orphan-transit
@@ -20,7 +21,8 @@
 #   6. quicksand check --suite delta
 #                       — delta-vs-full propagation equivalence: byte-
 #                         identical update streams and final tables
-#                         across 5 seeds, cache on/off, jobs 1 vs 4;
+#                         across 5 seeds, delta states 0 vs 512, and
+#                         delta-backed F3L at jobs 1 vs 4;
 #   7. quicksand check --suite churn
 #                       — the trace-churn statistical harness across
 #                         5 seeds: distribution shape (mean/median/KS),
