@@ -30,14 +30,20 @@ let checked conv ok msg =
   in
   Arg.conv (parse, Arg.conv_printer conv)
 
+let at_least lo =
+  checked Arg.int (fun n -> n >= lo) (Printf.sprintf "must be >= %d" lo)
+
+(* A simulated duration in (0, hi]: NaN would spin the Poisson sampler
+   until the heap runs out, and a negative or infinite one raises. *)
+let duration_conv hi =
+  checked Arg.float
+    (fun d -> Float.is_finite d && d > 0. && d <= hi)
+    (Printf.sprintf "must be a finite number in (0, %g]" hi)
+
 let days =
   let doc = "Simulated measurement duration in days, in (0, 366]." in
-  let days_conv =
-    checked Arg.float
-      (fun d -> Float.is_finite d && d > 0. && d <= 366.)
-      "must be a finite number in (0, 366]"
-  in
-  Arg.(value & opt days_conv 2. & info [ "days" ] ~docv:"DAYS" ~doc)
+  Arg.(value & opt (duration_conv 366.) 2.
+       & info [ "days" ] ~docv:"DAYS" ~doc)
 
 let json_flag =
   Arg.(value & flag & info [ "json" ]
@@ -69,7 +75,7 @@ let output_file =
            ~doc:"Write to a file instead of stdout.")
 
 let trials_arg ?(doc = "Attack trials.") default =
-  Arg.(value & opt int default & info [ "trials" ] ~docv:"N" ~doc)
+  Arg.(value & opt (at_least 1) default & info [ "trials" ] ~docv:"N" ~doc)
 
 (* Companion of [output_file]: dump [data] where the flag points. *)
 let dump out data =
@@ -214,7 +220,12 @@ let extra_ases_cmd =
             As_exposure.print fmt (As_exposure.compute ~threshold ~exec m)))
   in
   let threshold =
-    Arg.(value & opt float 300. & info [ "threshold" ] ~docv:"SECONDS"
+    let threshold_conv =
+      checked Arg.float
+        (fun t -> Float.is_finite t && t >= 0.)
+        "must be a finite number >= 0"
+    in
+    Arg.(value & opt threshold_conv 300. & info [ "threshold" ] ~docv:"SECONDS"
            ~doc:"Residency threshold for an AS to count as exposed.")
   in
   Cmd.v (Cmd.info "extra-ases" ~doc:"F3R: extra-ASes-over-time CCDF")
@@ -238,10 +249,11 @@ let asym_cmd =
     Asymmetric.print_matching fmt (Asymmetric.deanonymize ~rng ~n_flows:flows ())
   in
   let mb =
-    Arg.(value & opt int 40 & info [ "mb" ] ~docv:"MB" ~doc:"Transfer size.")
+    Arg.(value & opt (at_least 1) 40 & info [ "mb" ] ~docv:"MB"
+           ~doc:"Transfer size.")
   in
   let flows =
-    Arg.(value & opt int 6 & info [ "flows" ] ~docv:"N"
+    Arg.(value & opt (at_least 2) 6 & info [ "flows" ] ~docv:"N"
            ~doc:"Concurrent circuits in the matching experiment.")
   in
   Cmd.v (Cmd.info "asym" ~doc:"F2R: asymmetric traffic analysis on a simulated circuit")
@@ -256,7 +268,8 @@ let hijack_cmd =
   in
   let trials = trials_arg 20 in
   let clients =
-    Arg.(value & opt int 40 & info [ "clients" ] ~docv:"N" ~doc:"Clients per trial.")
+    Arg.(value & opt (at_least 1) 40 & info [ "clients" ] ~docv:"N"
+           ~doc:"Clients per trial.")
   in
   Cmd.v (Cmd.info "hijack" ~doc:"A1: guard-prefix hijack and anonymity sets")
     Term.(const run $ seed $ scale $ trials $ clients)
@@ -351,7 +364,7 @@ let long_term_cmd =
                         living_o.Long_term.label ^ ", living" } ]))
   in
   let horizon =
-    Arg.(value & opt int 120 & info [ "horizon" ] ~docv:"DAYS"
+    Arg.(value & opt (at_least 1) 120 & info [ "horizon" ] ~docv:"DAYS"
            ~doc:"Days of daily communication to simulate.")
   in
   let consensus =
@@ -422,7 +435,8 @@ let mrt_cmd =
       (List.length (Mrt.decode data))
   in
   let hours =
-    Arg.(value & opt float 4. & info [ "hours" ] ~docv:"H"
+    Arg.(value & opt (duration_conv (366. *. 24.)) 4.
+         & info [ "hours" ] ~docv:"H"
            ~doc:"Simulated duration of the dump.")
   in
   let out =
@@ -753,6 +767,16 @@ let serve_cmd =
     let print_alerts alerts =
       List.iter (fun a -> Format.printf "%a@." Alert.pp a) alerts
     in
+    (* Lint the effective config before anything runs (against the
+       scenario when replaying): QS307 failures are config typos, not
+       simulation bugs, and [Serve.create] would reject them anyway. *)
+    let linted ?scenario k =
+      match Serve_lint.check ?scenario (Serve.Config.view config) with
+      | [] -> k ()
+      | diags ->
+          Diag.report_text fmt diags;
+          2
+    in
     let code =
       with_obs obs (fun () ->
           match mrt_file with
@@ -761,6 +785,7 @@ let serve_cmd =
                  through the service. No scenario, so no baselines — the
                  window accumulates and the detectors watch, but the
                  extra-AS rule (which needs a time-0 table) stays idle. *)
+              linted @@ fun () ->
               let data = In_channel.with_open_bin path In_channel.input_all in
               with_exec ~show_stats:false jobs (fun exec ->
                   let updates =
@@ -792,84 +817,75 @@ let serve_cmd =
                   if violations <> [] then 1 else 0)
           | None ->
               let s = build_scenario seed scale in
-              (* Lint the effective config against the scenario before
-                 anything runs: QS307 failures here are config typos, not
-                 simulation bugs. *)
-              let diags = Serve_lint.check ~scenario:s (Serve.Config.view config) in
-              if diags <> [] then begin
-                Diag.report_text fmt diags;
-                2
-              end
-              else begin
-                let dynamics = dynamics_for days in
-                let extra_updates =
-                  if attacks <= 0 then []
-                  else begin
-                    let rng = Scenario.rng_for s "serve" in
-                    let atk, extras =
-                      Countermeasures.inject_hijacks ~rng ~n_attacks:attacks
-                        ~duration:dynamics.Dynamics.duration s
+              linted ~scenario:s @@ fun () ->
+              let dynamics = dynamics_for days in
+              let extra_updates =
+                if attacks <= 0 then []
+                else begin
+                  let rng = Scenario.rng_for s "serve" in
+                  let atk, extras =
+                    Countermeasures.inject_hijacks ~rng ~n_attacks:attacks
+                      ~duration:dynamics.Dynamics.duration s
+                  in
+                  if not quiet then
+                    Format.printf "injecting %d attack announcement(s)@."
+                      (List.length atk);
+                  extras
+                end
+              in
+              with_exec ~show_stats:false jobs (fun exec ->
+                  let sinks, finish = sinks_of () in
+                  let r =
+                    Serve.replay ~dynamics ~extra_updates ~sinks ~config
+                      ~exec s
+                  in
+                  finish ();
+                  if not quiet then begin
+                    Format.printf "%a@." Serve.pp_replay_summary r;
+                    print_alerts r.Serve.r_alerts
+                  end;
+                  let fail = ref (r.Serve.r_violations <> []) in
+                  if verify then begin
+                    let m, batch =
+                      Serve.batch_alerts ~dynamics ~extra_updates
+                        ~learning_period:
+                          config.Serve.Config.learning_period s
                     in
-                    if not quiet then
-                      Format.printf "injecting %d attack announcement(s)@."
-                        (List.length atk);
-                    extras
-                  end
-                in
-                with_exec ~show_stats:false jobs (fun exec ->
-                    let sinks, finish = sinks_of () in
-                    let r =
-                      Serve.replay ~dynamics ~extra_updates ~sinks ~config
-                        ~exec s
+                    let issues = Serve.diff_against_batch r m batch in
+                    List.iter
+                      (fun i -> Format.printf "verify: DIFF %s@." i)
+                      issues;
+                    if issues = [] then
+                      Format.printf
+                        "verify: streaming = batch (%d alerts, %d cells)@."
+                        (List.length r.Serve.r_alerts)
+                        (List.length r.Serve.r_cells)
+                    else fail := true;
+                    (* The rendered §4 analyses must agree byte-for-byte
+                       too; both cell lists are canonically sorted first
+                       because the busiest-cell tie-break is otherwise
+                       order-sensitive. *)
+                    let render cells =
+                      let m' = { m with Measurement.cells } in
+                      Format.asprintf "%a%a" Path_changes.print
+                        (Path_changes.compute ~exec m')
+                        As_exposure.print
+                        (As_exposure.compute
+                           ~threshold:config.Serve.Config.threshold ~exec m')
                     in
-                    finish ();
-                    if not quiet then begin
-                      Format.printf "%a@." Serve.pp_replay_summary r;
-                      print_alerts r.Serve.r_alerts
-                    end;
-                    let fail = ref (r.Serve.r_violations <> []) in
-                    if verify then begin
-                      let m, batch =
-                        Serve.batch_alerts ~dynamics ~extra_updates
-                          ~learning_period:
-                            config.Serve.Config.learning_period s
-                      in
-                      let issues = Serve.diff_against_batch r m batch in
-                      List.iter
-                        (fun i -> Format.printf "verify: DIFF %s@." i)
-                        issues;
-                      if issues = [] then
-                        Format.printf
-                          "verify: streaming = batch (%d alerts, %d cells)@."
-                          (List.length r.Serve.r_alerts)
-                          (List.length r.Serve.r_cells)
-                      else fail := true;
-                      (* The rendered §4 analyses must agree byte-for-byte
-                         too; both cell lists are canonically sorted first
-                         because the busiest-cell tie-break is otherwise
-                         order-sensitive. *)
-                      let render cells =
-                        let m' = { m with Measurement.cells } in
-                        Format.asprintf "%a%a" Path_changes.print
-                          (Path_changes.compute ~exec m')
-                          As_exposure.print
-                          (As_exposure.compute
-                             ~threshold:config.Serve.Config.threshold ~exec m')
-                      in
-                      let batch_render =
-                        render (Serve.sort_cells m.Measurement.cells)
-                      in
-                      let serve_render = render r.Serve.r_cells in
-                      if String.equal batch_render serve_render then
-                        Format.printf
-                          "verify: F3L/F3R renders byte-identical@."
-                      else begin
-                        Format.printf "verify: F3L/F3R renders DIFFER@.";
-                        fail := true
-                      end
-                    end;
-                    if !fail then 1 else 0)
-              end)
+                    let batch_render =
+                      render (Serve.sort_cells m.Measurement.cells)
+                    in
+                    let serve_render = render r.Serve.r_cells in
+                    if String.equal batch_render serve_render then
+                      Format.printf
+                        "verify: F3L/F3R renders byte-identical@."
+                    else begin
+                      Format.printf "verify: F3L/F3R renders DIFFER@.";
+                      fail := true
+                    end
+                  end;
+                  if !fail then 1 else 0))
     in
     if code <> 0 then Stdlib.exit code
   in
@@ -951,17 +967,10 @@ let check_cmd =
       in
       if not json then
         Format.printf "conformance: seed %d, %.1f simulated days@." seed days;
-      let scenario = Scenario.build ~seed scale in
-      let c = Conformance.create ~duration:dynamics.Dynamics.duration () in
-      let m =
-        Measurement.run ~dynamics ~observe:(Conformance.observe c) scenario
+      let _, violations, observed =
+        Conformance.run ~dynamics (Scenario.build ~seed scale)
       in
-      let violations =
-        Conformance.finalize ~initial:m.Measurement.initial c
-        @ Conformance.check_measurement m
-      in
-      Report.conformance ~json fmt ~observed:(Conformance.observed c)
-        violations;
+      Report.conformance ~json fmt ~observed violations;
       if violations <> [] then failed := true
     in
     let run_diff () =
@@ -1044,8 +1053,7 @@ let check_cmd =
                    structure, byte-identity), or $(b,all).")
   in
   let seeds =
-    let seeds_conv = checked Arg.int (fun n -> n >= 0) "must be >= 0" in
-    Arg.(value & opt seeds_conv 0 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 0 & info [ "seeds" ] ~docv:"N"
            ~doc:"Seed count for $(b,diff) (default 2), $(b,fuzz) \
                  (default 200), $(b,static) (default 5), $(b,delta) \
                  (default 5) and $(b,churn) (default 5). Ignored by \

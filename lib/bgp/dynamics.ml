@@ -693,7 +693,7 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
          (poisson_times rng cfg.resets_per_session cfg.duration))
     sessions;
   (* Trace-shaped session churn rides its own stream ([trace_rng],
-     normally [Scenario.rng_for _ "trace-churn"]; a split of [rng]
+     normally the scenario's "trace-churn" stream; a split of [rng]
      otherwise), so switching a scenario's trace model never re-times the
      Poisson processes above. *)
   (match cfg.session_churn with

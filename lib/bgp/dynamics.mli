@@ -132,7 +132,7 @@ val run :
     [on_initial] is called with the time-0 tables {e before} any update is
     emitted, so consumers can set their baselines. Deterministic given
     [rng] and inputs. [trace_rng] seeds the trace-churn generator when
-    [session_churn] is set (callers with a scenario pass
-    [Scenario.rng_for _ "trace-churn"]; defaults to a split of [rng]) —
+    [session_churn] is set (the measurement feed passes the scenario's
+    "trace-churn" stream; defaults to a split of [rng]) —
     a dedicated stream, so enabling trace churn never re-times the
     Poisson processes. *)

@@ -184,4 +184,4 @@ let run ?dynamics ?filter ?no_filter ?extra_updates scenario =
   let violations =
     finalize ~initial:m.Measurement.initial t @ check_measurement m
   in
-  (m, violations)
+  (m, violations, observed t)

@@ -7,11 +7,10 @@
     - {b horizon containment}: every update's time lies in [\[0, duration\]];
     - {b per-session monotonicity}: times never decrease on one session;
     - {b global monotonicity} (opt-in): the merged stream never goes back
-      in time. The post-filter stream is only per-session ordered — the
-      reset filter buffers each session independently, so cross-session
-      interleaving is expected there — but the raw dynamics stream and
-      the [Session_reset.flush] batch are globally ordered, which is
-      what the pre-fix hash-order flush violated;
+      in time. A reset filter pushed without clock ticks buffers each
+      session independently, so its output is only per-session ordered;
+      the raw dynamics stream, the [Session_reset.flush] batch and the
+      ticked {!Measurement.feed} are globally ordered;
     - {b no withdraw-before-announce}: a withdraw only makes sense for a
       key that had a baseline route or a prior announce;
     - {b residency conservation}: per cell and AS, cumulative residency
@@ -36,7 +35,7 @@ val create : ?duration:float -> ?require_global_order:bool -> unit -> t
     negative or NaN times violate). [require_global_order] (default
     [false]) additionally demands global time monotonicity — enable it
     on streams with a global ordering contract (the raw dynamics stream,
-    a flush batch), not on the post-filter stream. *)
+    a flush batch, {!Measurement.feed}). *)
 
 val observe : t -> Update.t -> unit
 (** Feed one update; pass this as [Measurement.run ~observe]. *)
@@ -64,8 +63,8 @@ val run :
   ?filter:Session_reset.config ->
   ?no_filter:bool ->
   ?extra_updates:Update.t list ->
-  Scenario.t -> Measurement.t * violation list
+  Scenario.t -> Measurement.t * violation list * int
 (** Run the full measurement pipeline with the checker installed as its
     [observe] hook, then {!finalize} against the pipeline's own time-0
     tables and append {!check_measurement}. An empty list means the run
-    was conformant. *)
+    was conformant. The [int] is the number of updates {!observed}. *)

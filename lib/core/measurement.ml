@@ -243,35 +243,8 @@ module Acc = struct
     | Some start -> Float.max closed (at -. start)
 end
 
-(* Registry mirrors: one bulk add per [run], so counts are exact at any
-   worker count and accumulate across repeated measurements. *)
-let m_updates =
-  Metrics.counter ~help:"updates consumed by measurement" "measurement.updates"
-
-let m_cells =
-  Metrics.counter ~help:"(session, prefix) cells materialized"
-    "measurement.cells"
-
-let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
-    ?(extra_updates = []) ?observe scenario =
-  Span.with_ ~name:"measurement.run" @@ fun () ->
-  let n_consumed = ref 0 in
-  let rng = Scenario.rng_for scenario "measurement" in
-  let table : Acc.t Key_table.t = Key_table.create 65536 in
-  let get_acc key =
-    match Key_table.find_opt table key with
-    | Some a -> a
-    | None ->
-        let a = Acc.create () in
-        Key_table.replace table key a;
-        a
-  in
-  let consume (u : Update.t) =
-    incr n_consumed;
-    (match observe with Some f -> f u | None -> ());
-    let key = { session = u.Update.session; prefix = Update.prefix u } in
-    ignore (Acc.consume (get_acc key) u : Acc.event)
-  in
+let feed ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
+    ?(extra_updates = []) ~baseline scenario consume =
   (* Merge the (time-sorted) attack updates into the stream. *)
   let pending_extra = ref extra_updates in
   let flush_extra_until time =
@@ -295,9 +268,8 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
   in
   (* Tick the filter with the input clock before each push: emission
      delay becomes bounded by the filter window and the post-filter
-     stream comes out globally time-ordered — so [observe] monitors and
-     the qs_serve streaming arm see the same well-ordered feed, while
-     per-session pass/drop decisions stay exactly as without ticks. *)
+     stream comes out globally time-ordered, while per-session pass/drop
+     decisions stay exactly as without ticks. *)
   let emit =
     match filter_state with
     | Some f ->
@@ -317,16 +289,16 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
           | None -> ());
          Prefix.Map.iter
            (fun prefix route ->
-              let acc = get_acc { session; prefix } in
-              Acc.set_baseline acc (Route.as_set route))
+              baseline { session; prefix } (Route.as_set route))
            table0)
       initial
   in
   let initial, dyn_stats =
     (* The trace-churn generator (when [dynamics.session_churn] is set)
        rides the scenario's dedicated stream so the Poisson processes on
-       [rng] are untouched by the choice of trace model. *)
-    Dynamics.run ~rng
+       the "measurement" stream are untouched by the choice of trace
+       model. *)
+    Dynamics.run ~rng:(Scenario.rng_for scenario "measurement")
       ~trace_rng:(Scenario.rng_for scenario "trace-churn")
       ~on_initial dynamics scenario.Scenario.world ~emit
   in
@@ -334,6 +306,41 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
    | Some f -> Session_reset.flush f
    | None -> ());
   flush_extra_until infinity;
+  (initial, dyn_stats, Option.map Session_reset.stats filter_state)
+
+(* Registry mirrors: one bulk add per [run], so counts are exact at any
+   worker count and accumulate across repeated measurements. *)
+let m_updates =
+  Metrics.counter ~help:"updates consumed by measurement" "measurement.updates"
+
+let m_cells =
+  Metrics.counter ~help:"(session, prefix) cells materialized"
+    "measurement.cells"
+
+let run ?(dynamics = Dynamics.default_config) ?filter ?no_filter
+    ?extra_updates ?observe scenario =
+  Span.with_ ~name:"measurement.run" @@ fun () ->
+  let n_consumed = ref 0 in
+  let table : Acc.t Key_table.t = Key_table.create 65536 in
+  let get_acc key =
+    match Key_table.find_opt table key with
+    | Some a -> a
+    | None ->
+        let a = Acc.create () in
+        Key_table.replace table key a;
+        a
+  in
+  let consume (u : Update.t) =
+    incr n_consumed;
+    (match observe with Some f -> f u | None -> ());
+    let key = { session = u.Update.session; prefix = Update.prefix u } in
+    ignore (Acc.consume (get_acc key) u : Acc.event)
+  in
+  let initial, dyn_stats, filter_stats =
+    feed ~dynamics ?filter ?no_filter ?extra_updates
+      ~baseline:(fun key set -> Acc.set_baseline (get_acc key) set)
+      scenario consume
+  in
   let duration = dynamics.Dynamics.duration in
   let visibility = Prefix.Table.create 4096 in
   let cells =
@@ -358,9 +365,7 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
   in
   Metrics.add m_updates !n_consumed;
   Metrics.add m_cells (List.length cells);
-  { scenario; duration; initial; cells; dyn_stats;
-    filter_stats = Option.map Session_reset.stats filter_state;
-    visibility;
+  { scenario; duration; initial; cells; dyn_stats; filter_stats; visibility;
     n_sessions = List.length (Scenario.sessions scenario) }
 
 let pp_dynamics_summary ppf t =

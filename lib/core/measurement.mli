@@ -112,6 +112,24 @@ type t = {
   n_sessions : int;
 }
 
+val feed :
+  ?dynamics:Dynamics.config ->
+  ?filter:Session_reset.config ->
+  ?no_filter:bool ->
+  ?extra_updates:Update.t list ->
+  baseline:(key -> Asn.Set.t -> unit) ->
+  Scenario.t -> (Update.t -> unit) ->
+  Dynamics.initial * Dynamics.stats * Session_reset.stats option
+(** The measurement feed, the one stream that {!run} and [Qs_serve]'s
+    replay both consume. Simulates [dynamics] on the scenario's
+    "measurement" RNG stream (trace churn on its "trace-churn" stream),
+    hands every time-0 table route to [baseline] before any update flows,
+    drops session-reset artifacts (unless [no_filter], the ablation) and
+    merges the time-sorted [extra_updates] in. The consumer sees every
+    post-filter update in global time order: the reset filter is ticked
+    with the input clock before every push. Returns the time-0 tables,
+    the dynamics stats and the filter stats ([None] when unfiltered). *)
+
 val run :
   ?dynamics:Dynamics.config ->
   ?filter:Session_reset.config ->
@@ -119,11 +137,10 @@ val run :
   ?extra_updates:Update.t list ->
   ?observe:(Update.t -> unit) ->
   Scenario.t -> t
-(** Runs the full pipeline (deterministic given the scenario; the RNG
-    stream is derived from the scenario seed). [no_filter] disables
-    session-reset filtering (the ablation). [observe] sees every
-    post-filter update, in per-session time order — attach monitors here.
-    [extra_updates] must be time-sorted. *)
+(** Runs the full pipeline: accumulates {!feed} per key and seals every
+    cell at the horizon (deterministic given the scenario). [observe]
+    sees every update {!Acc.consume} does, in the same order — attach
+    monitors here. *)
 
 val pp_dynamics_summary : Format.formatter -> t -> unit
 (** Three-line summary of the run's {!Dynamics.stats}: update counts,

@@ -5,7 +5,8 @@ let serve_config_invalid =
            monitors prefixes the scenario does not announce";
     explain =
       "The serve subsystem's correctness argument leans on three static \
-       relations between its knobs: the window must be a positive \
+       relations between its knobs, all over finite values (NaN or \
+       infinity defeats every comparison): the window must be a positive \
        multiple of the bucket width (the ring buffer has exactly \
        window/bucket slots, so a remainder would silently shrink the \
        window); the extra-AS threshold must lie within (0, window] (a \
@@ -34,14 +35,18 @@ type config_view = {
 
 let diag ?context fmt = Diag.msgf serve_config_invalid ?context fmt
 
+(* The comparisons below are all false on NaN, so every float knob is
+   first required to be finite. *)
+let positive x = Float.is_finite x && x > 0.
+
 let check ?scenario (v : config_view) =
   let structural =
-    (if v.window <= 0. || v.bucket <= 0. then
+    (if not (positive v.window && positive v.bucket) then
        [ diag
            ~context:
              [ ("window", Printf.sprintf "%g" v.window);
                ("bucket", Printf.sprintf "%g" v.bucket) ]
-           "window and bucket width must be positive" ]
+           "window and bucket width must be positive and finite" ]
      else
        let k = Float.round (v.window /. v.bucket) in
        if k < 1. || Float.abs ((k *. v.bucket) -. v.window) > 1e-6 *. v.window
@@ -52,17 +57,20 @@ let check ?scenario (v : config_view) =
                  ("bucket", Printf.sprintf "%g" v.bucket) ]
              "window must be a positive multiple of the bucket width" ]
        else [])
-    @ (if v.threshold <= 0. || (v.window > 0. && v.threshold > v.window) then
+    @ (if
+         not (positive v.threshold)
+         || (v.window > 0. && v.threshold > v.window)
+       then
          [ diag
              ~context:
                [ ("threshold", Printf.sprintf "%g" v.threshold);
                  ("window", Printf.sprintf "%g" v.window) ]
              "extra-AS threshold must lie within (0, window]" ]
        else [])
-    @ (if v.slack < 0. then
+    @ (if not (Float.is_finite v.slack && v.slack >= 0.) then
          [ diag
              ~context:[ ("slack", Printf.sprintf "%g" v.slack) ]
-             "ingest slack must be non-negative" ]
+             "ingest slack must be finite and non-negative" ]
        else [])
     @ (if v.capacity <= 0 || v.chunk <= 0 || v.chunk > v.capacity then
          [ diag

@@ -23,7 +23,8 @@ val serve_config_invalid : Diag.rule
 val rules : Diag.rule list
 
 val check : ?scenario:Scenario.t -> config_view -> Diag.t list
-(** Structural checks always run (window a positive multiple of bucket,
-    threshold within (0, window], slack non-negative, queue/chunk bounds);
+(** Structural checks always run (every float knob finite, window a
+    positive multiple of bucket, threshold within (0, window], slack
+    non-negative, queue/chunk bounds);
     with a [scenario], monitored-pair prefixes must additionally be
     announced — and guard prefixes must host a Tor relay. *)

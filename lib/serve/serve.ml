@@ -280,8 +280,8 @@ let watched_of config scenario p =
        (fun (c, g) -> Prefix.equal c p || Prefix.equal g p)
        config.Config.monitored
 
-let replay ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
-    ?(extra_updates = []) ?(sinks = []) ?(config = Config.default) ~exec
+let replay ?(dynamics = Dynamics.default_config) ?filter ?no_filter
+    ?extra_updates ?(sinks = []) ?(config = Config.default) ~exec
     scenario =
   Span.with_ ~name:"serve.replay" @@ fun () ->
   let duration = dynamics.Dynamics.duration in
@@ -289,64 +289,10 @@ let replay ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
     create ~config ~duration ~watched:(watched_of config scenario) ~sinks
       ~exec ()
   in
-  (* Feed plumbing identical to [Measurement.run]: same RNG stream names
-     (dynamics and trace churn), same session-reset filtering, same time-merge of extra updates — so
-     the update multiset entering the service is exactly the batch one. *)
-  let rng = Scenario.rng_for scenario "measurement" in
-  let pending_extra = ref extra_updates in
-  let flush_extra_until time =
-    let rec loop () =
-      match !pending_extra with
-      | e :: rest when e.Update.time <= time ->
-          pending_extra := rest;
-          offer t e;
-          loop ()
-      | _ -> ()
-    in
-    loop ()
+  let initial, dyn_stats, filter_stats =
+    Measurement.feed ~dynamics ?filter ?no_filter ?extra_updates
+      ~baseline:(Window.set_baseline t.window) scenario (offer t)
   in
-  let downstream u =
-    flush_extra_until u.Update.time;
-    offer t u
-  in
-  let filter_state =
-    if no_filter then None
-    else Some (Session_reset.create ?config:filter ~emit:downstream ())
-  in
-  (* Tick-driven filter, exactly as [Measurement.run]: bounded emission
-     delay, globally time-ordered post-filter stream — so the ingest
-     stage's bounded slack never drops a straggler on replay. *)
-  let emit =
-    match filter_state with
-    | Some f ->
-        fun (u : Update.t) ->
-          Session_reset.advance f u.Update.time;
-          Session_reset.push f u
-    | None -> downstream
-  in
-  let on_initial initial =
-    Update.Session_map.iter
-      (fun session table0 ->
-         (match filter_state with
-          | Some f ->
-              Session_reset.preload_table f session (Prefix.Map.cardinal table0)
-          | None -> ());
-         Prefix.Map.iter
-           (fun prefix route ->
-              Window.set_baseline t.window { Measurement.session; prefix }
-                (Route.as_set route))
-           table0)
-      initial
-  in
-  let initial, dyn_stats =
-    Dynamics.run ~rng
-      ~trace_rng:(Scenario.rng_for scenario "trace-churn")
-      ~on_initial dynamics scenario.Scenario.world ~emit
-  in
-  (match filter_state with
-   | Some f -> Session_reset.flush f
-   | None -> ());
-  flush_extra_until infinity;
   let violations = drain ~initial t ~horizon:duration in
   { r_config = config;
     r_duration = duration;
@@ -357,7 +303,7 @@ let replay ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
     r_ingest = Ingest.stats t.ingest;
     r_window = Window.stats t.window;
     r_dyn = dyn_stats;
-    r_filter = Option.map Session_reset.stats filter_state }
+    r_filter = filter_stats }
 
 (* ------------------------------------------------------------------ *)
 (* Batch reference arm.                                                *)

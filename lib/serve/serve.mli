@@ -14,8 +14,8 @@
     byte-identical at any worker count.
 
     {b Replay equivalence.} [replay] feeds a simulated measurement
-    period (same RNG stream, same session-reset filter, same extra-update
-    merge as {!Measurement.run}) through the live service;
+    period through the live service — {!Measurement.feed}, the stream
+    {!Measurement.run} consumes;
     [diff_against_batch] then certifies that the streaming arm produced
     {e exactly} the batch arm's cells (bit-equal floats included) and
     C1c alert sequence. See DESIGN.md §14 for the proof sketch. *)
@@ -102,21 +102,23 @@ val replay :
   ?dynamics:Dynamics.config -> ?filter:Session_reset.config ->
   ?no_filter:bool -> ?extra_updates:Update.t list -> ?sinks:Sink.t list ->
   ?config:Config.t -> exec:Pool.t -> Scenario.t -> replay_result
-(** Run a whole simulated measurement period through the live service.
-    The feed plumbing — RNG stream name, session-reset filtering,
-    time-ordered merge of [extra_updates] — mirrors {!Measurement.run}
-    exactly, so the update multiset entering the service is the batch
-    one and {!diff_against_batch} can demand bit-exact agreement. *)
+(** Run a whole simulated measurement period through the live service:
+    {!create}, then {!Measurement.feed} with the time-0 tables going to
+    the window's baselines and every update to {!offer}, then {!drain}.
+    Batch consumes the same feed, so the update sequence entering the
+    service is the batch one and {!diff_against_batch} can demand
+    bit-exact agreement; the feed is globally time-ordered, so ingest's
+    bounded slack never drops a straggler. *)
 
 val batch_alerts :
   ?dynamics:Dynamics.config -> ?filter:Session_reset.config ->
   ?no_filter:bool -> ?extra_updates:Update.t list ->
   learning_period:float -> Scenario.t -> Measurement.t * Alert.t list
-(** The batch reference arm: run {!Measurement.run} over the same feed,
-    stable-sort the post-filter stream into global (time, arrival)
-    order — the order the service's watermark releases it in — and feed
-    one {!Detection} monitor. Returns the batch measurement and its
-    alert sequence. *)
+(** The batch reference arm: run {!Measurement.run} over the same feed
+    and hand its [observe] stream to one {!Detection} monitor. The feed
+    is already in global time order, the order the service's watermark
+    releases it in, so nothing is re-sorted. Returns the batch
+    measurement and its alert sequence. *)
 
 val diff_against_batch :
   replay_result -> Measurement.t -> Alert.t list -> string list

@@ -257,12 +257,17 @@ let test_conformance_clean_stream () =
   Alcotest.(check (list pass)) "no violations" [] (Conformance.finalize c)
 
 let test_conformance_full_pipeline () =
-  let m, violations = Conformance.run ~dynamics:tiny_dynamics (Lazy.force scenario) in
+  let m, violations, observed =
+    Conformance.run ~dynamics:tiny_dynamics (Lazy.force scenario)
+  in
   List.iter
     (fun v -> Format.eprintf "%a@." Conformance.pp_violation v)
     violations;
   check_int "no violations on a real pipeline" 0 (List.length violations);
-  check_bool "cells exist" true (m.Measurement.cells <> [])
+  check_bool "cells exist" true (m.Measurement.cells <> []);
+  (* No extra updates: the checker saw exactly what the filter passed. *)
+  check_int "observed = filter passed"
+    (Option.get m.Measurement.filter_stats).Session_reset.passed observed
 
 let test_check_measurement_flags_tampering () =
   let m = Measurement.run ~dynamics:no_churn (Lazy.force scenario) in
@@ -339,7 +344,7 @@ let prop_conformance_random_churn =
            Dynamics.duration = 6. *. 3600.;
            base_churn_rate = 0.15 +. (0.1 *. float_of_int k) }
        in
-       let _, violations = Conformance.run ~dynamics (Lazy.force scenario) in
+       let _, violations, _ = Conformance.run ~dynamics (Lazy.force scenario) in
        violations = [])
 
 let prop_reset_accounting =

@@ -201,7 +201,7 @@ let test_full_determinism () =
    order, withdraws follow announces (or a baseline route), and the
    finished measurement satisfies the accounting invariants. *)
 let test_pipeline_conformance () =
-  let m, violations =
+  let m, violations, _ =
     Conformance.run ~dynamics:tiny_dynamics (Lazy.force scenario)
   in
   List.iter

@@ -560,7 +560,19 @@ let test_qs307_structural () =
   check_bool "chunk beyond queue capacity" true
     (fires "QS307"
        (Serve_lint.check
-          { qs307_base with Serve_lint.capacity = 16; chunk = 64 }))
+          { qs307_base with Serve_lint.capacity = 16; chunk = 64 }));
+  (* Every comparison is false on NaN, and an infinite window is an
+     infinite multiple of any bucket: non-finite knobs must fire too. *)
+  List.iter
+    (fun (name, v) ->
+       check_bool name true (fires "QS307" (Serve_lint.check v)))
+    [ ("NaN window", { qs307_base with Serve_lint.window = Float.nan });
+      ("infinite window", { qs307_base with Serve_lint.window = infinity });
+      ("NaN bucket", { qs307_base with Serve_lint.bucket = Float.nan });
+      ("infinite bucket", { qs307_base with Serve_lint.bucket = infinity });
+      ("NaN threshold", { qs307_base with Serve_lint.threshold = Float.nan });
+      ("NaN slack", { qs307_base with Serve_lint.slack = Float.nan });
+      ("infinite slack", { qs307_base with Serve_lint.slack = infinity }) ]
 
 let test_qs307_monitored_pairs () =
   let s = Lazy.force scenario in

@@ -575,27 +575,57 @@ let replay_attacks s =
        ~rng:(Scenario.rng_for s "serve") ~n_attacks:3
        ~duration:replay_dynamics.Dynamics.duration s)
 
+(* Every feed input the replay forwards to [Measurement.feed]: the filter
+   on and off, a reset-heavy month, and a non-default filter config. *)
+let replay_variants =
+  let resets = { replay_dynamics with Dynamics.resets_per_session = 4. } in
+  let filter =
+    { Session_reset.window = 300.; min_prefixes = 20; table_fraction = 0.3;
+      quiet_gap = 90. }
+  in
+  [ ("default", replay_dynamics, None, false);
+    ("unfiltered", replay_dynamics, None, true);
+    ("resets", resets, None, false);
+    ("resets unfiltered", resets, None, true);
+    ("filter config", replay_dynamics, Some filter, false);
+    ("filter config, resets", resets, Some filter, false) ]
+
 let test_replay_matches_batch () =
   let s = Lazy.force replay_scenario in
   let extra = replay_attacks s in
   check_bool "attacks were injected" true (extra <> []);
   Pool.with_pool ~jobs:2 @@ fun exec ->
-  let r =
-    Serve.replay ~dynamics:replay_dynamics ~extra_updates:extra
-      ~config:replay_config ~exec s
-  in
-  let m, batch =
-    Serve.batch_alerts ~dynamics:replay_dynamics ~extra_updates:extra
-      ~learning_period:replay_config.Serve.Config.learning_period s
-  in
-  Alcotest.(check (list string)) "streaming = batch, exactly" []
-    (Serve.diff_against_batch r m batch);
-  check_int "no late drops" 0 r.Serve.r_ingest.Ingest.dropped_late;
-  check_int "no overflow" 0 r.Serve.r_ingest.Ingest.dropped_overflow;
-  check_bool "memory bound exercised (evictions observed)" true
-    (r.Serve.r_window.Window.evictions > 0);
-  check_bool "hijacks raised alerts" true (r.Serve.r_alerts <> []);
-  check_bool "no conformance violations" true (r.Serve.r_violations = [])
+  List.iter
+    (fun (name, dynamics, filter, no_filter) ->
+       let r =
+         Serve.replay ~dynamics ?filter ~no_filter ~extra_updates:extra
+           ~config:replay_config ~exec s
+       in
+       let m, batch =
+         Serve.batch_alerts ~dynamics ?filter ~no_filter ~extra_updates:extra
+           ~learning_period:replay_config.Serve.Config.learning_period s
+       in
+       let label what = name ^ ": " ^ what in
+       Alcotest.(check (list string)) (label "streaming = batch, exactly") []
+         (Serve.diff_against_batch r m batch);
+       check_bool (label "same filter stats") true
+         (r.Serve.r_filter = m.Measurement.filter_stats);
+       check_bool (label "filter on iff asked") (not no_filter)
+         (r.Serve.r_filter <> None);
+       check_int (label "no late drops") 0 r.Serve.r_ingest.Ingest.dropped_late;
+       check_int (label "no overflow") 0
+         r.Serve.r_ingest.Ingest.dropped_overflow;
+       check_bool (label "memory bound exercised (evictions observed)") true
+         (r.Serve.r_window.Window.evictions > 0);
+       check_bool (label "hijacks raised alerts") true (r.Serve.r_alerts <> []);
+       check_bool (label "no conformance violations") true
+         (r.Serve.r_violations = []);
+       Option.iter
+         (fun (f : Session_reset.stats) ->
+            check_bool (label "filter dropped reset artifacts") true
+              (f.Session_reset.dropped > 0))
+         r.Serve.r_filter)
+    replay_variants
 
 let test_replay_jobs_identity () =
   let s = Lazy.force replay_scenario in

@@ -16,7 +16,12 @@
 #   4. raw timing primitives (Unix.gettimeofday, Sys.time) must not appear
 #      outside lib/obs/ — every wall-clock read goes through Qs_obs.Clock,
 #      so tests can freeze the clock and make timing fields reproducible;
-#   5. Stdlib Random must not appear outside lib/net/ (home of the seeded
+#   5. the measurement feed is built in one place: the reset-filter tick
+#      (Session_reset.advance) and the scenario's "measurement" and
+#      "trace-churn" RNG streams must not appear outside
+#      lib/core/measurement.ml — batch and serve both consume
+#      Measurement.feed, and a second copy of its plumbing drifts;
+#   6. Stdlib Random must not appear outside lib/net/ (home of the seeded
 #      SplitMix64 Qs_net.Rng) — Random.self_init is nondeterminism by
 #      definition, and even seeded Stdlib.Random draws from global state
 #      that any other caller can advance, so equal seeds would stop giving
@@ -54,6 +59,16 @@ if grep -rn --include='*.ml' --include='*.mli' \
      -e 'Unix\.gettimeofday' -e 'Sys\.time' \
      lib bin examples bench | grep -v '^lib/obs/'; then
   echo "check_mli: raw timing primitive outside lib/obs/ (use Qs_obs.Clock)" >&2
+  fail=1
+fi
+
+# The stream-name pattern wants a named scenario argument, so a doc
+# comment's [rng_for _ "trace-churn"] placeholder does not trip it.
+if grep -rnE --include='*.ml' --include='*.mli' \
+     -e 'Session_reset\.advance' \
+     -e 'rng_for [a-z][A-Za-z0-9_.]* "(measurement|trace-churn)"' \
+     lib bin examples bench | grep -v '^lib/core/measurement\.ml:'; then
+  echo "check_mli: measurement feed plumbing outside lib/core/measurement.ml (use Measurement.feed)" >&2
   fail=1
 fi
 
