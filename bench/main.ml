@@ -249,9 +249,7 @@ let () =
 
   section "AB-radius" "ablation — stealth-attack scope vs detectability" (fun () ->
       let rng = Scenario.rng_for scenario "ab-radius" in
-      let guard =
-        Path_selection.pick_weighted ~rng (Consensus.guards scenario.Scenario.consensus)
-      in
+      let guard = Path_selection.pick_guard ~rng scenario.Scenario.consensus in
       match Scenario.guard_announcement scenario guard with
       | None -> Format.printf "  (skipped: unrouted guard)@."
       | Some victim ->
@@ -406,9 +404,7 @@ let () =
       | (p, o) :: _ -> Announcement.originate o p
       | [] -> failwith "bench: scenario announced no prefixes"
     in
-    let guard =
-      Path_selection.pick_weighted ~rng (Consensus.guards small.Scenario.consensus)
-    in
+    let guard = Path_selection.pick_guard ~rng small.Scenario.consensus in
     let victim =
       match Scenario.guard_announcement small guard with
       | Some v -> v

@@ -569,7 +569,7 @@ let surface_cmd =
         let rng = Scenario.rng_for s "surface" in
         (* Monitored pairs: plausible client stubs x guard-prefix origins,
            drawn from the scenario's dedicated "surface" RNG stream. *)
-        let guards = Array.of_list (Consensus.guards s.Scenario.consensus) in
+        let guards = s.Scenario.consensus.Consensus.guard_pool in
         let pairs =
           let rec go acc k =
             if k = 0 then List.rev acc

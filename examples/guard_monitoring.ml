@@ -15,9 +15,7 @@ let () =
   let duration = dynamics.Dynamics.duration in
 
   (* The attack we will inject: hijack a busy guard's prefix mid-run. *)
-  let guard =
-    Path_selection.pick_weighted ~rng (Consensus.guards scenario.Scenario.consensus)
-  in
+  let guard = Path_selection.pick_guard ~rng scenario.Scenario.consensus in
   let victim =
     match Scenario.guard_announcement scenario guard with
     | Some v -> v
@@ -82,10 +80,7 @@ let () =
     let rec loop attempts =
       if attempts > 50 then None
       else
-        let g =
-          Path_selection.pick_weighted ~rng
-            (Consensus.guards scenario.Scenario.consensus)
-        in
+        let g = Path_selection.pick_guard ~rng scenario.Scenario.consensus in
         match Tor_prefix.prefix_of_relay scenario.Scenario.tor_prefixes g with
         | Some (p, _) when Detection.suspicious monitor p -> loop (attempts + 1)
         | _ -> Some g

@@ -93,7 +93,7 @@ let static ?(dynamics = default_dynamics) ?(seeds = [ 1; 2; 3; 4; 5 ]) size =
        in
        (* 2-4. Attack-win containment over seeded attack draws. *)
        let rng = Scenario.rng_for s "check-static" in
-       let guards = Array.of_list (Consensus.guards s.Scenario.consensus) in
+       let guards = s.Scenario.consensus.Consensus.guard_pool in
        let ases = Array.of_list (As_graph.ases s.Scenario.graph) in
        let same = ref [] and sub = ref [] and icept = ref [] in
        let violation bucket fmt =

@@ -33,10 +33,7 @@ let sweep ~rng ?(deployments = [ 0.; 0.25; 0.5; 0.75; 1.0 ]) ?(n_trials = 10)
   (* Fix the trial set (victim guard + attacker) across deployment levels. *)
   let trials =
     List.init n_trials (fun _ ->
-        let guard =
-          Path_selection.pick_weighted ~rng
-            (Consensus.guards scenario.Scenario.consensus)
-        in
+        let guard = Path_selection.pick_guard ~rng scenario.Scenario.consensus in
         let victim = Scenario.guard_announcement scenario guard in
         let attacker =
           let rec pick n =

@@ -60,7 +60,7 @@ let selection ~rng ?(n_trials = 30) ?(f = 0.05) ?(candidates = 12)
   for _ = 1 to n_trials do
     let client = Scenario.random_client_as ~rng scenario in
     let destination = Scenario.random_client_as ~rng scenario in
-    let exit = Path_selection.pick_weighted ~rng (Consensus.exits scenario.Scenario.consensus) in
+    let exit = Path_selection.pick_exit ~rng scenario.Scenario.consensus in
     let variants =
       List.init failure_variants (fun _ ->
           let a, b = Rng.pick rng links in
@@ -79,9 +79,9 @@ let selection ~rng ?(n_trials = 30) ?(f = 0.05) ?(candidates = 12)
           entry_exposure indexed ~variants ~client:exit.Relay.asn dest_ann
         in
         (* Candidate guards with their entry-segment exposure. *)
-        let guard_pool = Consensus.guards scenario.Scenario.consensus in
         let cands =
-          List.init candidates (fun _ -> Path_selection.pick_weighted ~rng guard_pool)
+          List.init candidates (fun _ ->
+              Path_selection.pick_guard ~rng scenario.Scenario.consensus)
           |> List.filter_map (fun g ->
               match Scenario.guard_announcement scenario g with
               | Some ann ->
@@ -160,9 +160,9 @@ let stealth_resilience ~rng ?(n_trials = 30) ?(radius = 3) ?(candidates = 12)
   let ases = Array.of_list (As_graph.ases scenario.Scenario.graph) in
   for _ = 1 to n_trials do
     let client = Scenario.random_client_as ~rng scenario in
-    let guard_pool = Consensus.guards scenario.Scenario.consensus in
     let cands =
-      List.init candidates (fun _ -> Path_selection.pick_weighted ~rng guard_pool)
+      List.init candidates (fun _ ->
+          Path_selection.pick_guard ~rng scenario.Scenario.consensus)
       |> List.filter_map (fun g ->
           match Scenario.guard_announcement scenario g with
           | Some ann ->

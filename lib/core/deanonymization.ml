@@ -18,13 +18,10 @@ type hijack_summary = {
   mean_entropy_loss : float;
 }
 
-let pick_guard ~rng (scenario : Scenario.t) =
-  Path_selection.pick_weighted ~rng (Consensus.guards scenario.Scenario.consensus)
-
 let pick_attacker ~rng (scenario : Scenario.t) ~victim_origin =
+  let ases = Array.of_list (As_graph.ases scenario.Scenario.graph) in
   let rec loop attempts =
     if attempts > 100 then invalid_arg "Deanonymization: cannot pick attacker";
-    let ases = Array.of_list (As_graph.ases scenario.Scenario.graph) in
     let a = Rng.pick rng ases in
     if Asn.equal a victim_origin then loop (attempts + 1) else a
   in
@@ -33,7 +30,7 @@ let pick_attacker ~rng (scenario : Scenario.t) ~victim_origin =
 let hijack ~rng ?(n_trials = 20) ?(n_clients = 40) (scenario : Scenario.t) =
   let trials = ref [] in
   for _ = 1 to n_trials do
-    let guard = pick_guard ~rng scenario in
+    let guard = Path_selection.pick_guard ~rng scenario.Scenario.consensus in
     match Scenario.guard_announcement scenario guard with
     | None -> ()  (* unrouted relay: skip trial *)
     | Some victim ->
@@ -108,7 +105,7 @@ let interception ~rng ?(n_trials = 20) ?timing_accuracy (scenario : Scenario.t) 
   in
   let trials = ref [] in
   for _ = 1 to n_trials do
-    let guard = pick_guard ~rng scenario in
+    let guard = Path_selection.pick_guard ~rng scenario.Scenario.consensus in
     match Scenario.guard_announcement scenario guard with
     | None -> ()
     | Some victim ->

@@ -52,9 +52,7 @@ let infer ~rng ?(config = default_config) consensus ~true_guard =
 let success_rate ~rng ?(config = default_config) ?(trials = 200) consensus =
   let hits = ref 0 in
   for _ = 1 to trials do
-    let true_guard =
-      Path_selection.pick_weighted ~rng (Consensus.guards consensus)
-    in
+    let true_guard = Path_selection.pick_guard ~rng consensus in
     if (infer ~rng ~config consensus ~true_guard).correct then incr hits
   done;
   float_of_int !hits /. float_of_int trials

@@ -123,11 +123,9 @@ let simulate_client ~rng ~config ~pool ~malicious ?living
     (* today's entry relay *)
     let entry =
       if config.use_guards then Rng.pick_list rng !guards
-      else Path_selection.pick_weighted ~rng (Consensus.guards consensus)
+      else Path_selection.pick_guard ~rng consensus
     in
-    let exit =
-      Path_selection.pick_weighted ~rng (Consensus.exits consensus)
-    in
+    let exit = Path_selection.pick_exit ~rng consensus in
     let variant = Rng.int rng (Array.length pool.variants) in
     (match Scenario.guard_announcement scenario entry with
      | None -> ()

@@ -26,10 +26,7 @@ let compute ~rng ?(n_pairs = 40) ?(f = 0.05) (scenario : Scenario.t) =
   let pairs =
     List.init n_pairs (fun _ ->
         let client = Scenario.random_client_as ~rng scenario in
-        let guard =
-          Path_selection.pick_weighted ~rng
-            (Consensus.guards scenario.Scenario.consensus)
-        in
+        let guard = Path_selection.pick_guard ~rng scenario.Scenario.consensus in
         match Scenario.guard_announcement scenario guard with
         | None -> None
         | Some guard_ann ->

@@ -9,9 +9,34 @@ type t = {
   collectors : Collector.t list;
   consensus : Consensus.t;
   tor_prefixes : Tor_prefix.t;
+  client_ases : Asn.t array;
   world : Dynamics.world;
   workspace : Propagate.Workspace.t;
 }
+
+(* Stub ASes that host no relay and originate a prefix, in id order —
+   which is ascending ASN order, the order [As_graph.ases] lists. *)
+let client_candidates indexed addressing (consensus : Consensus.t) =
+  let module I = As_graph.Indexed in
+  let hosts_relay = Array.make (I.n indexed) false in
+  Array.iter
+    (fun (r : Relay.t) ->
+       match I.id_of_asn indexed r.Relay.asn with
+       | i -> hosts_relay.(i) <- true
+       | exception Not_found -> ())
+    consensus.Consensus.relays;
+  let is_client i =
+    (match I.tier indexed i with
+     | As_graph.Stub -> true
+     | As_graph.Tier1 | As_graph.Transit -> false)
+    && (not hosts_relay.(i))
+    && Addressing.originates addressing (I.asn_of_id indexed i)
+  in
+  let rec collect i acc =
+    if i < 0 then acc
+    else collect (i - 1) (if is_client i then I.asn_of_id indexed i :: acc else acc)
+  in
+  Array.of_list (collect (I.n indexed - 1) [])
 
 let m_builds = Metrics.counter ~help:"scenarios built" "scenario.builds"
 
@@ -36,8 +61,10 @@ let build ~seed size =
   let consensus = Consensus.generate ~rng:cons_rng ~params:cons_params graph addressing in
   let tor_prefixes = Tor_prefix.compute addressing consensus in
   let world = Dynamics.make_world graph addressing collectors in
-  { seed; size; graph; indexed = world.Dynamics.indexed; addressing;
-    collectors; consensus; tor_prefixes; world;
+  let indexed = world.Dynamics.indexed in
+  { seed; size; graph; indexed; addressing; collectors; consensus;
+    tor_prefixes; client_ases = client_candidates indexed addressing consensus;
+    world;
     workspace = Propagate.Workspace.create () }
 
 let sessions t = Collector.all_sessions t.collectors
@@ -155,23 +182,7 @@ let guard_announcement t relay =
       | None -> None
     end
 
-let random_client_as ~rng t =
-  let relay_ases =
-    Array.fold_left
-      (fun acc (r : Relay.t) -> Asn.Set.add r.Relay.asn acc)
-      Asn.Set.empty t.consensus.Consensus.relays
-  in
-  let candidates =
-    As_graph.ases t.graph
-    |> List.filter (fun a ->
-        (match (As_graph.info t.graph a).As_graph.tier with
-         | As_graph.Stub -> true
-         | As_graph.Tier1 | As_graph.Transit -> false)
-        && not (Asn.Set.mem a relay_ases)
-        && Addressing.prefixes_of t.addressing a <> [])
-    |> Array.of_list
-  in
-  Rng.pick rng candidates
+let random_client_as ~rng t = Rng.pick rng t.client_ases
 
 let monitors t =
   sessions t |> List.map (fun s -> s.Collector.id.Update.peer)

@@ -16,6 +16,14 @@ type t = {
   collectors : Collector.t list;
   consensus : Consensus.t;
   tor_prefixes : Tor_prefix.t;
+  client_ases : Asn.t array;
+      (** the {!random_client_as} candidates, built once: stub ASes that
+          host no relay of [consensus] and originate a prefix, in
+          ascending ASN ({!As_graph.ases}) order. Like [tor_prefixes],
+          [world] and [indexed], it is derived from [graph], [addressing]
+          and [consensus] by {!build}; a record update of those fields
+          would leave it stale, so tools/check_mli.sh rejects one outside
+          scenario.ml. Shared, never copied — do not mutate it. *)
   world : Dynamics.world;
   workspace : Propagate.Workspace.t;
       (** shared scratch for one-off {!Propagate.compute} calls over this
@@ -69,7 +77,8 @@ val guard_announcement : t -> Relay.t -> Announcement.t option
     relay's address is unrouted. *)
 
 val random_client_as : rng:Rng.t -> t -> Asn.t
-(** A stub AS that hosts no relays (a plausible client location). *)
+(** A stub AS that hosts no relays (a plausible client location): one
+    uniform draw from [client_ases]. *)
 
 val monitors : t -> Asn.t list
 (** The collector peer ASes — where control-plane monitoring can look. *)

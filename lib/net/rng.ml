@@ -78,22 +78,33 @@ let normal t ~mu ~sigma =
   let u2 = float t 1.0 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
+(* Loops over float refs, which the native compiler keeps unboxed: a
+   draw allocates nothing, however long [w] is. The sums are taken in
+   index order, so the running total and the pick are those of a plain
+   left fold. *)
 let weighted_index t w =
   let n = Array.length w in
   if n = 0 then invalid_arg "Rng.weighted_index: empty weights";
-  let total = Array.fold_left (fun acc x ->
-      if x < 0. then invalid_arg "Rng.weighted_index: negative weight";
-      acc +. x) 0. w
-  in
-  if total <= 0. then invalid_arg "Rng.weighted_index: all-zero weights";
-  let target = float t total in
-  let rec loop i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if target < acc then i else loop (i + 1) acc
-  in
-  loop 0 0.
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    if w.(i) < 0. then invalid_arg "Rng.weighted_index: negative weight";
+    total := !total +. w.(i)
+  done;
+  if !total <= 0. then invalid_arg "Rng.weighted_index: all-zero weights";
+  let target = float t !total in
+  (* the first [i] whose running sum exceeds [target]; the last index
+     takes whatever rounding leaves over *)
+  let i = ref 0 and acc = ref 0. in
+  while
+    !i < n - 1
+    && begin
+      acc := !acc +. w.(!i);
+      not (target < !acc)
+    end
+  do
+    incr i
+  done;
+  !i
 
 let sample_without_replacement t k arr =
   let n = Array.length arr in

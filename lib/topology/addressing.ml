@@ -82,6 +82,11 @@ let prefixes_of t asn =
   | Some l -> List.sort (fun a b -> Int.compare (Prefix.length a) (Prefix.length b)) l
   | None -> []
 
+let originates t asn =
+  match Asn.Table.find_opt t.by_asn asn with
+  | Some (_ :: _) -> true
+  | Some [] | None -> false
+
 let announced t = Prefix_trie.to_list t.by_prefix
 
 let count t = Prefix_trie.cardinal t.by_prefix

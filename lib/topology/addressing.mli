@@ -20,6 +20,9 @@ val origin : t -> Prefix.t -> Asn.t option
 val prefixes_of : t -> Asn.t -> Prefix.t list
 (** All prefixes originated by an AS (possibly nested), most specific last. *)
 
+val originates : t -> Asn.t -> bool
+(** [prefixes_of t asn <> []], without building the sorted list. *)
+
 val announced : t -> (Prefix.t * Asn.t) list
 (** Every announced prefix with its origin, in {!Prefix.compare} order. *)
 

@@ -1,7 +1,32 @@
 type t = {
   relays : Relay.t array;
   valid_after : float;
+  guard_pool : Relay.t array;
+  guard_weights : float array;
+  exit_pool : Relay.t array;
+  exit_weights : float array;
 }
+
+(* Filled in place: an [Array.map] would box every float on its way in. *)
+let weights pool =
+  let w = Array.create_float (Array.length pool) in
+  Array.iteri (fun i (r : Relay.t) -> w.(i) <- float_of_int r.Relay.bandwidth) pool;
+  w
+
+(* One backwards pass over the roster conses both pools in roster order:
+   every living-consensus epoch pays for this, and each extra pass
+   re-reads every relay record. *)
+let make ~valid_after relays =
+  let guards = ref [] and exits = ref [] in
+  for i = Array.length relays - 1 downto 0 do
+    let r = relays.(i) in
+    if Relay.is_guard r then guards := r :: !guards;
+    if Relay.is_exit r then exits := r :: !exits
+  done;
+  let guard_pool = Array.of_list !guards and exit_pool = Array.of_list !exits in
+  { relays; valid_after;
+    guard_pool; guard_weights = weights guard_pool;
+    exit_pool; exit_weights = weights exit_pool }
 
 type gen_params = {
   n_relays : int;
@@ -125,10 +150,10 @@ let generate ~rng ?(params = paper_params) g addressing =
            ~nickname:(Printf.sprintf "relay%04d" i)
            ~ip ~asn ~bandwidth ~flags:flags_of.(i))
   in
-  { relays; valid_after = 0. }
+  make ~valid_after:0. relays
 
-let guards t = Array.to_list t.relays |> List.filter Relay.is_guard
-let exits t = Array.to_list t.relays |> List.filter Relay.is_exit
+let guards t = Array.to_list t.guard_pool
+let exits t = Array.to_list t.exit_pool
 
 let guard_or_exit t =
   Array.to_list t.relays |> List.filter (fun r -> Relay.is_guard r || Relay.is_exit r)
@@ -185,4 +210,4 @@ let of_string s =
     | _ -> invalid_arg (Printf.sprintf "Consensus.of_string: bad line %S" line)
   in
   List.iter parse_line (String.split_on_char '\n' s);
-  { relays = Array.of_list (List.rev !relays); valid_after = !valid_after }
+  make ~valid_after:!valid_after (Array.of_list (List.rev !relays))

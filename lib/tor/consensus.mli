@@ -7,10 +7,27 @@
     of hosting ASes (5 ASes ≈ 20% of guard/exit relays, Figure 2 left);
     heavy-tailed consensus bandwidths. *)
 
-type t = {
+type t = private {
   relays : Relay.t array;
   valid_after : float;
+  guard_pool : Relay.t array;
+      (** the Guard-flagged relays, in [relays] order *)
+  guard_weights : float array;
+      (** [guard_pool]'s consensus bandwidths, the weights
+          {!Path_selection.pick_guard} draws with *)
+  exit_pool : Relay.t array;  (** the Exit-flagged relays, in [relays] order *)
+  exit_weights : float array; (** [exit_pool]'s bandwidths *)
 }
+(** Private so that {!make} is the only constructor: the guard and exit
+    pools are derived from [relays] once, when the consensus is built,
+    and every draw reads them instead of re-filtering the roster. They
+    are eager rather than lazy because a consensus is read by pool tasks
+    on several domains. The arrays are shared, never copied on read — do
+    not mutate them. *)
+
+val make : valid_after:float -> Relay.t array -> t
+(** A consensus listing [relays] (in that order), with its sampling
+    pools. *)
 
 type gen_params = {
   n_relays : int;            (** 4586 *)
@@ -55,7 +72,11 @@ val generate :
     relays). *)
 
 val guards : t -> Relay.t list
+(** [guard_pool] as a list. *)
+
 val exits : t -> Relay.t list
+(** [exit_pool] as a list. *)
+
 val guard_or_exit : t -> Relay.t list
 val n_relays : t -> int
 

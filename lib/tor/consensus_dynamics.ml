@@ -120,7 +120,7 @@ let generate ~rng ?(params = default_params) ~gen ~n_epochs g addressing base =
   let epochs =
     Array.init n_epochs (fun i ->
         if i = 0 then
-          { consensus = { base with Consensus.valid_after = 0. };
+          { consensus = Consensus.make ~valid_after:0. base.Consensus.relays;
             joined = [];
             departed = [] }
         else begin
@@ -143,8 +143,9 @@ let generate ~rng ?(params = default_params) ~gen ~n_epochs g addressing base =
           Metrics.add m_joined (List.length joined);
           Metrics.add m_departed (List.length departed);
           { consensus =
-              { Consensus.relays = Array.of_list !current;
-                valid_after = float_of_int i *. params.epoch_seconds };
+              Consensus.make
+                ~valid_after:(float_of_int i *. params.epoch_seconds)
+                (Array.of_list !current);
             joined;
             departed }
         end)

@@ -16,6 +16,20 @@ let pick_weighted ~rng relays =
       let weights = Array.map (fun r -> float_of_int r.Relay.bandwidth) arr in
       arr.(Rng.weighted_index rng weights)
 
+(* Same draw as [pick_weighted] on the pool as a list: the pool and its
+   weights are in roster order, so one [Rng.weighted_index] picks the same
+   relay. *)
+let pick_from ~what ~rng pool weights =
+  if Array.length pool = 0 then
+    invalid_arg ("Path_selection.pick_" ^ what ^ ": no relays");
+  pool.(Rng.weighted_index rng weights)
+
+let pick_guard ~rng (c : Consensus.t) =
+  pick_from ~what:"guard" ~rng c.Consensus.guard_pool c.Consensus.guard_weights
+
+let pick_exit ~rng (c : Consensus.t) =
+  pick_from ~what:"exit" ~rng c.Consensus.exit_pool c.Consensus.exit_weights
+
 let slash16 r = Ipv4.to_int r.Relay.ip lsr 16
 
 let conflict a b = Relay.equal a b || slash16 a = slash16 b
@@ -23,18 +37,17 @@ let conflict a b = Relay.equal a b || slash16 a = slash16 b
 let conflict_with_any r chosen = List.exists (conflict r) chosen
 
 let pick_guards ~rng consensus ~n =
-  let pool = Consensus.guards consensus in
   let rec loop chosen attempts =
     if List.length chosen = n then List.rev chosen
     else if attempts > 200 * n then
       invalid_arg "Path_selection.pick_guards: cannot satisfy diversity constraint"
     else begin
-      let g = pick_weighted ~rng pool in
+      let g = pick_guard ~rng consensus in
       if conflict_with_any g chosen then loop chosen (attempts + 1)
       else loop (g :: chosen) (attempts + 1)
     end
   in
-  if List.length pool < n then
+  if Array.length consensus.Consensus.guard_pool < n then
     invalid_arg "Path_selection.pick_guards: not enough guards";
   loop [] 0
 
@@ -44,12 +57,12 @@ let pick_guards ~rng consensus ~n =
    are replaced by fresh weighted draws that respect the same
    relay-/16 diversity constraint against the kept set. *)
 let refresh_guards ~rng consensus guards =
-  let pool = Consensus.guards consensus in
-  let kept = List.filter_map (fun g -> List.find_opt (Relay.equal g) pool) guards in
+  let pool = consensus.Consensus.guard_pool in
+  let kept = List.filter_map (fun g -> Array.find_opt (Relay.equal g) pool) guards in
   let need = List.length guards - List.length kept in
   if need = 0 then (kept, 0)
   else begin
-    if List.length pool < List.length guards then
+    if Array.length pool < List.length guards then
       invalid_arg "Path_selection.refresh_guards: not enough guards";
     let rec loop chosen need attempts =
       if need = 0 then chosen
@@ -57,7 +70,7 @@ let refresh_guards ~rng consensus guards =
         invalid_arg
           "Path_selection.refresh_guards: cannot satisfy diversity constraint"
       else begin
-        let g = pick_weighted ~rng pool in
+        let g = pick_guard ~rng consensus in
         if conflict_with_any g chosen then loop chosen need (attempts + 1)
         else loop (chosen @ [ g ]) (need - 1) (attempts + 1)
       end

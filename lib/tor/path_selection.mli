@@ -16,7 +16,19 @@ type circuit = {
 val pp_circuit : Format.formatter -> circuit -> unit
 
 val pick_weighted : rng:Rng.t -> Relay.t list -> Relay.t
-(** Bandwidth-weighted choice. @raise Invalid_argument on empty list. *)
+(** Bandwidth-weighted choice. @raise Invalid_argument on empty list.
+    For an unfiltered guard or exit draw use {!pick_guard}/{!pick_exit},
+    which read the consensus' prebuilt pools; this is for lists filtered
+    per draw, such as {!build_circuit}'s conflict-free candidates. *)
+
+val pick_guard : rng:Rng.t -> Consensus.t -> Relay.t
+(** A bandwidth-weighted guard-flagged relay, drawn from the consensus'
+    [guard_pool]. Returns the relay {!pick_weighted} would on
+    [Consensus.guards consensus] with the same [rng] state, consuming the
+    same single draw. @raise Invalid_argument if there is no guard. *)
+
+val pick_exit : rng:Rng.t -> Consensus.t -> Relay.t
+(** {!pick_guard} for the exit pool. *)
 
 val pick_guards : rng:Rng.t -> Consensus.t -> n:int -> Relay.t list
 (** [n] distinct guard-flagged relays, bandwidth-weighted, no two in the

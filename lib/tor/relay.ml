@@ -17,7 +17,14 @@ let flag_equal a b =
   | Guard, Guard | Exit, Exit | Fast, Fast | Stable, Stable -> true
   | (Guard | Exit | Fast | Stable), _ -> false
 
-let has_flag t f = List.exists (flag_equal f) t.flags
+(* A top-level walk: [List.exists (flag_equal f)], or a local [mem]
+   closing over [f], would allocate a closure per call, and building a
+   consensus' pools asks every relay twice per pool. *)
+let rec mem_flag f = function
+  | [] -> false
+  | g :: rest -> flag_equal f g || mem_flag f rest
+
+let has_flag t f = mem_flag f t.flags
 let is_guard t = has_flag t Guard
 let is_exit t = has_flag t Exit
 

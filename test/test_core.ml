@@ -55,6 +55,47 @@ let test_scenario_client_as () =
       ((As_graph.info s.Scenario.graph a).As_graph.tier = As_graph.Stub)
   done
 
+(* The candidate list [random_client_as] rebuilt on every call before the
+   pool existed, kept as the reference [client_ases] must equal. *)
+let reference_client_ases (s : Scenario.t) =
+  let relay_ases =
+    Array.fold_left
+      (fun acc (r : Relay.t) -> Asn.Set.add r.Relay.asn acc)
+      Asn.Set.empty s.Scenario.consensus.Consensus.relays
+  in
+  As_graph.ases s.Scenario.graph
+  |> List.filter (fun a ->
+      (match (As_graph.info s.Scenario.graph a).As_graph.tier with
+       | As_graph.Stub -> true
+       | As_graph.Tier1 | As_graph.Transit -> false)
+      && not (Asn.Set.mem a relay_ases)
+      && Addressing.prefixes_of s.Scenario.addressing a <> [])
+  |> Array.of_list
+
+let test_scenario_client_pool () =
+  List.iter
+    (fun (size, seed) ->
+       let s = Scenario.build ~seed size in
+       let what = Printf.sprintf "%s seed %d" (Scenario.size_to_string size) seed in
+       let expected = reference_client_ases s in
+       List.iter
+         (fun a ->
+            check_bool (what ^ ": originates = has prefixes") true
+              (Addressing.originates s.Scenario.addressing a
+               = (Addressing.prefixes_of s.Scenario.addressing a <> [])))
+         (Asn.of_int 999_999 :: As_graph.ases s.Scenario.graph);
+       check_bool (what ^ ": client_ases = reference") true
+         (Array.length expected > 0
+          && Array.for_all2 Asn.equal expected s.Scenario.client_ases);
+       let a = Rng.of_int seed and b = Rng.of_int seed in
+       for _ = 1 to 100 do
+         check_bool (what ^ ": same draw") true
+           (Asn.equal (Scenario.random_client_as ~rng:a s) (Rng.pick b expected))
+       done)
+    (List.concat_map
+       (fun size -> List.map (fun seed -> (size, seed)) [ 1; 2; 3 ])
+       [ Scenario.Small; Scenario.Paper ])
+
 let test_scenario_rng_for_stable () =
   let s = Lazy.force scenario in
   let a = Rng.int64 (Scenario.rng_for s "x") in
@@ -403,7 +444,7 @@ let test_guard_inference () =
   let s = Lazy.force scenario in
   let rng = Rng.of_int 45 in
   let consensus = s.Scenario.consensus in
-  let true_guard = Path_selection.pick_weighted ~rng (Consensus.guards consensus) in
+  let true_guard = Path_selection.pick_guard ~rng consensus in
   let strong =
     { Guard_inference.default_config with
       Guard_inference.noise_sigma = 0.0001; probes = 1; n_candidates = 200 }
@@ -631,6 +672,8 @@ let () =
          Alcotest.test_case "guard announcements" `Quick
            test_scenario_guard_announcement;
          Alcotest.test_case "client AS sampling" `Quick test_scenario_client_as;
+         Alcotest.test_case "client pool = reference filter" `Quick
+           test_scenario_client_pool;
          Alcotest.test_case "rng_for stability" `Quick test_scenario_rng_for_stable;
          Alcotest.test_case "rng_for collision regression" `Quick
            test_scenario_rng_for_no_hash_collision;

@@ -141,9 +141,7 @@ let test_interception_return_path_works () =
   let rng = Scenario.rng_for s "interception-path" in
   let tried = ref 0 and feasible = ref 0 in
   for _ = 1 to 12 do
-    let guard =
-      Path_selection.pick_weighted ~rng (Consensus.guards s.Scenario.consensus)
-    in
+    let guard = Path_selection.pick_guard ~rng s.Scenario.consensus in
     match Scenario.guard_announcement s guard with
     | None -> ()
     | Some victim ->

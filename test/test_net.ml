@@ -100,6 +100,37 @@ let test_rng_weighted_rejects () =
     (Invalid_argument "Rng.weighted_index: all-zero weights")
     (fun () -> ignore (Rng.weighted_index rng [| 0.; 0. |]))
 
+(* The fold-and-recurse [weighted_index] the loop version replaced, kept
+   as the reference: the same sums in the same order, so the same index. *)
+let reference_weighted_index rng w =
+  let n = Array.length w in
+  let total = Array.fold_left ( +. ) 0. w in
+  let target = Rng.float rng total in
+  let rec loop i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. w.(i) in
+      if target < acc then i else loop (i + 1) acc
+  in
+  loop 0 0.
+
+let prop_weighted_index_reference =
+  QCheck.Test.make ~name:"weighted_index = fold reference on twin streams"
+    ~count:300
+    QCheck.(pair (int_bound 1_000_000) (list_of_size Gen.(1 -- 60) (int_bound 50)))
+    (fun (seed, ws) ->
+       (* integer-valued and fractional weights, zeros included *)
+       let w =
+         Array.of_list
+           (List.mapi (fun i x -> float_of_int x /. float_of_int (1 + (i mod 3))) ws)
+       in
+       QCheck.assume (Array.exists (fun x -> x > 0.) w);
+       let a = Rng.of_int seed and b = Rng.of_int seed in
+       List.for_all
+         (fun _ -> Rng.weighted_index a w = reference_weighted_index b w)
+         (List.init 20 Fun.id)
+       && Rng.int64 a = Rng.int64 b)
+
 let test_rng_shuffle_permutation () =
   let rng = Rng.of_int 13 in
   let arr = Array.init 50 (fun i -> i) in
@@ -449,7 +480,8 @@ let () =
          Alcotest.test_case "sample without replacement" `Quick
            test_rng_sample_without_replacement;
          Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-         Alcotest.test_case "geometric" `Quick test_rng_geometric ]);
+         Alcotest.test_case "geometric" `Quick test_rng_geometric ]
+       @ qsuite [ prop_weighted_index_reference ]);
       ("ipv4",
        [ Alcotest.test_case "roundtrip" `Quick test_ipv4_roundtrip;
          Alcotest.test_case "rejects malformed" `Quick test_ipv4_rejects;

@@ -20,7 +20,12 @@
    The incremental engine ([Propagate.Delta]) answers to the same oracle:
    one retained state is driven through a random sequence of link
    failures, restores and prepend toggles, and every repaired outcome
-   must equal the naive fixed point of the configuration it reached. *)
+   must equal the naive fixed point of the configuration it reached.
+
+   The session-reset filter has its own naive reference ([naive_reset]
+   below): a per-session rescan of every window, compared with the ticked
+   [Session_reset] on random streams for the pass/drop sets, the global
+   emission order and the detected transfers. *)
 
 let asn = Asn.of_int
 let pfx = Prefix.of_string "10.0.0.0/24"
@@ -368,6 +373,263 @@ let test_naive_diamond () =
   Alcotest.(check (list int)) "3 direct" [ 3; 4 ] (path 3);
   Alcotest.(check int) "1 learns a customer route" 2 (Asn.Map.find (asn 1) m).cls
 
+(* ---- Reset-filter oracle ---------------------------------------------- *)
+
+(* [naive_reset] decides one session's updates from scratch, one update at
+   a time, with no buffer, no counters and no incremental state. Read
+   declaratively, [Session_reset] says:
+   - while a transfer is running, an update is dropped unless it follows
+     the session's previous update by more than [quiet_gap]; then the
+     transfer is over and that update opens a fresh window;
+   - otherwise the update's window is every update since the last
+     transfer no older than [time - window]. If the window's distinct
+     prefixes reach [max min_prefixes (table_fraction * table)], where
+     [table] is the larger of the preloaded size and the distinct
+     prefixes the session has ever carried, the whole window is dropped
+     and a transfer starts at the window's first update.
+   Everything never dropped passes. With the filter ticked before every
+   push, as [Measurement.feed] drives it, what passes leaves in global
+   (time, session, within-session position) order. Returns the drop flags
+   and the transfers as (start, end) times. *)
+let naive_reset (config : Session_reset.config) ~preload (u : Update.t array) =
+  let n = Array.length u in
+  let dropped = Array.make n false and bursts = ref [] in
+  let distinct js =
+    List.map (fun j -> Update.prefix u.(j)) js
+    |> List.sort_uniq Prefix.compare |> List.length
+  in
+  let seen = ref [] in
+  let from = ref 0 and in_burst = ref false and burst_start = ref 0. in
+  for i = 0 to n - 1 do
+    let t = u.(i).Update.time in
+    let p = Update.prefix u.(i) in
+    if not (List.exists (Prefix.equal p) !seen) then seen := p :: !seen;
+    if !in_burst then begin
+      if t -. u.(i - 1).Update.time > config.Session_reset.quiet_gap then begin
+        bursts := (!burst_start, u.(i - 1).Update.time) :: !bursts;
+        in_burst := false;
+        from := i
+      end
+      else dropped.(i) <- true
+    end
+    else begin
+      (* rescan back from [i]; session times never decrease *)
+      let rec back j acc =
+        if j < !from || u.(j).Update.time < t -. config.Session_reset.window then acc
+        else back (j - 1) (j :: acc)
+      in
+      let window = back i [] in
+      let table = max preload (List.length !seen) in
+      let threshold =
+        max config.Session_reset.min_prefixes
+          (int_of_float (config.Session_reset.table_fraction *. float_of_int table))
+      in
+      if distinct window >= threshold then begin
+        List.iter (fun j -> dropped.(j) <- true) window;
+        in_burst := true;
+        burst_start := u.(List.hd window).Update.time;
+        from := i + 1
+      end
+    end
+  done;
+  if !in_burst then bursts := (!burst_start, u.(n - 1).Update.time) :: !bursts;
+  (dropped, !bursts)
+
+let reset_sessions =
+  [| { Update.collector = "rrc00"; peer = asn 1 };
+     { Update.collector = "rrc00"; peer = asn 2 };
+     { Update.collector = "rrc01"; peer = asn 1 };
+     { Update.collector = "rrc01"; peer = asn 7 } |]
+
+let nth_prefix i =
+  Prefix.of_string (Printf.sprintf "10.%d.%d.0/24" (i / 256) (i mod 256))
+
+(* A random reset-filter case: a config, per-session preloads, and a
+   globally time-ordered stream of 1-4 sessions. Each session mixes
+   background updates over its table, table re-sends (some big enough to
+   trip the filter, some not), and long quiet gaps. Times sit on a
+   half-second grid so updates tie within and across sessions, and the
+   sessions are merged in a random order, so tied updates are pushed out
+   of session order too. *)
+type reset_case = {
+  r_config : Session_reset.config;
+  preloads : (Update.session_id * int) list;
+  streams : Update.t array list;  (* per session, in push order *)
+  merged : Update.t list;         (* the pushed stream *)
+}
+
+let reset_case seed =
+  let rng = Rng.of_int seed in
+  let grid x = Float.round (x *. 2.) /. 2. in
+  let r_config =
+    { Session_reset.window = grid (5. +. Rng.float rng 60.);
+      min_prefixes = 5 + Rng.int rng 30;
+      table_fraction = 0.2 +. Rng.float rng 0.7;
+      quiet_gap = grid (3. +. Rng.float rng 30.) }
+  in
+  let n_sessions = 1 + Rng.int rng (Array.length reset_sessions) in
+  let session k =
+    let id = reset_sessions.(k) and table = 20 + Rng.int rng 60 in
+    let update time p =
+      let kind =
+        if Rng.int rng 8 = 0 then Update.Withdraw p
+        else
+          Update.Announce
+            (Route.make p [ id.Update.peer; asn (100 + Rng.int rng 5) ])
+      in
+      { Update.time; session = id; kind }
+    in
+    let rec go t acc =
+      if t > 600. then List.rev acc
+      else
+        match Rng.int rng 30 with
+        | 0 ->
+            (* a table re-send: k distinct prefixes, 0-1.5 s apart *)
+            let k = 1 + Rng.int rng table
+            and step = 0.5 *. float_of_int (Rng.int rng 4) in
+            let at i = t +. (step *. float_of_int i) in
+            let resend = List.init k (fun i -> update (at i) (nth_prefix i)) in
+            go (at k +. 0.5) (List.rev_append resend acc)
+        | 1 | 2 -> go (grid (t +. 60. +. Rng.float rng 400.)) acc
+        | _ ->
+            let acc = update t (nth_prefix (Rng.int rng table)) :: acc in
+            go (grid (t +. Rng.exponential rng 0.2)) acc
+    in
+    Array.of_list (go (grid (Rng.float rng 100.)) [])
+  in
+  let streams = List.init n_sessions session in
+  let preloads =
+    List.init n_sessions (fun k -> (reset_sessions.(k), Rng.int rng 100))
+  in
+  let order = Array.of_list streams in
+  Rng.shuffle rng order;
+  let merged =
+    List.stable_sort
+      (fun (a : Update.t) (b : Update.t) -> Float.compare a.Update.time b.Update.time)
+      (List.concat_map Array.to_list (Array.to_list order))
+  in
+  { r_config; preloads; streams; merged }
+
+(* The real filter, ticked before every push as [Measurement.feed] does. *)
+let run_reset c =
+  let out = ref [] in
+  let f =
+    Session_reset.create ~config:c.r_config ~emit:(fun u -> out := u :: !out) ()
+  in
+  List.iter (fun (id, n) -> Session_reset.preload_table f id n) c.preloads;
+  List.iter
+    (fun (u : Update.t) ->
+       Session_reset.advance f u.Update.time;
+       Session_reset.push f u)
+    c.merged;
+  Session_reset.flush f;
+  (List.rev !out, Session_reset.stats f)
+
+(* The oracle's side: the passed updates in (time, session, position)
+   order, the drop count, and the transfers per session. *)
+let oracle_reset c =
+  let decided =
+    List.map2
+      (fun (id, preload) u ->
+         let dropped, bursts = naive_reset c.r_config ~preload u in
+         (id, u, dropped, bursts))
+      c.preloads c.streams
+  in
+  let passed =
+    List.concat_map
+      (fun (id, u, dropped, _) ->
+         List.filteri (fun i _ -> not dropped.(i))
+           (List.mapi (fun i x -> (x, id, i)) (Array.to_list u)))
+      decided
+    |> List.stable_sort (fun ((a : Update.t), sa, ia) ((b : Update.t), sb, ib) ->
+        match Float.compare a.Update.time b.Update.time with
+        | 0 -> (match Update.session_compare sa sb with 0 -> Int.compare ia ib | c -> c)
+        | c -> c)
+    |> List.map (fun (x, _, _) -> x)
+  in
+  let n_dropped =
+    List.fold_left
+      (fun n (_, _, d, _) -> Array.fold_left (fun n b -> if b then n + 1 else n) n d)
+      0 decided
+  in
+  let bursts =
+    List.concat_map (fun (id, _, _, b) -> List.map (fun (s, e) -> (id, s, e)) b) decided
+  in
+  (passed, n_dropped, bursts)
+
+let sort_bursts =
+  List.sort (fun (a, s, e) (b, s', e') ->
+      match Update.session_compare a b with
+      | 0 -> (match Float.compare s s' with 0 -> Float.compare e e' | c -> c)
+      | c -> c)
+
+let reset_agrees seed =
+  let c = reset_case seed in
+  let emitted, stats = run_reset c in
+  let passed, n_dropped, bursts = oracle_reset c in
+  List.equal ( == ) emitted passed
+  && stats.Session_reset.dropped = n_dropped
+  && stats.Session_reset.passed = List.length passed
+  && stats.Session_reset.buffered = 0
+  && sort_bursts stats.Session_reset.bursts = sort_bursts bursts
+
+let prop_reset_oracle =
+  QCheck.Test.make ~name:"ticked reset filter = naive window rescan"
+    ~count:500
+    QCheck.(int_bound 1_000_000)
+    reset_agrees
+
+(* The generator must reach every branch the oracle models: transfers
+   that end on a quiet gap and ones still open at the end, drops, re-sends
+   too small to trip, ties across sessions, and emission that the tick
+   reorders relative to the pushed stream. *)
+let test_reset_generator_covers () =
+  let cases = List.init 200 reset_case in
+  let count p = List.length (List.filter p cases) in
+  let results = List.map (fun c -> (c, oracle_reset c)) cases in
+  let count_r p = List.length (List.filter p results) in
+  let last_time (u : Update.t array) = u.(Array.length u - 1).Update.time in
+  List.iter
+    (fun (name, n) -> Alcotest.(check bool) (name ^ " exercised") true (n >= 10))
+    [ ("drops", count_r (fun (_, (_, d, _)) -> d > 0));
+      ("quiet-gap ends",
+       count_r (fun (c, (_, _, b)) ->
+           List.exists
+             (fun (id, _, e) ->
+                List.exists2
+                  (fun (id', _) u -> Update.session_equal id id' && e < last_time u)
+                  c.preloads c.streams)
+             b));
+      ("transfers open at the end",
+       count_r (fun (c, (_, _, b)) ->
+           List.exists
+             (fun (id, _, e) ->
+                List.exists2
+                  (fun (id', _) u -> Update.session_equal id id' && e = last_time u)
+                  c.preloads c.streams)
+             b));
+      ("untripped streams", count_r (fun (_, (_, d, _)) -> d = 0));
+      ("cross-session ties",
+       count (fun c ->
+           let rec tie = function
+             | (a : Update.t) :: (b :: _ as rest) ->
+                 (a.Update.time = b.Update.time
+                  && not (Update.session_equal a.Update.session b.Update.session))
+                 || tie rest
+             | _ -> false
+           in
+           tie c.merged));
+      ("ties pushed out of session order",
+       count (fun c ->
+           let rec swapped = function
+             | (a : Update.t) :: (b :: _ as rest) ->
+                 (a.Update.time = b.Update.time
+                  && Update.session_compare a.Update.session b.Update.session > 0)
+                 || swapped rest
+             | _ -> false
+           in
+           swapped c.merged)) ]
+
 let () =
   Alcotest.run "qs_oracle"
     [ ("oracle",
@@ -375,4 +637,8 @@ let () =
          Alcotest.test_case "generator covers shapes" `Quick
            test_generator_covers_shapes ]
        @ List.map (fun t -> QCheck_alcotest.to_alcotest t)
-           [ prop_oracle; prop_oracle_workspace; prop_oracle_delta ]) ]
+           [ prop_oracle; prop_oracle_workspace; prop_oracle_delta ]);
+      ("reset",
+       [ Alcotest.test_case "generator covers branches" `Quick
+           test_reset_generator_covers ]
+       @ [ QCheck_alcotest.to_alcotest prop_reset_oracle ]) ]

@@ -92,6 +92,94 @@ let test_consensus_deterministic () =
   Alcotest.(check string) "same consensus" (Consensus.to_string c1)
     (Consensus.to_string c2)
 
+(* ---- Sampling pools --------------------------------------------------- *)
+
+let paper_consensus =
+  lazy
+    (let rng = Rng.of_int 1 in
+     let g = Topo_gen.generate ~rng:(Rng.split rng) Topo_gen.default_params in
+     let addressing = Addressing.allocate ~rng:(Rng.split rng) g in
+     Consensus.generate ~rng:(Rng.split rng) g addressing)
+
+(* The filters the pools replace, recomputed from the roster. *)
+let filtered keep (c : Consensus.t) =
+  List.filter keep (Array.to_list c.Consensus.relays)
+
+(* [Consensus.make]'s pools must hold exactly the relays the old per-draw
+   filters produced, in roster order, weighted by their bandwidths. *)
+let check_pools what (c : Consensus.t) =
+  let check name pool weights keep =
+    let expected = filtered keep c in
+    check_bool (Printf.sprintf "%s: %s pool = filter" what name) true
+      (List.equal ( == ) expected (Array.to_list pool));
+    check_bool (Printf.sprintf "%s: %s weights = bandwidths" what name) true
+      (List.map (fun (r : Relay.t) -> float_of_int r.Relay.bandwidth) expected
+       = Array.to_list weights)
+  in
+  check "guard" c.Consensus.guard_pool c.Consensus.guard_weights Relay.is_guard;
+  check "exit" c.Consensus.exit_pool c.Consensus.exit_weights Relay.is_exit
+
+let test_pools_generate () =
+  List.iter
+    (fun seed ->
+       let _, _, _, c = setup seed in
+       check_pools (Printf.sprintf "small seed %d" seed) c)
+    [ 1; 2; 3 ];
+  check_pools "paper" (Lazy.force paper_consensus)
+
+let test_pools_of_string () =
+  List.iter
+    (fun (what, c) ->
+       check_pools (what ^ " reparsed") (Consensus.of_string (Consensus.to_string c)))
+    [ ("small", (let _, _, _, c = setup 3 in c));
+      ("paper", Lazy.force paper_consensus) ]
+
+(* Every epoch of a 5-day hourly living consensus is built through
+   [Consensus.make], so each carries its own roster's pools. *)
+let test_pools_living () =
+  let rng, g, addressing, base = setup 8 in
+  let cd =
+    Consensus_dynamics.generate ~rng:(Rng.split rng) ~gen:Consensus.small_params
+      ~n_epochs:(5 * 24) g addressing base
+  in
+  for i = 0 to Consensus_dynamics.n_epochs cd - 1 do
+    check_pools (Printf.sprintf "epoch %d" i)
+      (Consensus_dynamics.at cd i).Consensus_dynamics.consensus
+  done
+
+(* [pick_guard]/[pick_exit] against list-based [pick_weighted] on the old
+   filters, with twin RNGs: the same relay on every draw, and the same
+   stream position afterwards (one draw consumed per pick). *)
+let test_pick_pools_match_list () =
+  List.iter
+    (fun (what, (c : Consensus.t)) ->
+       let guards = filtered Relay.is_guard c and exits = filtered Relay.is_exit c in
+       let a = Rng.of_int 99 and b = Rng.of_int 99 in
+       for i = 1 to 1000 do
+         let g = Path_selection.pick_guard ~rng:a c
+         and g' = Path_selection.pick_weighted ~rng:b guards in
+         let e = Path_selection.pick_exit ~rng:a c
+         and e' = Path_selection.pick_weighted ~rng:b exits in
+         if not (g == g' && e == e') then
+           Alcotest.failf "%s: draw %d differs from pick_weighted" what i
+       done;
+       Alcotest.(check int64) (what ^ ": streams in step") (Rng.int64 b) (Rng.int64 a))
+    [ ("small", (let _, _, _, c = setup 9 in c));
+      ("paper", Lazy.force paper_consensus) ]
+
+let test_pick_empty_pool () =
+  let c =
+    Consensus.make ~valid_after:0.
+      [| Relay.make ~nickname:"m" ~ip:(Ipv4.of_string "1.2.3.4") ~asn:(Asn.of_int 7)
+           ~bandwidth:10 ~flags:[ Relay.Fast ] |]
+  in
+  Alcotest.check_raises "no guard"
+    (Invalid_argument "Path_selection.pick_guard: no relays")
+    (fun () -> ignore (Path_selection.pick_guard ~rng:(Rng.of_int 1) c));
+  Alcotest.check_raises "no exit"
+    (Invalid_argument "Path_selection.pick_exit: no relays")
+    (fun () -> ignore (Path_selection.pick_exit ~rng:(Rng.of_int 1) c))
+
 (* ---- Tor_prefix ------------------------------------------------------ *)
 
 let test_tor_prefix_mapping () =
@@ -345,6 +433,13 @@ let () =
          Alcotest.test_case "hosting concentration" `Quick
            test_consensus_relays_in_hosting;
          Alcotest.test_case "deterministic" `Quick test_consensus_deterministic ]);
+      ("sampling_pools",
+       [ Alcotest.test_case "generate pools = filters" `Quick test_pools_generate;
+         Alcotest.test_case "of_string pools = filters" `Quick test_pools_of_string;
+         Alcotest.test_case "living epoch pools = filters" `Quick test_pools_living;
+         Alcotest.test_case "pool draws = pick_weighted" `Quick
+           test_pick_pools_match_list;
+         Alcotest.test_case "empty pool rejected" `Quick test_pick_empty_pool ]);
       ("tor_prefix",
        [ Alcotest.test_case "relay mapping" `Quick test_tor_prefix_mapping;
          Alcotest.test_case "entries consistent" `Quick

@@ -25,7 +25,12 @@
 #      SplitMix64 Qs_net.Rng) — Random.self_init is nondeterminism by
 #      definition, and even seeded Stdlib.Random draws from global state
 #      that any other caller can advance, so equal seeds would stop giving
-#      equal scenarios.
+#      equal scenarios;
+#   7. a scenario's graph, addressing and consensus are set only by
+#      Scenario.build: client_ases, tor_prefixes, world and indexed are
+#      derived from them there, so a `{ s with Scenario.consensus = ... }`
+#      record update anywhere else would leave those stale. (Consensus.t is
+#      private, so its own derived pools need no such rule.)
 set -u
 cd "$(dirname "$0")/.."
 
@@ -77,6 +82,13 @@ if grep -rn --include='*.ml' --include='*.mli' \
      -e 'Random\.int\b' -e 'Random\.float\b' \
      lib bin examples bench | grep -v '^lib/net/'; then
   echo "check_mli: Stdlib Random outside lib/net/ (use the seeded Qs_net.Rng)" >&2
+  fail=1
+fi
+
+if grep -rnE --include='*.ml' \
+     -e 'with Scenario\.[^}]*\b(graph|addressing|consensus) *=([^=]|$)' \
+     lib bin examples bench test qsbench | grep -v '^lib/core/scenario\.ml:'; then
+  echo "check_mli: record update of a Scenario field with derived data outside lib/core/scenario.ml (use Scenario.build)" >&2
   fail=1
 fi
 
