@@ -315,7 +315,7 @@ let asymmetry_cmd =
     Route_asymmetry.print fmt (Route_asymmetry.compute ~rng ~n_pairs:pairs s)
   in
   let pairs =
-    Arg.(value & opt int 40 & info [ "pairs" ] ~docv:"N" ~doc:"(client, guard) pairs.")
+    Arg.(value & opt (at_least 0) 40 & info [ "pairs" ] ~docv:"N" ~doc:"(client, guard) pairs.")
   in
   Cmd.v (Cmd.info "asymmetry" ~doc:"X2: forward vs reverse AS exposure (§3.3)")
     Term.(const run $ seed $ scale $ pairs)
@@ -722,11 +722,11 @@ let surface_cmd =
         end)
   in
   let n_pairs =
-    Arg.(value & opt int 40 & info [ "pairs" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 40 & info [ "pairs" ] ~docv:"N"
            ~doc:"Monitored (client, guard) pairs to draw.")
   in
   let n_adversaries =
-    Arg.(value & opt int 20 & info [ "adversaries" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 20 & info [ "adversaries" ] ~docv:"N"
            ~doc:"Candidate adversary ASes (top-degree core plus sampled \
                  stubs).")
   in

@@ -29,6 +29,7 @@ type session_state = {
   mutable table_floor : int;            (* preloaded table size *)
   buffer : Update.t Queue.t;            (* recent updates, undecided *)
   window_prefixes : int Prefix.Table.t; (* distinct prefixes in buffer *)
+  mutable stale : int;                  (* arrival tokens of dropped updates *)
   mutable in_burst : bool;
   mutable burst_start : float;
   mutable last_time : float;
@@ -38,6 +39,10 @@ type t = {
   config : config;
   emit : Update.t -> unit;
   sessions : (Update.session_id, session_state) Hashtbl.t;
+  arrivals : session_state Queue.t;
+      (* one token per enqueued update, in push order, naming its session;
+         a session's oldest [stale] tokens belong to dropped updates, the
+         rest to its buffer in order *)
   mutable pushed : int;
   mutable passed : int;
   mutable dropped : int;
@@ -45,7 +50,7 @@ type t = {
 }
 
 let create ?(config = default_config) ~emit () =
-  { config; emit; sessions = Hashtbl.create 128;
+  { config; emit; sessions = Hashtbl.create 128; arrivals = Queue.create ();
     pushed = 0; passed = 0; dropped = 0; bursts = [] }
 
 let state t id =
@@ -55,7 +60,8 @@ let state t id =
       let s =
         { id; table = Prefix.Table.create 1024; table_floor = 0;
           buffer = Queue.create (); window_prefixes = Prefix.Table.create 64;
-          in_burst = false; burst_start = 0.; last_time = neg_infinity }
+          stale = 0; in_burst = false; burst_start = 0.;
+          last_time = neg_infinity }
       in
       Hashtbl.replace t.sessions id s;
       s
@@ -78,37 +84,64 @@ let window_add s u =
   let n = Option.value ~default:0 (Prefix.Table.find_opt s.window_prefixes p) in
   Prefix.Table.replace s.window_prefixes p (n + 1)
 
-(* Release buffered updates older than [now - window]: they were not part of
-   any burst that could still trigger, so they are clean. *)
-let release t s now =
-  let rec loop () =
-    match Queue.peek_opt s.buffer with
-    | Some u when u.Update.time < now -. t.config.window ->
-        ignore (Queue.pop s.buffer);
+let enqueue t s u =
+  Queue.push u s.buffer;
+  Queue.push s t.arrivals;
+  window_add s u
+
+(* The one emission path: emit every buffered update older than [horizon]
+   — none of them can join a burst any more, so they are clean. Input
+   time is globally non-decreasing, so the due updates are a prefix of
+   the arrival queue; a stable sort by (time, session) then yields the
+   global (time, session, within-session position) order. *)
+let release t horizon =
+  let rec take due =
+    match Queue.peek_opt t.arrivals with
+    | Some s when s.stale > 0 ->
+        ignore (Queue.pop t.arrivals);
+        s.stale <- s.stale - 1;
+        take due
+    | Some s when (Queue.peek s.buffer).Update.time < horizon ->
+        ignore (Queue.pop t.arrivals);
+        let u = Queue.pop s.buffer in
         window_remove s u;
-        t.emit u;
-        t.passed <- t.passed + 1;
-        Metrics.incr m_passed;
-        loop ()
-    | Some _ | None -> ()
+        take (u :: due)
+    | Some _ | None -> due
   in
-  loop ()
+  match take [] with
+  | [] -> ()
+  | due ->
+      List.rev due
+      |> List.stable_sort (fun (a : Update.t) (b : Update.t) ->
+          match Float.compare a.Update.time b.Update.time with
+          | 0 -> Update.session_compare a.Update.session b.Update.session
+          | c -> c)
+      |> List.iter (fun u ->
+          t.emit u;
+          t.passed <- t.passed + 1;
+          Metrics.incr m_passed)
+
+let advance t now = release t (now -. t.config.window)
 
 let burst_threshold t s =
   max t.config.min_prefixes
     (int_of_float (t.config.table_fraction *. float_of_int (table_size s)))
 
+(* The dropped updates' arrival tokens stay queued; [release] skips them. *)
 let drop_buffer t s =
-  t.dropped <- t.dropped + Queue.length s.buffer;
-  Metrics.add m_dropped (Queue.length s.buffer);
+  let n = Queue.length s.buffer in
+  t.dropped <- t.dropped + n;
+  Metrics.add m_dropped n;
+  s.stale <- s.stale + n;
   Queue.clear s.buffer;
   Prefix.Table.reset s.window_prefixes
 
 let push t u =
   t.pushed <- t.pushed + 1;
   Metrics.incr m_pushed;
-  let s = state t u.Update.session in
   let now = u.Update.time in
+  advance t now;
+  let s = state t u.Update.session in
   Prefix.Table.replace s.table (Update.prefix u) ();
   if s.in_burst then begin
     if now -. s.last_time > t.config.quiet_gap then begin
@@ -116,130 +149,33 @@ let push t u =
       t.bursts <- (s.id, s.burst_start, s.last_time) :: t.bursts;
       Metrics.incr m_bursts;
       s.in_burst <- false;
-      Queue.push u s.buffer;
-      window_add s u
+      enqueue t s u
     end else begin
       t.dropped <- t.dropped + 1;
       Metrics.incr m_dropped
     end
   end else begin
-    release t s now;
-    Queue.push u s.buffer;
-    window_add s u;
+    enqueue t s u;
     if Prefix.Table.length s.window_prefixes >= burst_threshold t s then begin
       (* The whole window is a table transfer. *)
       s.in_burst <- true;
-      s.burst_start <-
-        (match Queue.peek_opt s.buffer with
-         | Some first -> first.Update.time
-         | None -> now);
+      s.burst_start <- (Queue.peek s.buffer).Update.time;
       drop_buffer t s
     end
   end;
   s.last_time <- now
 
-(* Global clock tick: release, across every session, the buffered updates
-   old enough that no burst could still claim them. [push] only releases a
-   session's buffer when that same session speaks again, so a quiet
-   session can hold a straggler for hours — fine for batch consumers
-   (per-key statistics ignore cross-key order) but fatal for a streaming
-   consumer whose reorder slack is bounded. Driving the filter with
-   [advance now] on every input update bounds the emission delay by
-   [window] and makes the downstream stream globally time-ordered.
-
-   Per-session semantics are exactly unchanged: a tick releases only
-   updates that the session's own next push would release anyway (both
-   paths use the [time < now - window] rule and input time is globally
-   non-decreasing), so burst detection sees identical window contents and
-   every update is passed or dropped exactly as without ticks — the
-   regression suite pins this. Due updates are emitted in the same
-   (time, session, position) order [flush] uses. *)
-let advance t now =
-  let horizon = now -. t.config.window in
-  let any_due =
-    Hashtbl.fold
-      (fun _ s due ->
-         due
-         || (match Queue.peek_opt s.buffer with
-             | Some u -> u.Update.time < horizon
-             | None -> false))
-      t.sessions false
-  in
-  if any_due then begin
-    let due =
-      Hashtbl.fold
-        (fun _ s acc ->
-           let taken = ref acc and i = ref 0 in
-           let rec loop () =
-             match Queue.peek_opt s.buffer with
-             | Some u when u.Update.time < horizon ->
-                 ignore (Queue.pop s.buffer);
-                 window_remove s u;
-                 taken := (u, s.id, !i) :: !taken;
-                 incr i;
-                 loop ()
-             | Some _ | None -> ()
-           in
-           loop ();
-           !taken)
-        t.sessions []
-    in
-    due
-    |> List.sort (fun ((a : Update.t), sa, ia) ((b : Update.t), sb, ib) ->
-        match Float.compare a.Update.time b.Update.time with
-        | 0 ->
-            (match Update.session_compare sa sb with
-             | 0 -> Int.compare ia ib
-             | c -> c)
-        | c -> c)
-    |> List.iter
-         (fun (u, _, _) ->
-            t.emit u;
-            t.passed <- t.passed + 1;
-            Metrics.incr m_passed)
-  end
-
-(* End-of-stream emission must preserve the global time order every other
-   emission path respects: a per-session [Hashtbl.iter] would interleave
-   whole session buffers in hash order, making downstream observers see
-   time jump backwards across sessions at end of month. Close open bursts
-   deterministically, collect every buffered update, sort by
-   (time, session, within-session position) and only then emit. *)
+(* Close the transfers still running at end of stream, in session order,
+   then emit everything still buffered. *)
 let flush t =
-  let open_bursts =
-    Hashtbl.fold (fun _ s acc -> if s.in_burst then s :: acc else acc)
-      t.sessions []
-    |> List.sort (fun a b -> Update.session_compare a.id b.id)
-  in
-  List.iter
-    (fun s ->
-       t.bursts <- (s.id, s.burst_start, s.last_time) :: t.bursts;
-       Metrics.incr m_bursts;
-       s.in_burst <- false)
-    open_bursts;
-  let buffered =
-    Hashtbl.fold
-      (fun _ s acc ->
-         let seq = ref acc and i = ref 0 in
-         Queue.iter (fun u -> seq := (u, !i) :: !seq; incr i) s.buffer;
-         Queue.clear s.buffer;
-         Prefix.Table.reset s.window_prefixes;
-         !seq)
-      t.sessions []
-  in
-  buffered
-  |> List.sort (fun ((a : Update.t), ia) ((b : Update.t), ib) ->
-      match Float.compare a.Update.time b.Update.time with
-      | 0 ->
-          (match Update.session_compare a.Update.session b.Update.session with
-           | 0 -> Int.compare ia ib
-           | c -> c)
-      | c -> c)
-  |> List.iter
-       (fun (u, _) ->
-          t.emit u;
-          t.passed <- t.passed + 1;
-          Metrics.incr m_passed)
+  Hashtbl.fold (fun _ s acc -> if s.in_burst then s :: acc else acc)
+    t.sessions []
+  |> List.sort (fun a b -> Update.session_compare a.id b.id)
+  |> List.iter (fun s ->
+      t.bursts <- (s.id, s.burst_start, s.last_time) :: t.bursts;
+      Metrics.incr m_bursts;
+      s.in_burst <- false);
+  release t infinity
 
 let stats t =
   { pushed = t.pushed;

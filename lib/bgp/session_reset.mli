@@ -10,9 +10,12 @@
     per session it watches for bursts that announce an abnormally large
     share of the session's known table within a short window, drops the
     whole burst (and keeps dropping while the burst continues), and passes
-    everything else downstream. Updates must be pushed in non-decreasing
-    time order per session; downstream emission preserves order but is
-    delayed by up to [window] seconds (call {!flush} at end of stream). *)
+    everything else downstream. Updates must be pushed in globally
+    non-decreasing (finite) time order across all sessions; each push
+    advances the filter's clock, so downstream emission is globally
+    time-ordered — ties broken by session, then push order — and delayed
+    by at most [window] seconds of input time (call {!flush} at end of
+    stream). *)
 
 type config = {
   window : float;        (** burst-detection window, seconds (default 60) *)
@@ -46,18 +49,14 @@ val preload_table : t -> Update.session_id -> int -> unit
     start (from the initial RIB), so early resets are sized correctly. *)
 
 val push : t -> Update.t -> unit
+(** Feeds one update: first emits, across all sessions, every buffered
+    update older than [u.time - window] (none of them can join a burst
+    any more), then classifies [u]. *)
 
 val advance : t -> float -> unit
-(** Global clock tick: emit, across {e all} sessions, every buffered
-    update older than [now - window], in global (time, session, position)
-    order. [push] alone only releases a session's buffer when that session
-    speaks again, so a quiet session can hold a straggler for hours;
-    calling [advance u.time] before every push bounds the emission delay
-    by [window] and makes the downstream stream globally time-ordered —
-    what a streaming consumer with bounded reorder slack needs.
-    Per-session pass/drop decisions are exactly unchanged: a tick releases
-    only what the session's own next push would release anyway. Input time
-    must be globally non-decreasing. *)
+(** [advance t now] emits what a push at time [now] would, without
+    pushing. Only needed to move the clock of an idle stream; [now] must
+    not precede the last pushed time. *)
 
 val flush : t -> unit
 (** Emits everything still buffered, across all sessions, in global

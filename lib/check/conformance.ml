@@ -23,7 +23,7 @@ type t = {
   mutable n_violations : int;
 }
 
-let create ?(duration = infinity) ?(require_global_order = false) () =
+let create ?(duration = infinity) ?(require_global_order = true) () =
   { duration;
     require_global_order;
     last_by_session = Hashtbl.create 64;

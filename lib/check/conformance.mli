@@ -6,11 +6,9 @@
 
     - {b horizon containment}: every update's time lies in [\[0, duration\]];
     - {b per-session monotonicity}: times never decrease on one session;
-    - {b global monotonicity} (opt-in): the merged stream never goes back
-      in time. A reset filter pushed without clock ticks buffers each
-      session independently, so its output is only per-session ordered;
-      the raw dynamics stream, the [Session_reset.flush] batch and the
-      ticked {!Measurement.feed} are globally ordered;
+    - {b global monotonicity}: the merged stream never goes back in time
+      — the raw dynamics stream, the reset filter's output and
+      {!Measurement.feed} are all globally ordered;
     - {b no withdraw-before-announce}: a withdraw only makes sense for a
       key that had a baseline route or a prior announce;
     - {b residency conservation}: per cell and AS, cumulative residency
@@ -33,9 +31,8 @@ type t
 val create : ?duration:float -> ?require_global_order:bool -> unit -> t
 (** [duration] bounds the horizon check (default [infinity], i.e. only
     negative or NaN times violate). [require_global_order] (default
-    [false]) additionally demands global time monotonicity — enable it
-    on streams with a global ordering contract (the raw dynamics stream,
-    a flush batch, {!Measurement.feed}). *)
+    [true]) demands global time monotonicity; [false] checks only
+    per-session order. *)
 
 val observe : t -> Update.t -> unit
 (** Feed one update; pass this as [Measurement.run ~observe]. *)

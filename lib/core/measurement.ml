@@ -266,16 +266,9 @@ let feed ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
     if no_filter then None
     else Some (Session_reset.create ?config:filter ~emit:downstream ())
   in
-  (* Tick the filter with the input clock before each push: emission
-     delay becomes bounded by the filter window and the post-filter
-     stream comes out globally time-ordered, while per-session pass/drop
-     decisions stay exactly as without ticks. *)
   let emit =
     match filter_state with
-    | Some f ->
-        fun (u : Update.t) ->
-          Session_reset.advance f u.Update.time;
-          Session_reset.push f u
+    | Some f -> Session_reset.push f
     | None -> downstream
   in
   (* Baselines and reset-filter table sizes come from the time-0 tables,

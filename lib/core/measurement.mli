@@ -126,8 +126,9 @@ val feed :
     hands every time-0 table route to [baseline] before any update flows,
     drops session-reset artifacts (unless [no_filter], the ablation) and
     merges the time-sorted [extra_updates] in. The consumer sees every
-    post-filter update in global time order: the reset filter is ticked
-    with the input clock before every push. Returns the time-0 tables,
+    post-filter update in global time order: the dynamics stream is
+    time-ordered and each [Session_reset.push] releases what its time
+    makes due. Returns the time-0 tables,
     the dynamics stats and the filter stats ([None] when unfiltered). *)
 
 val run :

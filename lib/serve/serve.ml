@@ -130,8 +130,7 @@ let create ?(config = Config.default) ?(duration = infinity)
       window = Window.create ~config:(Config.window_config config) ~watched ();
       ingest = Ingest.create ~config:(Config.ingest_config config) ();
       registry = Alert.registry ();
-      conformance =
-        Conformance.create ~duration ~require_global_order:true ();
+      conformance = Conformance.create ~duration ();
       evidence = Prefix.Table.create 1024;
       sinks;
       pending = [];
@@ -310,9 +309,9 @@ let replay ?(dynamics = Dynamics.default_config) ?filter ?no_filter
 
 let batch_alerts ?(dynamics = Dynamics.default_config) ?filter
     ?(no_filter = false) ?(extra_updates = []) ~learning_period scenario =
-  (* The tick-driven filter makes the post-filter stream globally
-     time-ordered, so the batch detector consumes the [observe] hook
-     directly — the very sequence the service's watermark releases. *)
+  (* The reset filter emits in global time order, so the batch detector
+     consumes the [observe] hook directly — the very sequence the
+     service's watermark releases. *)
   let monitor = Detection.create ~learning_period () in
   let batch = ref [] in
   let m =

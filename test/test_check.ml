@@ -223,7 +223,7 @@ let test_window_pins_contiguous_rule () =
 (* ---- Conformance ------------------------------------------------------ *)
 
 let test_conformance_detects_violations () =
-  let c = Conformance.create ~duration:1000. ~require_global_order:true () in
+  let c = Conformance.create ~duration:1000. () in
   let sink = ref 0 in
   let feed = Conformance.wrap c (fun _ -> incr sink) in
   let a = session 1 and b = session 2 in

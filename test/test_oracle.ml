@@ -23,9 +23,10 @@
    must equal the naive fixed point of the configuration it reached.
 
    The session-reset filter has its own naive reference ([naive_reset]
-   below): a per-session rescan of every window, compared with the ticked
-   [Session_reset] on random streams for the pass/drop sets, the global
-   emission order and the detected transfers. *)
+   below): a per-session rescan of every window, compared with
+   [Session_reset] (driven by push alone and by advance-then-push) on
+   random streams for the pass/drop sets, the global emission order and
+   the detected transfers. *)
 
 let asn = Asn.of_int
 let pfx = Prefix.of_string "10.0.0.0/24"
@@ -387,10 +388,9 @@ let test_naive_diamond () =
      [table] is the larger of the preloaded size and the distinct
      prefixes the session has ever carried, the whole window is dropped
      and a transfer starts at the window's first update.
-   Everything never dropped passes. With the filter ticked before every
-   push, as [Measurement.feed] drives it, what passes leaves in global
-   (time, session, within-session position) order. Returns the drop flags
-   and the transfers as (start, end) times. *)
+   Everything never dropped passes, in global (time, session,
+   within-session position) order: every push ticks the filter's clock.
+   Returns the drop flags and the transfers as (start, end) times. *)
 let naive_reset (config : Session_reset.config) ~preload (u : Update.t array) =
   let n = Array.length u in
   let dropped = Array.make n false and bursts = ref [] in
@@ -510,8 +510,9 @@ let reset_case seed =
   in
   { r_config; preloads; streams; merged }
 
-(* The real filter, ticked before every push as [Measurement.feed] does. *)
-let run_reset c =
+(* The real filter, driven by [push] alone as [Measurement.feed] does, or
+   with an explicit [advance] before every push as qsbench does. *)
+let run_reset ~advance c =
   let out = ref [] in
   let f =
     Session_reset.create ~config:c.r_config ~emit:(fun u -> out := u :: !out) ()
@@ -519,7 +520,7 @@ let run_reset c =
   List.iter (fun (id, n) -> Session_reset.preload_table f id n) c.preloads;
   List.iter
     (fun (u : Update.t) ->
-       Session_reset.advance f u.Update.time;
+       if advance then Session_reset.advance f u.Update.time;
        Session_reset.push f u)
     c.merged;
   Session_reset.flush f;
@@ -565,13 +566,16 @@ let sort_bursts =
 
 let reset_agrees seed =
   let c = reset_case seed in
-  let emitted, stats = run_reset c in
   let passed, n_dropped, bursts = oracle_reset c in
-  List.equal ( == ) emitted passed
-  && stats.Session_reset.dropped = n_dropped
-  && stats.Session_reset.passed = List.length passed
-  && stats.Session_reset.buffered = 0
-  && sort_bursts stats.Session_reset.bursts = sort_bursts bursts
+  List.for_all
+    (fun advance ->
+       let emitted, stats = run_reset ~advance c in
+       List.equal ( == ) emitted passed
+       && stats.Session_reset.dropped = n_dropped
+       && stats.Session_reset.passed = List.length passed
+       && stats.Session_reset.buffered = 0
+       && sort_bursts stats.Session_reset.bursts = sort_bursts bursts)
+    [ false; true ]
 
 let prop_reset_oracle =
   QCheck.Test.make ~name:"ticked reset filter = naive window rescan"

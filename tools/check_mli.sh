@@ -16,11 +16,13 @@
 #   4. raw timing primitives (Unix.gettimeofday, Sys.time) must not appear
 #      outside lib/obs/ — every wall-clock read goes through Qs_obs.Clock,
 #      so tests can freeze the clock and make timing fields reproducible;
-#   5. the measurement feed is built in one place: the reset-filter tick
-#      (Session_reset.advance) and the scenario's "measurement" and
-#      "trace-churn" RNG streams must not appear outside
+#   5. the measurement feed is built in one place: the scenario's
+#      "measurement" and "trace-churn" RNG streams must not appear outside
 #      lib/core/measurement.ml — batch and serve both consume
-#      Measurement.feed, and a second copy of its plumbing drifts;
+#      Measurement.feed, and a second copy of its plumbing drifts. An
+#      explicit reset-filter tick (Session_reset.advance) is banned there
+#      too: every push already ticks the filter, so a call marks a
+#      hand-rolled copy of the feed (the frozen qsbench is not scanned);
 #   6. Stdlib Random must not appear outside lib/net/ (home of the seeded
 #      SplitMix64 Qs_net.Rng) — Random.self_init is nondeterminism by
 #      definition, and even seeded Stdlib.Random draws from global state

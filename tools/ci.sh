@@ -15,27 +15,36 @@
 #   4. quicksand check --suite conform
 #                       — the streaming invariant checker over half a
 #                         simulated day;
-#   5. quicksand check --suite static
+#   5. quicksand check --suite fuzz
+#                       — the 200-seed mutation fuzz: MRT bit-flips and
+#                         truncations must decode totally, injected
+#                         table transfers must be caught by the reset
+#                         filter while organic churn passes;
+#   6. quicksand check --suite diff
+#                       — configuration pairs that must render identical
+#                         F3L/F3R/M1 on the Small scenario, including
+#                         the reset filter on a reset-free stream;
+#   7. quicksand check --suite static
 #                       — the dynamic-vs-static soundness oracle across
 #                         5 seeds;
-#   6. quicksand check --suite delta
+#   8. quicksand check --suite delta
 #                       — delta-vs-full propagation equivalence: byte-
 #                         identical update streams and final tables
 #                         across 5 seeds, delta states 0 vs 512, and
 #                         delta-backed F3L at jobs 1 vs 4;
-#   7. quicksand check --suite churn
+#   9. quicksand check --suite churn
 #                       — the trace-churn statistical harness across
 #                         5 seeds: distribution shape (mean/median/KS),
 #                         stream structure (monotonicity, D/U
 #                         alternation, accounting), byte-identity across
 #                         reruns and worker counts;
-#   8. quicksand serve --replay --verify-batch
+#  10. quicksand serve --replay --verify-batch
 #                       — the streaming service over a seeded churn-heavy
 #                         half day with injected hijacks: C1c alert set
 #                         must equal the batch detector's exactly and the
 #                         windowed cells must be bit-identical to
 #                         Measurement.run's (exit 1 on any divergence);
-#   9. quicksand sweep --matrix seeds-2x2
+#  11. quicksand sweep --matrix seeds-2x2
 #                       — the tiny 2x2 matrix (two seeds x two churn
 #                         models, quarter of a Small day) three times:
 #                         jobs=1, jobs=4, and a jobs=1 rerun. Every cell's
@@ -43,10 +52,10 @@
 #                         and the three results directories must be
 #                         byte-identical — fingerprints stable across
 #                         reruns, outputs independent of the worker count;
-#  10. quicksand sweep --matrix churn-trace-day
+#  12. quicksand sweep --matrix churn-trace-day
 #                       — the trace-shaped churn day, same three-way
 #                         byte-identity gate (jobs=1 vs jobs=4 vs rerun);
-#  11. dune build @qsbench/smoke
+#  13. dune build @qsbench/smoke
 #                       — every benchmark workload at smoke size, one
 #                         plain and one staged rep each, with every
 #                         result-digest and accounting check and every
@@ -66,6 +75,12 @@ dune exec bin/quicksand.exe -- lint --scale small --seed 1 --fail-on warning
 echo "== quicksand check --suite conform (Small, seed 1, half a day)"
 dune exec bin/quicksand.exe -- check --suite conform --scale small --seed 1 \
   --days 0.5
+
+echo "== quicksand check --suite fuzz (200 seeds)"
+dune exec bin/quicksand.exe -- check --suite fuzz
+
+echo "== quicksand check --suite diff (Small)"
+dune exec bin/quicksand.exe -- check --suite diff --scale small
 
 echo "== quicksand check --suite static (Small, 5 seeds)"
 dune exec bin/quicksand.exe -- check --suite static --scale small
