@@ -917,7 +917,7 @@ let serve_cmd =
            ~doc:"Batch size for event rendering and MRT decoding.")
   in
   let attacks =
-    Arg.(value & opt int 0 & info [ "attacks" ] ~docv:"N"
+    Arg.(value & opt (at_least 0) 0 & info [ "attacks" ] ~docv:"N"
            ~doc:"Inject $(docv) guard-prefix attack announcements into the \
                  replay (as the §5 monitoring experiment does).")
   in

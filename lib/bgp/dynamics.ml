@@ -1,20 +1,10 @@
 type config = {
   duration : float;
   base_churn_rate : float;
-  churn_alpha : float;
-  churn_xmin : float;
-  hosting_churn_factor : float;
-  max_rate_multiplier : float;
   mean_outage : float;
   global_link_events : int;
   mean_global_outage : float;
   resets_per_session : float;
-  reset_transfer_time : float;
-  convergence_transients : bool;
-  transient_prob : float;
-  mrai : float;
-  convergence_delay_max : float;
-  max_affected_per_event : int;
   pathological_prefixes : int;
   pathological_multiplier : float;
   delta_states : int;
@@ -26,24 +16,44 @@ let day = 86_400.
 let default_config =
   { duration = 30. *. day;
     base_churn_rate = 1.5;
-    churn_alpha = 1.5;
-    churn_xmin = 0.5;
-    hosting_churn_factor = 1.5;
-    max_rate_multiplier = 400.;
     mean_outage = 2800.;
     global_link_events = 12;
     mean_global_outage = 1800.;
     resets_per_session = 2.5;
-    reset_transfer_time = 45.;
-    convergence_transients = true;
-    transient_prob = 0.35;
-    mrai = 28.;
-    convergence_delay_max = 40.;
-    max_affected_per_event = 40;
     pathological_prefixes = 2;
     pathological_multiplier = 2600.;
     delta_states = 512;
     session_churn = None }
+
+(* Calibration constants, fixed for every run. *)
+
+(* Pareto shape and scale of per-prefix churn-rate multipliers: a heavy
+   tail, so a few prefixes flap far more than the median. *)
+let churn_alpha = 1.5
+let churn_xmin = 0.5
+
+(* Extra multiplier per unit of an origin's [hosting_weight]: datacenters
+   churn harder, the generative assumption behind Figure 3's gap. *)
+let hosting_churn_factor = 1.5
+
+(* Cap on the combined (Pareto x hosting) multiplier. *)
+let max_rate_multiplier = 400.
+
+(* Seconds a session-reset table replay takes. *)
+let reset_transfer_time = 45.
+
+(* Chance that a path change shows path-exploration transients first. *)
+let transient_prob = 0.35
+
+(* Spacing between a session's successive transients, s (BGP's MRAI). *)
+let mrai = 28.
+
+(* A changed path settles within [2 s, 2 s + this] of its event. *)
+let convergence_delay_max = 40.
+
+(* Bound on the customers, and on the prefixes, an origin-side event
+   recomputes. *)
+let max_affected_per_event = 40
 
 let short_config =
   { default_config with
@@ -89,7 +99,6 @@ let m_dropped = Metrics.counter ~help:"updates dropped past horizon" "dynamics.p
 
 type stats = {
   churn_events : int;
-  global_events : (Asn.t * Asn.t * float * float) list;
   resets_injected : (Update.session_id * float * float) list;
   updates_emitted : int;
   announces : int;
@@ -105,14 +114,13 @@ type stats = {
 }
 
 type perturbation =
-  | Restore_link of Asn.t * Asn.t
+  | Restore_links of (Asn.t * Asn.t) list
   | Set_prepend of int * int  (* prefix index, value to restore *)
 
 type event =
   | Churn of int                               (* prefix index *)
   | Revert of perturbation * int list          (* affected prefix indices *)
   | Global_fail
-  | Global_restore of (Asn.t * Asn.t) * int list
   | Reset of int                               (* session index *)
   | Trace_down of int                          (* trace-churn entity index *)
   | Trace_up of int
@@ -130,7 +138,6 @@ type state = {
   pfx_of_origin : int list Asn.Table.t;
   core_links : (Asn.t * Asn.t) array;
   mutable failed : Link_set.t;
-  workspace : Propagate.Workspace.t;
   delta_scratch : Propagate.Delta.scratch;
   peer_ids : int array;    (* session index -> peer's graph id *)
   vis_threshold : int array;
@@ -141,7 +148,7 @@ type state = {
          rebuilt lazily when the prepend moves *)
   seen_version : int array;
       (* prefix index -> {!Propagate.Delta.version} of the state
-         [current.(p)] was last derived from; -1 = unknown. When a
+         [current.(p)] was last derived from; -1 = never. When a
          recompute lands on the same version, no session view can have
          changed and the whole per-session scan is skipped. *)
   delta : (int, Propagate.Delta.state) Lru.t;
@@ -154,13 +161,11 @@ type state = {
   trace_entities : Asn.t array;
       (* trace-churn entity index -> origin AS; distinct origins sorted by
          [Asn.compare], empty unless [cfg.session_churn] is set *)
-  trace_links : (Asn.t * Asn.t) list array;
-      (* entity -> links its last Trace_down actually failed (links some
-         other process had already failed are excluded: their own restore
-         owns them) *)
-  trace_affected : int list array;
-      (* entity -> prefixes recomputed at its last Trace_down; its
-         Trace_up recomputes the same set *)
+  trace_revert : (perturbation * int list) option array;
+      (* entity -> what its pending Trace_up undoes: the links its last
+         Trace_down actually failed (links some other process had already
+         failed are excluded: their own restore owns them) and the
+         prefixes it recomputed *)
   events : event Pqueue.t;
   outq : Update.t Pqueue.t;
   emit : Update.t -> unit;
@@ -172,7 +177,6 @@ type state = {
   mutable n_delta_steps : int;
   mutable n_delta_stop : int;
   mutable n_dropped : int;
-  mutable globals : (Asn.t * Asn.t * float * float) list;
   mutable resets : (Update.session_id * float * float) list;
 }
 
@@ -207,20 +211,14 @@ let announcement st p =
       st.ann_cache.(p) <- anns;
       anns
 
-(* Compute the outcome for prefix [p] in the current (prepend, failed)
-   configuration, preferring the incremental engine: each {e origin}
-   keeps a {!Propagate.Delta.state} (bounded LRU of [cfg.delta_states])
-   whose update diffs the configuration against the last one it applied
-   and repairs only the dirty region — O(affected) instead of O(world),
-   and O(1) when the flapped link carries no selected route. Because
-   routing is prefix-agnostic, one state serves every prefix of an
-   origin: an event that touches dozens of co-originated prefixes pays
-   for one repair, and each further prefix is an O(1) metadata swap.
-   Full computes remain the cold-start / eviction fallback, written in
-   place into the state's arrays, and the delta-off / unsupported-shape
-   path through the reusable workspace. [n_full_recomp]
-   counts full propagation runs (wherever they happen), [n_delta_steps]
-   incremental repairs. *)
+(* Each {e origin} keeps a {!Propagate.Delta.state} (bounded LRU of
+   [cfg.delta_states]) whose update diffs the configuration against the
+   last one it applied and repairs only the dirty region — O(affected)
+   instead of O(world), and O(1) when the flapped link carries no
+   selected route. Because routing is prefix-agnostic, one state serves
+   every prefix of an origin: an event that touches dozens of
+   co-originated prefixes pays for one repair, and each further prefix is
+   an O(1) metadata swap. *)
 let delta_state_for st p =
   let o = st.origin_key.(p) in
   match Lru.find st.delta o with
@@ -232,35 +230,31 @@ let delta_state_for st p =
             evicted
         | None -> Propagate.Delta.create st.w.indexed)
 
-let compute_now st p anns =
-  if st.cfg.delta_states > 0 && Propagate.Delta.supported anns then begin
-    let ds = delta_state_for st p in
-    let outcome, kind =
-      Propagate.Delta.update ds st.delta_scratch ~failed:st.failed anns
-    in
-    (match kind with
-     | Propagate.Delta.Full_rebuild ->
-         st.n_full_recomp <- st.n_full_recomp + 1
-     | Propagate.Delta.Steps { frontier; stop_early; _ } ->
-         st.n_delta_steps <- st.n_delta_steps + 1;
-         st.n_delta_stop <- st.n_delta_stop + stop_early;
-         Metrics.observe m_delta_frontier (float_of_int frontier));
-    (outcome, Propagate.Delta.version ds)
-  end
-  else begin
-    st.n_full_recomp <- st.n_full_recomp + 1;
-    ( Propagate.compute st.w.indexed ~workspace:st.workspace ~failed:st.failed
-        anns,
-      -1 )
-  end
+(* The routing outcome for prefix [p] in the current (prepend, failed)
+   configuration, with the version of the state it came from. With
+   [delta_states <= 0] the state is reset first, so every request is a
+   full rebuild by {!Propagate.compute}'s engine: the reference arm of
+   [check --suite delta]. [n_full_recomp] counts full rebuilds (cold
+   starts, evictions, bails and that reference arm), [n_delta_steps]
+   incremental repairs.
 
-(* The routing outcome for prefix [p] in the current configuration.
-
-   Buffer-reuse contract: the outcome returned here aliases a workspace
-   or a delta state, either of which the next request may overwrite
-   (recompute, state eviction). It is valid until the next
-   [outcome_for]; every caller consumes it first. *)
-let outcome_for st p = compute_now st p (announcement st p)
+   Buffer-reuse contract: the outcome aliases a delta state, which the
+   next request may overwrite (repair, rebuild, eviction). It is valid
+   until the next [outcome_for]; every caller consumes it first. *)
+let outcome_for st p =
+  let ds = delta_state_for st p in
+  if st.cfg.delta_states <= 0 then Propagate.Delta.reset ds;
+  let outcome, kind =
+    Propagate.Delta.update ds st.delta_scratch ~failed:st.failed
+      (announcement st p)
+  in
+  (match kind with
+   | Propagate.Delta.Full_rebuild -> st.n_full_recomp <- st.n_full_recomp + 1
+   | Propagate.Delta.Steps { frontier; stop_early; _ } ->
+       st.n_delta_steps <- st.n_delta_steps + 1;
+       st.n_delta_stop <- st.n_delta_stop + stop_early;
+       Metrics.observe m_delta_frontier (float_of_int frontier));
+  (outcome, Propagate.Delta.version ds)
 
 (* Recompute routes for the given prefixes and emit the resulting session
    transitions (with optional convergence transients). *)
@@ -272,8 +266,7 @@ let recompute st now affected =
           derived from, the repair changed nothing any session can see:
           skip the per-session scan outright (no route is compared, no
           RNG is drawn — exactly what an all-unchanged scan would do). *)
-       if ver < 0 || st.seen_version.(p) <> ver then begin
-       let any_changed = ref false in
+       if st.seen_version.(p) <> ver then begin
        Array.iteri
          (fun s_idx (session : Collector.session) ->
             let peer_id = st.peer_ids.(s_idx) in
@@ -292,20 +285,17 @@ let recompute st now affected =
                   not (vis && Propagate.route_matches_id outcome peer_id r)
             in
             if changed then begin
-              any_changed := true;
               let next =
                 if vis then Propagate.route_at_id outcome peer_id else None
               in
-              let delay = 2. +. Rng.float st.rng st.cfg.convergence_delay_max in
+              let delay = 2. +. Rng.float st.rng convergence_delay_max in
               let id = session.Collector.id in
               (match next with
                | None -> schedule_update st (now +. delay) id (Update.Withdraw st.pfxs.(p))
                | Some route ->
                    let base = now +. delay in
                    let n_transients =
-                     if st.cfg.convergence_transients
-                        && Rng.float st.rng 1.0 < st.cfg.transient_prob
-                     then begin
+                     if Rng.float st.rng 1.0 < transient_prob then begin
                        (* Path exploration: the peer walks through alternate
                           candidates before settling on [route]. *)
                        let peer = id.Update.peer in
@@ -321,7 +311,7 @@ let recompute st now affected =
                          (fun i (c : Route.t) ->
                             let path = peer :: c.Route.as_path in
                             schedule_update st
-                              (base +. (float_of_int i *. st.cfg.mrai))
+                              (base +. (float_of_int i *. mrai))
                               id
                               (Update.Announce (Route.make st.pfxs.(p) path)))
                          transients;
@@ -330,17 +320,13 @@ let recompute st now affected =
                      else 0
                    in
                    schedule_update st
-                     (base +. (float_of_int n_transients *. st.cfg.mrai))
+                     (base +. (float_of_int n_transients *. mrai))
                      id (Update.Announce route));
               st.previous.(p).(s_idx) <- old;
               st.current.(p).(s_idx) <- next
             end)
          st.sessions;
-       if ver >= 0 then st.seen_version.(p) <- ver
-       else if !any_changed then
-         (* A versionless outcome (a full compute) moved
-            [current.(p)] away from whatever version last derived it. *)
-         st.seen_version.(p) <- -1
+       st.seen_version.(p) <- ver
        end)
     affected
 
@@ -349,22 +335,30 @@ let recompute st now affected =
 let prefixes_of_origin st o =
   Option.value ~default:[] (Asn.Table.find_opt st.pfx_of_origin o)
 
-let cap st l =
+let cap l =
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []
     | x :: tl -> x :: take (n - 1) tl
   in
-  take st.cfg.max_affected_per_event l
+  take max_affected_per_event l
 
-let dedup l = List.sort_uniq Int.compare l
+(* The prefixes an event at AS [x] can deflect: [x]'s own, its first
+   [max_affected_per_event] customers', and [also], capped. The sort in
+   [List.sort_uniq] makes only the set of inputs matter. *)
+let cone_affected ?(also = []) st x =
+  cap
+    (List.sort_uniq Int.compare
+       (also @ prefixes_of_origin st x
+        @ List.concat_map (prefixes_of_origin st)
+            (cap (As_graph.customers st.w.graph x))))
 
-let fail_link st now a b affected =
+let fail_link st now ~mean_outage a b affected =
   if Link_set.mem a b st.failed then ()
   else begin
     st.failed <- Link_set.add a b st.failed;
-    let d = Rng.exponential st.rng (1. /. st.cfg.mean_outage) in
-    Pqueue.push st.events (now +. d) (Revert (Restore_link (a, b), affected));
+    let d = Rng.exponential st.rng (1. /. mean_outage) in
+    Pqueue.push st.events (now +. d) (Revert (Restore_links [ (a, b) ], affected));
     recompute st now affected
   end
 
@@ -372,6 +366,7 @@ let handle_churn st now p =
   st.n_churn <- st.n_churn + 1;
   let o = st.origins.(p) in
   let g = st.w.graph in
+  let mean_outage = st.cfg.mean_outage in
   let roll = Rng.float st.rng 1.0 in
   if roll < 0.5 then begin
     (* Re-homing flap: one of the origin's uplinks goes down. *)
@@ -380,12 +375,7 @@ let handle_churn st now p =
     | [] -> ()
     | _ ->
         let up = Rng.pick_list st.rng uplinks in
-        let affected =
-          dedup
-            (prefixes_of_origin st o
-             @ List.concat_map (prefixes_of_origin st) (cap st (As_graph.customers g o)))
-        in
-        fail_link st now o up (cap st affected)
+        fail_link st now ~mean_outage o up (cone_affected st o)
   end
   else if roll < 0.8 then begin
     (* Upstream flap: a link one AS up from the origin flaps. *)
@@ -398,26 +388,21 @@ let handle_churn st now p =
          | [] -> ()
          | _ ->
              let x = Rng.pick_list st.rng candidates in
-             let affected =
-               dedup
-                 (prefixes_of_origin st o
-                  @ prefixes_of_origin st pr
-                  @ List.concat_map (prefixes_of_origin st)
-                      (cap st (As_graph.customers g pr)))
-             in
-             fail_link st now pr x (cap st affected))
+             fail_link st now ~mean_outage pr x
+               (cone_affected ~also:(prefixes_of_origin st o) st pr))
   end
   else begin
     (* Traffic-engineering prepend toggle. *)
     let old = st.prepend.(p) in
     st.prepend.(p) <- (if old = 0 then 2 else 0);
-    let d = Rng.exponential st.rng (1. /. st.cfg.mean_outage) in
+    let d = Rng.exponential st.rng (1. /. mean_outage) in
     Pqueue.push st.events (now +. d) (Revert (Set_prepend (p, old), [ p ]));
     recompute st now [ p ]
   end
 
 let apply_perturbation st = function
-  | Restore_link (a, b) -> st.failed <- Link_set.remove a b st.failed
+  | Restore_links links ->
+      List.iter (fun (a, b) -> st.failed <- Link_set.remove a b st.failed) links
   | Set_prepend (p, v) -> st.prepend.(p) <- v
 
 let handle_revert st now perturbation affected =
@@ -446,22 +431,11 @@ let prefixes_using_link st a b =
   !out
 
 let handle_global_fail st now =
-  if Array.length st.core_links = 0 then ()
-  else begin
+  if Array.length st.core_links > 0 then begin
     let a, b = Rng.pick st.rng st.core_links in
-    if not (Link_set.mem a b st.failed) then begin
-      let affected = prefixes_using_link st a b in
-      st.failed <- Link_set.add a b st.failed;
-      let d = Rng.exponential st.rng (1. /. st.cfg.mean_global_outage) in
-      Pqueue.push st.events (now +. d) (Global_restore ((a, b), affected));
-      st.globals <- (a, b, now, now +. d) :: st.globals;
-      recompute st now affected
-    end
+    fail_link st now ~mean_outage:st.cfg.mean_global_outage a b
+      (prefixes_using_link st a b)
   end
-
-let handle_global_restore st now (a, b) affected =
-  st.failed <- Link_set.remove a b st.failed;
-  recompute st now affected
 
 (* Trace-shaped session churn ([cfg.session_churn]): entity [e]'s origin
    AS drops off the network — every uplink it has goes down at once — and
@@ -480,43 +454,29 @@ let handle_trace_down st now e =
   in
   if uplinks <> [] then begin
     List.iter (fun up -> st.failed <- Link_set.add o up st.failed) uplinks;
-    let affected =
-      cap st
-        (dedup
-           (prefixes_of_origin st o
-            @ List.concat_map (prefixes_of_origin st)
-                (cap st (As_graph.customers g o))))
-    in
-    st.trace_links.(e) <- List.map (fun up -> (o, up)) uplinks;
-    st.trace_affected.(e) <- affected;
+    let affected = cone_affected st o in
+    st.trace_revert.(e) <-
+      Some (Restore_links (List.map (fun up -> (o, up)) uplinks), affected);
     recompute st now affected
   end
 
-let trace_restore st e =
-  List.iter
-    (fun (a, b) -> st.failed <- Link_set.remove a b st.failed)
-    st.trace_links.(e);
-  st.trace_links.(e) <- []
-
-let handle_trace_up st now e =
-  if st.trace_links.(e) <> [] then begin
-    let affected = st.trace_affected.(e) in
-    trace_restore st e;
-    st.trace_affected.(e) <- [];
-    recompute st now affected
-  end
+(* The revert entity [e]'s Up event owes, handed out once. *)
+let take_trace_revert st e =
+  let r = st.trace_revert.(e) in
+  st.trace_revert.(e) <- None;
+  r
 
 let handle_reset st now s_idx =
   let session = st.sessions.(s_idx) in
   let id = session.Collector.id in
-  let finish = now +. st.cfg.reset_transfer_time in
+  let finish = now +. reset_transfer_time in
   st.resets <- (id, now, finish) :: st.resets;
   Array.iteri
     (fun p per_session ->
        match per_session.(s_idx) with
        | None -> ()
        | Some route ->
-           let at = now +. Rng.float st.rng st.cfg.reset_transfer_time in
+           let at = now +. Rng.float st.rng reset_transfer_time in
            (* A slice of the table is replayed through a stale path first:
               the peer itself is still converging during the transfer. *)
            (match st.previous.(p).(s_idx) with
@@ -557,10 +517,10 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       (fun o ->
          let hosting = (As_graph.info w.graph o).As_graph.hosting_weight in
          let m =
-           Rng.pareto rng ~alpha:cfg.churn_alpha ~xmin:cfg.churn_xmin
-           *. (1. +. (cfg.hosting_churn_factor *. hosting))
+           Rng.pareto rng ~alpha:churn_alpha ~xmin:churn_xmin
+           *. (1. +. (hosting_churn_factor *. hosting))
          in
-         Float.min m cfg.max_rate_multiplier)
+         Float.min m max_rate_multiplier)
       origins
   in
   (* A couple of pathological super-flappers among hosting-AS prefixes —
@@ -603,7 +563,6 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       previous = Array.make_matrix n_pfx (Array.length sessions) None;
       pfx_of_origin; core_links;
       failed = Link_set.empty;
-      workspace = Propagate.Workspace.create ();
       delta_scratch = Propagate.Delta.create_scratch ();
       peer_ids =
         Array.map
@@ -624,15 +583,14 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       seen_version = Array.make n_pfx (-1);
       delta = Lru.create ~capacity:(max 1 cfg.delta_states);
       trace_entities;
-      trace_links = Array.make (Array.length trace_entities) [];
-      trace_affected = Array.make (Array.length trace_entities) [];
+      trace_revert = Array.make (Array.length trace_entities) None;
       events = Pqueue.create ();
       outq = Pqueue.create ();
       emit;
       n_churn = 0; n_updates = 0; n_ann = 0; n_wd = 0;
       n_full_recomp = 0; n_delta_steps = 0; n_delta_stop = 0;
       n_dropped = 0;
-      globals = []; resets = [] }
+      resets = [] }
   in
   (* Time 0: full routing computation, no emissions. *)
   for p = 0 to n_pfx - 1 do
@@ -724,10 +682,13 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
            | Churn p -> handle_churn st now p
            | Revert (perturbation, affected) -> handle_revert st now perturbation affected
            | Global_fail -> handle_global_fail st now
-           | Global_restore (link, affected) -> handle_global_restore st now link affected
            | Reset s_idx -> handle_reset st now s_idx
            | Trace_down e -> handle_trace_down st now e
-           | Trace_up e -> handle_trace_up st now e);
+           | Trace_up e ->
+               Option.iter
+                 (fun (perturbation, affected) ->
+                    handle_revert st now perturbation affected)
+                 (take_trace_revert st e));
           loop ()
         end
         else begin
@@ -737,9 +698,10 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
              [prepend] at its configured values. *)
           (match ev with
            | Revert (perturbation, _) -> apply_perturbation st perturbation
-           | Global_restore ((a, b), _) ->
-               st.failed <- Link_set.remove a b st.failed
-           | Trace_up e -> trace_restore st e
+           | Trace_up e ->
+               Option.iter
+                 (fun (perturbation, _) -> apply_perturbation st perturbation)
+                 (take_trace_revert st e)
            | Churn _ | Global_fail | Reset _ | Trace_down _ -> ());
           loop ()
         end
@@ -760,7 +722,6 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
   Metrics.add m_dropped st.n_dropped;
   ( !initial,
     { churn_events = st.n_churn;
-      global_events = List.rev st.globals;
       resets_injected = List.rev st.resets;
       updates_emitted = st.n_updates;
       announces = st.n_ann;

@@ -27,31 +27,19 @@ type config = {
   duration : float;              (** simulated seconds (default: 30 days) *)
   base_churn_rate : float;       (** mean churn events per background prefix
                                      per [duration] *)
-  churn_alpha : float;           (** Pareto shape of per-prefix rate
-                                     multipliers (heavy tail) *)
-  churn_xmin : float;            (** Pareto scale of the multipliers *)
-  hosting_churn_factor : float;  (** extra multiplier per unit of
-                                     [hosting_weight] *)
-  max_rate_multiplier : float;   (** cap on the combined multiplier *)
   mean_outage : float;           (** mean duration of a perturbation, s *)
   global_link_events : int;      (** number of core-link failures *)
   mean_global_outage : float;
   resets_per_session : float;    (** expected session resets per session *)
-  reset_transfer_time : float;   (** seconds a table replay takes *)
-  convergence_transients : bool; (** emit path-exploration transients *)
-  transient_prob : float;        (** chance a change shows transients *)
-  mrai : float;                  (** spacing between transients, s *)
-  convergence_delay_max : float; (** final path settles within this, s *)
-  max_affected_per_event : int;  (** bound on prefixes recomputed per event *)
   pathological_prefixes : int;   (** super-flappers among hosting prefixes
                                      (the paper's 2000x-median anecdote) *)
   pathological_multiplier : float;
   delta_states : int;            (** LRU capacity of per-origin
                                      {!Propagate.Delta} states (an
                                      evicted state's arrays are recycled
-                                     for the next origin); [<= 0]
-                                     disables the incremental engine and
-                                     every compute runs full. The stream is
+                                     for the next origin); [<= 0] means
+                                     every request rebuilds from scratch
+                                     with the full engine. The stream is
                                      byte-identical either way — delta
                                      repair reaches the same unique fixed
                                      point, it just does O(affected) work
@@ -68,6 +56,12 @@ type config = {
           default) keeps the stream byte-identical to before the field
           existed. *)
 }
+(** The knobs callers vary. [base_churn_rate], [global_link_events],
+    [resets_per_session] and [pathological_prefixes] are counts per run,
+    not per day. The per-prefix rate law (Pareto multipliers, hosting
+    factor and cap), the reset replay time, convergence transients (MRAI
+    spacing, settle delay) and the per-event recompute bound are fixed
+    calibration constants of the implementation. *)
 
 val default_config : config
 (** A 30-day month matching the paper's measurement scale. *)
@@ -90,8 +84,6 @@ type initial = Route.t Prefix.Map.t Update.Session_map.t
 
 type stats = {
   churn_events : int;
-  global_events : (Asn.t * Asn.t * float * float) list;
-      (** core link, down-time, up-time *)
   resets_injected : (Update.session_id * float * float) list;
       (** ground truth for evaluating {!Session_reset} detection *)
   updates_emitted : int;
@@ -99,9 +91,9 @@ type stats = {
   withdraws : int;
   full_recomputations : int;
       (** full propagation runs: delta cold starts / evictions /
-          unsupported shapes, plus every compute when the delta engine is
-          off. Delta steps are deliberately {e not} counted here — AB
-          tables comparing engines would otherwise lie.
+          bails, plus every request when [delta_states <= 0]. Delta
+          steps are deliberately {e not} counted here — AB tables
+          comparing engines would otherwise lie.
           [full_recomputations + delta_steps] = outcome requests *)
   delta_steps : int;
       (** outcome requests served by incremental {!Propagate.Delta}

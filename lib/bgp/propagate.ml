@@ -600,8 +600,6 @@ module Delta = struct
     && a.Announcement.export_to = None
     && a.Announcement.max_radius = None
 
-  let supported = function [ a ] -> supported_ann a | _ -> false
-
   let reset st =
     st.ann <- None;
     st.infos <- [||];

@@ -253,8 +253,4 @@ module Delta : sig
       where most events leave most origins' states untouched. Stamps are
       globally unique across states: an evicted-and-recreated state
       never repeats a number a caller remembers. *)
-
-  val supported : Announcement.t list -> bool
-  (** Whether this announcement shape is delta-eligible (informational:
-      {!update} falls back by itself). *)
 end

@@ -5,6 +5,16 @@
     number confined to the ["timing"] object and the ["buckets"] array of
     a histogram so a masking diff can erase exactly those. *)
 
+val json_escape : string -> string
+(** RFC 8259 string escaping, without the surrounding quotes: the
+    double quote, the backslash, newline, carriage return and tab get
+    their two-character escapes, other control characters [\u00XX];
+    every other byte passes through. The one escaper behind every JSON
+    document the tools write. *)
+
+val json_string : Format.formatter -> string -> unit
+(** [json_escape] in double quotes. *)
+
 val metrics_json : Format.formatter -> Metrics.sample list -> unit
 (** Render a snapshot as a [qs-obs/1] JSON document:
     {v

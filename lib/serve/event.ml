@@ -32,22 +32,7 @@ let label = function
   | Alert _ -> "alert"
   | Violation _ -> "violation"
 
-(* Minimal RFC 8259 string escaping — same policy as Diag.report_json. *)
-let esc s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let esc = Export.json_escape
 
 let num f = Printf.sprintf "%.6f" f
 

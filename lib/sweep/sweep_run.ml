@@ -2,23 +2,7 @@
    artifacts must be a pure function of its vars, so no timing, no worker
    count, no hashtable order ever reaches a buffer here. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
+let jstr s = "\"" ^ Export.json_escape s ^ "\""
 
 (* Integers print bare, everything else round-trips; non-finite values
    (F3L's max ratio is +inf on a quiet session) become [null] — JSON has

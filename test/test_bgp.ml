@@ -400,8 +400,6 @@ let test_delta_unsupported_falls_back () =
   let scoped =
     { origin4 with Announcement.export_to = Some (Asn.Set.of_list [ asn 2 ]) }
   in
-  check_bool "scoped announcement is not delta-eligible" false
-    (Propagate.Delta.supported [ scoped ]);
   let o, k = Propagate.Delta.update st scratch [ scoped ] in
   check_bool "falls back to a full rebuild" true (k = Propagate.Delta.Full_rebuild);
   (* The origin only announces to 2, so 3 must hear it the long way round. *)
@@ -959,15 +957,21 @@ let test_dynamics_horizon_clamp () =
     (stats.Dynamics.post_horizon_dropped > 0)
 
 (* Revert events scheduled past the horizon must still restore the
-   failed-link state to baseline (without emitting anything). *)
+   failed-link state to baseline (without emitting anything). The second
+   config turns trace churn on, whose Up events restore an origin's
+   uplinks through the same revert path. *)
 let test_dynamics_reverts_past_horizon () =
   List.iter
-    (fun seed ->
-       let rng, world = small_world seed in
-       let _, stats = Dynamics.run ~rng tiny_config world ~emit:(fun _ -> ()) in
-       check_bool "all failures reverted by the end" true
-         (Link_set.is_empty stats.Dynamics.final_failed))
-    [ 5; 9; 23 ]
+    (fun config ->
+       List.iter
+         (fun seed ->
+            let rng, world = small_world seed in
+            let _, stats = Dynamics.run ~rng config world ~emit:(fun _ -> ()) in
+            check_bool "all failures reverted by the end" true
+              (Link_set.is_empty stats.Dynamics.final_failed))
+         [ 5; 9; 23 ])
+    [ tiny_config;
+      { tiny_config with Dynamics.session_churn = Some Churn.pareto_day } ]
 
 let dynamics_stream config world rng =
   let buf = Buffer.create (1 lsl 16) in
@@ -1065,7 +1069,8 @@ let prop_lru_matches_tick_scan =
 
 (* Buffer reuse is invisible: with one delta state, every request for a
    new origin evicts and recycles the arrays of the previous one; with
-   delta states off nothing is retained; the defaults retain hundreds.
+   delta states off that one state is reset before every request, so each
+   rebuilds from scratch; the defaults retain hundreds.
    The rendered stream must be the same bytes in all three. *)
 let prop_dynamics_buffer_reuse_identical =
   QCheck.Test.make ~name:"recycled route buffers leave the stream identical"

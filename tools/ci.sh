@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # The CI entry point: everything a green checkmark promises, runnable
-# verbatim on a developer's shell. Kept in lockstep with
-# .github/workflows/ci.yml, which just calls this script.
+# verbatim on a developer's shell. .github/workflows/ci.yml only calls it.
 #
 #   1. dune build       — the whole tree, warnings-as-errors;
 #   2. dune runtest     — unit/property/golden suites, the CLI exit-code
