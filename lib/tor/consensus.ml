@@ -14,8 +14,8 @@ let weights pool =
   w
 
 (* One backwards pass over the roster conses both pools in roster order:
-   every living-consensus epoch pays for this, and each extra pass
-   re-reads every relay record. *)
+   every consensus pays for this once, a living-consensus epoch when it is
+   first asked for, and each extra pass re-reads every relay record. *)
 let make ~valid_after relays =
   let guards = ref [] and exits = ref [] in
   for i = Array.length relays - 1 downto 0 do

@@ -22,7 +22,10 @@ type t = private {
     pools are derived from [relays] once, when the consensus is built,
     and every draw reads them instead of re-filtering the roster. They
     are eager rather than lazy because a consensus is read by pool tasks
-    on several domains. The arrays are shared, never copied on read — do
+    on several domains. What is on demand is the consensus itself: a
+    living consensus ({!Consensus_dynamics}) stores its epochs as diffs
+    and builds an epoch's consensus, pools included, only when a caller
+    first asks for it. The arrays are shared, never copied on read — do
     not mutate them. *)
 
 val make : valid_after:float -> Relay.t array -> t

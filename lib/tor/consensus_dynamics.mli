@@ -21,7 +21,9 @@
     simulated day instead of reading the frozen snapshot.
 
     Deterministic: one serial pass from a single caller-provided rng
-    (normally [Scenario.rng_for _ "consensus-epochs"]). *)
+    (normally [Scenario.rng_for _ "consensus-epochs"]) draws every epoch
+    up front; building an epoch's consensus later draws nothing, so the
+    order in which epochs are asked for never changes them. *)
 
 type params = {
   epoch_seconds : float;      (** epoch length (default: one hour) *)
@@ -41,7 +43,7 @@ val heavy_params : params
     [consensus=live-heavy] sweep model. *)
 
 val check_params : params -> unit
-(** @raise Invalid_argument on out-of-range fields. *)
+(** @raise Invalid_argument on out-of-range or non-finite fields. *)
 
 type epoch = {
   consensus : Consensus.t;   (** the full roster at this epoch *)
@@ -49,10 +51,13 @@ type epoch = {
   departed : Relay.t list;   (** departures since the previous epoch *)
 }
 
-type t = {
-  params : params;
-  epochs : epoch array;
-}
+type t
+(** Each epoch is stored as a diff over one shared roster of every relay
+    ever listed: its arrivals, its departures and its roster's
+    bandwidths. An epoch's {!Consensus.t} (with its sampling pools) is
+    built on the first {!at} or {!at_time} that asks for it and memoised;
+    pool tasks on several domains may ask for the same epoch at once, and
+    every caller gets one shared value, equal to a serial build. *)
 
 val generate :
   rng:Rng.t -> ?params:params -> gen:Consensus.gen_params -> n_epochs:int ->
@@ -66,12 +71,14 @@ val generate :
 val n_epochs : t -> int
 
 val at : t -> int -> epoch
-(** @raise Invalid_argument if the index is out of range. *)
+(** Epoch [i], built on the first call for [i] and shared afterwards.
+    @raise Invalid_argument if the index is out of range. *)
 
 val epoch_of_time : t -> float -> int
 (** The epoch index covering time [t] seconds (clamped to the generated
     range: negative times map to 0, times past the end to the last
-    epoch). *)
+    epoch).
+    @raise Invalid_argument if [t] is NaN. *)
 
 val at_time : t -> float -> Consensus.t
 (** [at (epoch_of_time t time)]'s consensus. *)
@@ -79,5 +86,6 @@ val at_time : t -> float -> Consensus.t
 val to_string : t -> string
 (** Canonical per-epoch rendering — a header line per epoch
     ([epoch i valid-after .. relays .. joined .. departed ..]) followed
-    by [+]/[-] relay lines for arrivals/departures. The byte-stability
-    witness of the golden test. *)
+    by [+]/[-] relay lines for arrivals/departures (a departure carries
+    its bandwidth at departure). Reads only the stored diffs and builds no
+    epoch. The byte-stability witness of the golden test. *)

@@ -499,6 +499,50 @@ let prop_long_term_jobs_identical =
        in
        String.equal (table 1) (table 4))
 
+(* M2 under a living consensus: the pool tasks build the epochs they
+   consult. jobs=4 runs first, on a fresh consensus, so several domains
+   ask for the same unbuilt epochs; a jobs=1 run on another fresh
+   consensus and a jobs=1 rerun on the first one must print the same. *)
+let test_long_term_living_jobs_identical () =
+  let s = Lazy.force scenario in
+  let config = { Long_term.default_config with Long_term.horizon_days = 30 } in
+  let run jobs living =
+    Pool.with_pool ~jobs (fun exec ->
+        render Long_term.print
+          [ Long_term.run ~rng:(Rng.of_int 17) ~config ~living ~exec s ])
+  in
+  let fresh () = Long_term.living_consensus ~horizon_days:30 s in
+  let shared = fresh () in
+  let j4 = run 4 shared in
+  Alcotest.(check string) "living M2 at jobs=4 = jobs=1" (run 1 (fresh ())) j4;
+  Alcotest.(check string) "and = a jobs=1 rerun" (run 1 shared) j4
+
+(* Four workers ask for the same unbuilt epochs at once: every task gets
+   one shared consensus per epoch, rendering as a serial build does. *)
+let test_living_epochs_built_across_domains () =
+  let s = Lazy.force scenario in
+  let cd = Long_term.living_consensus ~horizon_days:5 s in
+  let serial = Long_term.living_consensus ~horizon_days:5 s in
+  let epochs = [| 0; 17; 63; 119 |] in
+  let got =
+    Pool.with_pool ~jobs:4 (fun exec ->
+        Pool.map ~chunk:1 exec
+          (fun k ->
+             Consensus_dynamics.at_time cd
+               (float_of_int epochs.(k mod 4) *. 3600.))
+          (Array.init 64 Fun.id))
+  in
+  Array.iteri
+    (fun k c ->
+       let i = epochs.(k mod 4) in
+       check_bool (Printf.sprintf "task %d: one shared epoch %d" k i) true
+         (c == Consensus_dynamics.at_time cd (float_of_int i *. 3600.));
+       Alcotest.(check string) (Printf.sprintf "task %d: epoch %d = serial" k i)
+         (Consensus.to_string
+            (Consensus_dynamics.at serial i).Consensus_dynamics.consensus)
+         (Consensus.to_string c))
+    got
+
 let prop_as_exposure_jobs_identical =
   QCheck.Test.make ~name:"F3R byte-identical at jobs=1 and jobs=4" ~count:5
     QCheck.(int_range 1 30)
@@ -722,7 +766,11 @@ let () =
          Alcotest.test_case "fingerprint jobs identity" `Quick
            test_fingerprint_jobs_identical;
          Alcotest.test_case "fingerprint params identity" `Quick
-           test_fingerprint_params_identity ]
+           test_fingerprint_params_identity;
+         Alcotest.test_case "living M2 jobs identity" `Quick
+           test_long_term_living_jobs_identical;
+         Alcotest.test_case "living epochs built across domains" `Quick
+           test_living_epochs_built_across_domains ]
        @ qsuite
            [ prop_compromise_jobs_identical; prop_long_term_jobs_identical;
              prop_as_exposure_jobs_identical ]) ]

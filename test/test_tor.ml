@@ -94,12 +94,14 @@ let test_consensus_deterministic () =
 
 (* ---- Sampling pools --------------------------------------------------- *)
 
-let paper_consensus =
+let paper_world =
   lazy
     (let rng = Rng.of_int 1 in
      let g = Topo_gen.generate ~rng:(Rng.split rng) Topo_gen.default_params in
      let addressing = Addressing.allocate ~rng:(Rng.split rng) g in
-     Consensus.generate ~rng:(Rng.split rng) g addressing)
+     (g, addressing, Consensus.generate ~rng:(Rng.split rng) g addressing))
+
+let paper_consensus = lazy (let _, _, c = Lazy.force paper_world in c)
 
 (* The filters the pools replace, recomputed from the roster. *)
 let filtered keep (c : Consensus.t) =
@@ -377,6 +379,19 @@ let test_consensus_dynamics_golden () =
   Alcotest.(check string) "24-epoch rendering digest"
     "4cacffc178f4f278cbc736be6317058c" digest
 
+(* The golden above renders only headers and the joined/departed lines;
+   this one pins every epoch's whole roster, survivors' drifted
+   bandwidths included. *)
+let test_consensus_dynamics_epochs_golden () =
+  let _, cd = dynamics_for 7 ~n_epochs:24 in
+  let rosters =
+    List.init 24 (fun i ->
+        Consensus.to_string (Consensus_dynamics.at cd i).Consensus_dynamics.consensus)
+  in
+  Alcotest.(check string) "24-epoch roster digest"
+    "e3e73a9192fbff09797824cd802bc730"
+    (Digest.to_hex (Digest.string (String.concat "" rosters)))
+
 let test_consensus_dynamics_time_index () =
   let _, cd = dynamics_for 7 ~n_epochs:4 in
   check_int "negative clamps to 0" 0 (Consensus_dynamics.epoch_of_time cd (-5.));
@@ -386,6 +401,183 @@ let test_consensus_dynamics_time_index () =
   Alcotest.check_raises "out of range"
     (Invalid_argument "Consensus_dynamics.at: epoch out of range")
     (fun () -> ignore (Consensus_dynamics.at cd 4))
+
+(* A NaN time has no epoch, and times past the int range still clamp to
+   the last one. *)
+let test_consensus_dynamics_non_finite_time () =
+  let _, cd = dynamics_for 7 ~n_epochs:4 in
+  Alcotest.check_raises "NaN time"
+    (Invalid_argument "Consensus_dynamics.epoch_of_time: NaN time")
+    (fun () -> ignore (Consensus_dynamics.epoch_of_time cd Float.nan));
+  check_int "infinity clamps" 3
+    (Consensus_dynamics.epoch_of_time cd Float.infinity);
+  check_int "past int range clamps" 3
+    (Consensus_dynamics.epoch_of_time cd 1e300)
+
+(* Every comparison in [check_params] is false on NaN: each field must be
+   checked for finiteness first, under its usual message. *)
+let test_consensus_dynamics_non_finite_params () =
+  let p = Consensus_dynamics.default_params in
+  let rejects what msg p =
+    Alcotest.check_raises what (Invalid_argument ("Consensus_dynamics: " ^ msg))
+      (fun () -> Consensus_dynamics.check_params p)
+  in
+  rejects "epoch_seconds nan" "epoch_seconds <= 0"
+    { p with Consensus_dynamics.epoch_seconds = Float.nan };
+  rejects "epoch_seconds inf" "epoch_seconds <= 0"
+    { p with Consensus_dynamics.epoch_seconds = Float.infinity };
+  rejects "arrival_rate nan" "arrival_rate < 0"
+    { p with Consensus_dynamics.arrival_rate = Float.nan };
+  rejects "departure_hazard nan" "departure_hazard outside [0, 1)"
+    { p with Consensus_dynamics.departure_hazard = Float.nan };
+  rejects "bw_drift_sigma inf" "bw_drift_sigma < 0"
+    { p with Consensus_dynamics.bw_drift_sigma = Float.infinity };
+  rejects "guard_fraction nan" "guard_fraction outside [0, 1]"
+    { p with Consensus_dynamics.guard_fraction = Float.nan };
+  rejects "exit_fraction nan" "exit_fraction outside [0, 1]"
+    { p with Consensus_dynamics.exit_fraction = Float.nan };
+  Consensus_dynamics.check_params p;
+  Consensus_dynamics.check_params Consensus_dynamics.heavy_params
+
+(* The list-based generator the diff-over-a-shared-roster one replaced:
+   every epoch rebuilds the whole roster (partition, drift map, append)
+   and its consensus eagerly. Kept verbatim, draw for draw, as the
+   reference the stored diffs must reproduce. *)
+let reference_epochs ~rng ~(params : Consensus_dynamics.params) ~gen ~n_epochs
+    g addressing (base : Consensus.t) =
+  let poisson lambda =
+    if lambda <= 0. then 0
+    else begin
+      let l = exp (-.lambda) in
+      let rec go k p =
+        let p = p *. Rng.float rng 1.0 in
+        if p <= l then k else go (k + 1) p
+      in
+      go 0 1.0
+    end
+  in
+  let arrival_flags () =
+    let guard = Rng.float rng 1.0 < params.Consensus_dynamics.guard_fraction in
+    let exit = Rng.float rng 1.0 < params.Consensus_dynamics.exit_fraction in
+    match (guard, exit) with
+    | true, true -> [ Relay.Guard; Relay.Exit; Relay.Fast; Relay.Stable ]
+    | true, false -> [ Relay.Guard; Relay.Fast; Relay.Stable ]
+    | false, true -> [ Relay.Exit; Relay.Fast ]
+    | false, false -> [ Relay.Fast ]
+  in
+  let sites = Consensus.candidate_sites ~rng ~params:gen g addressing in
+  let used_ips = Hashtbl.create (Consensus.n_relays base * 2) in
+  Array.iter
+    (fun (r : Relay.t) -> Hashtbl.replace used_ips (Ipv4.to_int r.Relay.ip) ())
+    base.Consensus.relays;
+  let fresh_ip asn =
+    let rec try_ip attempts =
+      let ip = Addressing.address_in ~rng addressing asn in
+      if Hashtbl.mem used_ips (Ipv4.to_int ip) && attempts < 50 then
+        try_ip (attempts + 1)
+      else ip
+    in
+    let ip = try_ip 0 in
+    Hashtbl.replace used_ips (Ipv4.to_int ip) ();
+    ip
+  in
+  let next_nick = ref (Consensus.n_relays base) in
+  let new_relay () =
+    let asn = Consensus.pick_site ~rng sites in
+    let ip = fresh_ip asn in
+    let bandwidth = Consensus.sample_bandwidth ~rng gen in
+    let flags = arrival_flags () in
+    let nickname = Printf.sprintf "relay%04d" !next_nick in
+    incr next_nick;
+    Relay.make ~nickname ~ip ~asn ~bandwidth ~flags
+  in
+  let current = ref (Array.to_list base.Consensus.relays) in
+  Array.init n_epochs (fun i ->
+      if i = 0 then
+        { Consensus_dynamics.consensus =
+            Consensus.make ~valid_after:0. base.Consensus.relays;
+          joined = [];
+          departed = [] }
+      else begin
+        let stay, departed =
+          List.partition
+            (fun _ -> Rng.float rng 1.0 >= params.Consensus_dynamics.departure_hazard)
+            !current
+        in
+        let stay =
+          List.map
+            (fun (r : Relay.t) ->
+               let f =
+                 exp (Rng.normal rng ~mu:0. ~sigma:params.Consensus_dynamics.bw_drift_sigma)
+               in
+               { r with
+                 Relay.bandwidth =
+                   max 1 (int_of_float (float_of_int r.Relay.bandwidth *. f)) })
+            stay
+        in
+        let joined =
+          List.init (poisson params.Consensus_dynamics.arrival_rate) (fun _ -> new_relay ())
+        in
+        current := stay @ joined;
+        { Consensus_dynamics.consensus =
+            Consensus.make
+              ~valid_after:(float_of_int i *. params.Consensus_dynamics.epoch_seconds)
+              (Array.of_list !current);
+          joined;
+          departed }
+      end)
+
+(* Every epoch, asked for out of order (last, then 0, then the middle),
+   equals the reference's: roster rendering, valid-after, pools and their
+   weights, arrivals and departures. *)
+let test_consensus_dynamics_matches_reference () =
+  let small seed =
+    let _, g, addressing, base = setup seed in
+    (Printf.sprintf "small seed %d" seed, g, addressing, base,
+     Consensus.small_params, 120)
+  in
+  let paper =
+    let g, addressing, base = Lazy.force paper_world in
+    ("paper seed 1", g, addressing, base, Consensus.paper_params, 48)
+  in
+  List.iter
+    (fun (world, g, addressing, base, gen, n_epochs) ->
+       List.iter
+         (fun (pname, params) ->
+            let what = Printf.sprintf "%s, %s params" world pname in
+            let cd =
+              Consensus_dynamics.generate ~rng:(Rng.of_int 31) ~params ~gen
+                ~n_epochs g addressing base
+            in
+            let expected =
+              reference_epochs ~rng:(Rng.of_int 31) ~params ~gen ~n_epochs
+                g addressing base
+            in
+            check_int (what ^ ": epochs") n_epochs (Consensus_dynamics.n_epochs cd);
+            List.iter
+              (fun i ->
+                 let what = Printf.sprintf "%s, epoch %d" what i in
+                 let e = Consensus_dynamics.at cd i and r = expected.(i) in
+                 let c = e.Consensus_dynamics.consensus
+                 and rc = r.Consensus_dynamics.consensus in
+                 Alcotest.(check string) (what ^ ": roster")
+                   (Consensus.to_string rc) (Consensus.to_string c);
+                 check_bool (what ^ ": valid-after") true
+                   (c.Consensus.valid_after = rc.Consensus.valid_after);
+                 check_bool (what ^ ": guard pool") true
+                   (c.Consensus.guard_pool = rc.Consensus.guard_pool
+                    && c.Consensus.guard_weights = rc.Consensus.guard_weights);
+                 check_bool (what ^ ": exit pool") true
+                   (c.Consensus.exit_pool = rc.Consensus.exit_pool
+                    && c.Consensus.exit_weights = rc.Consensus.exit_weights);
+                 check_bool (what ^ ": joined") true
+                   (e.Consensus_dynamics.joined = r.Consensus_dynamics.joined);
+                 check_bool (what ^ ": departed") true
+                   (e.Consensus_dynamics.departed = r.Consensus_dynamics.departed))
+              ((n_epochs - 1) :: List.init (n_epochs - 1) Fun.id))
+         [ ("default", Consensus_dynamics.default_params);
+           ("heavy", Consensus_dynamics.heavy_params) ])
+    [ small 1; small 2; small 3; paper ]
 
 let prop_circuits_always_valid =
   QCheck.Test.make ~name:"circuits never violate diversity" ~count:30
@@ -447,8 +639,16 @@ let () =
       ("consensus_dynamics",
        [ Alcotest.test_case "24-epoch golden digest" `Quick
            test_consensus_dynamics_golden;
+         Alcotest.test_case "24-epoch roster digest" `Quick
+           test_consensus_dynamics_epochs_golden;
+         Alcotest.test_case "epochs = list-based reference" `Quick
+           test_consensus_dynamics_matches_reference;
          Alcotest.test_case "time indexing" `Quick
-           test_consensus_dynamics_time_index ]
+           test_consensus_dynamics_time_index;
+         Alcotest.test_case "non-finite time rejected" `Quick
+           test_consensus_dynamics_non_finite_time;
+         Alcotest.test_case "non-finite params rejected" `Quick
+           test_consensus_dynamics_non_finite_params ]
        @ qsuite
            [ prop_epoch_conservation; prop_refresh_guards_against_epochs ]);
       ("path_selection",

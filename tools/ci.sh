@@ -54,7 +54,14 @@
 #  12. quicksand sweep --matrix churn-trace-day
 #                       — the trace-shaped churn day, same three-way
 #                         byte-identity gate (jobs=1 vs jobs=4 vs rerun);
-#  13. dune build @qsbench/smoke
+#  13. quicksand long-term --consensus live-hourly
+#                       — M2 under a living consensus (Small, seed 1, 30
+#                         days) at jobs=1, jobs=4 and a jobs=1 rerun: the
+#                         one CLI path where pool tasks on several domains
+#                         build and share one consensus' epochs. The three
+#                         outputs, with the `exec pool:` timing block
+#                         stripped, must be byte-identical;
+#  14. dune build @qsbench/smoke
 #                       — every benchmark workload at smoke size, one
 #                         plain and one staged rep each, with every
 #                         result-digest and accounting check and every
@@ -122,6 +129,19 @@ dune exec bin/quicksand.exe -- sweep --matrix churn-trace-day --jobs 1 \
   --out "$sweep_tmp/trace-j1-rerun"
 diff -r "$sweep_tmp/trace-j1" "$sweep_tmp/trace-j4"
 diff -r "$sweep_tmp/trace-j1" "$sweep_tmp/trace-j1-rerun"
+
+echo "== quicksand long-term --consensus live-hourly (jobs 1 vs 4 vs rerun)"
+long_term() {
+  dune exec bin/quicksand.exe -- long-term --scale small --seed 1 \
+    --horizon 30 --consensus live-hourly --jobs "$1" > "$sweep_tmp/long-term.raw"
+  sed '/^exec pool:/,$d' "$sweep_tmp/long-term.raw" > "$sweep_tmp/long-term-$2.txt"
+}
+long_term 1 j1
+long_term 4 j4
+long_term 1 j1-rerun
+grep -q "never rotated, living" "$sweep_tmp/long-term-j1.txt"
+diff "$sweep_tmp/long-term-j1.txt" "$sweep_tmp/long-term-j4.txt"
+diff "$sweep_tmp/long-term-j1.txt" "$sweep_tmp/long-term-j1-rerun.txt"
 
 echo "== dune build @qsbench/smoke (every benchmark workload, smoke size)"
 dune build @qsbench/smoke
