@@ -1,7 +1,7 @@
 (* The benchmark/reproduction harness: regenerates every table and figure
    of "Anonymity on QuickSand: Using BGP to Compromise Tor" (HotNets-XIII),
-   prints paper-vs-measured rows, runs the ablations called out in
-   DESIGN.md, and finishes with Bechamel microbenchmarks of each
+   prints paper-vs-measured rows, runs the ablations that no other command
+   runs (DESIGN.md §5), and finishes with Bechamel microbenchmarks of each
    experiment's kernel.
 
    Usage:  main.exe [--scale paper|small] [--seed N] [--only T1,F3L,...]
@@ -37,6 +37,32 @@ let section id title f =
 
 let fmt = Format.std_formatter
 
+(* The one kernel runner: Bechamel's OLS estimate of the time per run of
+   each test, in nanoseconds, sorted by name. *)
+let estimates ?(quota = 0.5) ?(limit = 300) tests =
+  let open Bechamel in
+  let clock = Toolkit.Instance.monotonic_clock in
+  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:None () in
+  let ols =
+    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
+  in
+  Analyze.all ols clock (Benchmark.all cfg [ clock ] tests)
+  |> Hashtbl.to_seq |> List.of_seq
+  |> List.map (fun (name, o) ->
+      match Analyze.OLS.estimates o with
+      | Some (t :: _) -> (name, Some t)
+      | Some [] | None -> (name, None))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let print_estimates rows =
+  List.iter
+    (fun (name, est) ->
+       Format.printf "  %-40s %s@." name
+         (match est with
+          | Some t -> Printf.sprintf "%12.1f ns/run" t
+          | None -> "(no estimate)"))
+    rows
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -56,51 +82,45 @@ let () =
   let dynamics =
     if !scale = "small" then Dynamics.short_config else Dynamics.default_config
   in
-  (* One full measurement month feeds T1, F3L and F3R. *)
-  let measurement = ref None in
-  let get_measurement () =
-    match !measurement with
-    | Some m -> m
-    | None ->
-        Format.printf "(running the measurement month...)@.";
-        let m = Measurement.run ~dynamics scenario in
-        Format.printf
-          "(month done: %d churn events, %d updates emitted, %d reset bursts filtered)@."
-          m.Measurement.dyn_stats.Dynamics.churn_events
-          m.Measurement.dyn_stats.Dynamics.updates_emitted
-          (match m.Measurement.filter_stats with
-           | Some fs -> List.length fs.Session_reset.bursts
-           | None -> 0);
-        Format.printf "%a@." Measurement.pp_dynamics_summary m;
-        measurement := Some m;
-        m
+  (* One full measurement month feeds T1, F3L, F3R, X3, M1 and the
+     AB-threshold/AB-guards ablations. *)
+  let measurement =
+    lazy
+      (Format.printf "(running the measurement month...)@.";
+       let m = Measurement.run ~dynamics scenario in
+       Format.printf
+         "(month done: %d churn events, %d updates emitted, %d reset bursts filtered)@."
+         m.Measurement.dyn_stats.Dynamics.churn_events
+         m.Measurement.dyn_stats.Dynamics.updates_emitted
+         (match m.Measurement.filter_stats with
+          | Some fs -> List.length fs.Session_reset.bursts
+          | None -> 0);
+       Format.printf "%a@." Measurement.pp_dynamics_summary m;
+       m)
   in
 
   section "T1" "dataset summary (§4 Methodology)" (fun () ->
-      Dataset.print fmt (Dataset.compute (get_measurement ())));
+      Dataset.print fmt (Dataset.compute (Lazy.force measurement)));
 
   section "F2L" "Figure 2 left — relay concentration across ASes" (fun () ->
       Concentration.print fmt (Concentration.compute scenario));
 
   section "F3L" "Figure 3 left — path changes of Tor prefixes" (fun () ->
-      Path_changes.print fmt (Path_changes.compute (get_measurement ())));
+      Path_changes.print fmt (Path_changes.compute (Lazy.force measurement)));
 
   section "F3R" "Figure 3 right — extra ASes seeing Tor traffic" (fun () ->
-      As_exposure.print fmt (As_exposure.compute (get_measurement ())));
+      As_exposure.print fmt (As_exposure.compute (Lazy.force measurement)));
 
   section "M1" "§3.1 analytic compromise model" (fun () ->
       let rng = Scenario.rng_for scenario "compromise" in
       let m1 = Compromise.compute ~rng () in
       Compromise.print fmt m1;
       (* plug the measured month into the model *)
-      (match !measurement with
-       | Some m ->
-           let exposure = As_exposure.compute m in
-           let static, dynamic = Compromise.exposure_based ~f:0.05 ~l:3 exposure in
-           Format.printf
-             "  with f=0.05, l=3 guards: P[compromise] %.3f on static paths -> %.3f with measured dynamics@."
-             static dynamic
-       | None -> ()));
+      let exposure = As_exposure.compute (Lazy.force measurement) in
+      let static, dynamic = Compromise.exposure_based ~f:0.05 ~l:3 exposure in
+      Format.printf
+        "  with f=0.05, l=3 guards: P[compromise] %.3f on static paths -> %.3f with measured dynamics@."
+        static dynamic);
 
   section "F2R" "Figure 2 right — asymmetric traffic analysis" (fun () ->
       let rng = Scenario.rng_for scenario "asymmetric" in
@@ -151,7 +171,7 @@ let () =
       Route_asymmetry.print fmt (Route_asymmetry.compute ~rng scenario));
 
   section "X3" "the convergence side channel (§3.1)" (fun () ->
-      Convergence_leak.print fmt (Convergence_leak.compute (get_measurement ())));
+      Convergence_leak.print fmt (Convergence_leak.compute (Lazy.force measurement)));
 
   section "GI" "guard inference (the §3.2 precursor)" (fun () ->
       let rng = Scenario.rng_for scenario "guard-inference" in
@@ -202,7 +222,7 @@ let () =
         (tor_changes with_filter) (tor_changes without));
 
   section "AB-threshold" "ablation — the 5-minute exposure rule" (fun () ->
-      let m = get_measurement () in
+      let m = Lazy.force measurement in
       List.iter
         (fun minutes ->
            let e = As_exposure.compute ~threshold:(minutes *. 60.) m in
@@ -235,16 +255,11 @@ let () =
         [ 0.; 0.001; 0.005; 0.02 ]);
 
   section "AB-guards" "ablation — guard-set size l" (fun () ->
-      let exposure = Option.map (fun m -> As_exposure.compute m) !measurement in
+      let exposure = As_exposure.compute (Lazy.force measurement) in
       List.iter
         (fun l ->
-           match exposure with
-           | Some e ->
-               let _, dynamic = Compromise.exposure_based ~f:0.05 ~l e in
-               Format.printf "  l = %d guards: mean P[compromise] = %.3f@." l dynamic
-           | None ->
-               Format.printf "  l = %d guards: P = %.3f (x = 6 assumed)@." l
-                 (Anonymity.multi_guard_probability ~f:0.05 ~x:6 ~l))
+           let _, dynamic = Compromise.exposure_based ~f:0.05 ~l exposure in
+           Format.printf "  l = %d guards: mean P[compromise] = %.3f@." l dynamic)
         [ 1; 3; 9 ]);
 
   section "AB-radius" "ablation — stealth-attack scope vs detectability" (fun () ->
@@ -266,134 +281,10 @@ let () =
             (Community_attack.sweep_radius scenario.Scenario.indexed ~victim
                ~attacker ~monitors [ 1; 2; 3; 5; 8 ]));
 
-  section "AB-delta" "ablation — incremental delta repair vs full recompute"
-    (fun () ->
-       (* Declared as the `ab-delta` sweep registry entry — same two
-          arms, results-directory form. A churn-heavy day: every outcome
-          request either full-computes or delta-repairs, so the clock
-          compares the two propagation engines directly. *)
-       let cfg =
-         { Dynamics.short_config with
-           Dynamics.duration = 1. *. 86_400.;
-           base_churn_rate = 2.0;
-           mean_outage = 5.;
-           mean_global_outage = 5. }
-       in
-       let timed delta_states =
-         let rng = Scenario.rng_for scenario "ab-delta" in
-         let start = Clock.now () in
-         let _, stats =
-           Dynamics.run ~rng
-             { cfg with Dynamics.delta_states }
-             scenario.Scenario.world ~emit:ignore
-         in
-         (Clock.now () -. start, stats)
-       in
-       let capture delta_states =
-         let buf = Buffer.create (1 lsl 20) in
-         let ppf = Format.formatter_of_buffer buf in
-         let _ =
-           Dynamics.run ~rng:(Scenario.rng_for scenario "ab-delta")
-             { cfg with Dynamics.delta_states }
-             scenario.Scenario.world
-             ~emit:(fun u -> Format.fprintf ppf "%a@." Update.pp u)
-         in
-         Format.pp_print_flush ppf ();
-         Buffer.contents buf
-       in
-       (* Enough retained states for every origin at either scale: states
-          are keyed per origin, and an LRU smaller than the origin count
-          thrashes — every eviction turns the next repair into a full
-          rebuild, which is the ablation's off arm. *)
-       let states = 4096 in
-       let t_off, s_off = timed 0 in
-       let t_on, s_on = timed states in
-       Format.printf "  delta off: %.2f s, %d full recomputations@." t_off
-         s_off.Dynamics.full_recomputations;
-       Format.printf
-         "  delta on:  %.2f s, %d full recomputations, %d delta steps (%d stop-early links)@."
-         t_on s_on.Dynamics.full_recomputations s_on.Dynamics.delta_steps
-         s_on.Dynamics.delta_stop_early;
-       Format.printf "  speedup: %.2fx; streams byte-identical: %b@."
-         (t_off /. Float.max t_on 1e-9)
-         (String.equal (capture 0) (capture states)));
-
-  section "AB-jobs" "ablation — executor pool, jobs=1 vs jobs=N (M1 Monte-Carlo)"
-    (fun () ->
-       (* Per-item seeding means the rendered table must be byte-identical
-          at every worker count; only the wall clock may move. On a 1-CPU
-          container [Domain.recommended_domain_count () = 1], so the
-          honest speedup here is ~1x — the ablation still proves the
-          determinism contract and prints the scheduling overhead. *)
-       let jobs_n = max 2 (Domain.recommended_domain_count ()) in
-       let trials = if !scale = "small" then 20_000 else 60_000 in
-       let run jobs =
-         Pool.with_pool ~jobs (fun exec ->
-             let rng = Scenario.rng_for scenario "ab-jobs" in
-             let start = Clock.now () in
-             let m1 = Compromise.compute ~rng ~exec ~trials () in
-             let dt = Clock.now () -. start in
-             let buf = Buffer.create 4096 in
-             let ppf = Format.formatter_of_buffer buf in
-             Compromise.print ppf m1;
-             Format.pp_print_flush ppf ();
-             (dt, Buffer.contents buf, Pool.stats exec))
-       in
-       let t1, out1, st1 = run 1 in
-       let tn, outn, stn = run jobs_n in
-       Format.printf "  jobs=1: %.2f s  (%a)@." t1 Pool.pp_stats st1;
-       Format.printf "  jobs=%d: %.2f s  (%a)@." jobs_n tn Pool.pp_stats stn;
-       Format.printf
-         "  speedup: %.2fx on %d recommended domain(s); tables byte-identical: %b@."
-         (t1 /. Float.max tn 1e-9)
-         (Domain.recommended_domain_count ())
-         (String.equal out1 outn));
-
-  section "AB-obs" "ablation — Qs_obs instrumentation on vs off (F3L dynamics kernel)"
-    (fun () ->
-       (* Declared as the `ab-obs` sweep registry entry, whose test pins
-          the correctness half (identical measured numbers both arms);
-          this bench arm keeps the cost half. *)
-       (* Every hot-path counter bump in Dynamics/Session_reset/Pool
-          goes through the registry; this proves the cost is in the
-          noise. Runs alternate on/off so drift hits both arms equally,
-          and each arm keeps its best-of — the stable estimate of kernel
-          time under timer jitter. *)
-       let cfg =
-         { Dynamics.short_config with
-           Dynamics.duration = 1. *. 86_400.;
-           base_churn_rate = 2.0;
-           mean_outage = 5.;
-           mean_global_outage = 5. }
-       in
-       let timed enabled =
-         Metrics.set_enabled enabled;
-         let rng = Scenario.rng_for scenario "ab-obs" in
-         let start = Clock.now () in
-         let _ = Dynamics.run ~rng cfg scenario.Scenario.world ~emit:ignore in
-         Metrics.set_enabled true;
-         Clock.now () -. start
-       in
-       ignore (timed true);                   (* warm-up *)
-       let rounds = 5 in
-       let offs = ref [] and ons = ref [] in
-       for _ = 1 to rounds do
-         offs := timed false :: !offs;
-         ons := timed true :: !ons
-       done;
-       let best l = List.fold_left Float.min infinity l in
-       let t_off = best !offs in
-       let t_on = best !ons in
-       let overhead = 100. *. ((t_on /. Float.max t_off 1e-9) -. 1.) in
-       Format.printf "  instrumentation off: %.3f s (best of %d)@." t_off rounds;
-       Format.printf "  instrumentation on:  %.3f s (best of %d)@." t_on rounds;
-       Format.printf "  overhead: %+.2f%% (acceptance: < 2%%)@." overhead);
-
   (* ---------------- Bechamel microbenchmarks ------------------------ *)
   if !micro && want "micro" then begin
     Format.printf "@.=== micro: Bechamel kernels (one per experiment) ===@.";
     let open Bechamel in
-    let open Toolkit in
     (* small fixtures shared by the kernels *)
     let rng = Rng.of_int 7 in
     let small = Scenario.build ~seed:7 Scenario.Small in
@@ -528,22 +419,7 @@ let () =
                    serve_feed;
                  List.iter apply (Ingest.flush i))) ]
     in
-    let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None () in
-    let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-    let ols =
-      Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-    List.iter
-      (fun (name, o) ->
-         let est =
-           match Analyze.OLS.estimates o with
-           | Some (t :: _) -> Printf.sprintf "%12.1f ns/run" t
-           | Some [] | None -> "(no estimate)"
-         in
-         Format.printf "  %-40s %s@." name est)
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
+    print_estimates (estimates tests);
 
     (* The valley-free closure is the substrate of every Qs_static bound,
        and the one kernel already expected to work at CAIDA scale — so it
@@ -581,9 +457,10 @@ let () =
       |> Array.of_list
     in
     let next_link = ref 0 in
+    let closure_name = Printf.sprintf "reach-closure-%d-ases" n_main in
     let closure_tests =
       Test.make_grouped ~name:"quicksand"
-        [ Test.make ~name:(Printf.sprintf "reach-closure-%d-ases" n_main)
+        [ Test.make ~name:closure_name
             (Staged.stage (fun () ->
                  (* rotate the source so the kernel is not measured on one
                     lucky BFS shape *)
@@ -605,24 +482,13 @@ let () =
                  ignore
                    (Propagate.Delta.update delta_st delta_scratch delta_ann))) ]
     in
-    let raw = Benchmark.all cfg Instance.[ monotonic_clock ] closure_tests in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    let estimate name =
-      match Hashtbl.find_opt results ("quicksand/" ^ name) with
-      | Some o ->
-          (match Analyze.OLS.estimates o with
-           | Some (t :: _) -> Some t
-           | Some [] | None -> None)
-      | None -> None
-    in
-    (match estimate (Printf.sprintf "reach-closure-%d-ases" n_main) with
-     | Some t ->
-         Format.printf "  %-40s %12.1f ns/run@."
-           (Printf.sprintf "reach-closure-%d-ases" n_main) t;
+    let rows = estimates closure_tests in
+    print_estimates rows;
+    (match List.assoc_opt ("quicksand/" ^ closure_name) rows with
+     | Some (Some t) ->
          (* O(V+E) model: scale both nodes and links by 47k/V (links/AS
             ratio held at the measured value). *)
-         let scale = 47_000. /. float_of_int n_main in
-         let t47 = t *. scale in
+         let t47 = t *. 47_000. /. float_of_int n_main in
          Format.printf
            "  extrapolated to 47k ASes (%d links/AS held): %.1f ms per \
             closure, %.1f s for an all-AS closure cache@."
@@ -630,18 +496,17 @@ let () =
               (Float.round (2. *. float_of_int m_main /. float_of_int n_main)))
            (t47 /. 1e6)
            (t47 *. 47_000. /. 1e9)
-     | None -> Format.printf "  (no estimate for the closure kernel)@.");
-    (match estimate (Printf.sprintf "delta-step-flap-%d-ases" n_main) with
-     | Some t ->
-         Format.printf "  %-40s %12.1f ns/run@."
-           (Printf.sprintf "delta-step-flap-%d-ases" n_main) t
-     | None -> Format.printf "  (no estimate for the delta-step kernel)@.");
+     | Some None | None -> ());
 
-    (* The month-dynamics kernel runs a whole simulation (~0.1–0.5 s),
-       so it gets its own, longer quota — the 0.5 s above would fit a
-       single run. The AB-delta ablation above carries the
-       full-recompute comparison. *)
-    Format.printf "@.=== micro: month-dynamics kernel, delta repair ===@.";
+    (* The month-dynamics kernels each run a whole simulated day
+       (~0.2–0.5 s), so they get their own, longer quota — the default
+       0.5 s would fit a single run. The three rows time the same day
+       three ways: with delta repair, with every request a full rebuild
+       (delta_states = 0; the `ab-delta` sweep entry holds the
+       byte-identity half), and with delta repair but the metrics
+       registry switched off (the `ab-obs` entry; acceptance: the
+       registry costs < 2%). *)
+    Format.printf "@.=== micro: month-dynamics kernel, delta vs full vs obs-off ===@.";
     let dyn_cfg =
       { Dynamics.short_config with
         Dynamics.duration = 1. *. 86_400.;
@@ -650,26 +515,23 @@ let () =
         mean_global_outage = 5.;
         delta_states = 4096 }
     in
+    let dyn_day cfg () =
+      Dynamics.run ~rng:(Rng.of_int 11) cfg small.Scenario.world ~emit:ignore
+    in
     let dyn_tests =
       Test.make_grouped ~name:"quicksand"
-        [ Test.make ~name:"F3L-dynamics-delta"
+        [ Test.make ~name:"F3L-dynamics-delta" (Staged.stage (dyn_day dyn_cfg));
+          Test.make ~name:"F3L-dynamics-full"
+            (Staged.stage
+               (dyn_day { dyn_cfg with Dynamics.delta_states = 0 }));
+          Test.make ~name:"F3L-dynamics-delta-obs-off"
             (Staged.stage (fun () ->
-                 Dynamics.run ~rng:(Rng.of_int 11) dyn_cfg
-                   small.Scenario.world ~emit:ignore)) ]
+                 Metrics.set_enabled false;
+                 Fun.protect
+                   ~finally:(fun () -> Metrics.set_enabled true)
+                   (dyn_day dyn_cfg))) ]
     in
-    let dyn_cfg_bench =
-      Benchmark.cfg ~limit:50 ~quota:(Time.second 5.) ~kde:None ()
-    in
-    let raw = Benchmark.all dyn_cfg_bench Instance.[ monotonic_clock ] dyn_tests in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    (match
-       Option.bind (Hashtbl.find_opt results "quicksand/F3L-dynamics-delta")
-         Analyze.OLS.estimates
-     with
-     | Some (d :: _) ->
-         Format.printf "  %-40s %12.1f ns/run@." "F3L-dynamics-delta" d
-     | Some [] | None ->
-         Format.printf "  (no estimate for the delta dynamics kernel)@.");
+    print_estimates (estimates ~quota:5. ~limit:50 dyn_tests);
 
     (* Scheduling overhead of Pool.map on tiny tasks: mapping 8192 trivial
        items stresses chunk bookkeeping, not the work itself. chunk=1 is
@@ -697,18 +559,7 @@ let () =
                    [ 1; 64; 512 ])
               [ ("jobs1", pool1); ("jobs2", pool2) ])
     in
-    let raw = Benchmark.all cfg Instance.[ monotonic_clock ] pool_tests in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-    List.iter
-      (fun (name, o) ->
-         let est =
-           match Analyze.OLS.estimates o with
-           | Some (t :: _) -> Printf.sprintf "%12.1f ns/run" t
-           | Some [] | None -> "(no estimate)"
-         in
-         Format.printf "  %-40s %s@." name est)
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
+    print_estimates (estimates pool_tests);
     Pool.shutdown pool1;
     Pool.shutdown pool2
   end;

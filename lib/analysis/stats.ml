@@ -11,8 +11,6 @@ let variance xs =
   let sq = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs in
   sq /. float_of_int (List.length xs)
 
-let stddev xs = sqrt (variance xs)
-
 let percentile xs p =
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
   let arr = Array.of_list (check xs) in

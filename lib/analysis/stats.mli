@@ -5,8 +5,6 @@ val mean : float list -> float
 val variance : float list -> float
 (** Population variance. *)
 
-val stddev : float list -> float
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0, 100\]]; linear interpolation
     between order statistics. @raise Invalid_argument if [p] is out of

@@ -541,15 +541,7 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
         cfg.pathological_multiplier *. (0.75 +. Rng.float rng 0.5)
     done
   end;
-  let core_links =
-    As_graph.links w.graph
-    |> List.filter (fun (a, b, _) ->
-        let tier x = (As_graph.info w.graph x).As_graph.tier in
-        (match tier a with As_graph.Tier1 | As_graph.Transit -> true | As_graph.Stub -> false)
-        && (match tier b with As_graph.Tier1 | As_graph.Transit -> true | As_graph.Stub -> false))
-    |> List.map (fun (a, b, _) -> (a, b))
-    |> Array.of_list
-  in
+  let core_links = As_graph.core_links w.graph in
   let trace_entities =
     match cfg.session_churn with
     | None -> [||]

@@ -406,11 +406,6 @@ let route_matches_id t i (r : Route.t) =
   in
   walk i r.Route.as_path
 
-let route_matches t a r =
-  match id_opt t a with
-  | Some i -> route_matches_id t i r
-  | None -> false
-
 let forwarding_path t a =
   match id_opt t a with
   | Some i when t.cls.(i) >= 0 ->

@@ -91,23 +91,20 @@ val next_hop : t -> Asn.t -> Asn.t option
 (** The neighbor [a] forwards traffic to for this prefix; [None] if [a] has
     no route or is itself an origin. *)
 
-val route_matches : t -> Asn.t -> Route.t -> bool
-(** [route_matches t a r] is [route_at t a = Some r] without building the
-    route: an allocation-free walk of the stored next-hop chain against
-    [r]'s path. This is the dynamics simulator's per-session unchanged
-    check — the overwhelmingly common case after an event. *)
-
 (** Id-keyed variants for per-event hot loops: [i] is the AS's index in
     the {e same} [As_graph.Indexed.t] the outcome was computed over
     ([As_graph.Indexed.id_of_asn], cacheable across outcomes). They skip
     the per-call ASN-to-id table lookup, which dominates a loop that
     probes thousands of (prefix, session) pairs per event. *)
 
-val route_class_at_id :
-  t -> int -> [ `Origin | `Customer | `Peer | `Provider ] option
-
 val route_at_id : t -> int -> Route.t option
+
 val route_matches_id : t -> int -> Route.t -> bool
+(** [route_matches_id t i r] is [route_at_id t i = Some r] without
+    building the route: an allocation-free walk of the stored next-hop
+    chain against [r]'s path. This is the dynamics simulator's
+    per-session unchanged check — the overwhelmingly common case after
+    an event. *)
 
 val class_code_at_id : t -> int -> int
 (** The raw decision-class code at an id: 3 origin, 2 customer, 1 peer,
@@ -115,7 +112,7 @@ val class_code_at_id : t -> int -> int
     visibility (a feed that shows peer routes shows everything
     customer-learned and above), so "visible on this feed" is a single
     [>=] against a per-feed threshold — the allocation-free form of
-    {!route_class_at_id} + [Collector.visible] for tight loops. *)
+    {!route_class_at} + [Collector.visible] for tight loops. *)
 
 val forwarding_path : t -> Asn.t -> Asn.t list option
 (** [forwarding_path t a] is the data-plane AS sequence from [a] to

@@ -82,10 +82,6 @@ let lognormal_day =
   { up_law = Log_normal { mu = log 7200.; sigma = 1.2 };
     down_law = Log_normal { mu = log 300.; sigma = 0.8 } }
 
-let config_to_string c =
-  Printf.sprintf "up=%s down=%s" (law_to_string c.up_law)
-    (law_to_string c.down_law)
-
 type action = Up | Down
 
 let action_to_string = function Up -> "U" | Down -> "D"

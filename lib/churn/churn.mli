@@ -61,8 +61,6 @@ val lognormal_day : config
 (** Log-normal sessions (median 2 h) and outages (median 5 min). The
     [churn=trace-lognormal] sweep model. *)
 
-val config_to_string : config -> string
-
 type action = Up | Down
 
 val action_to_string : action -> string

@@ -21,15 +21,6 @@ let segment_ases indexed ?failed ~from_as ann =
   | Some walk -> Asn.Set.of_list walk
   | None -> Asn.Set.empty
 
-let core_links (scenario : Scenario.t) =
-  As_graph.links scenario.Scenario.graph
-  |> List.filter (fun (a, b, _) ->
-      let tier x = (As_graph.info scenario.Scenario.graph x).As_graph.tier in
-      (match tier a with As_graph.Tier1 | As_graph.Transit -> true | As_graph.Stub -> false)
-      && (match tier b with As_graph.Tier1 | As_graph.Transit -> true | As_graph.Stub -> false))
-  |> List.map (fun (a, b, _) -> (a, b))
-  |> Array.of_list
-
 (* Entry-segment exposure of a candidate guard: ASes on the client->guard
    walk in the healthy state plus under each failure variant — the
    "path dynamics taken into account" knowledge of §5. *)
@@ -43,7 +34,7 @@ let entry_exposure indexed ~variants ~client ann =
 let selection ~rng ?(n_trials = 30) ?(f = 0.05) ?(candidates = 12)
     ?(failure_variants = 3) (scenario : Scenario.t) =
   let indexed = scenario.Scenario.indexed in
-  let links = core_links scenario in
+  let links = As_graph.core_links scenario.Scenario.graph in
   let results = Hashtbl.create 4 in
   (* per policy: (#trials with a common AS, sum of entry ASes, sum of
      P[some common AS is malicious], #trials) *)

@@ -39,15 +39,7 @@ type routing_pool = {
 }
 
 let make_pool ~rng (scenario : Scenario.t) ~failure_variants =
-  let links =
-    As_graph.links scenario.Scenario.graph
-    |> List.filter (fun (a, b, _) ->
-        let tier x = (As_graph.info scenario.Scenario.graph x).As_graph.tier in
-        (match tier a with As_graph.Stub -> false | _ -> true)
-        && (match tier b with As_graph.Stub -> false | _ -> true))
-    |> List.map (fun (a, b, _) -> (a, b))
-    |> Array.of_list
-  in
+  let links = As_graph.core_links scenario.Scenario.graph in
   let variants =
     Array.init (failure_variants + 1) (fun i ->
         if i = 0 || Array.length links = 0 then Link_set.empty

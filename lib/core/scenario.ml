@@ -11,7 +11,6 @@ type t = {
   tor_prefixes : Tor_prefix.t;
   client_ases : Asn.t array;
   world : Dynamics.world;
-  workspace : Propagate.Workspace.t;
 }
 
 (* Stub ASes that host no relay and originate a prefix, in id order —
@@ -64,8 +63,7 @@ let build ~seed size =
   let indexed = world.Dynamics.indexed in
   { seed; size; graph; indexed; addressing; collectors; consensus;
     tor_prefixes; client_ases = client_candidates indexed addressing consensus;
-    world;
-    workspace = Propagate.Workspace.create () }
+    world }
 
 let sessions t = Collector.all_sessions t.collectors
 
@@ -165,13 +163,12 @@ let rng_for t name =
    checks all pairs derive distinct seeds (and any new generator's name
    belongs in this list). Sorted, duplicates would be a bug. *)
 let stream_names =
-  [ "ab-delta"; "ab-jobs"; "ab-loss"; "ab-obs"; "ab-radius"; "asymmetric";
-    "asymmetry"; "check-static"; "compromise"; "consensus-epochs";
-    "guard-inference"; "guard-monitoring"; "hijack"; "hijack-detect";
-    "interception"; "interception-path"; "long-term"; "measurement";
-    "monitoring"; "mrt-dump"; "mrt-roundtrip"; "quickstart"; "reset-truth";
-    "rov"; "selection"; "serve"; "stealth"; "surface"; "sweep-m2";
-    "trace-churn"; "wikileaks" ]
+  [ "ab-loss"; "ab-radius"; "asymmetric"; "asymmetry"; "check-static";
+    "compromise"; "consensus-epochs"; "guard-inference"; "guard-monitoring";
+    "hijack"; "hijack-detect"; "interception"; "interception-path";
+    "long-term"; "measurement"; "monitoring"; "mrt-dump"; "mrt-roundtrip";
+    "quickstart"; "reset-truth"; "rov"; "selection"; "serve"; "stealth";
+    "surface"; "sweep-m2"; "trace-churn"; "wikileaks" ]
 
 let guard_announcement t relay =
   match Tor_prefix.prefix_of_relay t.tor_prefixes relay with

@@ -25,10 +25,6 @@ type t = {
           would leave it stale, so tools/check_mli.sh rejects one outside
           scenario.ml. Shared, never copied — do not mutate it. *)
   world : Dynamics.world;
-  workspace : Propagate.Workspace.t;
-      (** shared scratch for one-off {!Propagate.compute} calls over this
-          scenario's graph (lint sweeps, ad-hoc probes). Single-threaded:
-          each outcome is valid only until the next compute through it. *)
 }
 
 val build : seed:int -> size -> t

@@ -5,12 +5,6 @@ let severity_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let severity_of_string = function
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let severity_rank = function Info -> 0 | Warn -> 1 | Error -> 2
 
 let compare_severity a b = Int.compare (severity_rank a) (severity_rank b)

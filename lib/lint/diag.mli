@@ -11,10 +11,6 @@
 type severity = Info | Warn | Error
 
 val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
-
-val compare_severity : severity -> severity -> int
-(** Orders [Info < Warn < Error]. *)
 
 type rule = {
   code : string;      (** stable identifier, e.g. ["QS001"] *)
@@ -27,13 +23,10 @@ type rule = {
           [quicksand lint --explain CODE] *)
 }
 
-val rule_id : rule -> string
-(** ["QS001-valley-violation"] — the fully-qualified form. Rules can be
-    selected by code, slug, or this combined id. *)
-
 val matches_rule : rule -> string -> bool
-(** Whether a user-supplied selector (code, slug or combined id,
-    case-insensitive) designates this rule. *)
+(** Whether a user-supplied selector designates this rule: its code, its
+    slug, or the combined id (["QS001-valley-violation"]),
+    case-insensitive. *)
 
 type t = {
   rule : rule;
@@ -50,7 +43,6 @@ val msgf :
 
 val count : severity -> t list -> int
 val errors : t list -> int
-val warnings : t list -> int
 
 val pp : Format.formatter -> t -> unit
 (** One-line text rendering:

@@ -5,9 +5,6 @@ let mask32 = 0xFFFFFFFF
 let of_int_trunc i = i land mask32
 let to_int a = a
 
-let of_int32 i = Int32.to_int i land mask32
-let to_int32 a = Int32.of_int a
-
 let of_octets a b c d =
   let check o =
     if o < 0 || o > 255 then invalid_arg "Ipv4.of_octets: octet out of range"
@@ -42,7 +39,6 @@ let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 let compare = Int.compare
 let equal = Int.equal
-let hash a = a
 
 let bit a i =
   if i < 0 || i > 31 then invalid_arg "Ipv4.bit: index out of range";

@@ -4,12 +4,7 @@
 
 type t = private int
 (** An IPv4 address. The private type prevents out-of-range values; build
-    with {!of_int32}, {!of_octets}, {!of_string} or {!of_int_trunc}. *)
-
-val of_int32 : int32 -> t
-(** [of_int32 i] reinterprets the 32 bits of [i] as an address. *)
-
-val to_int32 : t -> int32
+    with {!of_octets}, {!of_string} or {!of_int_trunc}. *)
 
 val of_int_trunc : int -> t
 (** [of_int_trunc i] keeps the low 32 bits of [i]. Total. *)
@@ -34,7 +29,6 @@ val pp : Format.formatter -> t -> unit
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val bit : t -> int -> bool
 (** [bit a i] is the [i]-th most significant bit of [a], [i] in [\[0, 32)].

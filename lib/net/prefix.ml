@@ -35,7 +35,12 @@ let compare p q =
   | c -> c
 
 let equal p q = compare p q = 0
-let hash p = (Ipv4.hash p.net * 37) + p.len
+(* [net] is a multiple of 256 for every prefix of /24 or shorter, so the
+   key is packed into 38 bits, multiplied by an odd constant and folded
+   high bits onto low: [Hashtbl] picks buckets by the low bits. *)
+let hash p =
+  let h = ((Ipv4.to_int p.net lsl 6) lor p.len) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
 
 let mem addr p = Ipv4.to_int addr land mask_of_len p.len = Ipv4.to_int p.net
 

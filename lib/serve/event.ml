@@ -77,19 +77,3 @@ let to_json = function
       Printf.sprintf
         "{\"event\":\"violation\",\"invariant\":\"%s\",\"message\":\"%s\"}"
         (esc invariant) (esc message)
-
-let pp ppf = function
-  | Path_change { key; time; total; in_window } ->
-      Format.fprintf ppf "%.0f path-change %a %a (total %d, window %d)" time
-        Update.pp_session key.Measurement.session Prefix.pp
-        key.Measurement.prefix total in_window
-  | Extra_as { key; time; asn; run } ->
-      Format.fprintf ppf "%.0f extra-AS %a on %a %a (run %.0f s)" time Asn.pp
-        asn Update.pp_session key.Measurement.session Prefix.pp
-        key.Measurement.prefix run
-  | Evicted { key; time; _ } ->
-      Format.fprintf ppf "%.0f evicted %a %a" time Update.pp_session
-        key.Measurement.session Prefix.pp key.Measurement.prefix
-  | Alert a -> Format.fprintf ppf "alert %a" Alert.pp a
-  | Violation { invariant; message } ->
-      Format.fprintf ppf "violation [%s] %s" invariant message

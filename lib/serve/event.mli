@@ -42,6 +42,3 @@ val label : t -> string
 val to_json : t -> string
 (** One JSON object, no trailing newline. Pure; safe to render on pool
     workers. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-liner. *)

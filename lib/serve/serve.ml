@@ -109,7 +109,7 @@ type t = {
   registry : Alert.registry;
   conformance : Conformance.t;
   evidence : Update.t list Prefix.Table.t;
-  mutable sinks : Sink.t list;
+  sinks : Sink.t list;
   mutable pending : Event.t list;   (* newest first *)
   mutable n_pending : int;
   mutable alerts_log : Alert.t list; (* newest first *)
@@ -145,8 +145,6 @@ let create ?(config = Config.default) ?(duration = infinity)
            Option.value ~default:[] (Prefix.Table.find_opt t.evidence p))
        ());
   t
-
-let subscribe t sink = t.sinks <- t.sinks @ [ sink ]
 
 let alerts t = List.rev t.alerts_log
 

@@ -57,16 +57,9 @@ val create :
     detector is pre-registered with the config's learning period.
     @raise Invalid_argument if the config fails {!Serve_lint.check}. *)
 
-val subscribe : t -> Sink.t -> unit
-(** Attach one more event subscriber (appended after existing sinks). *)
-
 val offer : t -> Update.t -> unit
 (** Feed one update: push through the ingest buffer, then process every
     update the watermark releases. Drops are counted, never silent. *)
-
-val pump : t -> int
-(** Process whatever the watermark has already released without feeding
-    anything new; returns how many updates were processed. *)
 
 val drain : ?initial:Route.t Prefix.Map.t Update.Session_map.t ->
   t -> horizon:float -> Conformance.violation list

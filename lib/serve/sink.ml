@@ -30,7 +30,3 @@ let jsonl ?(name = "jsonl") oc =
             output_char oc '\n')
          batch;
        flush oc)
-
-let formatter ?(name = "text") ppf =
-  make ~name (fun batch ->
-      Array.iter (fun (e, _) -> Format.fprintf ppf "%a@." Event.pp e) batch)

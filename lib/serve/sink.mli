@@ -32,6 +32,3 @@ val jsonl : ?name:string -> out_channel -> t
 (** One JSON object per line. Flushes per batch and on {!close}; the
     channel itself is owned by the caller (stdout) or closed by the
     caller's wrapper (files). *)
-
-val formatter : ?name:string -> Format.formatter -> t
-(** Human-readable one-liner per event ({!Event.pp}). *)

@@ -203,9 +203,9 @@ let dynamics v =
           Dynamics.base_churn_rate = base.Dynamics.base_churn_rate *. 0.25;
           resets_per_session = base.Dynamics.resets_per_session *. 0.5 }
     | Heavy ->
-        (* The churn-heavy day the AB-delta ablation in bench/main.ml
-           stresses: pathological flap rates with very short
-           outages, so the update stream is dominated by re-announcements. *)
+        (* The churn-heavy day the [ab-delta] entry stresses:
+           pathological flap rates with very short outages, so the
+           update stream is dominated by re-announcements. *)
         { base with
           Dynamics.base_churn_rate = 2.0;
           mean_outage = 5.;
@@ -240,14 +240,15 @@ let builtin =
       overlay = [ ("churn", "heavy") ];
       axes = [] };
     { name = "ab-delta";
-      doc = "AB-delta ablation (bench/main.ml): delta states off vs large \
-             on a churn-heavy day";
+      doc = "AB-delta ablation: delta states off vs large on a churn-heavy \
+             day (bench times it as the F3L-dynamics-full kernel)";
       base = Some "churn-day";
       overlay = [];
       axes = [ ("delta", [ "0"; "4096" ]) ] };
     { name = "ab-obs";
-      doc = "AB-obs ablation (bench/main.ml): instrumentation off vs on — \
-             results must be identical, only the cost may differ";
+      doc = "AB-obs ablation: instrumentation off vs on — results must be \
+             identical, only the cost may differ (bench times it as the \
+             F3L-dynamics-delta-obs-off kernel)";
       base = Some "churn-day";
       overlay = [];
       axes = [ ("obs", [ "off"; "on" ]) ] };

@@ -21,7 +21,7 @@
 type churn =
   | Calm      (** quarter of the baseline churn rate, half the resets *)
   | Baseline  (** the size's stock dynamics configuration *)
-  | Heavy     (** the churn-heavy day of the AB-delta ablation *)
+  | Heavy     (** the churn-heavy day of the [ab-delta] entry *)
   | Trace_pareto
       (** baseline plus trace-shaped session churn with Pareto up/down
           laws ({!Churn.pareto_day}) on the dedicated trace stream *)

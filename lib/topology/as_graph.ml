@@ -92,6 +92,13 @@ let links g =
        match Asn.compare a1 a2 with 0 -> Asn.compare b1 b2 | c -> c)
     !out
 
+let core_links g =
+  let core a = match (info g a).tier with Tier1 | Transit -> true | Stub -> false in
+  links g
+  |> List.filter_map (fun (a, b, _) ->
+      if core a && core b then Some (a, b) else None)
+  |> Array.of_list
+
 let to_caida_string g =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "# quicksand AS topology, CAIDA as-rel serial-1 format\n";

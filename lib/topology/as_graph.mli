@@ -59,6 +59,10 @@ val degree : t -> Asn.t -> int
 val links : t -> (Asn.t * Asn.t * Relationship.t) list
 (** Each undirected link once, as [(a, b, what-b-is-to-a)] with [a < b]. *)
 
+val core_links : t -> (Asn.t * Asn.t) array
+(** The links whose two ends are both Tier1 or Transit, as [(a, b)] in
+    {!links} order: the links core-link failures are drawn from. *)
+
 val to_caida_string : t -> string
 (** CAIDA as-rel "serial-1" format, extended with AS metadata comments:
     [<provider>|<customer>|-1] and [<peer>|<peer>|0] lines, preceded by

@@ -20,17 +20,6 @@ let connected g =
   | [] -> false
   | src :: _ -> Asn.Map.cardinal (bfs_hops g src) = As_graph.num_ases g
 
-let degree_stats g =
-  let ases = As_graph.ases g in
-  match ases with
-  | [] -> (0., 0, 0)
-  | _ ->
-      let degrees = List.map (As_graph.degree g) ases in
-      let total = List.fold_left ( + ) 0 degrees in
-      let mn = List.fold_left min max_int degrees in
-      let mx = List.fold_left max 0 degrees in
-      (float_of_int total /. float_of_int (List.length ases), mn, mx)
-
 (* Walking from the first AS (traffic receiver side in an AS-PATH) towards
    the origin, classify each step by what the *next* hop is to the current
    one, and check uphill* [peer?] downhill* reading from the origin. It is

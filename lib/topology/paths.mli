@@ -8,9 +8,6 @@ val connected : As_graph.t -> bool
 val bfs_hops : As_graph.t -> Asn.t -> int Asn.Map.t
 (** Shortest-path hop counts from a source, ignoring policy. *)
 
-val degree_stats : As_graph.t -> float * int * int
-(** (mean, min, max) undirected degree. *)
-
 val valley_free : As_graph.t -> Asn.t list -> bool
 (** [valley_free g path] checks the Gao export condition along an AS path
     (origin last): the path must consist of zero or more customer→provider

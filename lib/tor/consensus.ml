@@ -163,9 +163,6 @@ let n_relays t = Array.length t.relays
 let relays_in t asn =
   Array.to_list t.relays |> List.filter (fun r -> Asn.equal r.Relay.asn asn)
 
-let total_bandwidth t =
-  Array.fold_left (fun acc r -> acc + r.Relay.bandwidth) 0 t.relays
-
 let to_string t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Printf.sprintf "valid-after %.0f\n" t.valid_after);

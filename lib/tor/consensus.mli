@@ -85,8 +85,6 @@ val n_relays : t -> int
 
 val relays_in : t -> Asn.t -> Relay.t list
 
-val total_bandwidth : t -> int
-
 val to_string : t -> string
 (** A consensus-flavoured text serialization ("r <nick> <ip> <asn> <bw>
     <flags>" lines). *)

@@ -13,12 +13,6 @@ type packet = {
   fin : bool;
 }
 
-let pp_packet ppf p =
-  Format.fprintf ppf "%a:%d > %a:%d seq=%d ack=%d len=%d wnd=%d%s%s" Ipv4.pp p.src
-    p.sport Ipv4.pp p.dst p.dport p.seq p.ack p.payload p.wnd
-    (if p.syn then " SYN" else "")
-    (if p.fin then " FIN" else "")
-
 type link_dir = {
   latency : float;
   jitter : float;

@@ -21,8 +21,6 @@ type packet = {
   fin : bool;
 }
 
-val pp_packet : Format.formatter -> packet -> unit
-
 type t
 
 val create : rng:Rng.t -> unit -> t

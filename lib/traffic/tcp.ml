@@ -291,5 +291,3 @@ let consume c n =
   if before < c.opts.mss && after >= c.opts.mss then send_pure_ack c
 
 let receive_backlog c = c.delivered - c.consumed
-let local_port c = c.lport
-let remote_port c = c.rport

@@ -66,6 +66,3 @@ val consume : conn -> int -> unit
 
 val receive_backlog : conn -> int
 (** Delivered-but-unconsumed bytes. Always 0 without manual consumption. *)
-
-val local_port : conn -> int
-val remote_port : conn -> int

@@ -482,6 +482,25 @@ let test_address_in_covered () =
           check_bool "address maps back to its AS" true (Asn.equal origin a)
       | None -> Alcotest.fail "address not covered by any announced prefix")
 
+(* [Prefix.hash] must spread the prefixes a scenario announces across
+   [Prefix.Table]'s buckets. The Paper scenario's prefixes are /24 or
+   shorter, so their network addresses are multiples of 256; a hash that
+   keeps those zero low bits put all 3 558 into 21 of 2 048 buckets, with
+   a longest chain of 640. *)
+let test_prefix_table_spread () =
+  let addressing = (Scenario.build ~seed:1 Scenario.Paper).Scenario.addressing in
+  let table = Prefix.Table.create 16 in
+  List.iter (fun (p, o) -> Prefix.Table.replace table p o)
+    (Addressing.announced addressing);
+  let stats = Prefix.Table.stats table in
+  check_int "every announced prefix stored" (Addressing.count addressing)
+    stats.Hashtbl.num_bindings;
+  check_bool
+    (Printf.sprintf "longest chain %d of %d bindings in %d buckets is short"
+       stats.Hashtbl.max_bucket_length stats.Hashtbl.num_bindings
+       stats.Hashtbl.num_buckets)
+    true (stats.Hashtbl.max_bucket_length <= 16)
+
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
 let prop_generated_graphs_connected =
@@ -526,4 +545,6 @@ let () =
            test_addressing_top_blocks_disjoint;
          Alcotest.test_case "nested inside aggregate" `Quick
            test_addressing_nested_inside;
-         Alcotest.test_case "address_in covered" `Quick test_address_in_covered ]) ]
+         Alcotest.test_case "address_in covered" `Quick test_address_in_covered;
+         Alcotest.test_case "prefix table spread" `Quick
+           test_prefix_table_spread ]) ]

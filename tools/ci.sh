@@ -45,29 +45,34 @@
 #                         Measurement.run's (exit 1 on any divergence);
 #  11. quicksand sweep --matrix seeds-2x2
 #                       — the tiny 2x2 matrix (two seeds x two churn
-#                         models, quarter of a Small day) three times:
-#                         jobs=1, jobs=4, and a jobs=1 rerun. Every cell's
-#                         summary.json must carry the qs-sweep/1 schema,
-#                         and the three results directories must be
-#                         byte-identical — fingerprints stable across
-#                         reruns, outputs independent of the worker count;
+#                         models, quarter of a Small day). Every cell's
+#                         summary.json must carry the qs-sweep/1 schema;
 #  12. quicksand sweep --matrix churn-trace-day
-#                       — the trace-shaped churn day, same three-way
-#                         byte-identity gate (jobs=1 vs jobs=4 vs rerun);
+#                       — the trace-shaped churn day;
 #  13. quicksand long-term --consensus live-hourly
 #                       — M2 under a living consensus (Small, seed 1, 30
-#                         days) at jobs=1, jobs=4 and a jobs=1 rerun: the
-#                         one CLI path where pool tasks on several domains
-#                         build and share one consensus' epochs. The three
-#                         outputs, with the `exec pool:` timing block
-#                         stripped, must be byte-identical;
-#  14. dune build @qsbench/smoke
+#                         days): the one CLI path where pool tasks on
+#                         several domains build and share one consensus'
+#                         epochs. The `exec pool:` timing block is
+#                         stripped from its output.
+#                       Stages 11-13 each run at jobs=1, jobs=4 and a
+#                       jobs=1 rerun, and the three outputs must be
+#                       byte-identical: fingerprints stable across reruns,
+#                       results independent of the worker count;
+#  14. bench/main.exe --scale small --no-micro
+#                       — the reproduction harness: every table, figure
+#                         and ablation section on the Small scenario
+#                         (~5 s). Its output must end in its `done in`
+#                         line;
+#  15. dune build @qsbench/smoke
 #                       — every benchmark workload at smoke size, one
 #                         plain and one staged rep each, with every
 #                         result-digest and accounting check and every
 #                         metric BENCHMARK.json declares.
 set -eu
 cd "$(dirname "$0")/.."
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== dune build"
 dune build
@@ -101,47 +106,49 @@ echo "== quicksand serve --replay --verify-batch (Small, seed 1, half a day)"
 dune exec bin/quicksand.exe -- serve --replay --verify-batch --scale small \
   --seed 1 --days 0.5 --attacks 4 --quiet
 
+# [jobs_identical NAME CMD ARGS...] runs [CMD ARGS... JOBS OUT] at jobs 1, 4
+# and 1 again, each writing OUT under $tmp; the three outputs (files or
+# directories) must be byte-identical.
+jobs_identical() {
+  local name=$1
+  shift
+  "$@" 1 "$tmp/$name-j1"
+  "$@" 4 "$tmp/$name-j4"
+  "$@" 1 "$tmp/$name-j1-rerun"
+  diff -r "$tmp/$name-j1" "$tmp/$name-j4"
+  diff -r "$tmp/$name-j1" "$tmp/$name-j1-rerun"
+}
+sweep_to() {
+  dune exec bin/quicksand.exe -- sweep --matrix "$1" --jobs "$2" --out "$3"
+}
+long_term_to() {
+  dune exec bin/quicksand.exe -- long-term --scale small --seed 1 \
+    --horizon 30 --consensus live-hourly --jobs "$1" > "$tmp/long-term.raw"
+  sed '/^exec pool:/,$d' "$tmp/long-term.raw" > "$2"
+}
+
 echo "== quicksand sweep --matrix seeds-2x2 (jobs 1 vs 4 vs rerun)"
-sweep_tmp="$(mktemp -d)"
-trap 'rm -rf "$sweep_tmp"' EXIT
-dune exec bin/quicksand.exe -- sweep --matrix seeds-2x2 --jobs 1 \
-  --out "$sweep_tmp/j1"
-dune exec bin/quicksand.exe -- sweep --matrix seeds-2x2 --jobs 4 \
-  --out "$sweep_tmp/j4"
-dune exec bin/quicksand.exe -- sweep --matrix seeds-2x2 --jobs 1 \
-  --out "$sweep_tmp/j1-rerun"
-for cell_summary in "$sweep_tmp"/j1/cell-*/summary.json; do
+jobs_identical seeds sweep_to seeds-2x2
+for cell_summary in "$tmp"/seeds-j1/cell-*/summary.json; do
   for key in '"schema": "qs-sweep/1"' '"fingerprint"' '"vars"' '"dynamics"' \
              '"f3l"' '"f3r"'; do
     grep -qF "$key" "$cell_summary" \
       || { echo "missing $key in $cell_summary"; exit 1; }
   done
 done
-diff -r "$sweep_tmp/j1" "$sweep_tmp/j4"
-diff -r "$sweep_tmp/j1" "$sweep_tmp/j1-rerun"
 
 echo "== quicksand sweep --matrix churn-trace-day (jobs 1 vs 4 vs rerun)"
-dune exec bin/quicksand.exe -- sweep --matrix churn-trace-day --jobs 1 \
-  --out "$sweep_tmp/trace-j1"
-dune exec bin/quicksand.exe -- sweep --matrix churn-trace-day --jobs 4 \
-  --out "$sweep_tmp/trace-j4"
-dune exec bin/quicksand.exe -- sweep --matrix churn-trace-day --jobs 1 \
-  --out "$sweep_tmp/trace-j1-rerun"
-diff -r "$sweep_tmp/trace-j1" "$sweep_tmp/trace-j4"
-diff -r "$sweep_tmp/trace-j1" "$sweep_tmp/trace-j1-rerun"
+jobs_identical trace sweep_to churn-trace-day
 
 echo "== quicksand long-term --consensus live-hourly (jobs 1 vs 4 vs rerun)"
-long_term() {
-  dune exec bin/quicksand.exe -- long-term --scale small --seed 1 \
-    --horizon 30 --consensus live-hourly --jobs "$1" > "$sweep_tmp/long-term.raw"
-  sed '/^exec pool:/,$d' "$sweep_tmp/long-term.raw" > "$sweep_tmp/long-term-$2.txt"
-}
-long_term 1 j1
-long_term 4 j4
-long_term 1 j1-rerun
-grep -q "never rotated, living" "$sweep_tmp/long-term-j1.txt"
-diff "$sweep_tmp/long-term-j1.txt" "$sweep_tmp/long-term-j4.txt"
-diff "$sweep_tmp/long-term-j1.txt" "$sweep_tmp/long-term-j1-rerun.txt"
+jobs_identical long-term long_term_to
+grep -q "never rotated, living" "$tmp/long-term-j1"
+
+echo "== bench/main.exe --scale small --no-micro (the reproduction harness)"
+dune exec bench/main.exe -- --scale small --no-micro > "$tmp/bench.txt"
+cat "$tmp/bench.txt"
+tail -n 1 "$tmp/bench.txt" | grep -q '^done in ' \
+  || { echo "bench/main.exe did not reach its done line"; exit 1; }
 
 echo "== dune build @qsbench/smoke (every benchmark workload, smoke size)"
 dune build @qsbench/smoke
