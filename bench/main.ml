@@ -501,8 +501,8 @@ let () =
     (* The month-dynamics kernels each run a whole simulated day
        (~0.2–0.5 s), so they get their own, longer quota — the default
        0.5 s would fit a single run. The three rows time the same day
-       three ways: with delta repair, with every request a full rebuild
-       (delta_states = 0; the `ab-delta` sweep entry holds the
+       three ways: with delta repair, with every request a full compute
+       (delta = false; the `ab-delta` sweep entry holds the
        byte-identity half), and with delta repair but the metrics
        registry switched off (the `ab-obs` entry; acceptance: the
        registry costs < 2%). *)
@@ -512,8 +512,7 @@ let () =
         Dynamics.duration = 1. *. 86_400.;
         base_churn_rate = 0.5;
         mean_outage = 5.;
-        mean_global_outage = 5.;
-        delta_states = 4096 }
+        mean_global_outage = 5. }
     in
     let dyn_day cfg () =
       Dynamics.run ~rng:(Rng.of_int 11) cfg small.Scenario.world ~emit:ignore
@@ -523,7 +522,7 @@ let () =
         [ Test.make ~name:"F3L-dynamics-delta" (Staged.stage (dyn_day dyn_cfg));
           Test.make ~name:"F3L-dynamics-full"
             (Staged.stage
-               (dyn_day { dyn_cfg with Dynamics.delta_states = 0 }));
+               (dyn_day { dyn_cfg with Dynamics.delta = false }));
           Test.make ~name:"F3L-dynamics-delta-obs-off"
             (Staged.stage (fun () ->
                  Metrics.set_enabled false;

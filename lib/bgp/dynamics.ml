@@ -7,7 +7,7 @@ type config = {
   resets_per_session : float;
   pathological_prefixes : int;
   pathological_multiplier : float;
-  delta_states : int;
+  delta : bool;
   session_churn : Churn.config option;
 }
 
@@ -22,7 +22,7 @@ let default_config =
     resets_per_session = 2.5;
     pathological_prefixes = 2;
     pathological_multiplier = 2600.;
-    delta_states = 512;
+    delta = true;
     session_churn = None }
 
 (* Calibration constants, fixed for every run. *)
@@ -139,6 +139,7 @@ type state = {
   core_links : (Asn.t * Asn.t) array;
   mutable failed : Link_set.t;
   delta_scratch : Propagate.Delta.scratch;
+  workspace : Propagate.Workspace.t;  (* the full-engine arm's scratch *)
   peer_ids : int array;    (* session index -> peer's graph id *)
   vis_threshold : int array;
       (* session index -> minimum Propagate class code its feed shows *)
@@ -148,16 +149,16 @@ type state = {
          rebuilt lazily when the prepend moves *)
   seen_version : int array;
       (* prefix index -> {!Propagate.Delta.version} of the state
-         [current.(p)] was last derived from; -1 = never. When a
+         [current.(p)] was last derived from; 0 = never. When a
          recompute lands on the same version, no session view can have
          changed and the whole per-session scan is skipped. *)
-  delta : (int, Propagate.Delta.state) Lru.t;
-      (* origin graph id -> retained state, a bounded LRU. Keyed per
-         {e origin}, not per prefix: the routing arrays never depend on
-         the prefix, so all prefixes of one origin share a single
-         retained fixed point ({!Propagate.Delta.update} swaps the
-         announcement metadata in O(1)). An evicted state is reset and
-         handed to the next origin: its arrays are reused. *)
+  states : Propagate.Delta.state option array;
+      (* origin graph id -> its retained state, created on first request
+         and resident for the whole run. Keyed per {e origin}, not per
+         prefix: the routes never depend on the prefix, so all prefixes
+         of one origin share a single retained fixed point
+         ({!Propagate.Delta.update} swaps the announcement metadata in
+         O(1)). *)
   trace_entities : Asn.t array;
       (* trace-churn entity index -> origin AS; distinct origins sorted by
          [Asn.compare], empty unless [cfg.session_churn] is set *)
@@ -211,50 +212,56 @@ let announcement st p =
       st.ann_cache.(p) <- anns;
       anns
 
-(* Each {e origin} keeps a {!Propagate.Delta.state} (bounded LRU of
-   [cfg.delta_states]) whose update diffs the configuration against the
-   last one it applied and repairs only the dirty region — O(affected)
-   instead of O(world), and O(1) when the flapped link carries no
-   selected route. Because routing is prefix-agnostic, one state serves
-   every prefix of an origin: an event that touches dozens of
-   co-originated prefixes pays for one repair, and each further prefix is
-   an O(1) metadata swap. *)
-let delta_state_for st p =
-  let o = st.origin_key.(p) in
-  match Lru.find st.delta o with
-  | Some ds -> ds
-  | None ->
-      Lru.add st.delta o (function
-        | Some evicted ->
-            Propagate.Delta.reset evicted;
-            evicted
-        | None -> Propagate.Delta.create st.w.indexed)
-
 (* The routing outcome for prefix [p] in the current (prepend, failed)
-   configuration, with the version of the state it came from. With
-   [delta_states <= 0] the state is reset first, so every request is a
-   full rebuild by {!Propagate.compute}'s engine: the reference arm of
-   [check --suite delta]. [n_full_recomp] counts full rebuilds (cold
-   starts, evictions, bails and that reference arm), [n_delta_steps]
-   incremental repairs.
+   configuration, with a version stamp for it.
 
-   Buffer-reuse contract: the outcome aliases a delta state, which the
-   next request may overwrite (repair, rebuild, eviction). It is valid
-   until the next [outcome_for]; every caller consumes it first. *)
+   With [cfg.delta], each {e origin} keeps a {!Propagate.Delta.state}
+   whose update diffs the configuration against the last one it applied
+   and repairs only the dirty region — O(affected) instead of O(world),
+   and O(1) when the flapped link carries no selected route. Because
+   routing is prefix-agnostic, one state serves every prefix of an
+   origin: an event that touches dozens of co-originated prefixes pays
+   for one repair, and each further prefix is an O(1) metadata swap.
+   The stamp is the state's version.
+
+   Without it, every request is a plain {!Propagate.compute}: the
+   reference arm of [check --suite delta]. Its stamp is negative and
+   fresh per request, so it never matches a [seen_version] and no
+   per-session scan is skipped.
+
+   [n_full_recomp] counts full computes (cold starts, bails and that
+   reference arm), [n_delta_steps] incremental repairs. The outcome
+   aliases a delta state or the workspace, which the next request may
+   overwrite; every caller consumes it first. *)
 let outcome_for st p =
-  let ds = delta_state_for st p in
-  if st.cfg.delta_states <= 0 then Propagate.Delta.reset ds;
-  let outcome, kind =
-    Propagate.Delta.update ds st.delta_scratch ~failed:st.failed
-      (announcement st p)
-  in
-  (match kind with
-   | Propagate.Delta.Full_rebuild -> st.n_full_recomp <- st.n_full_recomp + 1
-   | Propagate.Delta.Steps { frontier; stop_early; _ } ->
-       st.n_delta_steps <- st.n_delta_steps + 1;
-       st.n_delta_stop <- st.n_delta_stop + stop_early;
-       Metrics.observe m_delta_frontier (float_of_int frontier));
-  (outcome, Propagate.Delta.version ds)
+  if not st.cfg.delta then begin
+    st.n_full_recomp <- st.n_full_recomp + 1;
+    ( Propagate.compute st.w.indexed ~workspace:st.workspace ~failed:st.failed
+        (announcement st p),
+      -st.n_full_recomp )
+  end
+  else begin
+    let o = st.origin_key.(p) in
+    let ds =
+      match st.states.(o) with
+      | Some ds -> ds
+      | None ->
+          let ds = Propagate.Delta.create st.w.indexed in
+          st.states.(o) <- Some ds;
+          ds
+    in
+    let outcome, kind =
+      Propagate.Delta.update ds st.delta_scratch ~failed:st.failed
+        (announcement st p)
+    in
+    (match kind with
+     | Propagate.Delta.Full_rebuild -> st.n_full_recomp <- st.n_full_recomp + 1
+     | Propagate.Delta.Steps { frontier; stop_early; _ } ->
+         st.n_delta_steps <- st.n_delta_steps + 1;
+         st.n_delta_stop <- st.n_delta_stop + stop_early;
+         Metrics.observe m_delta_frontier (float_of_int frontier));
+    (outcome, Propagate.Delta.version ds)
+  end
 
 (* Recompute routes for the given prefixes and emit the resulting session
    transitions (with optional convergence transients). *)
@@ -556,6 +563,7 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       pfx_of_origin; core_links;
       failed = Link_set.empty;
       delta_scratch = Propagate.Delta.create_scratch ();
+      workspace = Propagate.Workspace.create ();
       peer_ids =
         Array.map
           (fun (s : Collector.session) ->
@@ -572,8 +580,8 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       origin_key =
         Array.map (As_graph.Indexed.id_of_asn w.indexed) origins;
       ann_cache = Array.make n_pfx [];
-      seen_version = Array.make n_pfx (-1);
-      delta = Lru.create ~capacity:(max 1 cfg.delta_states);
+      seen_version = Array.make n_pfx 0;
+      states = Array.make (As_graph.Indexed.n w.indexed) None;
       trace_entities;
       trace_revert = Array.make (Array.length trace_entities) None;
       events = Pqueue.create ();

@@ -34,17 +34,16 @@ type config = {
   pathological_prefixes : int;   (** super-flappers among hosting prefixes
                                      (the paper's 2000x-median anecdote) *)
   pathological_multiplier : float;
-  delta_states : int;            (** LRU capacity of per-origin
-                                     {!Propagate.Delta} states (an
-                                     evicted state's arrays are recycled
-                                     for the next origin); [<= 0] means
-                                     every request rebuilds from scratch
-                                     with the full engine. The stream is
-                                     byte-identical either way — delta
+  delta : bool;                  (** incremental repair: one
+                                     {!Propagate.Delta} state per origin,
+                                     resident for the whole run; [false]
+                                     computes every request from scratch
+                                     with {!Propagate.compute}. The stream
+                                     is byte-identical either way — delta
                                      repair reaches the same unique fixed
                                      point, it just does O(affected) work
                                      ([check --suite delta] enforces this)
-                                     (default: 512). *)
+                                     (default: [true]). *)
   session_churn : Churn.config option;
       (** trace-shaped session churn: per-origin heavy-tailed up/down
           alternating-renewal processes ({!Qs_churn.Churn}) layered on
@@ -90,8 +89,8 @@ type stats = {
   announces : int;
   withdraws : int;
   full_recomputations : int;
-      (** full propagation runs: delta cold starts / evictions /
-          bails, plus every request when [delta_states <= 0]. Delta
+      (** full propagation runs: one delta cold start per origin and
+          any bails, or every request when [delta] is off. Delta
           steps are deliberately {e not} counted here — AB tables
           comparing engines would otherwise lie.
           [full_recomputations + delta_steps] = outcome requests *)

@@ -19,4 +19,3 @@ let mem a b t = S.mem (norm a b) t
 let cardinal = S.cardinal
 let elements = S.elements
 let of_list l = List.fold_left (fun t (a, b) -> add a b t) empty l
-let touches a t = S.exists (fun (x, y) -> Asn.equal x a || Asn.equal y a) t

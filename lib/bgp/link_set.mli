@@ -13,5 +13,3 @@ val mem : Asn.t -> Asn.t -> t -> bool
 val cardinal : t -> int
 val elements : t -> (Asn.t * Asn.t) list
 val of_list : (Asn.t * Asn.t) list -> t
-val touches : Asn.t -> t -> bool
-(** [touches a t] iff some link in [t] has [a] as an endpoint. *)

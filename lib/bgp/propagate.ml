@@ -1,4 +1,4 @@
-(* One propagation engine, three stages over flat int arrays. Stage A
+(* One propagation engine, three stages over one flat int array. Stage A
    floods customer routes uphill (customer -> provider edges), stage B
    crosses peering edges once, stage C floods downhill to customers.
    Classes are strictly ordered customer > peer > provider, so a later
@@ -23,6 +23,74 @@
    workspace allocates only the outcome record and the announcement
    metadata. *)
 
+(* ---- The route word ------------------------------------------------- *)
+
+(* Each AS's selected route is one int, laid out so that comparing two
+   words as integers is the decision order: from the top, class + 1 (3
+   bits: 4 origin, 3 customer, 2 peer, 1 provider), the inverted path
+   length (20 bits: shorter is larger), the inverted next-hop id + 1 (20
+   bits: a lower id is larger; the origin's "no next hop" is largest),
+   and the announcement index the route descends from (19 bits). 0 is
+   "no route". An offer beats [v]'s route iff [offer > word.(v)]. The AS
+   hops from the originating AS are not stored: every adopt adds one to
+   the length, and a prepend moves the length and the claimed path
+   together, so they are [len - init_len] of the route's announcement. *)
+let src_bits = 19
+let next_bits = 20
+let len_bits = 20
+let next_shift = src_bits
+let len_shift = next_shift + next_bits
+let cls_shift = len_shift + len_bits
+let src_mask = (1 lsl src_bits) - 1
+let next_mask = (1 lsl next_bits) - 1
+let len_mask = (1 lsl len_bits) - 1
+
+(* Field limits, checked on input so no field ever wraps into the next:
+   ids stay below the "no route" next-hop decode, a route's length stays
+   below [len_mask] so one more hop still fits, and announcement indices
+   fit their field. *)
+let max_ases = next_mask - 1
+let max_len = len_mask - 1
+let max_anns = src_mask + 1
+
+let cls_origin = 3
+let cls_customer = 2
+let cls_peer = 1
+let cls_provider = 0
+
+let pack c len next src =
+  ((c + 1) lsl cls_shift)
+  lor ((len_mask - len) lsl len_shift)
+  lor ((next_mask - (next + 1)) lsl next_shift)
+  lor src
+
+let cls_of w = (w lsr cls_shift) - 1
+let len_of w = len_mask - ((w lsr len_shift) land len_mask)
+
+(* -1 at an origin; an id at or above [max_ases] for "no route", which
+   no equality test against a real id matches. *)
+let next_of w = next_mask - ((w lsr next_shift) land next_mask) - 1
+let src_of w = w land src_mask
+
+(* The route's class and length: what a neighbour's offer through it
+   depends on. Two words with the same quality differ only in next hop
+   or announcement. *)
+let quality w = w lsr len_shift
+
+(* The lowest word of class [c] or above. *)
+let floor_of c = (c + 1) lsl cls_shift
+
+(* The word [v] stores when it adopts route [wu] of its neighbour [u] as
+   a [c]-class route one hop longer. The one place a route is extended:
+   both engines compare these offers against stored words. *)
+let offer c u wu = pack c (len_of wu + 1) u (src_of wu)
+
+let check_graph g =
+  let n = As_graph.Indexed.n g in
+  if n > max_ases then
+    invalid_arg
+      (Printf.sprintf "Propagate: %d ASes exceed the route word's %d" n max_ases)
+
 type ann_info = {
   spec : Announcement.t;
   claimed_path : Asn.t list; (* as injected: origin^(1+prepend) @ fake_suffix *)
@@ -38,19 +106,10 @@ type t = {
   graph : As_graph.Indexed.t;
   pfx : Prefix.t;
   anns : ann_info array;
-  cls : int array;   (* 3 origin, 2 customer, 1 peer, 0 provider, -1 none *)
-  len : int array;
-  next : int array;  (* neighbor id the route was learned from; -1 at origin *)
-  src : int array;   (* announcement index the route descends from *)
-  depth : int array; (* AS hops from the originating AS *)
+  word : int array;  (* per AS, the selected route's word; 0 = none *)
   failed : Link_set.t;
   rov_deployers : Asn.Set.t;  (* ASes that drop RPKI-invalid routes *)
 }
-
-let cls_origin = 3
-let cls_customer = 2
-let cls_peer = 1
-let cls_provider = 0
 
 let prefix t = t.pfx
 
@@ -61,8 +120,17 @@ let rec last_exn = function
 
 let no_ids : int array = [||]
 
+(* A route descending from this announcement grows by at most n - 1 hops
+   past its claimed path. *)
 let ann_info graph rpki_table (spec : Announcement.t) =
   let claimed_path = Announcement.announced_path spec in
+  let init_len = List.length claimed_path in
+  if init_len + As_graph.Indexed.n graph - 1 > max_len then
+    invalid_arg
+      (Printf.sprintf
+         "Propagate: a %d-hop claimed path could outgrow the route word's \
+          %d-hop length"
+         init_len max_len);
   let origin_id =
     try As_graph.Indexed.id_of_asn graph spec.Announcement.origin
     with Not_found ->
@@ -89,8 +157,7 @@ let ann_info graph rpki_table (spec : Announcement.t) =
         Rpki.validate table spec.Announcement.prefix (last_exn claimed_path)
         = Rpki.Invalid
   in
-  { spec; claimed_path; init_len = List.length claimed_path; origin_id;
-    refusers; rpki_invalid }
+  { spec; claimed_path; init_len; origin_id; refusers; rpki_invalid }
 
 let rec check_prefix pfx = function
   | [] -> ()
@@ -105,23 +172,21 @@ let ann_infos graph rpki_table anns =
   | [ a ] -> [| ann_info graph rpki_table a |]
   | a :: rest ->
       check_prefix a.Announcement.prefix rest;
+      if List.length anns > max_anns then
+        invalid_arg
+          (Printf.sprintf "Propagate: %d announcements exceed the route word's %d"
+             (List.length anns) max_anns);
       Array.of_list (List.map (ann_info graph rpki_table) anns)
 
 module Workspace = struct
   type t = {
-    mutable cls : int array;     (* outcome arrays of [compute ~workspace] *)
-    mutable len : int array;
-    mutable next : int array;
-    mutable src : int array;
-    mutable depth : int array;
+    mutable word : int array;    (* outcome array of [compute ~workspace] *)
     mutable queue : int array;   (* FIFO of ASes a stage newly routes *)
     mutable order : int array;   (* stage seeds, sorted by length *)
     mutable count : int array;   (* counting-sort buckets, one per length *)
   }
 
-  let create () =
-    { cls = [||]; len = [||]; next = [||]; src = [||]; depth = [||];
-      queue = [||]; order = [||]; count = [||] }
+  let create () = { word = [||]; queue = [||]; order = [||]; count = [||] }
 
   (* Scratch for an [n]-AS graph; grows, never shrinks. *)
   let ready_scratch w n =
@@ -130,22 +195,17 @@ module Workspace = struct
       w.order <- Array.make n 0
     end
 
-  let ready_outputs w n =
-    if Array.length w.cls < n then begin
-      w.cls <- Array.make n (-1);
-      w.len <- Array.make n 0;
-      w.next <- Array.make n (-1);
-      w.src <- Array.make n (-1);
-      w.depth <- Array.make n 0
-    end
+  let ready_output w n = if Array.length w.word < n then w.word <- Array.make n 0
 end
 
 (* The announcement-shape checks, on an outcome under construction as on
    a finished one. [reexports t u]: does [u]'s route travel one more hop
    (its announcement's radius)? *)
 let reexports t u =
-  match t.anns.(t.src.(u)).spec.Announcement.max_radius with
-  | Some r -> t.depth.(u) < r
+  let w = t.word.(u) in
+  let info = t.anns.(src_of w) in
+  match info.spec.Announcement.max_radius with
+  | Some r -> len_of w - info.init_len < r
   | None -> true
 
 (* Every check on [u]'s offer to [v] except the decision order and the
@@ -155,26 +215,18 @@ let rec refuses info v k =
   k < Array.length info.refusers && (info.refusers.(k) = v || refuses info v (k + 1))
 
 let edge_ok t u v =
-  let info = t.anns.(t.src.(u)) in
+  let info = t.anns.(src_of t.word.(u)) in
   let asn_v = As_graph.Indexed.asn_of_id t.graph v in
   (Link_set.is_empty t.failed
    || not
         (Link_set.mem (As_graph.Indexed.asn_of_id t.graph u) asn_v t.failed))
-  && (t.next.(u) <> -1
+  && (next_of t.word.(u) <> -1
       ||
       match info.spec.Announcement.export_to with
       | None -> true
       | Some set -> Asn.Set.mem asn_v set)
   && (not (refuses info v 0))
   && ((not info.rpki_invalid) || not (Asn.Set.mem asn_v t.rov_deployers))
-
-(* [v] adopts [u]'s route as a [c]-class route one hop longer. *)
-let adopt t u v c =
-  t.cls.(v) <- c;
-  t.len.(v) <- t.len.(u) + 1;
-  t.next.(v) <- u;
-  t.src.(v) <- t.src.(u);
-  t.depth.(v) <- t.depth.(u) + 1
 
 (* Which shape checks a compute needs at all, decided once. [plain]: no
    failed link, [export_to], refuser or invalid origin, so [edge_ok] is
@@ -186,23 +238,24 @@ type shape = { radius : bool; plain : bool }
    [nseed] length-sorted seeds in [w.order], merged with the FIFO of the
    ASes this flood newly routes. An AS with no neighbour in the flood's
    direction (a stub, downhill) is never queued: it would expand
-   nothing. The edge loops here and in [peer_sweep] inline the decision
-   order (class desc, length asc, lowest next-hop id) and call [edge_ok]
-   only for an offer that would be taken, and only when the compute has
-   some shape check at all. *)
+   nothing. The edge loops here and in [peer_sweep] call [edge_ok] only
+   for an offer that would be taken, and only when the compute has some
+   shape check at all. *)
 let flood t (w : Workspace.t) shape ~uphill nseed =
-  let cls = t.cls and len = t.len and next = t.next in
+  let word = t.word in
   let queue = w.queue and order = w.order in
   let rows = As_graph.Indexed.rows t.graph
   and row_start = As_graph.Indexed.row_start t.graph
   and peers_from = As_graph.Indexed.peers_from t.graph
   and customers_from = As_graph.Indexed.customers_from t.graph in
   let c = if uphill then cls_customer else cls_provider in
+  let floor = floor_of c in
   let head = ref 0 and tail = ref 0 and si = ref 0 in
   while !si < nseed || !head < !tail do
     let u =
       if !head < !tail
-         && (!si >= nseed || len.(queue.(!head)) <= len.(order.(!si)))
+         && (!si >= nseed
+             || len_of word.(queue.(!head)) <= len_of word.(order.(!si)))
       then begin
         incr head;
         queue.(!head - 1)
@@ -213,23 +266,21 @@ let flood t (w : Workspace.t) shape ~uphill nseed =
       end
     in
     if (not shape.radius) || reexports t u then begin
-      let l = len.(u) + 1 in
+      let o = offer c u word.(u) in
       let first = if uphill then row_start.(u) else customers_from.(u)
       and last = if uphill then peers_from.(u) else row_start.(u + 1) in
       for k = first to last - 1 do
         let v = rows.(k) in
-        let cv = cls.(v) in
-        if (cv < c || (cv = c && (l < len.(v) || (l = len.(v) && u < next.(v)))))
-           && (shape.plain || edge_ok t u v)
-        then begin
-          if cv < c
+        let wv = word.(v) in
+        if o > wv && (shape.plain || edge_ok t u v) then begin
+          if wv < floor
              && (if uphill then row_start.(v) < peers_from.(v)
                  else customers_from.(v) < row_start.(v + 1))
           then begin
             queue.(!tail) <- v;
             incr tail
           end;
-          adopt t u v c
+          word.(v) <- o
         end
       done
     end
@@ -238,20 +289,17 @@ let flood t (w : Workspace.t) shape ~uphill nseed =
 (* Stage B: one hop across peering links, from customer/origin routes.
    Peer routes are never re-exported to peers, so one sweep suffices. *)
 let peer_sweep t shape =
-  let cls = t.cls and len = t.len and next = t.next in
+  let word = t.word in
   let rows = As_graph.Indexed.rows t.graph
   and peers_from = As_graph.Indexed.peers_from t.graph
   and customers_from = As_graph.Indexed.customers_from t.graph in
+  let floor = floor_of cls_customer in
   for u = 0 to As_graph.Indexed.n t.graph - 1 do
-    if cls.(u) >= cls_customer && ((not shape.radius) || reexports t u) then begin
-      let l = len.(u) + 1 in
+    if word.(u) >= floor && ((not shape.radius) || reexports t u) then begin
+      let o = offer cls_peer u word.(u) in
       for k = peers_from.(u) to customers_from.(u) - 1 do
         let v = rows.(k) in
-        let cv = cls.(v) in
-        if (cv < cls_peer
-            || (cv = cls_peer && (l < len.(v) || (l = len.(v) && u < next.(v)))))
-           && (shape.plain || edge_ok t u v)
-        then adopt t u v cls_peer
+        if o > word.(v) && (shape.plain || edge_ok t u v) then word.(v) <- o
       done
     end
   done
@@ -261,25 +309,27 @@ let peer_sweep t shape =
    every routed AS for the downhill one — each only if it has a
    neighbour in the flood's direction. Returns how many there are. *)
 let sort_seeds t (w : Workspace.t) ~uphill =
-  let cls = t.cls and len = t.len and queue = w.queue in
+  let word = t.word and queue = w.queue in
   let row_start = As_graph.Indexed.row_start t.graph
   and peers_from = As_graph.Indexed.peers_from t.graph
   and customers_from = As_graph.Indexed.customers_from t.graph in
+  let origin = floor_of cls_origin in
   let m = ref 0 and maxlen = ref 0 in
   for u = 0 to As_graph.Indexed.n t.graph - 1 do
-    if (if uphill then cls.(u) = cls_origin && row_start.(u) < peers_from.(u)
-        else cls.(u) >= 0 && customers_from.(u) < row_start.(u + 1))
+    if (if uphill then word.(u) >= origin && row_start.(u) < peers_from.(u)
+        else word.(u) <> 0 && customers_from.(u) < row_start.(u + 1))
     then begin
       queue.(!m) <- u;
       incr m;
-      if len.(u) > !maxlen then maxlen := len.(u)
+      let l = len_of word.(u) in
+      if l > !maxlen then maxlen := l
     end
   done;
   if Array.length w.count <= !maxlen then w.count <- Array.make (!maxlen + 1) 0;
   let count = w.count and order = w.order in
   Array.fill count 0 (!maxlen + 1) 0;
   for i = 0 to !m - 1 do
-    let l = len.(queue.(i)) in
+    let l = len_of word.(queue.(i)) in
     count.(l) <- count.(l) + 1
   done;
   let at = ref 0 in
@@ -290,37 +340,31 @@ let sort_seeds t (w : Workspace.t) ~uphill =
   done;
   for i = 0 to !m - 1 do
     let u = queue.(i) in
-    order.(count.(len.(u))) <- u;
-    count.(len.(u)) <- count.(len.(u)) + 1
+    let l = len_of word.(u) in
+    order.(count.(l)) <- u;
+    count.(l) <- count.(l) + 1
   done;
   !m
 
 (* An AS originating several announcements keeps the shortest claimed
-   path, the first on a tie. *)
+   path, the first on a tie: a later one must beat it on quality. *)
 let seed_origins t =
   Array.iteri
     (fun k info ->
        let o = info.origin_id in
-       if t.cls.(o) <> cls_origin || info.init_len < t.len.(o) then begin
-         t.cls.(o) <- cls_origin;
-         t.len.(o) <- info.init_len;
-         t.src.(o) <- k
-       end)
+       let w = pack cls_origin info.init_len (-1) k in
+       if quality w > quality t.word.(o) then t.word.(o) <- w)
     t.anns
 
-(* Run the three stages into [t]'s arrays (length >= n), with scratch
-   from [w]. Every cell below [n] is overwritten. *)
+(* Run the three stages into [t.word] (length >= n), with scratch from
+   [w]. Every cell below [n] is overwritten. *)
 let engine t w =
   let n = As_graph.Indexed.n t.graph in
   Workspace.ready_scratch w n;
   (* A typed loop: [Array.fill] into a major-heap array checks every old
      value for the write barrier. *)
   for i = 0 to n - 1 do
-    t.cls.(i) <- -1;
-    t.len.(i) <- 0;
-    t.next.(i) <- -1;
-    t.src.(i) <- -1;
-    t.depth.(i) <- 0
+    t.word.(i) <- 0
   done;
   let has f = Array.exists f t.anns in
   let shape =
@@ -338,6 +382,7 @@ let engine t w =
   flood t w shape ~uphill:false (sort_seeds t w ~uphill:false)
 
 let compute graph ?workspace ?(failed = Link_set.empty) ?rov anns =
+  check_graph graph;
   let rpki_table, rov_deployers =
     match rov with
     | Some (table, deployers) -> (Some table, deployers)
@@ -345,11 +390,10 @@ let compute graph ?workspace ?(failed = Link_set.empty) ?rov anns =
   in
   let anns = ann_infos graph rpki_table anns in
   let w = match workspace with Some w -> w | None -> Workspace.create () in
-  Workspace.ready_outputs w (As_graph.Indexed.n graph);
+  Workspace.ready_output w (As_graph.Indexed.n graph);
   let t =
-    { graph; pfx = anns.(0).spec.Announcement.prefix; anns; cls = w.cls;
-      len = w.len; next = w.next; src = w.src; depth = w.depth; failed;
-      rov_deployers }
+    { graph; pfx = anns.(0).spec.Announcement.prefix; anns; word = w.word;
+      failed; rov_deployers }
   in
   engine t w;
   t
@@ -361,16 +405,18 @@ let id_opt t a =
 
 let has_route t a =
   match id_opt t a with
-  | Some i -> t.cls.(i) >= 0
+  | Some i -> t.word.(i) <> 0
   | None -> false
 
 let rec exported_path t i =
-  if t.next.(i) = -1 then t.anns.(t.src.(i)).claimed_path
-  else As_graph.Indexed.asn_of_id t.graph i :: exported_path t t.next.(i)
+  let w = t.word.(i) in
+  if next_of w = -1 then t.anns.(src_of w).claimed_path
+  else As_graph.Indexed.asn_of_id t.graph i :: exported_path t (next_of w)
 
 let route_at_id t i =
-  if t.cls.(i) >= 0 then
-    let communities = t.anns.(t.src.(i)).spec.Announcement.communities in
+  let w = t.word.(i) in
+  if w <> 0 then
+    let communities = t.anns.(src_of w).spec.Announcement.communities in
     Some (Route.make ~communities t.pfx (exported_path t i))
   else None
 
@@ -381,8 +427,8 @@ let route_at t a =
 
 let next_hop t a =
   match id_opt t a with
-  | Some i when t.cls.(i) >= 0 && t.next.(i) <> -1 ->
-      Some (As_graph.Indexed.asn_of_id t.graph t.next.(i))
+  | Some i when t.word.(i) <> 0 && next_of t.word.(i) <> -1 ->
+      Some (As_graph.Indexed.asn_of_id t.graph (next_of t.word.(i)))
   | Some _ | None -> None
 
 (* Allocation-free [route_at t a = Some r]: walks the next-hop chain
@@ -390,40 +436,44 @@ let next_hop t a =
    fresh list and Route. The dynamics simulator calls this once per
    (prefix, session) per event — almost always on an unchanged route. *)
 let route_matches_id t i (r : Route.t) =
-  t.cls.(i) >= 0
+  let w = t.word.(i) in
+  w <> 0
   && Prefix.equal t.pfx r.Route.prefix
-  && t.anns.(t.src.(i)).spec.Announcement.communities = r.Route.communities
+  && t.anns.(src_of w).spec.Announcement.communities = r.Route.communities
   &&
   let rec walk i (path : Asn.t list) =
-    if t.next.(i) = -1 then
-      List.equal Asn.equal t.anns.(t.src.(i)).claimed_path path
+    let w = t.word.(i) in
+    if next_of w = -1 then
+      List.equal Asn.equal t.anns.(src_of w).claimed_path path
     else
       match path with
       | [] -> false
       | hop :: rest ->
           Asn.equal (As_graph.Indexed.asn_of_id t.graph i) hop
-          && walk t.next.(i) rest
+          && walk (next_of w) rest
   in
   walk i r.Route.as_path
 
 let forwarding_path t a =
   match id_opt t a with
-  | Some i when t.cls.(i) >= 0 ->
+  | Some i when t.word.(i) <> 0 ->
       let rec walk i acc =
         let acc = As_graph.Indexed.asn_of_id t.graph i :: acc in
-        if t.next.(i) = -1 then List.rev acc else walk t.next.(i) acc
+        let next = next_of t.word.(i) in
+        if next = -1 then List.rev acc else walk next acc
       in
       Some (walk i [])
   | Some _ | None -> None
 
-let class_code_at_id t i = t.cls.(i)
+let class_code_at_id t i = cls_of t.word.(i)
 
 let route_class_at_id t i =
-  if t.cls.(i) >= 0 then
+  let c = cls_of t.word.(i) in
+  if c >= 0 then
     Some
-      (if t.cls.(i) = cls_origin then `Origin
-       else if t.cls.(i) = cls_customer then `Customer
-       else if t.cls.(i) = cls_peer then `Peer
+      (if c = cls_origin then `Origin
+       else if c = cls_customer then `Customer
+       else if c = cls_peer then `Peer
        else `Provider)
   else None
 
@@ -434,16 +484,16 @@ let route_class_at t a =
 
 let winning_announcement t a =
   match id_opt t a with
-  | Some i when t.cls.(i) >= 0 -> Some t.src.(i)
+  | Some i when t.word.(i) <> 0 -> Some (src_of t.word.(i))
   | Some _ | None -> None
 
-(* [t.cls] may be a workspace array longer than the graph (the workspace
+(* [t.word] may be a workspace array longer than the graph (the workspace
    grows to the largest graph it has served), so whole-table scans must
    bound themselves by the graph size, not the array length. *)
 let captured t k =
   let out = ref [] in
   for i = As_graph.Indexed.n t.graph - 1 downto 0 do
-    if t.cls.(i) >= 0 && t.src.(i) = k then
+    if t.word.(i) <> 0 && src_of t.word.(i) = k then
       out := As_graph.Indexed.asn_of_id t.graph i :: !out
   done;
   !out
@@ -452,18 +502,11 @@ let routed_count t =
   let n = As_graph.Indexed.n t.graph in
   let acc = ref 0 in
   for i = 0 to n - 1 do
-    if t.cls.(i) >= 0 then incr acc
+    if t.word.(i) <> 0 then incr acc
   done;
   !acc
 
-let copy t =
-  let n = As_graph.Indexed.n t.graph in
-  { t with
-    cls = Array.sub t.cls 0 n;
-    len = Array.sub t.len 0 n;
-    next = Array.sub t.next 0 n;
-    src = Array.sub t.src 0 n;
-    depth = Array.sub t.depth 0 n }
+let copy t = { t with word = Array.sub t.word 0 (As_graph.Indexed.n t.graph) }
 
 let candidates_at t a =
   match id_opt t a with
@@ -476,8 +519,9 @@ let candidates_at t a =
            (* [rel] is what u is to v; u exports its best route to v iff the
               route is customer/origin class, or v is u's customer — i.e. u
               is v's Provider. *)
-           if t.cls.(u) >= 0 && reexports t u && edge_ok t u v
-              && (t.cls.(u) >= cls_customer || Relationship.equal rel Relationship.Provider)
+           let cu = cls_of t.word.(u) in
+           if cu >= 0 && reexports t u && edge_ok t u v
+              && (cu >= cls_customer || Relationship.equal rel Relationship.Provider)
            then begin
              let path = exported_path t u in
              if not (List.exists (Asn.equal asn_v) path) then
@@ -505,7 +549,7 @@ let candidates_at t a =
    shortest-path fixed point over the acyclic customer->provider digraph,
    the peer layer is a function of it, the provider layer a Dijkstra fixed
    point given both). Any repair that ends in a feasible, stable
-   assignment therefore lands on the very same arrays the full compute
+   assignment therefore lands on the very same words the full compute
    produces.
 
    A {b failed} link only removes candidates, so nodes whose selected
@@ -518,7 +562,7 @@ let candidates_at t a =
    check per endpoint decides whether anything can change (stop-early). A
    {b prepend} change on the single announcement shifts every candidate's
    length uniformly, so decisions are invariant and the repair is a plain
-   [len] shift. *)
+   length shift. *)
 module Delta = struct
   type scratch = {
     ws : Workspace.t;               (* for cold starts / full rebuilds *)
@@ -542,11 +586,7 @@ module Delta = struct
 
   type state = {
     graph : As_graph.Indexed.t;
-    cls : int array;                (* owned, length n *)
-    len : int array;
-    next : int array;
-    src : int array;
-    depth : int array;
+    word : int array;               (* owned, length n *)
     mutable ann : Announcement.t option;  (* last applied; None = cold *)
     mutable infos : ann_info array;
     mutable failed : Link_set.t;
@@ -557,7 +597,7 @@ module Delta = struct
     mutable origin_id : int;
     mutable version : int;
         (* bumped whenever an update changes anything a reader could
-           observe (any record, every length, route communities); two
+           observe (any word, every length, route communities); two
            reads of the same prefix at the same version are guaranteed
            identical, which lets callers skip re-deriving per-session
            views entirely *)
@@ -567,8 +607,7 @@ module Delta = struct
     | Full_rebuild
     | Steps of { links_applied : int; frontier : int; stop_early : int }
 
-  (* Global across states so an evicted-and-recreated state can never
-     echo a version number a caller remembers from its predecessor. *)
+  (* Global across states, so no two states ever share a version. *)
   let version_counter = ref 0
 
   let fresh_version () =
@@ -576,11 +615,8 @@ module Delta = struct
     !version_counter
 
   let create graph =
-    let n = As_graph.Indexed.n graph in
-    { graph;
-      cls = Array.make n (-1); len = Array.make n 0;
-      next = Array.make n (-1); src = Array.make n (-1);
-      depth = Array.make n 0;
+    check_graph graph;
+    { graph; word = Array.make (As_graph.Indexed.n graph) 0;
       ann = None; infos = [||]; failed = Link_set.empty; failed_ids = [];
       origin_id = -1; version = fresh_version () }
 
@@ -595,23 +631,14 @@ module Delta = struct
     && a.Announcement.export_to = None
     && a.Announcement.max_radius = None
 
-  let reset st =
-    st.ann <- None;
-    st.infos <- [||];
-    st.failed <- Link_set.empty;
-    st.failed_ids <- [];
-    st.origin_id <- -1;
-    st.version <- fresh_version ()
-
   let make_t st =
     { graph = st.graph;
       pfx = st.infos.(0).spec.Announcement.prefix;
       anns = st.infos;
-      cls = st.cls; len = st.len; next = st.next; src = st.src;
-      depth = st.depth;
+      word = st.word;
       failed = st.failed; rov_deployers = Asn.Set.empty }
 
-  (* A full compute straight into the state's own arrays, with the
+  (* A full compute straight into the state's own words, with the
      scratch workspace's queues (no ROV: the dynamics never validates). *)
   let rebuild st scratch ~failed anns =
     st.infos <- ann_infos st.graph None anns;
@@ -641,21 +668,31 @@ module Delta = struct
 
   (* A repair that refuses to converge within its pop budget bails out to
      a full rebuild (the budget is a safety valve; Gao-Rexford-compliant
-     topologies converge long before it). *)
+     topologies converge long before it). A transient route too long for
+     its word's length field bails the same way. *)
   exception Bail
+
+  (* Store [w] at [x]. Stored lengths stay below the field's maximum, so
+     every offer through a stored word fits. *)
+  let store st x w =
+    if w <> 0 && (w lsr len_shift) land len_mask = 0 then raise Bail;
+    st.word.(x) <- w
 
   (* Does the selection chain starting at [w] pass through [x]? Stored
      chains are acyclic at every moment (each accept below re-checks
-     this), so the walk ends at the origin; the step bound is a safety
-     net. A candidate whose chain crosses the evaluating node can never
-     beat that node's stored route under the Gao-Rexford order once
-     chains are accept-consistent, so rejecting them loses nothing at
-     the fixed point - it only steers transients away from next-pointer
-     cycles. *)
+     this), so the walk ends at the origin or at an AS that just lost its
+     route; the step bound is a safety net. A candidate whose chain
+     crosses the evaluating node can never beat that node's stored route
+     under the Gao-Rexford order once chains are accept-consistent, so
+     rejecting them loses nothing at the fixed point - it only steers
+     transients away from next-pointer cycles. *)
   let chain_crosses st w x =
-    let n = Array.length st.cls in
+    let n = Array.length st.word in
     let rec go v steps =
-      v >= 0 && steps <= n && (v = x || go st.next.(v) (steps + 1))
+      v = x
+      || (steps <= n && st.word.(v) <> 0
+          && (let next = next_of st.word.(v) in
+              next >= 0 && go next (steps + 1)))
     in
     go w 0
 
@@ -666,60 +703,51 @@ module Delta = struct
         let lo, hi = if v < x then (v, x) else (x, v) in
         List.exists (fun (a, b) -> a = lo && b = hi) ids
 
-  (* [x]'s stored record just changed quality (class or length, incl.
+  (* The class a receiver gives route [ww] offered by its neighbour,
+     where [rel] is what that neighbour is to the receiver; -1 if
+     valley-free export withholds it (only customer and origin routes go
+     up or across). *)
+  let offer_cls ww (rel : Relationship.t) =
+    match rel with
+    | Relationship.Provider -> cls_provider
+    | Relationship.Customer | Relationship.Peer
+      when ww < floor_of cls_customer -> -1
+    | Relationship.Customer -> cls_customer
+    | Relationship.Peer -> cls_peer
+
+  (* [x]'s stored word just changed quality (class or length, incl.
      becoming unrouted): enqueue only the neighbors the change can
      actually move. Dependents (routing via [x]) must re-select
      unconditionally. Any other neighbor [v] chose its stored route over
      [x]'s old offer, so a {e worsened} or withdrawn offer cannot move
      it; an {e improved} offer matters only if it now beats [v]'s stored
-     route outright (class desc, length asc, lowest next-hop ASN). This
-     collapses the wave's fanout from degree to the handful of nodes
-     that actually re-route. *)
+     word outright. This collapses the wave's fanout from degree to the
+     handful of nodes that actually re-route. *)
   let push_affected st push x =
     let g = st.graph in
+    let wx = st.word.(x) in
     let neighbors = As_graph.Indexed.neighbors g x in
     for k = 0 to Array.length neighbors - 1 do
       let (v, rel) : int * Relationship.t = neighbors.(k) in
-      (* [rel] is what v is to x. *)
-      if st.next.(v) = x then push v
-      else if st.cls.(x) >= 0 then begin
-        let exportable =
-          st.cls.(x) >= cls_customer
-          || Relationship.equal rel Relationship.Customer
-        in
-        if exportable && not (link_failed st x v) then begin
-          (* x's relationship to v is the inverse of [rel]. *)
-          let cand_cls =
-            match rel with
-            | Relationship.Customer -> cls_provider
-            | Relationship.Peer -> cls_peer
-            | Relationship.Provider -> cls_customer
-          in
-          let cand_len = st.len.(x) + 1 in
-          let beats =
-            st.cls.(v) < 0 || cand_cls > st.cls.(v)
-            || (cand_cls = st.cls.(v)
-                && (cand_len < st.len.(v)
-                    || (cand_len = st.len.(v)
-                        && st.next.(v) >= 0
-                        && x < st.next.(v))))
-          in
-          if beats then push v
-        end
+      (* [rel] is what v is to x, so x is [Relationship.invert rel] to v. *)
+      if next_of st.word.(v) = x then push v
+      else if wx <> 0 then begin
+        let c = offer_cls wx (Relationship.invert rel) in
+        if c >= 0 && (not (link_failed st x v)) && offer c x wx > st.word.(v)
+        then push v
       end
     done
 
   (* Local re-selection ("ripple") repair: pop a node, recompute its
-     best response from its neighbors' current stored routes under
-     valley-free export (total order: class desc, length asc, lowest
-     next-hop ASN - the full engine's decision order), and re-enqueue
-     its neighbors only when its route *quality* (class, length)
-     changed. A node that swaps to an equal-quality route via a
-     different next hop affects nobody: its neighbors' candidates
-     through it keep the same class, length, and offering ASN, so the
-     repair frontier collapses to the nodes whose (class, length)
-     actually move - the common multihomed re-homing flap repairs in
-     O(degree) instead of invalidating the whole customer cone.
+     best response from its neighbors' current stored words under
+     valley-free export, and re-enqueue its neighbors only when its
+     route *quality* (class, length) changed. A node that swaps to an
+     equal-quality route via a different next hop affects nobody: its
+     neighbors' candidates through it keep the same class, length, and
+     offering ASN, so the repair frontier collapses to the nodes whose
+     quality actually moves - the common multihomed re-homing flap
+     repairs in O(degree) instead of invalidating the whole customer
+     cone.
 
      An empty queue means every node was re-evaluated after its inputs
      last changed, i.e. the tables are a best-response equilibrium,
@@ -730,7 +758,6 @@ module Delta = struct
     let n = As_graph.Indexed.n g in
     let cap = n + 1 in
     let head = ref 0 and tail = ref tail in
-    let init_len = st.infos.(0).init_len in
     let budget = ref ((64 * n) + 256) in
     let push v =
       if v <> st.origin_id && not s.on_list.(v) then begin
@@ -754,102 +781,55 @@ module Delta = struct
       decr budget;
       if !budget < 0 then raise Bail;
       let neighbors = As_graph.Indexed.neighbors g x in
-      let b_cls = ref (-1) and b_len = ref 0 and b_next = ref (-1) in
+      let wx = st.word.(x) in
+      let best = ref 0 in
       (* Did a candidate lose only to the chain-crossing rejection? Then
          x's true best response is not yet determined — the crossing can
-         untangle later without any neighbor's record (and hence any
-         push) changing, so x must re-evaluate once the wave has moved
-         on. Without this, a transiently-crossing winner leaves x stuck
-         on a worse route (or unrouted) at quiescence. *)
+         untangle later without any neighbor's word (and hence any push)
+         changing, so x must re-evaluate once the wave has moved on.
+         Without this, a transiently-crossing winner leaves x stuck on a
+         worse route (or unrouted) at quiescence. *)
       let deferred = ref false in
       (* A plain counted loop with local refs: the candidate scan runs
          per pop and must not allocate (an [Array.iter] closure over the
          running-best refs boxes all of them, every pop). *)
       for k = 0 to Array.length neighbors - 1 do
         let (w, rel) : int * Relationship.t = neighbors.(k) in
-        (* [rel] is what w is to x; w exports its route to x iff the
-           route is customer/origin class or x is w's customer. *)
-        if st.cls.(w) >= 0
-           && (st.cls.(w) >= cls_customer
-               || Relationship.equal rel Relationship.Provider)
-           && not (link_failed st x w)
-        then begin
-          let cand_cls =
-            match rel with
-            | Relationship.Customer -> cls_customer
-            | Relationship.Peer -> cls_peer
-            | Relationship.Provider -> cls_provider
-          in
-          let cand_len = st.len.(w) + 1 in
-          let take =
-            !b_next = -1
-            || (if cand_cls <> !b_cls then cand_cls > !b_cls
-                else if cand_len <> !b_len then cand_len < !b_len
-                else w < !b_next)
-          in
-          if take then begin
-            (* Incumbent fast path: if x already routes via w, the
-               stored chain x -> w -> ... is acyclic (the invariant
-               every adopt preserves), so chain(w) cannot contain x —
-               no walk needed. Re-confirmation pops, the wave's common
-               case, take this branch. *)
-            if st.next.(x) = w then begin
-              b_cls := cand_cls;
-              b_len := cand_len;
-              b_next := w
-            end
-            else begin
-              if chain_crosses st w x then deferred := true
-              else begin
-                b_cls := cand_cls;
-                b_len := cand_len;
-                b_next := w
-              end
-            end
+        let ww = st.word.(w) in
+        if ww <> 0 then begin
+          let c = offer_cls ww rel in
+          if c >= 0 && not (link_failed st x w) then begin
+            let o = offer c w ww in
+            if o > !best then
+              (* Incumbent fast path: if x already routes via w, the
+                 stored chain x -> w -> ... is acyclic (the invariant
+                 every adopt preserves), so chain(w) cannot contain x —
+                 no walk needed. Re-confirmation pops, the wave's common
+                 case, take this branch. *)
+              if next_of wx = w || not (chain_crosses st w x) then best := o
+              else deferred := true
           end
         end
       done;
-      let changed_here = ref false in
-      if !b_next = -1 then begin
-        if st.cls.(x) >= 0 then begin
-          st.cls.(x) <- -1;
-          st.len.(x) <- 0;
-          st.next.(x) <- -1;
-          st.src.(x) <- -1;
-          st.depth.(x) <- 0;
-          stamp x;
-          changed_here := true;
-          push_affected st push x
-        end
-      end
-      else begin
-        let quality_changed =
-          st.cls.(x) <> !b_cls || st.len.(x) <> !b_len
-        in
-        if quality_changed || st.next.(x) <> !b_next then begin
-          st.cls.(x) <- !b_cls;
-          st.len.(x) <- !b_len;
-          st.next.(x) <- !b_next;
-          st.src.(x) <- 0;
-          st.depth.(x) <- !b_len - init_len;
-          stamp x;
-          changed_here := true;
-          if quality_changed then push_affected st push x
-        end
+      let changed_here = !best <> wx in
+      if changed_here then begin
+        store st x !best;
+        stamp x;
+        if quality !best <> quality wx then push_affected st push x
       end;
       (* Re-evaluate x later only while the wave is still moving: if the
-         queue is empty and x's own record just stabilized, every chain
-         is consistent, and a crossing candidate provably cannot beat a
+         queue is empty and x's own word just stabilized, every chain is
+         consistent, and a crossing candidate provably cannot beat a
          stored route at a consistent state — the rejection was
          harmless. Re-pushing unconditionally would spin on its own
          unresolved crossing until the budget bails. *)
-      if !deferred && (!head <> !tail || !changed_here) then push x
+      if !deferred && (!head <> !tail || changed_here) then push x
     done
 
   (* Fail link (a, b): stop immediately unless a selected route actually
      crosses it; otherwise the crossing endpoint re-selects and the
      change (if any) ripples out. Returns the number of nodes whose
-     route record changed. *)
+     word changed. *)
   (* Repairs maintain only [failed_ids] (what the wave consults);
      [update] installs the target [Link_set.t] wholesale at the end, so
      per-link Map surgery here would be redundant work. *)
@@ -857,24 +837,22 @@ module Delta = struct
     st.failed_ids <-
       (if ia < ib then (ia, ib) else (ib, ia)) :: st.failed_ids;
     let root =
-      if st.cls.(ia) >= 0 && st.next.(ia) = ib then ia
-      else if st.cls.(ib) >= 0 && st.next.(ib) = ia then ib
+      if next_of st.word.(ia) = ib then ia
+      else if next_of st.word.(ib) = ia then ib
       else -1
     in
     if root = -1 then 0
     else begin
       s.epoch <- s.epoch + 1;
-      let tail = ref 0 in
       s.on_list.(root) <- true;
       s.queue.(0) <- root;
-      incr tail;
       let newly = ref 0 in
-      wave st s ~tail:!tail ~newly;
+      wave st s ~tail:1 ~newly;
       !newly
     end
 
   (* Restore link (a, b): the only new candidates are the two offers
-     across the restored edge, and each endpoint's stored route is
+     across the restored edge, and each endpoint's stored word is
      already the maximum over every other candidate - so an O(1) check
      per endpoint decides whether anything can move, and the wave only
      runs when an endpoint actually improves. *)
@@ -883,7 +861,6 @@ module Delta = struct
      st.failed_ids <-
        List.filter (fun (a, b) -> not (a = lo && b = hi)) st.failed_ids);
     s.epoch <- s.epoch + 1;
-    let init_len = st.infos.(0).init_len in
     let tail = ref 0 in
     let newly = ref 0 in
     let push v =
@@ -896,67 +873,48 @@ module Delta = struct
     (* Offer w's route to x across the restored edge; adopt it only if
        it beats x's stored maximum (then x's neighbors re-evaluate). *)
     let try_improve x w =
-      if x <> st.origin_id && st.cls.(w) >= 0 then begin
+      let ww = st.word.(w) and wx = st.word.(x) in
+      if x <> st.origin_id && ww <> 0 then
         (* What w is to x, read off x's adjacency row. *)
-        let rel = ref None in
-        Array.iter
-          (fun ((u, r) : int * Relationship.t) ->
-             if u = w then rel := Some r)
-          (As_graph.Indexed.neighbors st.graph x);
-        match !rel with
+        match
+          Array.find_opt
+            (fun ((u, _) : int * Relationship.t) -> u = w)
+            (As_graph.Indexed.neighbors st.graph x)
+        with
         | None -> ()
-        | Some rel ->
-        let exportable =
-          st.cls.(w) >= cls_customer
-          || Relationship.equal rel Relationship.Provider
-        in
-        if exportable then begin
-          let cand_cls =
-            match rel with
-            | Relationship.Customer -> cls_customer
-            | Relationship.Peer -> cls_peer
-            | Relationship.Provider -> cls_provider
-          in
-          let cand_len = st.len.(w) + 1 in
-          let beats =
-            st.cls.(x) = -1
-            || (if cand_cls <> st.cls.(x) then cand_cls > st.cls.(x)
-                else if cand_len <> st.len.(x) then cand_len < st.len.(x)
-                else w < st.next.(x))
-          in
-          if beats && chain_crosses st w x then
-            (* The winning offer is blocked only by a (possibly
-               transient) crossing: let the wave re-evaluate x with a
-               full scan rather than silently dropping it. *)
-            push x
-          else if beats then begin
-            let quality_changed =
-              st.cls.(x) <> cand_cls || st.len.(x) <> cand_len
-            in
-            st.cls.(x) <- cand_cls;
-            st.len.(x) <- cand_len;
-            st.next.(x) <- w;
-            st.src.(x) <- 0;
-            st.depth.(x) <- cand_len - init_len;
-            if s.mark.(x) <> s.epoch then begin
-              s.mark.(x) <- s.epoch;
-              incr newly
-            end;
-            if quality_changed then push_affected st push x
-          end
-        end
-      end
+        | Some (_, rel) ->
+            let c = offer_cls ww rel in
+            if c >= 0 then begin
+              let o = offer c w ww in
+              if o > wx then
+                if chain_crosses st w x then
+                  (* The winning offer is blocked only by a (possibly
+                     transient) crossing: let the wave re-evaluate x
+                     with a full scan rather than silently dropping it. *)
+                  push x
+                else begin
+                  store st x o;
+                  if s.mark.(x) <> s.epoch then begin
+                    s.mark.(x) <- s.epoch;
+                    incr newly
+                  end;
+                  if quality o <> quality wx then push_affected st push x
+                end
+            end
     in
     try_improve ia ib;
     try_improve ib ia;
     if !tail > 0 then wave st s ~tail:!tail ~newly;
     !newly
 
+  (* Every routed word's length moves by [delta]: the inverted length
+     field moves the other way. *)
   let shift_len st delta =
     if delta <> 0 then begin
       let n = As_graph.Indexed.n st.graph in
       for v = 0 to n - 1 do
-        if st.cls.(v) >= 0 then st.len.(v) <- st.len.(v) + delta
+        if st.word.(v) <> 0 then
+          st.word.(v) <- st.word.(v) - (delta lsl len_shift)
       done
     end
 

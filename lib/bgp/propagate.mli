@@ -27,10 +27,10 @@ type t
 
 module Workspace : sig
   type t
-  (** Preallocated state for {!compute}: the five per-AS outcome arrays
-      (class/length/next-hop/source/depth) plus the engine's scratch — a
-      FIFO and a length-sorted seed array with its counting-sort
-      buckets. A plain [compute] allocates all of these
+  (** Preallocated state for {!compute}: the per-AS outcome array (one
+      packed route word per AS: class, length, next hop and announcement)
+      plus the engine's scratch — a FIFO and a length-sorted seed array
+      with its counting-sort buckets. A plain [compute] allocates all of these
       afresh per call; on hot paths that recompute thousands of prefixes
       (the dynamics simulator, lint's per-prefix sampling loop) a reused
       workspace removes that allocation: a compute through a sized
@@ -76,7 +76,10 @@ val compute :
     compute (see {!Workspace}). The outcome is bit-for-bit identical with
     and without a workspace.
     @raise Invalid_argument if [anns] is empty, the announcements disagree
-    on the prefix, or an origin is not in the graph. *)
+    on the prefix, or an origin is not in the graph; or if a value would
+    overflow its field of the packed route word: a graph of more than
+    2{^20} - 2 ASes, a claimed path whose length plus the graph size
+    exceeds 2{^20} - 1, or more than 2{^19} announcements. *)
 
 val prefix : t -> Prefix.t
 
@@ -146,17 +149,17 @@ val copy : t -> t
 (** An outcome that owns its arrays. Computing through a
     {!Workspace} (or a {!Delta.state}) yields a view over reused scratch
     that the next compute invalidates; [copy] snapshots it so it can be
-    retained. O(n) int copies, no recomputation. *)
+    retained. One O(n) int copy, no recomputation. *)
 
 (** Incremental route repair: apply a configuration change to a retained
     outcome and re-run the Gao–Rexford decision only where it can matter,
     instead of recomputing the world.
 
-    A {!state} holds the current fixed point for one {e origin} as owned
-    flat int arrays — the routing arrays never depend on the prefix, so
+    A {!state} holds the current fixed point for one {e origin} as one
+    owned route word per AS — the routes never depend on the prefix, so
     one state serves every prefix the origin announces (a prefix swap is
     an O(1) metadata update; this is what lets the dynamics simulator
-    key its state LRU per origin). {!update} diffs the requested
+    keep one state per origin, resident for the whole run). {!update} diffs the requested
     (announcements, failed links) configuration against the last applied
     one and repairs:
 
@@ -185,10 +188,10 @@ val copy : t -> t
     empty queue means every node re-evaluated after its inputs last
     changed — a best-response equilibrium.
     - {b prepend change}: decisions are invariant under uniform length
-      shifts, so only the [len] column moves.
+      shifts, so only every word's length field moves.
 
     Because the Gao–Rexford system is safe (unique stable assignment),
-    every repair lands on exactly the arrays a full {!compute} would
+    every repair lands on exactly the words a full {!compute} would
     produce; `quicksand check --suite delta` enforces byte-identical
     update streams and tables against the full engine.
 
@@ -196,17 +199,17 @@ val copy : t -> t
     single announcement with no forged suffix, export scoping, radius cap
     or ROV. Anything else (and every first call) falls back to a full
     rebuild: {!compute}'s engine, writing straight into the state's
-    arrays with the scratch's queues, reported as {!kind}
+    words with the scratch's queues, reported as {!kind}
     [Full_rebuild].
 
-    Outcomes returned by {!update} alias the state's arrays and are
+    Outcomes returned by {!update} alias the state's words and are
     invalidated by the state's next update — the same contract as
     {!Workspace}; use {!copy} to retain one. A [scratch] is single-domain
     scratch like a workspace and may be shared across many states. *)
 module Delta : sig
   type state
-  (** Per-prefix retained fixed point plus the configuration it is the
-      fixed point of. *)
+  (** One origin's retained fixed point (one route word per AS) plus the
+      configuration it is the fixed point of. *)
 
   type scratch
   (** Reusable repair scratch (wave queue, epoch marks, a rebuild
@@ -215,39 +218,36 @@ module Delta : sig
   val create_scratch : unit -> scratch
 
   val create : As_graph.Indexed.t -> state
-  (** A cold state: the first {!update} performs a full rebuild. *)
-
-  val reset : state -> unit
-  (** Make the state cold again, keeping its arrays: the next {!update}
-      rebuilds in place. This is how an evicted state is recycled for
-      another origin instead of allocating a fresh one. Outcomes of the
-      state are invalidated; its {!version} moves on. *)
+  (** A cold state: the first {!update} performs a full rebuild.
+      @raise Invalid_argument on a graph too large for the route word,
+      as {!compute}. *)
 
   type kind =
     | Full_rebuild
         (** cold start, or a configuration delta repair can't express *)
     | Steps of { links_applied : int; frontier : int; stop_early : int }
         (** [links_applied] failed-link-set differences applied;
-            [frontier] distinct ASes whose stored route record (class,
+            [frontier] distinct ASes whose stored route word (class,
             length, next hop) changed — rendered AS paths further
-            downstream can change without their records being touched;
+            downstream can change without their words being touched;
             [stop_early] links whose repair proved a no-op without
             touching any route *)
 
   val update :
     state -> scratch -> ?failed:Link_set.t -> Announcement.t list -> t * kind
   (** Bring the state to the requested configuration and return the
-      outcome (aliasing the state's arrays). *)
+      outcome (aliasing the state's words). *)
 
   val version : state -> int
   (** A stamp that changes exactly when an {!update} changes anything an
-      outcome reader could observe: any route record, a uniform length
+      outcome reader could observe: any route word, a uniform length
       shift, or the announcement's communities (a pure prefix swap keeps
       the stamp). Two reads of the same prefix at the same version are
       guaranteed identical, so a caller that remembers the version it
       last derived per-session views at can skip the whole derivation
       when the stamp matches — the dynamics simulator's common case,
       where most events leave most origins' states untouched. Stamps are
-      globally unique across states: an evicted-and-recreated state
-      never repeats a number a caller remembers. *)
+      positive and globally unique across states, so a caller keying
+      several states' stamps in one table may reserve [0] and the
+      negatives for stamps of its own. *)
 end

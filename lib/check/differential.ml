@@ -190,12 +190,12 @@ let delta ?(dynamics = default_dynamics) ?(seeds = [ 1; 2; 3; 4; 5 ]) size =
   List.concat_map
     (fun seed ->
        let scenario = Scenario.build ~seed size in
-       let capture ~delta_states =
+       let capture ~delta =
          let buf = Buffer.create (1 lsl 16) in
          let ppf = Format.formatter_of_buffer buf in
          let m =
            Measurement.run
-             ~dynamics:{ dynamics with Dynamics.delta_states }
+             ~dynamics:{ dynamics with Dynamics.delta }
              ~observe:(fun u -> Format.fprintf ppf "%a@." Update.pp u)
              scenario
          in
@@ -229,8 +229,8 @@ let delta ?(dynamics = default_dynamics) ?(seeds = [ 1; 2; 3; 4; 5 ]) size =
            ok = String.equal a b;
            detail = first_divergence a b }
        in
-       let stream_full, m_full = capture ~delta_states:0 in
-       let stream_delta, m_delta = capture ~delta_states:512 in
+       let stream_full, m_full = capture ~delta:false in
+       let stream_delta, m_delta = capture ~delta:true in
        [ check ~pair:"delta-on-vs-off" ~experiment:"stream"
            stream_delta stream_full;
          check ~pair:"delta-on-vs-off" ~experiment:"final-tables"

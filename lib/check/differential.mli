@@ -39,8 +39,8 @@ val delta :
   ?dynamics:Dynamics.config -> ?seeds:int list -> Scenario.size ->
   outcome list
 (** The delta-vs-full propagation oracle (default seeds [1..5]): per
-    seed, runs the same measurement with [Dynamics.delta_states] 0
-    (every churn event is a full recompute) and 512 (incremental
+    seed, runs the same measurement with [Dynamics.delta] off (every
+    request is a plain {!Propagate.compute}) and on (incremental
     repair), and demands byte-identical collector update streams and
     final (session, prefix) tables; then checks worker count does not
     leak into delta-backed F3L output (jobs 1 vs 4), and finally that

@@ -10,7 +10,7 @@ type vars = {
   days : float;
   churn : churn;
   consensus : consensus;
-  delta : int;
+  delta : bool;
   obs : bool;
   adversary : float;
   guards : guards;
@@ -23,7 +23,7 @@ let default_vars =
     days = 1.;
     churn = Baseline;
     consensus = Frozen;
-    delta = 512;
+    delta = true;
     obs = true;
     adversary = 0.;
     guards = Guards { n = 3; rotation_days = 30 };
@@ -38,7 +38,7 @@ let known_keys =
     ("consensus", "M2 consensus model: frozen (no M2 stage) | frozen-m2 \
                    (M2 on the frozen snapshot) | live-hourly | live-heavy \
                    (M2 on hourly living epochs)");
-    ("delta", "delta-state LRU capacity; 0 disables");
+    ("delta", "incremental delta repair: on | off (full recompute)");
     ("obs", "qs_obs instrumentation during the cell: on | off");
     ("adversary", "fraction of malicious ASes, in [0, 1]; 0 = no adversary");
     ("guards", "guard policy: none | N/D (N guards, rotate every D days) | \
@@ -113,6 +113,12 @@ let set v ~key ~value =
     | Some x when Float.is_finite x -> f x
     | _ -> bad "%s: not a finite number: %S" k value
   in
+  let as_switch k f =
+    match value with
+    | "on" -> f true
+    | "off" -> f false
+    | _ -> bad "%s: expected on | off, got %S" k value
+  in
   match key with
   | "size" ->
       (match Scenario.size_of_string value with
@@ -143,15 +149,8 @@ let set v ~key ~value =
              "consensus: expected frozen | frozen-m2 | live-hourly | \
               live-heavy, got %S"
              value)
-  | "delta" ->
-      as_int "delta" (fun i ->
-          if i < 0 then bad "delta: must be >= 0, got %d" i
-          else Ok { v with delta = i })
-  | "obs" ->
-      (match value with
-       | "on" -> Ok { v with obs = true }
-       | "off" -> Ok { v with obs = false }
-       | _ -> bad "obs: expected on | off, got %S" value)
+  | "delta" -> as_switch "delta" (fun b -> Ok { v with delta = b })
+  | "obs" -> as_switch "obs" (fun b -> Ok { v with obs = b })
   | "adversary" ->
       as_float "adversary" (fun x ->
           if x < 0. || x > 1. then
@@ -171,14 +170,16 @@ let set v ~key ~value =
    threshold. Seed and size are carried by the fingerprint's own
    identity section, so repeating them here would double-count nothing and
    desync eventually. *)
+let on_off b = if b then "on" else "off"
+
 let canonical_bindings v =
   [ ("adversary", float_str v.adversary);
     ("churn", churn_to_string v.churn);
     ("consensus", consensus_to_string v.consensus);
     ("days", float_str v.days);
-    ("delta", string_of_int v.delta);
+    ("delta", on_off v.delta);
     ("guards", guards_to_string v.guards);
-    ("obs", if v.obs then "on" else "off");
+    ("obs", on_off v.obs);
     ("threshold", float_str v.threshold) ]
 
 let identity v =
@@ -218,7 +219,7 @@ let dynamics v =
     | Trace_lognormal ->
         { base with Dynamics.session_churn = Some Churn.lognormal_day }
   in
-  { base with Dynamics.delta_states = v.delta }
+  { base with Dynamics.delta = v.delta }
 
 type entry = {
   name : string;
@@ -240,11 +241,11 @@ let builtin =
       overlay = [ ("churn", "heavy") ];
       axes = [] };
     { name = "ab-delta";
-      doc = "AB-delta ablation: delta states off vs large on a churn-heavy \
+      doc = "AB-delta ablation: delta repair off vs on over a churn-heavy \
              day (bench times it as the F3L-dynamics-full kernel)";
       base = Some "churn-day";
       overlay = [];
-      axes = [ ("delta", [ "0"; "4096" ]) ] };
+      axes = [ ("delta", [ "off"; "on" ]) ] };
     { name = "ab-obs";
       doc = "AB-obs ablation: instrumentation off vs on — results must be \
              identical, only the cost may differ (bench times it as the \

@@ -50,7 +50,7 @@ type vars = {
   days : float;       (** simulated measurement duration *)
   churn : churn;
   consensus : consensus;
-  delta : int;        (** delta-state LRU capacity; 0 disables *)
+  delta : bool;       (** incremental delta repair; off = full recompute *)
   obs : bool;         (** Qs_obs instrumentation during the cell *)
   adversary : float;  (** fraction f of malicious ASes; 0 = no adversary *)
   guards : guards;
@@ -59,7 +59,7 @@ type vars = {
 
 val default_vars : vars
 (** Small scenario, seed 1, one simulated day, baseline churn, frozen
-    consensus (no M2 stage), stock delta-state capacity (512),
+    consensus (no M2 stage), delta repair on,
     instrumentation on, no adversary, 3 guards / 30 days, the paper's
     300 s exposure threshold. *)
 
@@ -89,7 +89,7 @@ val identity : vars -> string
 
 val dynamics : vars -> Dynamics.config
 (** The dynamics configuration a cell runs: the size's stock config with
-    the duration, churn preset and delta-state capacity applied. *)
+    the duration, churn preset and delta switch applied. *)
 
 (** {1 Registry entries} *)
 

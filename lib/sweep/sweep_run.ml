@@ -68,7 +68,7 @@ let vars_fields (v : Sweep.vars) =
     ("days", jfloat v.Sweep.days);
     ("churn", jstr (Sweep.churn_to_string v.Sweep.churn));
     ("consensus", jstr (Sweep.consensus_to_string v.Sweep.consensus));
-    ("delta", string_of_int v.Sweep.delta);
+    ("delta", if v.Sweep.delta then "true" else "false");
     ("obs", if v.Sweep.obs then "true" else "false");
     ("adversary", jfloat v.Sweep.adversary);
     ("guards", jstr (Sweep.guards_to_string v.Sweep.guards));

@@ -22,6 +22,12 @@
    failures, restores and prepend toggles, and every repaired outcome
    must equal the naive fixed point of the configuration it reached.
 
+   Both engines also obey an order-independence law. [As_graph] keeps
+   each adjacency list in reverse insertion order, so rebuilding a
+   graph from a shuffled link list changes the order in which every
+   stage and every repair wave scans neighbours; the routes must not
+   change.
+
    The session-reset filter has its own naive reference ([naive_reset]
    below): a per-session rescan of every window, compared with
    [Session_reset] (driven by push alone and by advance-then-push) on
@@ -247,6 +253,42 @@ let matches graph fast slow =
           = Option.map (fun r -> r.ann) expect)
     (As_graph.ases graph)
 
+(* The same graph with its links inserted in a random order (and each
+   peering's endpoints in a random order): the same ASes and
+   relationships, different adjacency order. *)
+let shuffled rng graph =
+  let g = As_graph.create () in
+  List.iter (fun a -> As_graph.add_as g a (As_graph.info graph a))
+    (As_graph.ases graph);
+  let links = Array.of_list (As_graph.links graph) in
+  Rng.shuffle rng links;
+  Array.iter
+    (fun (a, b, rel) ->
+       match (rel : Relationship.t) with
+       | Relationship.Customer ->
+           As_graph.add_provider_customer g ~provider:a ~customer:b
+       | Relationship.Provider ->
+           As_graph.add_provider_customer g ~provider:b ~customer:a
+       | Relationship.Peer ->
+           if Rng.bool rng then As_graph.add_peering g a b
+           else As_graph.add_peering g b a)
+    links;
+  g
+
+(* Per AS, two outcomes agree on class, path bytes and winning
+   announcement. *)
+let same_routes graph x y =
+  List.for_all
+    (fun a ->
+       Propagate.route_class_at x a = Propagate.route_class_at y a
+       && Option.map (fun (r : Route.t) -> r.Route.as_path)
+            (Propagate.route_at x a)
+          = Option.map (fun (r : Route.t) -> r.Route.as_path)
+              (Propagate.route_at y a)
+       && Propagate.winning_announcement x a
+          = Propagate.winning_announcement y a)
+    (As_graph.ases graph)
+
 let agrees c =
   let ix = As_graph.Indexed.of_graph c.graph in
   matches c.graph
@@ -283,9 +325,12 @@ let prop_oracle_workspace =
 (* One [Delta] state through 5-20 random steps: each fails or restores
    a random link, or toggles the origin's prepend between 0 and 2. After
    every step the repaired outcome must match [naive] on the
-   configuration reached. Returns whether every step matched and how
-   many steps were incremental repairs rather than rebuilds. *)
-let delta_sequence seed =
+   configuration reached. With [shuffle], a twin state over the same
+   graph rebuilt from links shuffled by that seed takes the same steps,
+   and its outcome must equal the first's at every step. Returns
+   whether every step matched and how many steps were incremental
+   repairs rather than rebuilds. *)
+let delta_sequence ?shuffle seed =
   let rng = Rng.of_int seed in
   let graph = random_graph rng in
   let ix = As_graph.Indexed.of_graph graph in
@@ -293,6 +338,13 @@ let delta_sequence seed =
   let origin = Rng.pick rng (Array.of_list (As_graph.ases graph)) in
   let st = Propagate.Delta.create ix in
   let scratch = Propagate.Delta.create_scratch () in
+  let twin =
+    Option.map
+      (fun s ->
+         let tix = As_graph.Indexed.of_graph (shuffled (Rng.of_int s) graph) in
+         (Propagate.Delta.create tix, Propagate.Delta.create_scratch ()))
+      shuffle
+  in
   let rec go steps failed prepend ok repairs =
     if steps = 0 || not ok then (ok, repairs)
     else begin
@@ -309,7 +361,14 @@ let delta_sequence seed =
             (Announcement.originate origin pfx) ]
       in
       let outcome, kind = Propagate.Delta.update st scratch ~failed anns in
-      let ok = matches graph outcome (naive graph ~failed anns) in
+      let ok =
+        matches graph outcome (naive graph ~failed anns)
+        && match twin with
+           | None -> true
+           | Some (tst, tscratch) ->
+               same_routes graph outcome
+                 (fst (Propagate.Delta.update tst tscratch ~failed anns))
+      in
       let repairs =
         match kind with
         | Propagate.Delta.Steps _ -> repairs + 1
@@ -325,6 +384,22 @@ let prop_oracle_delta =
     ~count:1000
     QCheck.(int_bound 1_000_000)
     (fun seed -> fst (delta_sequence seed))
+
+(* The order-independence law, for both engines: a random case computed
+   over its graph and over the graph rebuilt from shuffled links routes
+   identically, and so does a [Delta] sequence driven over both. *)
+let prop_order_independent =
+  QCheck.Test.make ~name:"routes independent of adjacency order" ~count:500
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (seed, shuffle) ->
+       let c = random_case seed in
+       let outcome g =
+         Propagate.compute (As_graph.Indexed.of_graph g) ~failed:c.failed
+           ?rov:c.rov c.anns
+       in
+       same_routes c.graph (outcome c.graph)
+         (outcome (shuffled (Rng.of_int shuffle) c.graph))
+       && fst (delta_sequence ~shuffle seed))
 
 (* The oracle itself must see the shapes it claims to cover, or the
    property could pass vacuously. *)
@@ -641,7 +716,8 @@ let () =
          Alcotest.test_case "generator covers shapes" `Quick
            test_generator_covers_shapes ]
        @ List.map (fun t -> QCheck_alcotest.to_alcotest t)
-           [ prop_oracle; prop_oracle_workspace; prop_oracle_delta ]);
+           [ prop_oracle; prop_oracle_workspace; prop_oracle_delta;
+             prop_order_independent ]);
       ("reset",
        [ Alcotest.test_case "generator covers branches" `Quick
            test_reset_generator_covers ]

@@ -43,6 +43,7 @@ let test_set_parses_and_ranges () =
   check_bool "oversized days rejected" true (rejected "days" "400");
   check_bool "adversary above 1 rejected" true (rejected "adversary" "1.5");
   check_bool "cache is an unknown key" true (rejected "cache" "512");
+  check_bool "delta is a switch, not a capacity" true (rejected "delta" "512");
   check_bool "negative threshold rejected" true (rejected "threshold" "-1");
   check_bool "guards 0/10 rejected" true (rejected "guards" "0/10");
   check_bool "guards garbage rejected" true (rejected "guards" "three");
@@ -73,11 +74,11 @@ let test_dynamics_presets () =
     List.fold_left
       (fun v (k, x) -> set_exn v k x)
       Sweep.default_vars
-      [ ("days", "2"); ("delta", "9") ]
+      [ ("days", "2"); ("delta", "off") ]
   in
   let d = Sweep.dynamics v in
   Alcotest.(check (float 1e-6)) "duration" (2. *. 86_400.) d.Dynamics.duration;
-  check_int "delta capacity" 9 d.Dynamics.delta_states;
+  check_bool "delta off" false d.Dynamics.delta;
   let base = Dynamics.short_config in
   let calm = Sweep.dynamics (set_exn v "churn" "calm") in
   check_bool "calm quarters the churn rate" true

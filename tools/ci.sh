@@ -29,8 +29,11 @@
 #   8. quicksand check --suite delta
 #                       — delta-vs-full propagation equivalence: byte-
 #                         identical update streams and final tables
-#                         across 5 seeds, delta states 0 vs 512, and
-#                         delta-backed F3L at jobs 1 vs 4;
+#                         with delta repair off vs on, and delta-backed
+#                         F3L at jobs 1 vs 4; Small across 5 seeds, then
+#                         Paper for 1 seed (~1 min), the one run where
+#                         next-hop ids pass 8 bits and thousands of
+#                         origins keep resident states;
 #   9. quicksand check --suite churn
 #                       — the trace-churn statistical harness across
 #                         5 seeds: distribution shape (mean/median/KS),
@@ -98,6 +101,9 @@ dune exec bin/quicksand.exe -- check --suite static --scale small
 
 echo "== quicksand check --suite delta (Small, 5 seeds)"
 dune exec bin/quicksand.exe -- check --suite delta --scale small
+
+echo "== quicksand check --suite delta (Paper, 1 seed)"
+dune exec bin/quicksand.exe -- check --suite delta --scale paper --seeds 1
 
 echo "== quicksand check --suite churn (5 seeds)"
 dune exec bin/quicksand.exe -- check --suite churn
