@@ -475,7 +475,7 @@ let () =
                    delta_links.(!next_link mod Array.length delta_links)
                  in
                  incr next_link;
-                 let failed = Link_set.of_list [ (a, b) ] in
+                 let failed = Link_set.of_list main_ix [ (a, b) ] in
                  ignore
                    (Propagate.Delta.update delta_st delta_scratch ~failed
                       delta_ann);

@@ -788,33 +788,45 @@ let serve_cmd =
               linted @@ fun () ->
               let data = In_channel.with_open_bin path In_channel.input_all in
               with_exec ~show_stats:false jobs (fun exec ->
-                  let updates =
+                  match
                     Ingest.decode_mrt ~chunk:config.Serve.Config.chunk
                       ~collector ~exec data
-                  in
-                  let sinks, finish = sinks_of () in
-                  let t =
-                    Serve.create ~config ~watched:(fun _ -> true) ~sinks
-                      ~exec ()
-                  in
-                  List.iter (Serve.offer t) updates;
-                  let horizon =
-                    List.fold_left
-                      (fun acc (u : Update.t) -> Float.max acc u.Update.time)
-                      0. updates
-                  in
-                  let violations = Serve.drain t ~horizon in
-                  finish ();
-                  if not quiet then begin
-                    Format.printf "decoded %d updates from %s@."
-                      (List.length updates) path;
-                    Format.printf "%a@.%a@." Ingest.pp_stats
-                      (Ingest.stats (Serve.ingest t))
-                      Window.pp_stats
-                      (Window.stats (Serve.window t));
-                    print_alerts (Serve.alerts t)
-                  end;
-                  if violations <> [] then 1 else 0)
+                  with
+                  | exception Mrt.Malformed msg ->
+                      Format.eprintf "quicksand: %s: malformed MRT: %s@." path
+                        msg;
+                      2
+                  | updates ->
+                      let sinks, finish = sinks_of () in
+                      let t =
+                        Serve.create ~config ~watched:(fun _ -> true) ~sinks
+                          ~exec ()
+                      in
+                      List.iter (Serve.offer t) updates;
+                      let horizon =
+                        List.fold_left
+                          (fun acc (u : Update.t) -> Float.max acc u.Update.time)
+                          0. updates
+                      in
+                      let violations = Serve.drain t ~horizon in
+                      finish ();
+                      if not quiet then begin
+                        Format.printf "decoded %d updates from %s@."
+                          (List.length updates) path;
+                        Format.printf "%a@.%a@." Ingest.pp_stats
+                          (Ingest.stats (Serve.ingest t))
+                          Window.pp_stats
+                          (Window.stats (Serve.window t));
+                        print_alerts (Serve.alerts t)
+                      end;
+                      (* Exit 1 on violations, listed as [check --suite
+                         conform] lists them, so the code explains itself. *)
+                      if violations = [] then 0
+                      else begin
+                        Report.conformance ~json:false fmt
+                          ~observed:(List.length updates) violations;
+                        1
+                      end)
           | None ->
               let s = build_scenario seed scale in
               linted ~scenario:s @@ fun () ->
@@ -928,9 +940,13 @@ let serve_cmd =
                  $(b,--mrt)).")
   in
   let mrt_file =
-    Arg.(value & opt (some string) None & info [ "mrt" ] ~docv:"FILE"
+    Arg.(value & opt (some non_dir_file) None & info [ "mrt" ] ~docv:"FILE"
            ~doc:"Stream a recorded MRT update file (e.g. from \
-                 $(b,quicksand mrt-dump)) instead of replaying a scenario.")
+                 $(b,quicksand mrt-dump)) instead of replaying a scenario. \
+                 Malformed bytes exit 2. An update-only feed has no time-0 \
+                 table, so a withdrawal of a prefix the feed never \
+                 announced is a $(b,withdraw-before-announce) violation: \
+                 the violations are listed and the exit code is 1.")
   in
   let collector =
     Arg.(value & opt string "mrt" & info [ "collector" ] ~docv:"NAME"

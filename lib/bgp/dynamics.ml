@@ -110,7 +110,7 @@ type stats = {
   cache_misses : int;
   cache_evictions : int;
   post_horizon_dropped : int;
-  final_failed : Link_set.t;
+  final_failed : int;
 }
 
 type perturbation =
@@ -361,9 +361,9 @@ let cone_affected ?(also = []) st x =
             (cap (As_graph.customers st.w.graph x))))
 
 let fail_link st now ~mean_outage a b affected =
-  if Link_set.mem a b st.failed then ()
+  if Link_set.mem st.w.indexed a b st.failed then ()
   else begin
-    st.failed <- Link_set.add a b st.failed;
+    st.failed <- Link_set.add st.w.indexed a b st.failed;
     let d = Rng.exponential st.rng (1. /. mean_outage) in
     Pqueue.push st.events (now +. d) (Revert (Restore_links [ (a, b) ], affected));
     recompute st now affected
@@ -409,7 +409,8 @@ let handle_churn st now p =
 
 let apply_perturbation st = function
   | Restore_links links ->
-      List.iter (fun (a, b) -> st.failed <- Link_set.remove a b st.failed) links
+      let remove s (a, b) = Link_set.remove st.w.indexed a b s in
+      st.failed <- List.fold_left remove st.failed links
   | Set_prepend (p, v) -> st.prepend.(p) <- v
 
 let handle_revert st now perturbation affected =
@@ -456,11 +457,12 @@ let handle_trace_down st now e =
   let g = st.w.graph in
   let uplinks =
     List.filter
-      (fun up -> not (Link_set.mem o up st.failed))
+      (fun up -> not (Link_set.mem st.w.indexed o up st.failed))
       (As_graph.providers g o @ As_graph.peers g o)
   in
   if uplinks <> [] then begin
-    List.iter (fun up -> st.failed <- Link_set.add o up st.failed) uplinks;
+    let add s up = Link_set.add st.w.indexed o up s in
+    st.failed <- List.fold_left add st.failed uplinks;
     let affected = cone_affected st o in
     st.trace_revert.(e) <-
       Some (Restore_links (List.map (fun up -> (o, up)) uplinks), affected);
@@ -733,4 +735,4 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       cache_misses = st.n_full_recomp + st.n_delta_steps;
       cache_evictions = 0;
       post_horizon_dropped = st.n_dropped;
-      final_failed = st.failed } )
+      final_failed = Link_set.cardinal st.failed } )

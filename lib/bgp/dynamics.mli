@@ -111,9 +111,9 @@ type stats = {
       (** updates scheduled past [duration] and never emitted — convergence
           delays and reset replays near the end of the run overshoot the
           horizon; the stream itself stays within [\[0, duration\]] *)
-  final_failed : Link_set.t;
-      (** failed links once every revert has been applied — empty unless a
-          perturbation genuinely outlives all scheduled restores *)
+  final_failed : int;
+      (** links still failed once every revert has been applied — 0
+          unless a perturbation genuinely outlives all scheduled restores *)
 }
 
 val run :

@@ -217,9 +217,7 @@ let rec refuses info v k =
 let edge_ok t u v =
   let info = t.anns.(src_of t.word.(u)) in
   let asn_v = As_graph.Indexed.asn_of_id t.graph v in
-  (Link_set.is_empty t.failed
-   || not
-        (Link_set.mem (As_graph.Indexed.asn_of_id t.graph u) asn_v t.failed))
+  (not (Link_set.mem_ids t.failed u v))
   && (next_of t.word.(u) <> -1
       ||
       match info.spec.Announcement.export_to with
@@ -383,6 +381,7 @@ let engine t w =
 
 let compute graph ?workspace ?(failed = Link_set.empty) ?rov anns =
   check_graph graph;
+  Link_set.check graph failed;
   let rpki_table, rov_deployers =
     match rov with
     | Some (table, deployers) -> (Some table, deployers)
@@ -590,10 +589,6 @@ module Delta = struct
     mutable ann : Announcement.t option;  (* last applied; None = cold *)
     mutable infos : ann_info array;
     mutable failed : Link_set.t;
-    mutable failed_ids : (int * int) list;
-        (* in-graph links of [failed] as normalized (min id, max id)
-           pairs — the wave's membership test, int compares on a
-           near-always-tiny list instead of a Map probe per candidate *)
     mutable origin_id : int;
     mutable version : int;
         (* bumped whenever an update changes anything a reader could
@@ -617,7 +612,7 @@ module Delta = struct
   let create graph =
     check_graph graph;
     { graph; word = Array.make (As_graph.Indexed.n graph) 0;
-      ann = None; infos = [||]; failed = Link_set.empty; failed_ids = [];
+      ann = None; infos = [||]; failed = Link_set.empty;
       origin_id = -1; version = fresh_version () }
 
   let version st = st.version
@@ -645,16 +640,6 @@ module Delta = struct
     st.failed <- failed;
     let t = make_t st in
     engine t scratch.ws;
-    st.failed_ids <-
-      List.filter_map
-        (fun (a, b) ->
-           match
-             ( As_graph.Indexed.id_of_asn st.graph a,
-               As_graph.Indexed.id_of_asn st.graph b )
-           with
-           | ia, ib -> Some (if ia < ib then (ia, ib) else (ib, ia))
-           | exception Not_found -> None)
-        (Link_set.elements failed);
     st.version <- fresh_version ();
     (match anns with
      | [ a ] when supported_ann a ->
@@ -696,13 +681,6 @@ module Delta = struct
     in
     go w 0
 
-  let link_failed st x v =
-    match st.failed_ids with
-    | [] -> false
-    | ids ->
-        let lo, hi = if v < x then (v, x) else (x, v) in
-        List.exists (fun (a, b) -> a = lo && b = hi) ids
-
   (* The class a receiver gives route [ww] offered by its neighbour,
      where [rel] is what that neighbour is to the receiver; -1 if
      valley-free export withholds it (only customer and origin routes go
@@ -733,7 +711,9 @@ module Delta = struct
       if next_of st.word.(v) = x then push v
       else if wx <> 0 then begin
         let c = offer_cls wx (Relationship.invert rel) in
-        if c >= 0 && (not (link_failed st x v)) && offer c x wx > st.word.(v)
+        if c >= 0
+           && (not (Link_set.mem_ids st.failed x v))
+           && offer c x wx > st.word.(v)
         then push v
       end
     done
@@ -798,7 +778,7 @@ module Delta = struct
         let ww = st.word.(w) in
         if ww <> 0 then begin
           let c = offer_cls ww rel in
-          if c >= 0 && not (link_failed st x w) then begin
+          if c >= 0 && not (Link_set.mem_ids st.failed x w) then begin
             let o = offer c w ww in
             if o > !best then
               (* Incumbent fast path: if x already routes via w, the
@@ -830,12 +810,8 @@ module Delta = struct
      crosses it; otherwise the crossing endpoint re-selects and the
      change (if any) ripples out. Returns the number of nodes whose
      word changed. *)
-  (* Repairs maintain only [failed_ids] (what the wave consults);
-     [update] installs the target [Link_set.t] wholesale at the end, so
-     per-link Map surgery here would be redundant work. *)
   let fail_repair st s ia ib =
-    st.failed_ids <-
-      (if ia < ib then (ia, ib) else (ib, ia)) :: st.failed_ids;
+    st.failed <- Link_set.add_ids st.graph ia ib st.failed;
     let root =
       if next_of st.word.(ia) = ib then ia
       else if next_of st.word.(ib) = ia then ib
@@ -857,9 +833,7 @@ module Delta = struct
      per endpoint decides whether anything can move, and the wave only
      runs when an endpoint actually improves. *)
   let restore_repair st s ia ib =
-    (let lo, hi = if ia < ib then (ia, ib) else (ib, ia) in
-     st.failed_ids <-
-       List.filter (fun (a, b) -> not (a = lo && b = hi)) st.failed_ids);
+    st.failed <- Link_set.remove_ids st.graph ia ib st.failed;
     s.epoch <- s.epoch + 1;
     let tail = ref 0 in
     let newly = ref 0 in
@@ -919,6 +893,7 @@ module Delta = struct
     end
 
   let update st scratch ?(failed = Link_set.empty) anns =
+    Link_set.check st.graph failed;
     scratch_ready scratch (As_graph.Indexed.n st.graph);
     match (anns, st.ann) with
     | [ a ], Some prev
@@ -954,36 +929,21 @@ module Delta = struct
           st.infos <- [| info |];
           st.ann <- Some a
         end;
-        let apply repair (x, y) =
-          match
-            ( As_graph.Indexed.id_of_asn st.graph x,
-              As_graph.Indexed.id_of_asn st.graph y )
-          with
-          | ix, iy ->
-              incr links_applied;
-              let changed = repair st scratch ix iy in
-              if changed = 0 then incr stop_early;
-              frontier := !frontier + changed
-          | exception Not_found ->
-              (* A link between ASes outside this graph can't carry
-                 routes; just record the set change. *)
-              ()
+        let apply repair ia ib =
+          incr links_applied;
+          let changed = repair st scratch ia ib in
+          if changed = 0 then incr stop_early;
+          frontier := !frontier + changed
         in
         match
           (* Physical equality is the hot path: consecutive updates of
              one origin's prefixes within one event pass the very set
-             this state already applied. *)
+             this state already applied. Restores, then fails, each
+             ascending; a repair moves its own link in [st.failed]. *)
           if st.failed != failed then begin
-            List.iter
-              (fun l ->
-                 if not (Link_set.mem (fst l) (snd l) failed) then
-                   apply restore_repair l)
-              (Link_set.elements st.failed);
-            List.iter
-              (fun l ->
-                 if not (Link_set.mem (fst l) (snd l) st.failed) then
-                   apply fail_repair l)
-              (Link_set.elements failed)
+            let old = st.failed in
+            Link_set.iter_diff (apply restore_repair) old failed;
+            Link_set.iter_diff (apply fail_repair) failed old
           end
         with
         | () ->

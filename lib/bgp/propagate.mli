@@ -19,8 +19,8 @@
     BGP loop detection (an AS never accepts a path already containing
     itself).
 
-    Link failures are passed as a {!Link_set.t}; failed links carry no
-    routes. *)
+    Link failures are passed as a {!Link_set.t} built over the same graph;
+    failed links carry no routes. *)
 
 type t
 (** The routing outcome for one prefix: the best route at every AS. *)
@@ -76,8 +76,9 @@ val compute :
     compute (see {!Workspace}). The outcome is bit-for-bit identical with
     and without a workspace.
     @raise Invalid_argument if [anns] is empty, the announcements disagree
-    on the prefix, or an origin is not in the graph; or if a value would
-    overflow its field of the packed route word: a graph of more than
+    on the prefix, an origin is not in the graph or [failed] is from a
+    graph of another size; or if a value would overflow its field of the
+    packed route word: a graph of more than
     2{^20} - 2 ASes, a claimed path whose length plus the graph size
     exceeds 2{^20} - 1, or more than 2{^19} announcements. *)
 
@@ -236,7 +237,9 @@ module Delta : sig
   val update :
     state -> scratch -> ?failed:Link_set.t -> Announcement.t list -> t * kind
   (** Bring the state to the requested configuration and return the
-      outcome (aliasing the state's words). *)
+      outcome (aliasing the state's words). Restores run before fails,
+      each in ascending link order, which the [Steps] counters depend on.
+      @raise Invalid_argument as {!compute}. *)
 
   val version : state -> int
   (** A stamp that changes exactly when an {!update} changes anything an

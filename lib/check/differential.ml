@@ -20,19 +20,43 @@ let render print v =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let first_divergence a b =
-  if String.equal a b then None
-  else
-    let rec loop i la lb =
-      match la, lb with
-      | [], [] -> Some "outputs differ only in trailing whitespace"
-      | x :: _, [] -> Some (Printf.sprintf "line %d: %S vs end of output" i x)
-      | [], y :: _ -> Some (Printf.sprintf "line %d: end of output vs %S" i y)
-      | x :: la, y :: lb ->
-          if String.equal x y then loop (i + 1) la lb
-          else Some (Printf.sprintf "line %d: %S vs %S" i x y)
+(* Only a 16-byte digest per reference line is held. *)
+let stream_divergence ~reference candidate =
+  let digests = Buffer.create (1 lsl 16) in
+  let r = reference (fun l -> Buffer.add_string digests (Digest.string l)) in
+  let n_ref = Buffer.length digests / 16 and i = ref 0 and first = ref None in
+  let differs line =
+    let d = Digest.string line in
+    let rec go k =
+      k < 16 && (Buffer.nth digests ((!i * 16) + k) <> d.[k] || go (k + 1))
     in
-    loop 1 (String.split_on_char '\n' a) (String.split_on_char '\n' b)
+    go 0
+  in
+  let note fmt =
+    Printf.ksprintf (fun m -> if !first = None then first := Some m) fmt
+  in
+  let c =
+    candidate (fun line ->
+        if !i >= n_ref then note "line %d: %S vs end of output" (!i + 1) line
+        else if differs line then
+          note "line %d: %S vs a different line" (!i + 1) line;
+        incr i)
+  in
+  if !i < n_ref then note "line %d: end of output vs a line" (!i + 1);
+  (r, c, !first)
+
+let outcome seed ~pair ~experiment detail =
+  { seed; pair; experiment; ok = detail = None; detail }
+
+let f3l ?(jobs = 1) m =
+  Pool.with_pool ~jobs (fun exec ->
+      render Path_changes.print (Path_changes.compute ~exec m))
+
+(* [a] checked against [b], line by line. *)
+let check seed ~pair ~experiment a b =
+  let lines s emit = List.iter emit (String.split_on_char '\n' s) in
+  let (), (), detail = stream_divergence ~reference:(lines b) (lines a) in
+  outcome seed ~pair ~experiment detail
 
 (* Half a simulated day of the test-scale dynamics: enough churn for
    non-trivial F3L/F3R tables, small enough that the whole pair matrix
@@ -67,17 +91,12 @@ let static ?(dynamics = default_dynamics) ?(seeds = [ 1; 2; 3; 4; 5 ]) size =
        let s = Scenario.build ~seed size in
        let surface = Static_surface.create s.Scenario.indexed in
        let outcome ~experiment problems =
-         { seed; pair = "dynamic-vs-static"; experiment;
-           ok = problems = [];
-           detail =
-             (match problems with
-              | [] -> None
-              | p :: rest ->
-                  if rest = [] then Some p
-                  else
-                    Some
-                      (Printf.sprintf "%s (and %d more)" p (List.length rest)))
-         }
+         outcome seed ~pair:"dynamic-vs-static" ~experiment
+           (match problems with
+            | [] -> None
+            | [ p ] -> Some p
+            | p :: rest ->
+                Some (Printf.sprintf "%s (and %d more)" p (List.length rest)))
        in
        (* 1. Update-stream containment over a full measurement. *)
        let updates = ref [] in
@@ -190,74 +209,48 @@ let delta ?(dynamics = default_dynamics) ?(seeds = [ 1; 2; 3; 4; 5 ]) size =
   List.concat_map
     (fun seed ->
        let scenario = Scenario.build ~seed size in
-       let capture ~delta =
-         let buf = Buffer.create (1 lsl 16) in
-         let ppf = Format.formatter_of_buffer buf in
-         let m =
-           Measurement.run
-             ~dynamics:{ dynamics with Dynamics.delta }
-             ~observe:(fun u -> Format.fprintf ppf "%a@." Update.pp u)
-             scenario
-         in
-         Format.pp_print_flush ppf ();
-         (Buffer.contents buf, m)
+       let arm ~delta emit =
+         Measurement.run
+           ~dynamics:{ dynamics with Dynamics.delta }
+           ~observe:(fun u -> emit (Format.asprintf "%a" Update.pp u))
+           scenario
        in
        let final_tables m =
          List.map
            (fun (c : Measurement.cell) ->
-              render
-                (fun ppf () ->
-                   Format.fprintf ppf "%a %a -> %s"
-                     Update.pp_session c.Measurement.key.Measurement.session
-                     Prefix.pp c.Measurement.key.Measurement.prefix
-                     (match c.Measurement.final_set with
-                      | None -> "-"
-                      | Some set ->
-                          Asn.Set.elements set
-                          |> List.map Asn.to_string
-                          |> String.concat ","))
-                ())
+              Format.asprintf "%a %a -> %s" Update.pp_session
+                c.Measurement.key.Measurement.session Prefix.pp
+                c.Measurement.key.Measurement.prefix
+                (match c.Measurement.final_set with
+                 | None -> "-"
+                 | Some set ->
+                     String.concat ","
+                       (List.map Asn.to_string (Asn.Set.elements set))))
            m.Measurement.cells
          |> List.sort String.compare |> String.concat "\n"
        in
-       let f3l ~jobs m =
-         Pool.with_pool ~jobs (fun exec ->
-             render Path_changes.print (Path_changes.compute ~exec m))
+       let check = check seed and outcome = outcome seed in
+       (* The full arm is reduced to its tables before the delta arm. *)
+       let tables_full, m_delta, stream =
+         stream_divergence
+           ~reference:(fun emit -> final_tables (arm ~delta:false emit))
+           (arm ~delta:true)
        in
-       let check ~pair ~experiment a b =
-         { seed; pair; experiment;
-           ok = String.equal a b;
-           detail = first_divergence a b }
-       in
-       let stream_full, m_full = capture ~delta:false in
-       let stream_delta, m_delta = capture ~delta:true in
-       [ check ~pair:"delta-on-vs-off" ~experiment:"stream"
-           stream_delta stream_full;
+       [ outcome ~pair:"delta-on-vs-off" ~experiment:"stream" stream;
          check ~pair:"delta-on-vs-off" ~experiment:"final-tables"
-           (final_tables m_delta) (final_tables m_full);
+           (final_tables m_delta) tables_full;
          check ~pair:"delta-jobs-1-vs-4" ~experiment:"F3L"
            (f3l ~jobs:1 m_delta) (f3l ~jobs:4 m_delta);
-         { seed; pair = "delta-engaged"; experiment = "stats";
-           ok = m_delta.Measurement.dyn_stats.Dynamics.delta_steps > 0;
-           detail =
-             (if m_delta.Measurement.dyn_stats.Dynamics.delta_steps > 0 then
-                None
-              else Some "delta run took zero delta steps") } ])
+         outcome ~pair:"delta-engaged" ~experiment:"stats"
+           (if m_delta.Measurement.dyn_stats.Dynamics.delta_steps > 0 then None
+            else Some "delta run took zero delta steps") ])
     seeds
 
 let run ?(dynamics = default_dynamics) ?(seeds = [ 1; 2 ]) size =
   List.concat_map
     (fun seed ->
        let scenario = Scenario.build ~seed size in
-       let check ~pair ~experiment a b =
-         { seed; pair; experiment;
-           ok = String.equal a b;
-           detail = first_divergence a b }
-       in
-       let f3l ?(jobs = 1) m =
-         Pool.with_pool ~jobs (fun exec ->
-             render Path_changes.print (Path_changes.compute ~exec m))
-       in
+       let check = check seed in
        let f3r ?(jobs = 1) m =
          Pool.with_pool ~jobs (fun exec ->
              render As_exposure.print (As_exposure.compute ~exec m))

@@ -35,6 +35,15 @@ val run :
 (** Run every pair on every seed (default seeds [1; 2]) and return one
     outcome per (seed, pair, experiment). Deterministic. *)
 
+val stream_divergence :
+  reference:((string -> unit) -> 'a) -> ((string -> unit) -> 'b) ->
+  'a * 'b * string option
+(** [stream_divergence ~reference candidate] runs [reference], then
+    [candidate], each handed a sink for its output lines, and returns both
+    results with the first line, numbered from 1, where the candidate's
+    lines leave the reference's. Only a 16-byte digest per reference line
+    is held; whatever else a producer builds is garbage once it returns. *)
+
 val delta :
   ?dynamics:Dynamics.config -> ?seeds:int list -> Scenario.size ->
   outcome list

@@ -55,7 +55,7 @@ let selection ~rng ?(n_trials = 30) ?(f = 0.05) ?(candidates = 12)
     let variants =
       List.init failure_variants (fun _ ->
           let a, b = Rng.pick rng links in
-          Link_set.of_list [ (a, b) ])
+          Link_set.of_list indexed [ (a, b) ])
     in
     (* Exit segment: ASes between the exit relay's AS and the destination. *)
     let dest_ann =

@@ -40,14 +40,15 @@ type routing_pool = {
 
 let make_pool ~rng (scenario : Scenario.t) ~failure_variants =
   let links = As_graph.core_links scenario.Scenario.graph in
+  let indexed = scenario.Scenario.indexed in
   let variants =
     Array.init (failure_variants + 1) (fun i ->
         if i = 0 || Array.length links = 0 then Link_set.empty
         else
           let a, b = Rng.pick rng links in
-          Link_set.of_list [ (a, b) ])
+          Link_set.of_list indexed [ (a, b) ])
   in
-  { indexed = scenario.Scenario.indexed; variants;
+  { indexed; variants;
     caches = Pool.per_domain (fun () -> Hashtbl.create 1024) }
 
 let outcome_for pool ann variant =

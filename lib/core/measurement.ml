@@ -373,7 +373,7 @@ let pp_dynamics_summary ppf t =
     s.Dynamics.delta_steps s.Dynamics.delta_stop_early
     (if s.Dynamics.delta_steps = 0 then " (delta disabled or unused)" else "")
     s.Dynamics.post_horizon_dropped t.duration
-    (Link_set.cardinal s.Dynamics.final_failed)
+    s.Dynamics.final_failed
 
 let cells_for_session t session =
   List.filter (fun c -> Update.session_equal c.key.session session) t.cells

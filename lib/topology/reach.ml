@@ -29,7 +29,7 @@ type closure = {
 
 let source c = c.src
 
-let compute (t : t) ?failed ?export_to ?max_radius src =
+let compute (t : t) ?export_to ?max_radius src =
   (match max_radius with
    | Some r when r < 0 -> invalid_arg "Reach.compute: negative max_radius"
    | _ -> ());
@@ -44,12 +44,6 @@ let compute (t : t) ?failed ?export_to ?max_radius src =
   push (3 * src_id + s_up);
   let within_radius d =
     match max_radius with None -> true | Some r -> d <= r
-  in
-  let link_ok u v =
-    match failed with
-    | None -> true
-    | Some f ->
-        not (f (As_graph.Indexed.asn_of_id g u) (As_graph.Indexed.asn_of_id g v))
   in
   while !head < !tail do
     let node = queue.(!head) in
@@ -69,7 +63,6 @@ let compute (t : t) ?failed ?export_to ?max_radius src =
            in
            if phase' >= 0
               && dist.(3 * v + phase') = max_int
-              && link_ok u v
               && (match export_to with
                   | Some allowed when u = src_id && phase = s_up && d = 1 ->
                       Asn.Set.mem (As_graph.Indexed.asn_of_id g v) allowed

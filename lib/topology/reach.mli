@@ -20,7 +20,7 @@
 
     Soundness laws (qcheck-enforced in [test/test_topology.ml]):
 
-    - {b monotonicity}: removing a link (via [failed]) never grows any
+    - {b monotonicity}: removing a link from the graph never grows any
       closure or any exposure bound — which is why bounds computed on the
       intact graph stay valid for every churn state of the simulator;
     - {b renumbering invariance}: closures commute with any relabelling
@@ -45,14 +45,14 @@ val source : closure -> Asn.t
 
 val compute :
   t ->
-  ?failed:(Asn.t -> Asn.t -> bool) ->
   ?export_to:Asn.Set.t ->
   ?max_radius:int ->
   Asn.t -> closure
 (** [compute t s] is the closure from [s] over the whole graph.
-    [failed a b] removes links from the sweep (both directions — links
-    are undirected). [export_to] restricts the {e first} hop out of [s]
-    to the given neighbors ({!Qs_bgp.Announcement.export_to} scoping);
+    Failed links are not an input: by monotonicity, a closure over the
+    intact graph bounds every failure state. [export_to] restricts the
+    {e first} hop out of [s] to the given neighbors
+    ({!Qs_bgp.Announcement.export_to} scoping);
     [max_radius] keeps only targets whose minimal valley-free walk from
     [s] has at most that many AS hops ({!Qs_bgp.Announcement.max_radius}
     scoping: an origin at depth 0 re-exports while depth < radius).

@@ -33,11 +33,90 @@ let test_route_empty_rejected () =
 
 (* ---- Link_set ------------------------------------------------------- *)
 
+(* Normalized ASN pairs in a plain [Set]: the reference order the
+   id-keyed [Link_set] must walk in, since repair order decides the delta
+   counters. *)
+module Pairs = Set.Make (struct
+  type t = Asn.t * Asn.t
+
+  let compare (a1, b1) (a2, b2) =
+    match Asn.compare a1 a2 with 0 -> Asn.compare b1 b2 | c -> c
+end)
+
+let norm a b = if Asn.compare a b <= 0 then (a, b) else (b, a)
+
+let pair_graph asns =
+  let g = As_graph.create () in
+  List.iter (fun i -> As_graph.add_as g (asn i) (stub_info "")) asns;
+  As_graph.Indexed.of_graph g
+
+(* The links of [a] not in [b], in [Link_set.iter_diff] order, as ASN
+   pairs. *)
+let links_diff ix a b =
+  let out = ref [] in
+  Link_set.iter_diff
+    (fun i j ->
+       out :=
+         (As_graph.Indexed.asn_of_id ix i, As_graph.Indexed.asn_of_id ix j)
+         :: !out)
+    a b;
+  List.rev !out
+
 let test_link_set () =
-  let s = Link_set.add (asn 1) (asn 2) Link_set.empty in
-  check_bool "normalized" true (Link_set.mem (asn 2) (asn 1) s);
-  let s = Link_set.remove (asn 2) (asn 1) s in
-  check_bool "removed" true (Link_set.is_empty s)
+  let ix = pair_graph [ 1; 2; 7 ] in
+  let s = Link_set.add ix (asn 1) (asn 2) Link_set.empty in
+  check_bool "normalized" true (Link_set.mem ix (asn 2) (asn 1) s);
+  check_bool "by id" true (Link_set.mem_ids s 1 0);
+  check_bool "other link absent" false (Link_set.mem ix (asn 2) (asn 7) s);
+  let s = Link_set.remove ix (asn 2) (asn 1) s in
+  check_bool "removed" true (Link_set.is_empty s);
+  let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check_bool "ASN outside the graph rejected" true
+    (rejects (fun () -> Link_set.of_list ix [ (asn 1, asn 3) ]));
+  check_bool "remove outside the graph rejected" true
+    (rejects (fun () -> Link_set.remove ix (asn 9) (asn 1) Link_set.empty));
+  let other = pair_graph [ 1; 2; 7; 8 ] in
+  let s = Link_set.of_list ix [ (asn 7, asn 1) ] in
+  check_bool "size mismatch rejected by add" true
+    (rejects (fun () -> Link_set.add other (asn 1) (asn 2) s));
+  check_bool "size mismatch rejected by compute" true
+    (rejects (fun () ->
+         Propagate.compute other ~failed:s
+           [ Announcement.originate (asn 1) (pfx "10.0.0.0/24") ]));
+  check_bool "size mismatch rejected by Delta.update" true
+    (rejects (fun () ->
+         Propagate.Delta.update (Propagate.Delta.create other)
+           (Propagate.Delta.create_scratch ()) ~failed:s
+           [ Announcement.originate (asn 1) (pfx "10.0.0.0/24") ]));
+  check_bool "the empty set fits every graph" false
+    (rejects (fun () ->
+         Propagate.compute other ~failed:Link_set.empty
+           [ Announcement.originate (asn 1) (pfx "10.0.0.0/24") ]))
+
+(* Law: walking [Link_set.of_list ix l] ascending gives the normalized ASN
+   pairs of [l] in sorted order, and [iter_diff] walks [a \ b] in that
+   same order. *)
+let prop_link_set_order =
+  QCheck.Test.make ~name:"link set walks in normalized ASN-pair order"
+    ~count:30
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+       let rng = Rng.of_int seed in
+       let g = Topo_gen.generate ~rng Topo_gen.small_params in
+       let ix = As_graph.Indexed.of_graph g in
+       let ases = Array.of_list (As_graph.ases g) in
+       let draw () =
+         List.init (Rng.int rng 40) (fun _ ->
+             (Rng.pick rng ases, Rng.pick rng ases))
+       in
+       let la = draw () and lb = draw () in
+       let pairs l =
+         List.fold_left (fun s (a, b) -> Pairs.add (norm a b) s) Pairs.empty l
+       in
+       let sa = Link_set.of_list ix la and sb = Link_set.of_list ix lb in
+       links_diff ix sa Link_set.empty = Pairs.elements (pairs la)
+       && Link_set.cardinal sa = Pairs.cardinal (pairs la)
+       && links_diff ix sa sb = Pairs.elements (Pairs.diff (pairs la) (pairs lb)))
 
 (* ---- Propagate: hand-built topologies ------------------------------- *)
 
@@ -105,15 +184,17 @@ let test_propagate_valley_free_exports () =
   check_bool "5 gets nothing (valley-free)" false (Propagate.has_route outcome (asn 5))
 
 let test_propagate_failed_link () =
-  let failed = Link_set.of_list [ (asn 2, asn 4) ] in
-  let outcome = Propagate.compute (diamond ()) ~failed [ origin4 ] in
+  let ix = diamond () in
+  let failed = Link_set.of_list ix [ (asn 2, asn 4) ] in
+  let outcome = Propagate.compute ix ~failed [ origin4 ] in
   Alcotest.(check (list int)) "2 reroutes via peer 3" [ 2; 3; 4 ]
     (path_at outcome (asn 2));
   Alcotest.(check (list int)) "1 now via 3" [ 1; 3; 4 ] (path_at outcome (asn 1))
 
 let test_propagate_disconnected () =
-  let failed = Link_set.of_list [ (asn 2, asn 4); (asn 3, asn 4) ] in
-  let outcome = Propagate.compute (diamond ()) ~failed [ origin4 ] in
+  let ix = diamond () in
+  let failed = Link_set.of_list ix [ (asn 2, asn 4); (asn 3, asn 4) ] in
+  let outcome = Propagate.compute ix ~failed [ origin4 ] in
   check_int "only origin routed" 1 (Propagate.routed_count outcome);
   check_bool "2 unreachable" false (Propagate.has_route outcome (asn 2))
 
@@ -332,11 +413,11 @@ let test_delta_matches_full_diamond () =
   let link a b = (asn a, asn b) in
   let steps =
     [ (Link_set.empty, 0);                                  (* cold start *)
-      (Link_set.of_list [ link 2 4 ], 0);                   (* fail on-tree *)
+      (Link_set.of_list ix [ link 2 4 ], 0);                (* fail on-tree *)
       (Link_set.empty, 0);                                  (* restore *)
-      (Link_set.of_list [ link 1 3 ], 0);                   (* off-tree *)
-      (Link_set.of_list [ link 1 3; link 2 4 ], 0);         (* pile on *)
-      (Link_set.of_list [ link 2 4; link 3 4 ], 2);         (* swap + prepend *)
+      (Link_set.of_list ix [ link 1 3 ], 0);                (* off-tree *)
+      (Link_set.of_list ix [ link 1 3; link 2 4 ], 0);      (* pile on *)
+      (Link_set.of_list ix [ link 2 4; link 3 4 ], 2);      (* swap + prepend *)
       (Link_set.empty, 0);                                  (* all back *)
       (Link_set.empty, 2) ]                                 (* prepend only *)
   in
@@ -352,7 +433,7 @@ let test_delta_stop_early_off_tree () =
   let _, k0 = Propagate.Delta.update st scratch [ origin4 ] in
   check_bool "cold start is a full rebuild" true (k0 = Propagate.Delta.Full_rebuild);
   (* 1-3 carries no selected route (1 tie-breaks to 2, 3 goes direct). *)
-  let failed = Link_set.of_list [ (asn 1, asn 3) ] in
+  let failed = Link_set.of_list ix [ (asn 1, asn 3) ] in
   let _, k1 = Propagate.Delta.update st scratch ~failed [ origin4 ] in
   (match k1 with
    | Propagate.Delta.Steps { links_applied; frontier; stop_early } ->
@@ -361,7 +442,7 @@ let test_delta_stop_early_off_tree () =
        check_int "stop-early" 1 stop_early
    | Propagate.Delta.Full_rebuild -> Alcotest.fail "expected a delta step");
   (* 2-4 is on-tree for 1, 2 and the frontier must cover both. *)
-  let failed = Link_set.of_list [ (asn 1, asn 3); (asn 2, asn 4) ] in
+  let failed = Link_set.of_list ix [ (asn 1, asn 3); (asn 2, asn 4) ] in
   let _, k2 = Propagate.Delta.update st scratch ~failed [ origin4 ] in
   (match k2 with
    | Propagate.Delta.Steps { frontier; stop_early; _ } ->
@@ -373,10 +454,10 @@ let test_delta_restore_creates_route () =
   let ix = diamond () in
   let st = Propagate.Delta.create ix in
   let scratch = Propagate.Delta.create_scratch () in
-  let cut = Link_set.of_list [ (asn 2, asn 4); (asn 3, asn 4) ] in
+  let cut = Link_set.of_list ix [ (asn 2, asn 4); (asn 3, asn 4) ] in
   let o, _ = Propagate.Delta.update st scratch ~failed:cut [ origin4 ] in
   check_int "only the origin routed while cut off" 1 (Propagate.routed_count o);
-  let half = Link_set.of_list [ (asn 2, asn 4) ] in
+  let half = Link_set.of_list ix [ (asn 2, asn 4) ] in
   let o, _ = Propagate.Delta.update st scratch ~failed:half [ origin4 ] in
   check_int "restore reconnects everyone" 4 (Propagate.routed_count o);
   Alcotest.(check (list int)) "2 reroutes via peer 3" [ 2; 3; 4 ]
@@ -402,7 +483,7 @@ let test_delta_restore_class_up_len_up () =
   let ann = [ Announcement.originate (asn 1) (pfx "10.0.0.0/24") ] in
   let st = Propagate.Delta.create ix in
   let scratch = Propagate.Delta.create_scratch () in
-  let cut = Link_set.of_list [ (asn 5, asn 6) ] in
+  let cut = Link_set.of_list ix [ (asn 5, asn 6) ] in
   let o, _ = Propagate.Delta.update st scratch ~failed:cut ann in
   (* Tie at 9 between providers 5 and 10 (both len 4): lower ASN wins. *)
   Alcotest.(check (list int)) "9 starts on 5" [ 9; 5; 2; 1 ] (path_at o (asn 9));
@@ -456,7 +537,7 @@ let prop_delta_equals_full =
          [ Announcement.with_prepend prepend
              (Announcement.originate origin (pfx "10.0.0.0/24")) ]
        in
-       let failed = ref Link_set.empty in
+       let failed = ref Link_set.empty and pairs = ref Pairs.empty in
        let prepend = ref 0 in
        let lag = 1 + Rng.int rng 4 in
        let steps =
@@ -466,14 +547,16 @@ let prop_delta_equals_full =
                 let roll = Rng.float rng 1.0 in
                 if roll < 0.45 then begin
                   let a, b, _ = Rng.pick rng links in
-                  failed := Link_set.add a b !failed
+                  failed := Link_set.add ix a b !failed;
+                  pairs := Pairs.add (norm a b) !pairs
                 end
                 else if roll < 0.8 then begin
-                  match Link_set.elements !failed with
+                  match Pairs.elements !pairs with
                   | [] -> ()
                   | l ->
                       let a, b = Rng.pick rng (Array.of_list l) in
-                      failed := Link_set.remove a b !failed
+                      failed := Link_set.remove ix a b !failed;
+                      pairs := Pairs.remove (a, b) !pairs
                 end
                 else prepend := (if !prepend = 0 then 2 else 0);
                 (!failed, !prepend)))
@@ -499,7 +582,7 @@ let prop_delta_frontier_covers_changes =
        let origin = Rng.pick rng (Array.of_list ases) in
        let anns = [ Announcement.originate origin (pfx "10.0.0.0/24") ] in
        let a, b, _ = Rng.pick rng links in
-       let failed = Link_set.of_list [ (a, b) ] in
+       let failed = Link_set.of_list ix [ (a, b) ] in
        let st = Propagate.Delta.create ix in
        let scratch = Propagate.Delta.create_scratch () in
        let before = Propagate.copy (fst (Propagate.Delta.update st scratch anns)) in
@@ -994,8 +1077,8 @@ let test_dynamics_reverts_past_horizon () =
          (fun seed ->
             let rng, world = small_world seed in
             let _, stats = Dynamics.run ~rng config world ~emit:(fun _ -> ()) in
-            check_bool "all failures reverted by the end" true
-              (Link_set.is_empty stats.Dynamics.final_failed))
+            check_int "all failures reverted by the end" 0
+              stats.Dynamics.final_failed)
          [ 5; 9; 23 ])
     [ tiny_config;
       { tiny_config with Dynamics.session_churn = Some Churn.pareto_day } ]
@@ -1131,7 +1214,7 @@ let prop_propagate_failure_valley_free =
        let ases = Array.of_list (As_graph.ases g) in
        let links = Array.of_list (As_graph.links g) in
        let a, b, _ = Rng.pick rng links in
-       let failed = Link_set.of_list [ (a, b) ] in
+       let failed = Link_set.of_list ix [ (a, b) ] in
        let origin = Rng.pick rng ases in
        let ann = Announcement.originate origin (pfx "10.0.0.0/24") in
        let outcome = Propagate.compute ix ~failed [ ann ] in
@@ -1163,7 +1246,9 @@ let () =
        [ Alcotest.test_case "basics" `Quick test_route_basics;
          Alcotest.test_case "as-set vs prepending" `Quick test_route_as_set_prepending;
          Alcotest.test_case "empty rejected" `Quick test_route_empty_rejected ]);
-      ("link_set", [ Alcotest.test_case "normalization" `Quick test_link_set ]);
+      ("link_set",
+       [ Alcotest.test_case "normalization" `Quick test_link_set ]
+       @ qsuite [ prop_link_set_order ]);
       ("propagate",
        [ Alcotest.test_case "diamond" `Quick test_propagate_diamond;
          Alcotest.test_case "customer over peer" `Quick

@@ -307,6 +307,32 @@ let test_differential_small () =
   check_int "6 pair checks" 6 (List.length outcomes);
   check_bool "all identical" true (Differential.all_ok outcomes)
 
+(* A constructed divergent pair names its first differing line. *)
+let test_first_divergence () =
+  let lines l emit = List.iter emit l; List.length l in
+  let reference = [ "a"; "b"; "c" ] in
+  let stream candidate =
+    let _, _, d = Differential.stream_divergence ~reference:(lines reference)
+        (lines candidate) in
+    d
+  in
+  let check_detail name want got =
+    Alcotest.(check (option string)) name want got
+  in
+  check_detail "equal streams" None (stream reference);
+  check_detail "streamed second line" (Some "line 2: \"x\" vs a different line")
+    (stream [ "a"; "x"; "c" ]);
+  check_detail "only the first divergence" (Some "line 1: \"y\" vs a different line")
+    (stream [ "y"; "x"; "c" ]);
+  check_detail "candidate runs long" (Some "line 4: \"d\" vs end of output")
+    (stream [ "a"; "b"; "c"; "d" ]);
+  check_detail "candidate stops short" (Some "line 3: end of output vs a line")
+    (stream [ "a"; "b" ]);
+  let r, c, _ =
+    Differential.stream_divergence ~reference:(lines reference) (lines [ "a" ])
+  in
+  check_int "both results returned" 4 (r + c)
+
 let test_static_suite_small () =
   (* The dynamic-vs-static soundness oracle: simulated update streams and
      attack wins must stay inside the valley-free closure bounds. *)
@@ -446,7 +472,8 @@ let () =
        [ Alcotest.test_case "pairs identical on Small" `Quick
            test_differential_small;
          Alcotest.test_case "static bounds contain dynamics" `Quick
-           test_static_suite_small ]);
+           test_static_suite_small;
+         Alcotest.test_case "first divergent line" `Quick test_first_divergence ]);
       ("fuzz",
        [ Alcotest.test_case "mrt mutation fuzz" `Quick test_fuzz_mrt;
          Alcotest.test_case "session-reset injection fuzz" `Quick

@@ -49,7 +49,18 @@ let rec last = function
   | _ :: rest -> last rest
   | [] -> invalid_arg "last"
 
-let naive g ?(failed = Link_set.empty) ?rov anns =
+(* The reference's own failed-link representation: normalized ASN pairs
+   in a plain [Set], independent of the engines' id-keyed [Link_set]. *)
+module Links = Set.Make (struct
+  type t = Asn.t * Asn.t
+
+  let compare (a1, b1) (a2, b2) =
+    match Asn.compare a1 a2 with 0 -> Asn.compare b1 b2 | c -> c
+end)
+
+let link a b = if Asn.compare a b <= 0 then (a, b) else (b, a)
+
+let naive g ?(failed = Links.empty) ?rov anns =
   let anns = Array.of_list anns in
   let invalid k =
     match rov with
@@ -80,7 +91,7 @@ let naive g ?(failed = Link_set.empty) ?rov anns =
   (* Does [u], holding [r], export it to neighbour [v] (what [v] is to
      [u] is [rel])? *)
   let exports u r v rel =
-    (not (Link_set.mem u v failed))
+    (not (Links.mem (link u v) failed))
     && (r.cls >= 2 || Relationship.equal rel Relationship.Customer)
     && (match anns.(r.ann).Announcement.max_radius with
         | Some radius -> r.depth < radius
@@ -174,7 +185,7 @@ let random_graph rng =
 
 type case = {
   graph : As_graph.t;
-  failed : Link_set.t;
+  failed : Links.t;
   anns : Announcement.t list;
   rov : (Rpki.t * Asn.Set.t) option;
 }
@@ -185,8 +196,9 @@ let random_case seed =
   let ases = Array.of_list (As_graph.ases graph) in
   let failed =
     List.fold_left
-      (fun s (a, b, _) -> if Rng.float rng 1.0 < 0.15 then Link_set.add a b s else s)
-      Link_set.empty (As_graph.links graph)
+      (fun s (a, b, _) ->
+         if Rng.float rng 1.0 < 0.15 then Links.add (link a b) s else s)
+      Links.empty (As_graph.links graph)
   in
   let victim = Rng.pick rng ases in
   let shape (a : Announcement.t) =
@@ -289,10 +301,13 @@ let same_routes graph x y =
           = Propagate.winning_announcement y a)
     (As_graph.ases graph)
 
+(* The case's failed links as the engines take them. *)
+let engine_failed ix c = Link_set.of_list ix (Links.elements c.failed)
+
 let agrees c =
   let ix = As_graph.Indexed.of_graph c.graph in
   matches c.graph
-    (Propagate.compute ix ~failed:c.failed ?rov:c.rov c.anns)
+    (Propagate.compute ix ~failed:(engine_failed ix c) ?rov:c.rov c.anns)
     (naive c.graph ~failed:c.failed ?rov:c.rov c.anns)
 
 let prop_oracle =
@@ -310,9 +325,10 @@ let prop_oracle_workspace =
     (fun seed ->
        let c = random_case seed in
        let ix = As_graph.Indexed.of_graph c.graph in
-       let fresh = Propagate.compute ix ~failed:c.failed ?rov:c.rov c.anns in
+       let failed = engine_failed ix c in
+       let fresh = Propagate.compute ix ~failed ?rov:c.rov c.anns in
        let reused =
-         Propagate.compute ix ~workspace:ws ~failed:c.failed ?rov:c.rov c.anns
+         Propagate.compute ix ~workspace:ws ~failed ?rov:c.rov c.anns
        in
        agrees c
        && List.for_all
@@ -327,7 +343,8 @@ let prop_oracle_workspace =
    every step the repaired outcome must match [naive] on the
    configuration reached. With [shuffle], a twin state over the same
    graph rebuilt from links shuffled by that seed takes the same steps,
-   and its outcome must equal the first's at every step. Returns
+   and its outcome must equal the first's at every step (ids follow
+   ASNs, so one engine set serves both graphs). Returns
    whether every step matched and how many steps were incremental
    repairs rather than rebuilds. *)
 let delta_sequence ?shuffle seed =
@@ -345,16 +362,18 @@ let delta_sequence ?shuffle seed =
          (Propagate.Delta.create tix, Propagate.Delta.create_scratch ()))
       shuffle
   in
-  let rec go steps failed prepend ok repairs =
+  (* [reference] is [naive]'s copy of the engines' [failed]. *)
+  let rec go steps (reference, failed) prepend ok repairs =
     if steps = 0 || not ok then (ok, repairs)
     else begin
-      let failed, prepend =
+      let (reference, failed), prepend =
         if Array.length links > 0 && Rng.float rng 1.0 < 0.7 then
           let a, b, _ = Rng.pick rng links in
-          ((if Link_set.mem a b failed then Link_set.remove a b failed
-            else Link_set.add a b failed),
-           prepend)
-        else (failed, 2 - prepend)
+          ( (if Links.mem (link a b) reference then
+               (Links.remove (link a b) reference, Link_set.remove ix a b failed)
+             else (Links.add (link a b) reference, Link_set.add ix a b failed)),
+            prepend )
+        else ((reference, failed), 2 - prepend)
       in
       let anns =
         [ Announcement.with_prepend prepend
@@ -362,7 +381,7 @@ let delta_sequence ?shuffle seed =
       in
       let outcome, kind = Propagate.Delta.update st scratch ~failed anns in
       let ok =
-        matches graph outcome (naive graph ~failed anns)
+        matches graph outcome (naive graph ~failed:reference anns)
         && match twin with
            | None -> true
            | Some (tst, tscratch) ->
@@ -374,10 +393,10 @@ let delta_sequence ?shuffle seed =
         | Propagate.Delta.Steps _ -> repairs + 1
         | Propagate.Delta.Full_rebuild -> repairs
       in
-      go (steps - 1) failed prepend ok repairs
+      go (steps - 1) (reference, failed) prepend ok repairs
     end
   in
-  go (5 + Rng.int rng 16) Link_set.empty 0 true 0
+  go (5 + Rng.int rng 16) (Links.empty, Link_set.empty) 0 true 0
 
 let prop_oracle_delta =
   QCheck.Test.make ~name:"delta repair = naive path-vector after random events"
@@ -394,8 +413,8 @@ let prop_order_independent =
     (fun (seed, shuffle) ->
        let c = random_case seed in
        let outcome g =
-         Propagate.compute (As_graph.Indexed.of_graph g) ~failed:c.failed
-           ?rov:c.rov c.anns
+         let ix = As_graph.Indexed.of_graph g in
+         Propagate.compute ix ~failed:(engine_failed ix c) ?rov:c.rov c.anns
        in
        same_routes c.graph (outcome c.graph)
          (outcome (shuffled (Rng.of_int shuffle) c.graph))
@@ -410,7 +429,7 @@ let test_generator_covers_shapes () =
   List.iter
     (fun (name, n) ->
        Alcotest.(check bool) (name ^ " exercised") true (n >= 10))
-    [ ("failed links", count (fun c -> not (Link_set.is_empty c.failed)));
+    [ ("failed links", count (fun c -> not (Links.is_empty c.failed)));
       ("prepends", count (any_ann (fun a -> a.Announcement.prepend > 0)));
       ("competing origins", count (fun c -> List.length c.anns >= 2));
       ("three origins", count (fun c -> List.length c.anns = 3));

@@ -46,28 +46,36 @@
 #                         must equal the batch detector's exactly and the
 #                         windowed cells must be bit-identical to
 #                         Measurement.run's (exit 1 on any divergence);
-#  11. quicksand sweep --matrix seeds-2x2
+#  11. quicksand serve --mrt
+#                       — the live service over a recorded feed: an hour of
+#                         Small churn from mrt-dump must decode to one
+#                         update per record, and exit 1 is accepted only
+#                         if every listed violation is
+#                         withdraw-before-announce (an update-only feed has
+#                         no time-0 table to resolve withdrawals against);
+#                         its first 1000 bytes must exit 2 as malformed;
+#  12. quicksand sweep --matrix seeds-2x2
 #                       — the tiny 2x2 matrix (two seeds x two churn
 #                         models, quarter of a Small day). Every cell's
 #                         summary.json must carry the qs-sweep/1 schema;
-#  12. quicksand sweep --matrix churn-trace-day
+#  13. quicksand sweep --matrix churn-trace-day
 #                       — the trace-shaped churn day;
-#  13. quicksand long-term --consensus live-hourly
+#  14. quicksand long-term --consensus live-hourly
 #                       — M2 under a living consensus (Small, seed 1, 30
 #                         days): the one CLI path where pool tasks on
 #                         several domains build and share one consensus'
 #                         epochs. The `exec pool:` timing block is
 #                         stripped from its output.
-#                       Stages 11-13 each run at jobs=1, jobs=4 and a
+#                       Stages 12-14 each run at jobs=1, jobs=4 and a
 #                       jobs=1 rerun, and the three outputs must be
 #                       byte-identical: fingerprints stable across reruns,
 #                       results independent of the worker count;
-#  14. bench/main.exe --scale small --no-micro
+#  15. bench/main.exe --scale small --no-micro
 #                       — the reproduction harness: every table, figure
 #                         and ablation section on the Small scenario
 #                         (~5 s). Its output must end in its `done in`
 #                         line;
-#  15. dune build @qsbench/smoke
+#  16. dune build @qsbench/smoke
 #                       — every benchmark workload at smoke size, one
 #                         plain and one staged rep each, with every
 #                         result-digest and accounting check and every
@@ -111,6 +119,29 @@ dune exec bin/quicksand.exe -- check --suite churn
 echo "== quicksand serve --replay --verify-batch (Small, seed 1, half a day)"
 dune exec bin/quicksand.exe -- serve --replay --verify-batch --scale small \
   --seed 1 --days 0.5 --attacks 4 --quiet
+
+echo "== quicksand serve --mrt (an hour of Small churn, then a truncated copy)"
+dune exec bin/quicksand.exe -- mrt-dump --scale small --seed 1 --hours 1 \
+  -o "$tmp/feed.mrt" > "$tmp/dump.txt"
+records=$(sed -n 's/^wrote .*: \([0-9]*\) MRT records.*/\1/p' "$tmp/dump.txt")
+rc=0
+dune exec bin/quicksand.exe -- serve --mrt "$tmp/feed.mrt" > "$tmp/serve-mrt.txt" \
+  || rc=$?
+grep -qx "decoded $records updates from $tmp/feed.mrt" "$tmp/serve-mrt.txt" \
+  || { echo "serve --mrt did not decode all $records records"; exit 1; }
+listed=$(grep -c '^  \[' "$tmp/serve-mrt.txt" || true)
+wba=$(grep -c '^  \[withdraw-before-announce\]' "$tmp/serve-mrt.txt" || true)
+case $rc in
+  0) ;;
+  1) [ "$wba" -gt 0 ] && [ "$wba" = "$listed" ] \
+       || { echo "serve --mrt exit 1 must list only withdraw-before-announce"; exit 1; } ;;
+  *) echo "serve --mrt exited $rc"; exit 1 ;;
+esac
+head -c 1000 "$tmp/feed.mrt" > "$tmp/head.mrt"
+rc=0
+dune exec bin/quicksand.exe -- serve --mrt "$tmp/head.mrt" 2> "$tmp/head.err" \
+  || rc=$?
+[ "$rc" = 2 ] || { echo "serve --mrt on a truncated feed exited $rc, not 2"; exit 1; }
 
 # [jobs_identical NAME CMD ARGS...] runs [CMD ARGS... JOBS OUT] at jobs 1, 4
 # and 1 again, each writing OUT under $tmp; the three outputs (files or
