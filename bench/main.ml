@@ -364,6 +364,12 @@ let () =
                  Anonymity.multi_guard_probability ~f:0.05 ~x:12 ~l:3));
           Test.make ~name:"F2R-correlation-kernel"
             (Staged.stage (fun () -> Correlation.pearson series_a series_b));
+          (* One flow of A2's timing analysis: the 4 MB bursty download
+             that Asymmetric.deanonymize simulates per circuit. *)
+          Test.make ~name:"F2R-onion-download"
+            (Staged.stage (fun () ->
+                 Onion.download ~rng:(Rng.of_int 13) ~start_delay:1.5
+                   ~burst:(300 * 1024, 2.5) ~size:(4 * 1024 * 1024) ()));
           Test.make ~name:"A1-hijack"
             (Staged.stage (fun () ->
                  Hijack.same_prefix ix ~victim ~attacker ()));

@@ -30,6 +30,23 @@ let checked conv ok msg =
   in
   Arg.conv (parse, Arg.conv_printer conv)
 
+(* A file the command will write: checked when the command line is parsed,
+   so a path that cannot be opened stops the run (exit 124, naming the
+   path) before any scenario is built, not with an uncaught [Sys_error]
+   after the work is done. "-" passes: the report options read it as
+   stdout. *)
+let out_file =
+  let parse path =
+    let dir = Filename.dirname path in
+    if path = "-" then Ok path
+    else if Sys.file_exists path && Sys.is_directory path then
+      Error (`Msg (Printf.sprintf "%s is a directory, not a file" path))
+    else if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Error (`Msg (Printf.sprintf "cannot write %s: no directory %s" path dir))
+    else Ok path
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let at_least lo =
   checked Arg.int (fun n -> n >= lo) (Printf.sprintf "must be >= %d" lo)
 
@@ -70,7 +87,7 @@ let jobs =
    [--trials] and three private [-o]). *)
 
 let output_file =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some out_file) None
        & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write to a file instead of stdout.")
 
@@ -89,20 +106,20 @@ let dump out data =
 (* ---- observability reports ------------------------------------------- *)
 
 let metrics_file =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some out_file) None
        & info [ "metrics" ] ~docv:"FILE"
            ~doc:"Write a human-readable metrics report to $(docv) after the \
                  command finishes ($(b,-) for stdout).")
 
 let metrics_json_file =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some out_file) None
        & info [ "metrics-json" ] ~docv:"FILE"
            ~doc:"Write the qs-obs/1 JSON metrics report to $(docv) ($(b,-) \
                  for stdout). Counts are deterministic for a given seed; \
                  timing lives in dedicated fields.")
 
 let trace_file =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some out_file) None
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"Enable span tracing and write the JSON trace to $(docv) \
                  ($(b,-) for stdout).")
@@ -440,7 +457,7 @@ let mrt_cmd =
            ~doc:"Simulated duration of the dump.")
   in
   let out =
-    Arg.(value & opt string "updates.mrt" & info [ "o"; "output" ] ~docv:"FILE"
+    Arg.(value & opt out_file "updates.mrt" & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Output MRT file.")
   in
   Cmd.v
@@ -953,7 +970,7 @@ let serve_cmd =
            ~doc:"Collector name attached to updates decoded from --mrt.")
   in
   let events =
-    Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE"
+    Arg.(value & opt (some out_file) None & info [ "events" ] ~docv:"FILE"
            ~doc:"Write the event stream as JSON lines to $(docv) ($(b,-) \
                  for stdout).")
   in

@@ -1,23 +1,31 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a draw reads and writes
+   it in place, where a [mutable state : int64] field would allocate a
+   fresh boxed int64 on every step. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
+
 let of_int seed = create (Int64.of_int seed)
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let int64 t = mix (next_raw t)
+let int64 t = next t
 
-let split t = create (int64 t)
+let split t = create (next t)
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: negative count";
@@ -27,16 +35,16 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit int non-negatively.
      Rejection-free: modulo bias is negligible for bound << 2^62. *)
-  let v = Int64.to_int (Int64.logand (int64 t) 0x3FFFFFFFFFFFFFFFL) in
+  let v = Int64.to_int (Int64.logand (next t) 0x3FFFFFFFFFFFFFFFL) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits -> uniform in [0, 1). *)
-  let bits = Int64.shift_right_logical (int64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   let u = Int64.to_float bits /. 9007199254740992.0 in
   u *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";

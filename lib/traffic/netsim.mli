@@ -37,8 +37,8 @@ val link :
 (** Creates a bidirectional link. [latency] is one-way seconds; [jitter]
     adds uniform extra delay in [\[0, jitter\]]; [loss] drops each packet
     independently with that probability (in-order delivery is preserved
-    among survivors). @raise Invalid_argument if the link exists or the
-    nodes are equal. *)
+    among survivors). @raise Invalid_argument if the link exists, the
+    nodes are equal or either is not a node of [t]. *)
 
 val set_tap : t -> from:node -> to_:node -> (float -> packet -> unit) -> unit
 (** Installs the observer for the directed link [from → to_]. The tap sees
@@ -50,6 +50,34 @@ val send : t -> from:node -> to_:node -> packet -> unit
 
 val schedule : t -> float -> (t -> unit) -> unit
 (** [schedule t delay f] runs [f] after [delay] seconds of simulated time. *)
+
+(** {1 Re-armable timers}
+
+    A timer is one persistent event, for a deadline that is pushed back or
+    called off far more often than it fires (a TCP retransmission or
+    delayed-ACK timer). Re-arming moves the timer's one queue entry and
+    cancelling removes it, so a superseded deadline never reaches the
+    event loop.
+
+    Events run in (time, arrival) order, where {!send}, {!schedule} and
+    {!arm} each take the next arrival number when called: a timer re-armed
+    now is ordered exactly as a fresh {!schedule} call now would be. *)
+
+type timer
+
+val timer : (t -> unit) -> timer
+(** [timer f] is a timer that runs [f] when it fires; it starts disarmed
+    and may only be armed in one simulator. *)
+
+val arm : t -> timer -> float -> unit
+(** [arm t timer delay] sets [timer] to fire after [delay] seconds,
+    replacing any pending deadline. *)
+
+val cancel : t -> timer -> unit
+(** Disarms the timer; a no-op if it is not armed. *)
+
+val armed : timer -> bool
+(** True from {!arm} until the timer fires or is cancelled. *)
 
 val run : ?until:float -> t -> unit
 (** Processes events until the queue empties or simulated time exceeds

@@ -27,15 +27,14 @@ type conn = {
   mutable srtt : float;
   mutable rttvar : float;
   mutable rto : float;
-  mutable rto_generation : int;
-  mutable rto_armed : bool;
+  mutable rto_timer : Netsim.timer;
   mutable sample_seq : int;       (* segment end being timed; -1 = none *)
   mutable sample_sent : float;
   (* receiver state *)
   mutable rcv_nxt : int;
   mutable ooo : (int * int) list; (* disjoint [start, end) intervals, sorted *)
   mutable delack_count : int;
-  mutable delack_generation : int;
+  mutable delack_timer : Netsim.timer;
   mutable delivered : int;
   mutable consumed : int;          (* bytes the application has drained *)
   mutable manual_consume : bool;
@@ -49,10 +48,12 @@ type endpoint = {
   e_net : Netsim.t;
   e_node : Netsim.node;
   e_ip : Ipv4.t;
-  conns : (int * int * int, conn) Hashtbl.t;
-      (* (remote ip as int, remote port, local port) *)
+  mutable conns : conn option array;
+      (* indexed by local port - first_port: ports are handed out densely *)
   mutable next_port : int;
 }
+
+let first_port = 10000
 
 (* --- sending machinery --------------------------------------------- *)
 
@@ -66,20 +67,9 @@ let packet c ~seq ~payload =
 
 let transmit c p = Netsim.send c.net ~from:c.local_node ~to_:c.peer_node p
 
-let rec arm_rto c =
-  if not c.rto_armed then begin
-    c.rto_armed <- true;
-    let generation = c.rto_generation in
-    Netsim.schedule c.net c.rto (fun _ ->
-        if c.rto_generation = generation then begin
-          c.rto_armed <- false;
-          on_rto c
-        end)
-  end
-
-and disarm_rto c =
-  c.rto_generation <- c.rto_generation + 1;
-  c.rto_armed <- false
+(* A pending retransmission deadline stands until an ACK advances
+   [snd_una]: new segments do not push it back. *)
+let rec arm_rto c = if not (Netsim.armed c.rto_timer) then Netsim.arm c.net c.rto_timer c.rto
 
 and on_rto c =
   if c.snd_una < c.snd_nxt then begin
@@ -115,7 +105,7 @@ and try_send c =
 
 let send_pure_ack c =
   c.delack_count <- 0;
-  c.delack_generation <- c.delack_generation + 1;
+  Netsim.cancel c.net c.delack_timer;
   transmit c (packet c ~seq:c.snd_nxt ~payload:0)
 
 (* --- receiving machinery -------------------------------------------- *)
@@ -147,8 +137,10 @@ let handle_ack c ack =
       update_rtt c;
       c.sample_seq <- -1
     end;
-    disarm_rto c;
-    if c.snd_una < c.snd_nxt then arm_rto c;
+    (* Restart the timer from now: re-arming takes a fresh arrival number,
+       exactly as scheduling a new timer would. *)
+    if c.snd_una < c.snd_nxt then Netsim.arm c.net c.rto_timer c.rto
+    else Netsim.cancel c.net c.rto_timer;
     try_send c
   end
   else if ack = c.snd_una && c.snd_una < c.snd_nxt then begin
@@ -185,15 +177,12 @@ let insert_ooo c s e =
   in
   c.ooo <- insert c.ooo
 
+(* The first unacknowledged segment arms the timer; the second ACKs at
+   once, and every pure ACK disarms it. *)
 let schedule_delack c =
   c.delack_count <- c.delack_count + 1;
   if c.delack_count >= 2 then send_pure_ack c
-  else begin
-    let generation = c.delack_generation in
-    Netsim.schedule c.net c.opts.delack_timeout (fun _ ->
-        if c.delack_generation = generation && c.delack_count > 0 then
-          send_pure_ack c)
-  end
+  else Netsim.arm c.net c.delack_timer c.opts.delack_timeout
 
 let handle_data c (p : Netsim.packet) =
   let s = p.Netsim.seq and e = p.Netsim.seq + p.Netsim.payload in
@@ -226,15 +215,16 @@ let handle_packet c (p : Netsim.packet) =
 (* --- endpoints and connection setup --------------------------------- *)
 
 let dispatch ep _net (p : Netsim.packet) =
-  match
-    Hashtbl.find_opt ep.conns (Ipv4.to_int p.Netsim.src, p.Netsim.sport, p.Netsim.dport)
-  with
-  | Some c -> handle_packet c p
-  | None -> ()  (* no listener: drop, like a RST-less firewall *)
+  let i = p.Netsim.dport - first_port in
+  if i >= 0 && i < Array.length ep.conns then
+    match ep.conns.(i) with
+    | Some c when c.rport = p.Netsim.sport && Ipv4.equal c.remote_ip p.Netsim.src ->
+        handle_packet c p
+    | Some _ | None -> ()  (* no listener: drop, like a RST-less firewall *)
 
 let attach net node ip =
-  let ep = { e_net = net; e_node = node; e_ip = ip; conns = Hashtbl.create 8;
-             next_port = 10000 } in
+  let ep = { e_net = net; e_node = node; e_ip = ip; conns = [||];
+             next_port = first_port } in
   Netsim.set_handler net node (dispatch ep);
   ep
 
@@ -243,27 +233,45 @@ let fresh_port ep =
   ep.next_port <- ep.next_port + 1;
   p
 
+(* Stands in for a connection's timers until [make_conn] builds the real
+   ones, which need the connection they act on. Never armed. *)
+let unset_timer = Netsim.timer ignore
+
 let make_conn opts net ~local ~peer ~lport ~rport =
-  { net; opts;
-    local_node = local.e_node; peer_node = peer.e_node;
-    local_ip = local.e_ip; remote_ip = peer.e_ip;
-    lport; rport;
-    snd_una = 0; snd_nxt = 0; backlog = 0;
-    cwnd = float_of_int opts.initial_cwnd;
-    ssthresh = float_of_int opts.rwnd;
-    dupacks = 0; srtt = 0.; rttvar = 0.; rto = 1.0;
-    rto_generation = 0; rto_armed = false;
-    sample_seq = -1; sample_sent = 0.;
-    rcv_nxt = 0; ooo = []; delack_count = 0; delack_generation = 0;
-    delivered = 0; consumed = 0; manual_consume = false;
-    peer_wnd = opts.rwnd; on_receive = (fun _ -> ()); n_rto = 0; n_fast_rtx = 0 }
+  let c =
+    { net; opts;
+      local_node = local.e_node; peer_node = peer.e_node;
+      local_ip = local.e_ip; remote_ip = peer.e_ip;
+      lport; rport;
+      snd_una = 0; snd_nxt = 0; backlog = 0;
+      cwnd = float_of_int opts.initial_cwnd;
+      ssthresh = float_of_int opts.rwnd;
+      dupacks = 0; srtt = 0.; rttvar = 0.; rto = 1.0;
+      rto_timer = unset_timer;
+      sample_seq = -1; sample_sent = 0.;
+      rcv_nxt = 0; ooo = []; delack_count = 0; delack_timer = unset_timer;
+      delivered = 0; consumed = 0; manual_consume = false;
+      peer_wnd = opts.rwnd; on_receive = (fun _ -> ()); n_rto = 0; n_fast_rtx = 0 }
+  in
+  c.rto_timer <- Netsim.timer (fun _ -> on_rto c);
+  c.delack_timer <- Netsim.timer (fun _ -> send_pure_ack c);
+  c
+
+let register ep c =
+  let i = c.lport - first_port in
+  if i >= Array.length ep.conns then begin
+    let conns = Array.make (max 4 (2 * (i + 1))) None in
+    Array.blit ep.conns 0 conns 0 (Array.length ep.conns);
+    ep.conns <- conns
+  end;
+  ep.conns.(i) <- Some c
 
 let connect ?(options = default_options) ~a ~b () =
   let pa = fresh_port a and pb = fresh_port b in
   let ca = make_conn options a.e_net ~local:a ~peer:b ~lport:pa ~rport:pb in
   let cb = make_conn options b.e_net ~local:b ~peer:a ~lport:pb ~rport:pa in
-  Hashtbl.replace a.conns (Ipv4.to_int b.e_ip, pb, pa) ca;
-  Hashtbl.replace b.conns (Ipv4.to_int a.e_ip, pa, pb) cb;
+  register a ca;
+  register b cb;
   (ca, cb)
 
 let send c n =

@@ -12,6 +12,15 @@ let test_rng_deterministic () =
     Alcotest.(check int64) "same stream" (Rng.int64 a) (Rng.int64 b)
   done
 
+(* The published SplitMix64 stream for seed 0 (Steele, Lea & Flood's
+   reference implementation): an oracle independent of how the state is
+   stored. *)
+let test_rng_splitmix_vectors () =
+  let t = Rng.create 0L in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "SplitMix64 from seed 0" expected (Rng.int64 t))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]
+
 let test_rng_split_independent () =
   let a = Rng.of_int 7 in
   let c = Rng.split a in
@@ -457,9 +466,96 @@ let prop_pqueue_pop_until_boundary =
        in
        popped = expected_popped
        && Pqueue.length q = List.length keys - List.length expected_popped
-       && (match Pqueue.min_key q with
-           | Some k -> k > limit
-           | None -> true))
+       && (Pqueue.is_empty q || Pqueue.min_key q > limit)
+       && not (Pqueue.due q limit))
+
+(* Handles against a list model. Keys come from a small set so that equal
+   keys are common; the model pops the least (key, arrival) pair, where
+   every push and every arm takes the next arrival number. *)
+type pq_op = Push of int | Arm of int * int | Cancel of int | Pop
+
+let pq_keys = [| 0.; 1.; 1.; 2.5 |]
+let pq_handles = 3
+
+let pq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun k -> Push k) (int_bound 3));
+        (4, map2 (fun h k -> Arm (h, k)) (int_bound (pq_handles - 1)) (int_bound 3));
+        (2, map (fun h -> Cancel h) (int_bound (pq_handles - 1)));
+        (3, return Pop) ])
+
+let pq_op_print = function
+  | Push k -> Printf.sprintf "push %g" pq_keys.(k)
+  | Arm (h, k) -> Printf.sprintf "arm h%d %g" h pq_keys.(k)
+  | Cancel h -> Printf.sprintf "cancel h%d" h
+  | Pop -> "pop"
+
+type pq_label = Pushed of int | Handle of int
+
+let prop_pqueue_handles_model =
+  QCheck.Test.make ~name:"handles = list model (arm, re-arm, cancel, ties)" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pq_op_print ops))
+       QCheck.Gen.(list_size (int_bound 60) pq_op_gen))
+    (fun ops ->
+       let q = Pqueue.create () in
+       let handles = Array.init pq_handles (fun h -> Pqueue.handle (Handle h)) in
+       (* model: (key, arrival, label), unordered *)
+       let model = ref [] and arrival = ref 0 and pushes = ref 0 in
+       let add key label =
+         model := (key, !arrival, label) :: !model;
+         incr arrival
+       in
+       let drop label = model := List.filter (fun (_, _, l) -> l <> label) !model in
+       let model_pop () =
+         match List.sort compare !model with
+         | [] -> None
+         | ((key, _, label) as top) :: _ ->
+             model := List.filter (fun e -> e <> top) !model;
+             Some (key, label)
+       in
+       let ok = ref true in
+       List.iter
+         (fun op ->
+            match op with
+            | Push k ->
+                Pqueue.push q pq_keys.(k) (Pushed !pushes);
+                add pq_keys.(k) (Pushed !pushes);
+                incr pushes
+            | Arm (h, k) ->
+                Pqueue.arm q handles.(h) pq_keys.(k);
+                drop (Handle h);
+                add pq_keys.(k) (Handle h)
+            | Cancel h ->
+                Pqueue.cancel q handles.(h);
+                drop (Handle h)
+            | Pop -> if Pqueue.pop q <> model_pop () then ok := false)
+         ops;
+       let queued_agree =
+         List.for_all
+           (fun i ->
+              Pqueue.queued handles.(i) = List.exists (fun (_, _, l) -> l = Handle i) !model)
+           (List.init pq_handles Fun.id)
+       in
+       let length_agree = Pqueue.length q = List.length !model in
+       let model_rest =
+         List.map (fun (key, _, label) -> (key, label)) (List.sort compare !model)
+       in
+       !ok && queued_agree && length_agree && Pqueue.drain q = model_rest
+       && Array.for_all (fun h -> not (Pqueue.queued h)) handles)
+
+let test_pqueue_handle_rejects_foreign_queue () =
+  let q1 = Pqueue.create () and q2 = Pqueue.create () in
+  let h = Pqueue.handle () in
+  Pqueue.arm q1 h 1.0;
+  Alcotest.check_raises "arm in a second queue"
+    (Invalid_argument "Pqueue: handle queued in another queue")
+    (fun () -> Pqueue.arm q2 h 2.0);
+  Alcotest.check_raises "cancel in a second queue"
+    (Invalid_argument "Pqueue: handle queued in another queue")
+    (fun () -> Pqueue.cancel q2 h);
+  check_int "first queue untouched" 1 (Pqueue.length q1)
 
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
@@ -467,6 +563,7 @@ let () =
   Alcotest.run "qs_net"
     [ ("rng",
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+         Alcotest.test_case "splitmix64 reference vectors" `Quick test_rng_splitmix_vectors;
          Alcotest.test_case "split independence" `Quick test_rng_split_independent;
          Alcotest.test_case "split_n stable order" `Quick test_rng_split_n_stable;
          Alcotest.test_case "split_n sibling independence" `Quick
@@ -508,7 +605,9 @@ let () =
          Alcotest.test_case "pop until" `Quick test_pqueue_pop_until;
          Alcotest.test_case "pop releases value" `Quick test_pqueue_pop_releases;
          Alcotest.test_case "grow releases value" `Quick
-           test_pqueue_grow_releases ]
+           test_pqueue_grow_releases;
+         Alcotest.test_case "handle rejects a foreign queue" `Quick
+           test_pqueue_handle_rejects_foreign_queue ]
        @ qsuite
            [ prop_pqueue_sorts; prop_pqueue_stable_sort;
-             prop_pqueue_pop_until_boundary ]) ]
+             prop_pqueue_pop_until_boundary; prop_pqueue_handles_model ]) ]

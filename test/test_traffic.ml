@@ -10,6 +10,8 @@ let mk_packet ?(payload = 0) ?(seq = 0) ?(ack = 0) src dst =
   { Netsim.src = ip src; dst = ip dst; sport = 1; dport = 2; seq; ack;
     payload; wnd = 65535; syn = false; fin = false }
 
+let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
+
 (* ---- Netsim ---------------------------------------------------------- *)
 
 let test_netsim_delivery_and_latency () =
@@ -68,6 +70,120 @@ let test_netsim_timers () =
   Netsim.schedule net 0.5 (fun net -> fired := Netsim.now net :: !fired);
   Netsim.run net;
   Alcotest.(check (list (float 0.001))) "timer order" [ 1.0; 0.5 ] !fired
+
+let test_netsim_timer_rearm_and_cancel () =
+  let net = Netsim.create ~rng:(Rng.of_int 8) () in
+  let fired = ref [] in
+  let record name net = fired := (name, Netsim.now net) :: !fired in
+  let rearmed = Netsim.timer (record "rearmed") in
+  let cancelled = Netsim.timer (record "cancelled") in
+  Netsim.arm net rearmed 1.0;
+  Netsim.arm net cancelled 0.5;
+  Netsim.arm net rearmed 2.0;
+  Netsim.cancel net cancelled;
+  check_bool "cancelled is disarmed" false (Netsim.armed cancelled);
+  check_bool "re-armed is armed" true (Netsim.armed rearmed);
+  Netsim.run net;
+  Alcotest.(check (list (pair string (float 0.))))
+    "re-armed fires once, at its last deadline; cancelled never" [ ("rearmed", 2.0) ]
+    (List.rev !fired);
+  check_bool "fired timer is disarmed" false (Netsim.armed rearmed)
+
+(* Equal deadlines run in arrival order, and a re-arm takes its place in
+   that order when it is made, like a fresh [schedule]. *)
+let test_netsim_timer_tie_order () =
+  let net = Netsim.create ~rng:(Rng.of_int 9) () in
+  let fired = ref [] in
+  let record name _ = fired := name :: !fired in
+  let t = Netsim.timer (record "timer") in
+  Netsim.arm net t 1.0;
+  Netsim.schedule net 1.0 (record "a");
+  Netsim.arm net t 1.0;
+  Netsim.schedule net 1.0 (record "b");
+  Netsim.run net;
+  Alcotest.(check (list string)) "arrival order" [ "a"; "timer"; "b" ] (List.rev !fired)
+
+(* Random programs of schedule / arm / re-arm / cancel against a naive
+   event list sorted by (deadline, arrival). Delays come from a small set,
+   so equal deadlines are common. A [Mid] event at t = 1 runs a second
+   program, so timers are also armed, re-armed and cancelled while the
+   simulation runs, including at the deadline of events still queued. *)
+type sim_op = Schedule of int | Arm_timer of int * int | Cancel_timer of int
+
+let sim_delays = [| 0.; 0.5; 1.; 1.5 |]
+let sim_timers = 3
+
+let sim_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun d -> Schedule d) (int_bound 3));
+        (4, map2 (fun k d -> Arm_timer (k, d)) (int_bound (sim_timers - 1)) (int_bound 3));
+        (2, map (fun k -> Cancel_timer k) (int_bound (sim_timers - 1))) ])
+
+let sim_op_print = function
+  | Schedule d -> Printf.sprintf "schedule %g" sim_delays.(d)
+  | Arm_timer (k, d) -> Printf.sprintf "arm t%d %g" k sim_delays.(d)
+  | Cancel_timer k -> Printf.sprintf "cancel t%d" k
+
+type sim_label = Scheduled of int | Timer of int | Mid
+
+let prop_netsim_timers_model =
+  let program = QCheck.Gen.(list_size (int_bound 25) sim_op_gen) in
+  QCheck.Test.make ~name:"timers = sorted-list model (schedule, arm, re-arm, cancel)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         let p ops = String.concat "; " (List.map sim_op_print ops) in
+         Printf.sprintf "at 0: %s | at 1: %s" (p a) (p b))
+       (QCheck.Gen.pair program program))
+    (fun (phase0, phase1) ->
+       (* the simulator *)
+       let net = Netsim.create ~rng:(Rng.of_int 1) () in
+       let fired = ref [] in
+       let record label net = fired := (label, Netsim.now net) :: !fired in
+       let timers = Array.init sim_timers (fun k -> Netsim.timer (record (Timer k))) in
+       let n_scheduled = ref 0 in
+       let apply net = function
+         | Schedule d ->
+             Netsim.schedule net sim_delays.(d) (record (Scheduled !n_scheduled));
+             incr n_scheduled
+         | Arm_timer (k, d) -> Netsim.arm net timers.(k) sim_delays.(d)
+         | Cancel_timer k -> Netsim.cancel net timers.(k)
+       in
+       Netsim.schedule net 1.0 (fun net ->
+           record Mid net;
+           List.iter (apply net) phase1);
+       List.iter (apply net) phase0;
+       Netsim.run net;
+       (* the model: pending (deadline, arrival, label), unordered *)
+       let pending = ref [] and arrival = ref 0 and n = ref 0 and out = ref [] in
+       let add deadline label =
+         pending := (deadline, !arrival, label) :: !pending;
+         incr arrival
+       in
+       let drop label = pending := List.filter (fun (_, _, l) -> l <> label) !pending in
+       let model_apply now = function
+         | Schedule d ->
+             add (now +. sim_delays.(d)) (Scheduled !n);
+             incr n
+         | Arm_timer (k, d) ->
+             drop (Timer k);
+             add (now +. sim_delays.(d)) (Timer k)
+         | Cancel_timer k -> drop (Timer k)
+       in
+       add 1.0 Mid;
+       List.iter (model_apply 0.) phase0;
+       let rec loop () =
+         match List.sort compare !pending with
+         | [] -> ()
+         | ((deadline, _, label) as top) :: _ ->
+             pending := List.filter (fun e -> e <> top) !pending;
+             out := (label, deadline) :: !out;
+             if label = Mid then List.iter (model_apply deadline) phase1;
+             loop ()
+       in
+       loop ();
+       !fired = !out && Array.for_all (fun t -> not (Netsim.armed t)) timers)
 
 let test_netsim_run_until () =
   let net = Netsim.create ~rng:(Rng.of_int 6) () in
@@ -299,7 +415,61 @@ let prop_tcp_byte_conservation =
        Netsim.run ~until:600. net;
        Tcp.bytes_delivered cb = size && Tcp.bytes_acked ca = size)
 
-let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
+(* ---- Golden -------------------------------------------------------- *)
+
+(* The simulator's exact output for one seed on a lossy profile, so a
+   rework of the event queue, the timers or the RNG that moves a single
+   packet time fails here. Loss is high enough that both RTOs and fast
+   retransmits fire. Times are compared in hex ([%h]), so the digest
+   pins every bit. *)
+
+let lossy_link = { Onion.latency = 0.02; jitter = 0.004; loss = 0.01 }
+
+let lossy_profile =
+  { Onion.default_profile with
+    Onion.client_guard = lossy_link; guard_middle = lossy_link;
+    middle_exit = lossy_link; exit_server = lossy_link }
+
+let trace_digest (r : Onion.result) =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun t ->
+       List.iter
+         (fun (o : Trace.obs) ->
+            Printf.bprintf b "%h %d %d %d\n" o.Trace.time o.Trace.seq o.Trace.ack
+              o.Trace.payload)
+         (Trace.observations t);
+       Buffer.add_string b "--\n")
+    [ r.Onion.guard_to_client; r.Onion.client_to_guard; r.Onion.server_to_exit;
+      r.Onion.exit_to_server ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_onion () =
+  let r =
+    Onion.download ~rng:(Rng.of_int 20141) ~profile:lossy_profile
+      ~start_delay:0.5 ~burst:(300 * 1024, 2.5) ~size:mb ()
+  in
+  Alcotest.(check string) "four traces" "f927f44496a53d24af7f5e2affa599ec"
+    (trace_digest r);
+  Alcotest.(check string) "finish_time" "0x1.68p+3"
+    (Printf.sprintf "%h" r.Onion.finish_time);
+  check_int "client_received" 1082265 r.Onion.client_received
+
+let test_golden_tcp_retransmits () =
+  let net, ca, cb = tcp_pair ~loss:0.08 ~jitter:0.005 11 in
+  Tcp.send ca 400_000;
+  Tcp.send cb 100_000;
+  Netsim.run ~until:300. net;
+  check_int "a->b delivered" 400_000 (Tcp.bytes_delivered cb);
+  check_int "b->a delivered" 100_000 (Tcp.bytes_delivered ca);
+  Alcotest.(check (pair int int)) "a: (rto, fast rtx)" (7, 27) (Tcp.retransmit_stats ca);
+  Alcotest.(check (pair int int)) "b: (rto, fast rtx)" (1, 11) (Tcp.retransmit_stats cb)
+
+let test_golden_deanonymize () =
+  let m = Asymmetric.deanonymize ~rng:(Rng.of_int 2014) () in
+  check_int "correct" 6 m.Asymmetric.correct;
+  Alcotest.(check string) "mean_margin" "0.36385643068893714"
+    (Printf.sprintf "%.17g" m.Asymmetric.mean_margin)
 
 let () =
   Alcotest.run "qs_traffic"
@@ -309,8 +479,12 @@ let () =
          Alcotest.test_case "loss" `Quick test_netsim_loss;
          Alcotest.test_case "tap before loss" `Quick test_netsim_tap_sees_everything;
          Alcotest.test_case "timers" `Quick test_netsim_timers;
+         Alcotest.test_case "timer re-arm and cancel" `Quick
+           test_netsim_timer_rearm_and_cancel;
+         Alcotest.test_case "timer tie order" `Quick test_netsim_timer_tie_order;
          Alcotest.test_case "run until" `Quick test_netsim_run_until;
-         Alcotest.test_case "rejects" `Quick test_netsim_rejects ]);
+         Alcotest.test_case "rejects" `Quick test_netsim_rejects ]
+       @ qsuite [ prop_netsim_timers_model ]);
       ("tcp",
        [ Alcotest.test_case "delivers exact bytes" `Quick test_tcp_delivers_exact_bytes;
          Alcotest.test_case "bidirectional" `Quick test_tcp_bidirectional;
@@ -335,4 +509,8 @@ let () =
          Alcotest.test_case "rejects size 0" `Quick test_onion_rejects;
          Alcotest.test_case "bursty download" `Quick test_onion_bursty_download;
          Alcotest.test_case "start delay" `Quick test_onion_start_delay;
-         Alcotest.test_case "deterministic" `Quick test_onion_deterministic ]) ]
+         Alcotest.test_case "deterministic" `Quick test_onion_deterministic ]);
+      ("golden",
+       [ Alcotest.test_case "lossy bursty download" `Quick test_golden_onion;
+         Alcotest.test_case "lossy tcp retransmits" `Quick test_golden_tcp_retransmits;
+         Alcotest.test_case "deanonymize" `Quick test_golden_deanonymize ]) ]
