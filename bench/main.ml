@@ -318,7 +318,39 @@ let () =
     in
     let series_a = Array.init 256 (fun i -> float_of_int ((i * 31) mod 97)) in
     let series_b = Array.init 256 (fun i -> float_of_int ((i * 17) mod 89)) in
-    let cmeasure = Measurement.run ~dynamics:Dynamics.short_config small in
+    let captured = ref [] in
+    let cmeasure =
+      Measurement.run ~dynamics:Dynamics.short_config
+        ~observe:(fun u -> captured := u :: !captured) small
+    in
+    (* The same run's post-filter stream, split per key in time order, with
+       each key's baseline: what [Measurement.run] feeds its accumulators
+       (keys that saw no update left out). *)
+    let acc_streams =
+      let by_key = Measurement.Key_table.create 1024 in
+      List.iter
+        (fun (u : Update.t) ->
+           let key =
+             { Measurement.session = u.Update.session; prefix = Update.prefix u }
+           in
+           Measurement.Key_table.replace by_key key
+             (u :: Option.value ~default:[]
+                     (Measurement.Key_table.find_opt by_key key)))
+        !captured;
+      let baselines = Measurement.Key_table.create 4096 in
+      List.iter
+        (fun (c : Measurement.cell) ->
+           Measurement.Key_table.replace baselines c.Measurement.key
+             c.Measurement.baseline)
+        cmeasure.Measurement.cells;
+      Measurement.Key_table.fold
+        (fun key us l ->
+           ( Option.join (Measurement.Key_table.find_opt baselines key),
+             Array.of_list us )
+           :: l)
+        by_key []
+      |> Array.of_list
+    in
     let addr = Ipv4.of_string "1.2.3.4" in
     (* A churny synthetic feed for the qs_serve hot path: 64 keys cycling
        through announces and withdrawals over a sub-window timescale, so
@@ -399,6 +431,22 @@ let () =
                    ~gen:Consensus.small_params ~n_epochs:24
                    small.Scenario.graph small.Scenario.addressing
                    small.Scenario.consensus));
+          (* Every update of the Small two-day [short_config] run through
+             fresh accumulators, one per key, each sealed at the horizon. *)
+          Test.make ~name:"acc-consume"
+            (Staged.stage (fun () ->
+                 Array.iter
+                   (fun (base, us) ->
+                      let acc = Measurement.Acc.create () in
+                      Option.iter (Measurement.Acc.set_baseline acc) base;
+                      Array.iter
+                        (fun u ->
+                           ignore
+                             (Measurement.Acc.consume acc u
+                              : Measurement.Acc.event))
+                        us;
+                      Measurement.Acc.seal acc cmeasure.Measurement.duration)
+                   acc_streams));
           (* The streaming service's sustained-ingestion kernels: 2048
              updates per run, so updates/sec = 2048 / time-per-run. *)
           Test.make ~name:"S1-serve-window-apply"

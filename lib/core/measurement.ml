@@ -37,30 +37,40 @@ module Key_table = Hashtbl.Make (struct
    on that key's update subsequence, so any consumer that preserves
    per-key order reproduces the batch numbers exactly. *)
 module Acc = struct
-  type tables = {
-    residency : (Asn.t, float) Hashtbl.t;
-    entered : (Asn.t, float) Hashtbl.t; (* AS -> start of current on-path run *)
-    contig : (Asn.t, float) Hashtbl.t;  (* AS -> longest completed run *)
+  (* The per-AS state of a cell that has seen an update, in parallel
+     arrays: one slot per AS ever on the path, in first-seen order. A
+     cell sees few distinct ASes, so a slot is found by a linear scan. An
+     AS is on an open run exactly while it is on the current path (until
+     the seal closes every run); [start] holds nan for the others, so
+     closing a run that is not open compares nan and changes nothing. *)
+  type slots = {
+    mutable n : int;                (* slots in use *)
+    mutable asns : Asn.t array;
+    mutable resid : Float.Array.t;  (* seconds on the path so far *)
+    mutable start : Float.Array.t;  (* start of the open run, or nan *)
+    mutable best : Float.Array.t;   (* longest completed run *)
+    mutable path : Asn.t array;     (* current path: ascending, distinct *)
+    mutable path_slot : int array;  (* the slot of each [path] AS *)
+    since : Float.Array.t;          (* one element: last update's time *)
   }
 
   (* Most cells only ever hold their time-0 route: at paper scale almost
      none of the ~116k (session, prefix) cells sees an update in an hour.
-     Such a cell keeps no tables. Until its first update it is [Fresh]:
-     no residency credited, no completed run, and every AS of
-     [a_current] on a run open since t = 0 (so [a_since] = 0). Sealing a
-     fresh cell at [h] records [Sealed_fresh h], which reads as every
-     current AS with residency = longest run = [h] — bit for bit what the
-     tables would hold. The first update materializes the tables exactly
-     as [set_baseline] would have built them. *)
-  type body = Fresh | Sealed_fresh of float | Eager of tables
+     Such a cell keeps no slots. Until its first update it is [Fresh]: its
+     path is the baseline set, no residency credited, no completed run,
+     and every baseline AS on a run open since t = 0. Sealing a fresh cell
+     at [h] records [Sealed_fresh h], which reads as every baseline AS
+     with residency = longest run = [h] — bit for bit what the slots would
+     hold. The first update converts the baseline into slots exactly as
+     those reads describe. *)
+  type body = Fresh | Sealed_fresh of float | Eager of slots
 
   type t = {
     mutable a_baseline : Asn.Set.t option;
     mutable a_updates : int;
     mutable a_announces : int;
     mutable a_changes : int;
-    mutable a_current : Asn.Set.t option;
-    mutable a_since : float;
+    mutable a_routed : bool;  (* holds a route (a fresh cell: its baseline) *)
     mutable a_body : body;
   }
 
@@ -68,145 +78,240 @@ module Acc = struct
 
   let create () =
     { a_baseline = None; a_updates = 0; a_announces = 0; a_changes = 0;
-      a_current = None; a_since = 0.; a_body = Fresh }
+      a_routed = false; a_body = Fresh }
 
-  let current_ases acc =
-    Option.value ~default:Asn.Set.empty acc.a_current
+  let fresh_path acc = Option.value ~default:Asn.Set.empty acc.a_baseline
 
-  (* Sealing a fresh cell at [h] credits each current AS [h -. 0.] and
+  (* Sealing a fresh cell at [h] credits each baseline AS [h -. 0.] and
      closes its run at that length, both only when positive — and
      [h > 0.] is that very test, -0. included. *)
   let sealed_runs acc h =
-    if h > 0. then Asn.Set.fold (fun a l -> (a, h) :: l) (current_ases acc) []
+    if h > 0. then Asn.Set.fold (fun a l -> (a, h) :: l) (fresh_path acc) []
     else []
 
-  let tables acc =
+  let slots acc =
     match acc.a_body with
-    | Eager tb -> tb
+    | Eager s -> s
     | (Fresh | Sealed_fresh _) as body ->
-        let tb =
-          { residency = Hashtbl.create 8; entered = Hashtbl.create 8;
-            contig = Hashtbl.create 8 }
-        in
+        let path = Array.of_list (Asn.Set.elements (fresh_path acc)) in
+        let k = Array.length path in
+        let cap = k + 4 in
+        let asns = Array.make cap (Asn.of_int 0) in
+        Array.blit path 0 asns 0 k;
+        let resid = Float.Array.make cap 0. in
+        let start = Float.Array.make cap nan in
+        let best = Float.Array.make cap 0. in
         (match body with
          | Sealed_fresh h ->
-             List.iter
-               (fun (a, d) ->
-                  Hashtbl.replace tb.residency a d;
-                  Hashtbl.replace tb.contig a d)
-               (sealed_runs acc h)
-         | Fresh | Eager _ ->
-             Asn.Set.iter
-               (fun a -> Hashtbl.replace tb.entered a 0.)
-               (current_ases acc));
-        acc.a_body <- Eager tb;
-        tb
+             if h > 0. then begin
+               Float.Array.fill resid 0 k h;
+               Float.Array.fill best 0 k h
+             end
+         | Fresh | Eager _ -> Float.Array.fill start 0 k 0.);
+        let s =
+          { n = k; asns; resid; start; best; path;
+            path_slot = Array.init k Fun.id; since = Float.Array.make 1 0. }
+        in
+        acc.a_body <- Eager s;
+        s
 
-  let credit_residency acc tb until =
-    match acc.a_current with
-    | None -> ()
-    | Some set ->
-        let dt = until -. acc.a_since in
-        if dt > 0. then
-          Asn.Set.iter
-            (fun a ->
-               let cur =
-                 Option.value ~default:0. (Hashtbl.find_opt tb.residency a)
-               in
-               Hashtbl.replace tb.residency a (cur +. dt))
-            set
+  let rec find_from (asns : Asn.t array) n (a : Asn.t) i =
+    if i = n then -1
+    else if (asns.(i) :> int) = (a :> int) then i
+    else find_from asns n a (i + 1)
 
-  let close_run tb a until =
-    match Hashtbl.find_opt tb.entered a with
-    | None -> ()
-    | Some start ->
-        Hashtbl.remove tb.entered a;
-        let run = until -. start in
-        let best = Option.value ~default:0. (Hashtbl.find_opt tb.contig a) in
-        if run > best then Hashtbl.replace tb.contig a run
+  let find s a = find_from s.asns s.n a 0
+
+  let grow s =
+    let cap = 2 * Array.length s.asns in
+    let floats src fill =
+      let dst = Float.Array.make cap fill in
+      Float.Array.blit src 0 dst 0 s.n;
+      dst
+    in
+    let asns = Array.make cap (Asn.of_int 0) in
+    Array.blit s.asns 0 asns 0 s.n;
+    s.asns <- asns;
+    s.resid <- floats s.resid 0.;
+    s.start <- floats s.start nan;
+    s.best <- floats s.best 0.
+
+  let slot_of s a =
+    match find s a with
+    | -1 ->
+        if s.n = Array.length s.asns then grow s;
+        s.asns.(s.n) <- a;
+        s.n <- s.n + 1;
+        s.n - 1
+    | i -> i
+
+  (* Credit every AS on the current path with the time since the last
+     update. *)
+  let credit s until =
+    let dt = until -. Float.Array.get s.since 0 in
+    if dt > 0. then
+      for j = 0 to Array.length s.path_slot - 1 do
+        let i = s.path_slot.(j) in
+        Float.Array.set s.resid i (Float.Array.get s.resid i +. dt)
+      done
+
+  let close_run s i until =
+    let run = until -. Float.Array.get s.start i in
+    if run > Float.Array.get s.best i then Float.Array.set s.best i run;
+    Float.Array.set s.start i nan
 
   (* Maintain per-AS contiguous on-path runs: an AS's run survives path
      changes as long as the AS stays somewhere on the path; it closes the
-     moment the AS leaves (or the route is withdrawn). *)
-  let track_membership acc tb time next =
-    let old = current_ases acc in
-    let next = Option.value ~default:Asn.Set.empty next in
-    Asn.Set.iter
-      (fun a -> if not (Asn.Set.mem a next) then close_run tb a time) old;
-    Asn.Set.iter
-      (fun a ->
-         if not (Hashtbl.mem tb.entered a) then
-           Hashtbl.replace tb.entered a time)
-      next
+     moment the AS leaves (or the route is withdrawn). [next] is sorted
+     and distinct, like [s.path], so one merge walk finds both sides. *)
+  let move s (next : Asn.t array) until =
+    let old = s.path and old_slot = s.path_slot in
+    let n_old = Array.length old and n_next = Array.length next in
+    let next_slot = Array.make n_next 0 in
+    let i = ref 0 and j = ref 0 in
+    while !i < n_old || !j < n_next do
+      if !j = n_next || (!i < n_old && (old.(!i) :> int) < (next.(!j) :> int))
+      then begin
+        close_run s old_slot.(!i) until;
+        incr i
+      end
+      else if !i = n_old || (next.(!j) :> int) < (old.(!i) :> int) then begin
+        let k = slot_of s next.(!j) in
+        Float.Array.set s.start k until;
+        next_slot.(!j) <- k;
+        incr j
+      end
+      else begin
+        next_slot.(!j) <- old_slot.(!i);
+        incr i;
+        incr j
+      end
+    done;
+    s.path <- next;
+    s.path_slot <- next_slot
+
+  (* The ascending, distinct ASes of an AS path (insertion sort: paths are
+     a handful of hops). *)
+  let path_of_list (l : Asn.t list) =
+    let a = Array.of_list l in
+    let k = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      let x = a.(i) in
+      let p = ref !k in
+      while !p > 0 && (a.(!p - 1) :> int) > (x :> int) do decr p done;
+      if !p = 0 || (a.(!p - 1) :> int) <> (x :> int) then begin
+        for q = !k downto !p + 1 do a.(q) <- a.(q - 1) done;
+        a.(!p) <- x;
+        incr k
+      end
+    done;
+    if !k = Array.length a then a else Array.sub a 0 !k
+
+  let rec on_list (a : Asn.t) : Asn.t list -> bool = function
+    | [] -> false
+    | b :: rest -> (b :> int) = (a :> int) || on_list a rest
+
+  let rec all_on path = function
+    | [] -> true
+    | a :: rest ->
+        find_from path (Array.length path) a 0 >= 0 && all_on path rest
+
+  let rec covers (path : Asn.t array) l i =
+    i = Array.length path || (on_list path.(i) l && covers path l (i + 1))
+
+  (* The AS path [l] has exactly the ASes of [path], decided without
+     allocating. *)
+  let same_ases path l = all_on path l && covers path l 0
 
   let set_baseline acc set =
     acc.a_baseline <- Some set;
     (match acc.a_body with
      | Fresh -> ()
      | Sealed_fresh _ | Eager _ ->
-         track_membership acc (tables acc) 0. (Some set));
-    acc.a_current <- Some set;
-    acc.a_since <- 0.
+         let s = slots acc in
+         move s (Array.of_list (Asn.Set.elements set)) 0.;
+         Float.Array.set s.since 0 0.);
+    acc.a_routed <- true
 
   let consume acc (u : Update.t) : event =
-    let tb = tables acc in
+    let s = slots acc in
+    let time = u.Update.time in
+    credit s time;
+    Float.Array.set s.since 0 time;
+    (* A withdrawal is BGP churn like any other update; it must count. *)
+    acc.a_updates <- acc.a_updates + 1;
     match u.Update.kind with
     | Update.Announce route ->
-        acc.a_updates <- acc.a_updates + 1;
         acc.a_announces <- acc.a_announces + 1;
-        let set = Route.as_set route in
-        let ev =
-          match acc.a_current with
-          | Some old when Asn.Set.equal old set -> `Same
-          | Some _ -> acc.a_changes <- acc.a_changes + 1; `Changed
-          | None -> `First
-        in
-        credit_residency acc tb u.Update.time;
-        track_membership acc tb u.Update.time (Some set);
-        acc.a_current <- Some set;
-        acc.a_since <- u.Update.time;
-        ev
+        let l = route.Route.as_path in
+        if acc.a_routed && same_ases s.path l then `Same
+        else begin
+          let ev =
+            if acc.a_routed then begin
+              acc.a_changes <- acc.a_changes + 1;
+              `Changed
+            end
+            else `First
+          in
+          move s (path_of_list l) time;
+          acc.a_routed <- true;
+          ev
+        end
     | Update.Withdraw _ ->
-        (* A withdrawal is BGP churn like any other update; it must count. *)
-        acc.a_updates <- acc.a_updates + 1;
-        credit_residency acc tb u.Update.time;
-        track_membership acc tb u.Update.time None;
-        acc.a_current <- None;
-        acc.a_since <- u.Update.time;
+        move s [||] time;
+        acc.a_routed <- false;
         `Withdrawn
 
   let seal acc until =
     match acc.a_body with
     | Fresh -> acc.a_body <- Sealed_fresh until
     | Sealed_fresh _ -> ()
-    | Eager tb ->
-        credit_residency acc tb until;
-        let open_runs = Hashtbl.fold (fun a _ l -> a :: l) tb.entered [] in
-        List.iter (fun a -> close_run tb a until) open_runs
+    | Eager s ->
+        credit s until;
+        for j = 0 to Array.length s.path_slot - 1 do
+          close_run s s.path_slot.(j) until
+        done
 
   let materializes acc = acc.a_baseline <> None || acc.a_announces > 0
+
+  (* The slots whose value is positive, in slot order: a residency is
+     credited, and a run recorded, only when positive. *)
+  let positive s values =
+    let rec go i l =
+      if i < 0 then l
+      else
+        let d = Float.Array.get values i in
+        go (i - 1) (if d > 0. then (s.asns.(i), d) :: l else l)
+    in
+    go (s.n - 1) []
 
   let residency acc =
     match acc.a_body with
     | Fresh -> []
     | Sealed_fresh h -> sealed_runs acc h
-    | Eager tb -> Hashtbl.fold (fun a d l -> (a, d) :: l) tb.residency []
+    | Eager s -> positive s s.resid
 
   let contiguous acc =
     match acc.a_body with
     | Fresh -> []
     | Sealed_fresh h -> sealed_runs acc h
-    | Eager tb -> Hashtbl.fold (fun a d l -> (a, d) :: l) tb.contig []
+    | Eager s -> positive s s.best
 
   let cell key acc =
     if not (materializes acc) then None
     else
-      let residency, contiguous =
+      let residency, contiguous, final_set =
         match acc.a_body with
+        | Fresh -> ([], [], acc.a_baseline)
         | Sealed_fresh h ->
             let runs = sealed_runs acc h in
-            (runs, runs)
-        | Fresh | Eager _ -> (residency acc, contiguous acc)
+            (runs, runs, acc.a_baseline)
+        | Eager s ->
+            ( positive s s.resid,
+              positive s s.best,
+              if acc.a_routed then
+                Some (Asn.Set.of_list (Array.to_list s.path))
+              else None )
       in
       Some
         { key;
@@ -215,26 +320,32 @@ module Acc = struct
           path_changes = acc.a_changes;
           residency;
           contiguous;
-          final_set = acc.a_current }
+          final_set }
 
   let baseline acc = acc.a_baseline
-  let current acc = acc.a_current
+  let routed acc = acc.a_routed
+  let path acc = if acc.a_routed then (slots acc).path else [||]
   let updates acc = acc.a_updates
   let announces acc = acc.a_announces
   let path_changes acc = acc.a_changes
 
   let run_start acc a =
     match acc.a_body with
-    | Fresh -> if Asn.Set.mem a (current_ases acc) then Some 0. else None
+    | Fresh -> if Asn.Set.mem a (fresh_path acc) then Some 0. else None
     | Sealed_fresh _ -> None
-    | Eager tb -> Hashtbl.find_opt tb.entered a
+    | Eager s ->
+        let i = find s a in
+        if i < 0 || Float.is_nan (Float.Array.get s.start i) then None
+        else Some (Float.Array.get s.start i)
 
   let best_run acc a =
     match acc.a_body with
     | Fresh -> 0.
     | Sealed_fresh h ->
-        if h > 0. && Asn.Set.mem a (current_ases acc) then h else 0.
-    | Eager tb -> Option.value ~default:0. (Hashtbl.find_opt tb.contig a)
+        if h > 0. && Asn.Set.mem a (fresh_path acc) then h else 0.
+    | Eager s ->
+        let i = find s a in
+        if i < 0 then 0. else Float.Array.get s.best i
 
   let longest_run acc ~at a =
     let closed = best_run acc a in

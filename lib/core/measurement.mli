@@ -43,10 +43,13 @@ module Key_table : Hashtbl.S with type key = key
     (path changes, residency, longest contiguous runs are all computed by
     the same code).
 
-    An accumulator that holds only its baseline — nearly every cell at
-    paper scale — keeps no per-AS tables until its first update, and
-    seals in O(1) to every baseline AS at the horizon. Every read, the
-    seal and the first update behave exactly as with the tables. *)
+    The current path is held as its ascending, distinct ASNs in one
+    array, and the per-AS statistics in flat parallel arrays, one slot
+    per AS in first-seen order. An accumulator that holds only its
+    baseline — nearly every cell at paper scale — keeps neither until its
+    first update, and seals in O(1) to every baseline AS at the horizon.
+    Every read, the seal and the first update behave exactly as with the
+    arrays. *)
 module Acc : sig
   type t
 
@@ -74,7 +77,18 @@ module Acc : sig
       announcement — nothing a collector could measure). *)
 
   val baseline : t -> Asn.Set.t option
-  val current : t -> Asn.Set.t option
+
+  val routed : t -> bool
+  (** Whether the key holds a route: its baseline or an announcement not
+      withdrawn since. *)
+
+  val path : t -> Asn.t array
+  (** The current path's ASes, ascending and distinct ([[||]] when not
+      {!routed}). [consume] replaces the array on a path change and never
+      mutates it, so an array read before an update is still the old path
+      after it; do not mutate it either. On a fresh accumulator this
+      converts the baseline, as its first update would. *)
+
   val updates : t -> int
   val announces : t -> int
   val path_changes : t -> int

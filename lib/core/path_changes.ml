@@ -19,6 +19,21 @@ type session_stats = {
   s_tor : (Prefix.t * float * int) list;   (* (prefix, ratio, changes) *)
 }
 
+(* [Stats.median] of the cells' path-change counts, without boxing: the
+   counts sort as ints, and [Stats.percentile]'s interpolation is applied
+   to the two middle values, so the result is the same float. *)
+let median_changes cells =
+  let counts = Array.make (List.length cells) 0 in
+  List.iteri (fun i c -> counts.(i) <- c.Measurement.path_changes) cells;
+  Array.sort Int.compare counts;
+  let n = Array.length counts in
+  let rank = 0.5 *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor rank) in
+  let hi = min (n - 1) (lo + 1) in
+  let frac = rank -. float_of_int lo in
+  let a = float_of_int counts.(lo) and b = float_of_int counts.(hi) in
+  a +. (frac *. (b -. a))
+
 let compute ?exec (m : Measurement.t) =
   Span.with_ ~name:"path_changes.compute" @@ fun () ->
   let pool = match exec with Some p -> p | None -> Pool.default () in
@@ -45,10 +60,7 @@ let compute ?exec (m : Measurement.t) =
          | [] -> None
          | (first : Measurement.cell) :: _ ->
              let session = first.Measurement.key.Measurement.session in
-             let all_changes =
-               List.map (fun c -> float_of_int c.Measurement.path_changes) cells
-             in
-             let median = Stats.median all_changes in
+             let median = median_changes cells in
              (* Ratios are only defined where the session's median is
                 nonzero; the paper's sessions all saw background churn. We
                 floor the median at 1 change to keep ratios finite, which

@@ -1,25 +1,30 @@
+let max_buckets = 86_400
+
 let serve_config_invalid =
   { Diag.code = "QS307"; slug = "serve-config-invalid";
     severity = Diag.Error;
     doc = "a quicksand-serve configuration is internally inconsistent or \
            monitors prefixes the scenario does not announce";
     explain =
-      "The serve subsystem's correctness argument leans on three static \
-       relations between its knobs, all over finite values (NaN or \
-       infinity defeats every comparison): the window must be a positive \
-       multiple of the bucket width (the ring buffer has exactly \
-       window/bucket slots, so a remainder would silently shrink the \
-       window); the extra-AS threshold must lie within (0, window] (a \
-       threshold beyond the window could let a key be evicted before a \
-       satisfiable alert timer fires, breaking the streaming = batch \
-       equivalence the replay verifier enforces); and the ingest queue \
-       and decode chunk must be positive with chunk <= capacity (a chunk \
-       larger than the queue would overflow on every refill). Monitored \
-       (client prefix, guard prefix) pairs must also name prefixes the \
-       scenario actually announces — a typo'd prefix would make the \
-       monitor silently watch nothing. Typical causes: hand-edited CLI \
-       flags, or a scenario regenerated under a different seed than the \
-       monitoring config was written for." }
+      Printf.sprintf
+        "The serve subsystem's correctness argument leans on three static \
+         relations between its knobs, all over finite values (NaN or \
+         infinity defeats every comparison): the window must be a positive \
+         multiple of the bucket width, with at most %d buckets (the ring \
+         buffer has exactly window/bucket slots, so a remainder would \
+         silently shrink the window, and every key whose path changes \
+         allocates one ring); the extra-AS threshold must lie within \
+         (0, window] (a threshold beyond the window could let a key be \
+         evicted before a satisfiable alert timer fires, breaking the \
+         streaming = batch equivalence the replay verifier enforces); and \
+         the ingest queue and decode chunk must be positive with chunk <= \
+         capacity (a chunk larger than the queue would overflow on every \
+         refill). Monitored (client prefix, guard prefix) pairs must also \
+         name prefixes the scenario actually announces — a typo'd prefix \
+         would make the monitor silently watch nothing. Typical causes: \
+         hand-edited CLI flags, or a scenario regenerated under a \
+         different seed than the monitoring config was written for."
+        max_buckets }
 
 let rules = [ serve_config_invalid ]
 
@@ -56,6 +61,13 @@ let check ?scenario (v : config_view) =
                [ ("window", Printf.sprintf "%g" v.window);
                  ("bucket", Printf.sprintf "%g" v.bucket) ]
              "window must be a positive multiple of the bucket width" ]
+       else if k > float_of_int max_buckets then
+         [ diag
+             ~context:
+               [ ("window", Printf.sprintf "%g" v.window);
+                 ("bucket", Printf.sprintf "%g" v.bucket) ]
+             "window / bucket is %g ring slots per key, above the bound of \
+              %d: widen the bucket or shorten the window" k max_buckets ]
        else [])
     @ (if
          not (positive v.threshold)

@@ -17,6 +17,12 @@ type config_view = {
       (** (client prefix, guard prefix) pairs the service watches *)
 }
 
+val max_buckets : int
+(** 86 400: the most ring slots ([window / bucket]) a key may get — a
+    day at one-second buckets. Every key whose path changes allocates
+    one ring, so an unbounded ratio would ask for more memory than any
+    host has. [Window.create] enforces the same bound. *)
+
 val serve_config_invalid : Diag.rule
 (** [QS307-serve-config-invalid]. *)
 
@@ -24,7 +30,8 @@ val rules : Diag.rule list
 
 val check : ?scenario:Scenario.t -> config_view -> Diag.t list
 (** Structural checks always run (every float knob finite, window a
-    positive multiple of bucket, threshold within (0, window], slack
+    positive multiple of bucket with at most {!max_buckets} slots,
+    threshold within (0, window], slack
     non-negative, queue/chunk bounds);
     with a [scenario], monitored-pair prefixes must additionally be
     announced — and guard prefixes must host a Tor relay. *)

@@ -10,7 +10,8 @@ type entry = {
   e_key : Measurement.key;
   e_acc : Measurement.Acc.t;
   mutable e_last : float;          (* time of the last update touching the key *)
-  e_ring : int array;              (* per-bucket path changes *)
+  mutable e_ring : int array;      (* per-bucket path changes; [||] until
+                                      the key's first path change *)
   mutable e_ring_sum : int;
   mutable e_ring_newest : int;     (* absolute bucket index of the ring head *)
   mutable e_emitted : Asn.Set.t;   (* extra-AS events already emitted *)
@@ -60,6 +61,8 @@ let create ?(config = default_config) ~watched () =
   let n = Float.round (config.window /. config.bucket) in
   if Float.abs ((n *. config.bucket) -. config.window) > 1e-6 *. config.window
   then invalid_arg "Window.create: window must be a multiple of bucket";
+  if n > float_of_int Serve_lint.max_buckets then
+    invalid_arg "Window.create: window / bucket exceeds the ring bound";
   { cfg = config;
     n_buckets = int_of_float n;
     watched;
@@ -77,8 +80,11 @@ let config t = t.cfg
 
 let bucket_of t time = int_of_float (Float.floor (time /. t.cfg.bucket))
 
+(* A key's ring is allocated on its first path change: a ring of zeros
+   only moves its head forward, so starting it then, with the head at
+   that change's bucket, holds the same counts. *)
 let ring_advance t e b =
-  if b > e.e_ring_newest then begin
+  if b > e.e_ring_newest && Array.length e.e_ring > 0 then begin
     let steps = min t.n_buckets (b - e.e_ring_newest) in
     for i = 1 to steps do
       let idx = (e.e_ring_newest + i) mod t.n_buckets in
@@ -89,7 +95,11 @@ let ring_advance t e b =
   end
 
 let ring_bump t e b =
-  ring_advance t e b;
+  if Array.length e.e_ring = 0 then begin
+    e.e_ring <- Array.make t.n_buckets 0;
+    e.e_ring_newest <- b
+  end
+  else ring_advance t e b;
   let idx = b mod t.n_buckets in
   e.e_ring.(idx) <- e.e_ring.(idx) + 1;
   e.e_ring_sum <- e.e_ring_sum + 1
@@ -110,9 +120,9 @@ let get_entry t key time =
         { e_key = key;
           e_acc = acc;
           e_last = time;
-          e_ring = Array.make t.n_buckets 0;
+          e_ring = [||];
           e_ring_sum = 0;
-          e_ring_newest = bucket_of t time;
+          e_ring_newest = 0;
           e_emitted = emitted }
       in
       Measurement.Key_table.replace t.entries key e;
@@ -150,7 +160,7 @@ let expire t evs (f, key) =
   match Measurement.Key_table.find_opt t.entries key with
   | None -> ()
   | Some e ->
-      if Measurement.Acc.current e.e_acc = None
+      if not (Measurement.Acc.routed e.e_acc)
          && Float.compare (e.e_last +. t.cfg.window) f <= 0
       then begin
         Measurement.Key_table.remove t.entries key;
@@ -166,14 +176,39 @@ let expire t evs (f, key) =
    later than its key's eviction (threshold <= window, and runs close at
    the withdrawal that starts the eviction countdown). *)
 let advance_to t ~at evs =
-  List.iter (fire t ~at evs) (Pqueue.pop_until t.schedules at);
-  List.iter (expire t evs) (Pqueue.pop_until t.expiries at);
+  (* Most updates find nothing due: peek before popping. *)
+  if Pqueue.due t.schedules at then
+    List.iter (fire t ~at evs) (Pqueue.pop_until t.schedules at);
+  if Pqueue.due t.expiries at then
+    List.iter (expire t evs) (Pqueue.pop_until t.expiries at);
   if at > t.watermark then t.watermark <- at
 
 let advance t at =
   let evs = ref [] in
   advance_to t ~at evs;
   List.rev !evs
+
+(* Arm one threshold timer per AS entering a watched path, unless it is
+   a baseline AS (never "extra") or already emitted. [old] and [next] are
+   the accumulator's paths around the update, both ascending, so the
+   timers are armed in ascending ASN order. *)
+let arm t key e base ~(old : Asn.t array) ~next time =
+  if next != old then begin
+    let due = time +. t.cfg.threshold in
+    let n_old = Array.length old in
+    let i = ref 0 in
+    for j = 0 to Array.length next - 1 do
+      let a = next.(j) in
+      while !i < n_old && (old.(!i) :> int) < (a :> int) do incr i done;
+      if not (!i < n_old && (old.(!i) :> int) = (a :> int))
+         && not (Asn.Set.mem a base)
+         && not (Asn.Set.mem a e.e_emitted)
+      then begin
+        Pqueue.push t.schedules due (key, a);
+        t.n_scheduled <- t.n_scheduled + 1
+      end
+    done
+  end
 
 let apply t (u : Update.t) =
   let time = u.Update.time in
@@ -184,40 +219,33 @@ let apply t (u : Update.t) =
   in
   let e = get_entry t key time in
   e.e_last <- time;
-  let old = Measurement.Acc.current e.e_acc in
-  (match Measurement.Acc.consume e.e_acc u with
+  let acc = e.e_acc in
+  let watched = t.watched key.Measurement.prefix in
+  (* Keys with no time-0 baseline never emit (batch rule), so only an
+     announce on a watched key with a baseline can arm a timer. *)
+  let base =
+    match u.Update.kind with
+    | Update.Announce _ when watched -> Measurement.Acc.baseline acc
+    | Update.Announce _ | Update.Withdraw _ -> None
+  in
+  let old =
+    match base with Some _ -> Measurement.Acc.path acc | None -> [||]
+  in
+  (match Measurement.Acc.consume acc u with
    | `Changed ->
        ring_bump t e (bucket_of t time);
-       if t.watched key.Measurement.prefix then
+       if watched then
          evs :=
            Event.Path_change
              { key; time;
-               total = Measurement.Acc.path_changes e.e_acc;
+               total = Measurement.Acc.path_changes acc;
                in_window = e.e_ring_sum }
            :: !evs
    | `First | `Same -> ()
    | `Withdrawn -> Pqueue.push t.expiries (time +. t.cfg.window) key);
-  (* Arm one threshold timer per AS entering a watched path, unless it is
-     a baseline AS (never "extra") or already emitted. Keys with no
-     time-0 baseline never emit (batch rule), so nothing is armed. *)
-  (match u.Update.kind with
-   | Update.Announce route when t.watched key.Measurement.prefix -> begin
-       match Measurement.Acc.baseline e.e_acc with
-       | None -> ()
-       | Some base ->
-           let old_set = Option.value ~default:Asn.Set.empty old in
-           Asn.Set.iter
-             (fun a ->
-                if not (Asn.Set.mem a old_set)
-                   && not (Asn.Set.mem a base)
-                   && not (Asn.Set.mem a e.e_emitted)
-                then begin
-                  Pqueue.push t.schedules (time +. t.cfg.threshold) (key, a);
-                  t.n_scheduled <- t.n_scheduled + 1
-                end)
-             (Route.as_set route)
-     end
-   | Update.Announce _ | Update.Withdraw _ -> ());
+  (match base with
+   | Some base -> arm t key e base ~old ~next:(Measurement.Acc.path acc) time
+   | None -> ());
   List.rev !evs
 
 let drain t ~horizon =

@@ -5,7 +5,8 @@
 
     - {b ring-buffer bucketing}: per-key path-change counts in
       [window / bucket] time buckets with a rolling sum, so "changes in
-      the last window" is a field read;
+      the last window" is a field read (a key's ring is allocated on its
+      first path change);
     - {b threshold timers}: when a non-baseline AS enters a watched path,
       a timer is armed at [entry + threshold]; when it pops, the key's
       longest contiguous run decides emission — this reproduces the batch
@@ -26,7 +27,8 @@
 
 type config = {
   window : float;     (** sliding-window length, seconds *)
-  bucket : float;     (** ring-buffer bucket width; must divide [window] *)
+  bucket : float;     (** ring-buffer bucket width; must divide [window]
+                          into at most [Serve_lint.max_buckets] buckets *)
   threshold : float;  (** extra-AS contiguous-run threshold, in
                           [(0, window]] — the bound that guarantees every
                           satisfiable timer fires before its key can be

@@ -267,7 +267,24 @@ let test_path_changes () =
     (pc.Path_changes.frac_above_one >= 0. && pc.Path_changes.frac_above_one <= 1.
      && pc.Path_changes.frac_tor_beating_median_somewhere <= 1.);
   check_bool "tor prefixes churn more than median" true
-    (pc.Path_changes.frac_above_one > 0.2)
+    (pc.Path_changes.frac_above_one > 0.2);
+  (* Each session's median is [Stats.median] of its cells' counts, bit
+     for bit, though it is taken over ints. *)
+  List.iter
+    (fun (session, median) ->
+       let counts =
+         List.filter_map
+           (fun (c : Measurement.cell) ->
+              if Update.session_equal c.Measurement.key.Measurement.session
+                   session
+              then Some (float_of_int c.Measurement.path_changes)
+              else None)
+           m.Measurement.cells
+       in
+       Alcotest.(check int64) "session median = Stats.median"
+         (Int64.bits_of_float (Stats.median counts))
+         (Int64.bits_of_float median))
+    pc.Path_changes.per_session_median
 
 let test_as_exposure () =
   let m = Lazy.force measurement in
@@ -706,6 +723,151 @@ let test_fresh_acc_first_consume () =
        check_int (name ^ ": one path change") 1 c.Measurement.path_changes)
     [ ("after reads", read); ("unread", unread) ]
 
+(* ---- An independent oracle for Acc ------------------------------------- *)
+
+(* One key's stream: an optional baseline, announces over short paths
+   drawn from six ASes (repeats allowed), withdrawals (first ones
+   included), non-decreasing times with ties, and a seal at or after the
+   last update — at 0 when every update is at 0. *)
+type acc_case = {
+  c_base : int list option;
+  c_events : (float * int list option) list;  (* [None]: a withdrawal *)
+  c_horizon : float;
+}
+
+let acc_case_gen =
+  let open QCheck.Gen in
+  let path = list_size (int_range 1 4) (int_range 1 6) in
+  let step = oneofl [ 0.; 0.; 0.1; 0.7; 1.3; 60.; 3600.1 ] in
+  let event =
+    pair step (frequency [ (4, map Option.some path); (1, return None) ])
+  in
+  let* c_base = opt path in
+  let* raw = list_size (int_range 0 12) event in
+  let+ extra = oneofl [ 0.; 0.; 0.1; 299.9; 1000. ] in
+  let last, rev_events =
+    List.fold_left
+      (fun (t, acc) (dt, k) -> (t +. dt, (t +. dt, k) :: acc))
+      (0., []) raw
+  in
+  { c_base; c_events = List.rev rev_events; c_horizon = last +. extra }
+
+let print_acc_case c =
+  let path l = String.concat " " (List.map string_of_int l) in
+  Printf.sprintf "base=%s; %s; seal %h"
+    (match c.c_base with None -> "-" | Some l -> "[" ^ path l ^ "]")
+    (String.concat "; "
+       (List.map
+          (fun (t, k) ->
+             Printf.sprintf "%h %s" t
+               (match k with None -> "W" | Some l -> "A[" ^ path l ^ "]"))
+          c.c_events))
+    c.c_horizon
+
+(* The cell recomputed from the stream's route segments: the state holds
+   from one update (or 0) to the next (or the seal); an AS's residency is
+   the sum, in time order, of the positive lengths of the segments it is
+   on, and its runs are maximal stretches of consecutive segments it is
+   on (a zero-length segment without it breaks a run). *)
+let naive_acc_cell c =
+  let norm = List.sort_uniq Int.compare in
+  let state0 = Option.map norm c.c_base in
+  let segs, final, changes, since =
+    List.fold_left
+      (fun (segs, prev, changes, since) (t, k) ->
+         let next = Option.map norm k in
+         let changes =
+           match (prev, next) with
+           | Some p, Some n when p <> n -> changes + 1
+           | _ -> changes
+         in
+         ((since, t, prev) :: segs, next, changes, t))
+      ([], state0, 0, 0.) c.c_events
+  in
+  let segs = List.rev ((since, c.c_horizon, final) :: segs) in
+  let on a = function Some l -> List.mem a l | None -> false in
+  let ases =
+    List.concat_map (fun (_, _, s) -> Option.value ~default:[] s) segs
+    |> norm
+  in
+  let residency =
+    List.filter_map
+      (fun a ->
+         let credited, r =
+           List.fold_left
+             (fun (credited, r) (s, e, st) ->
+                if on a st && e -. s > 0. then (true, r +. (e -. s))
+                else (credited, r))
+             (false, 0.) segs
+         in
+         if credited then Some (a, r) else None)
+      ases
+  in
+  let contiguous =
+    List.filter_map
+      (fun a ->
+         let close best start at =
+           let run = at -. start in
+           if run > best then run else best
+         in
+         let best, open_ =
+           List.fold_left
+             (fun (best, open_) (s, _, st) ->
+                match (on a st, open_) with
+                | true, None -> (best, Some s)
+                | true, Some _ -> (best, open_)
+                | false, Some start -> (close best start s, None)
+                | false, None -> (best, None))
+             (0., None) segs
+         in
+         let best =
+           match open_ with
+           | Some start -> close best start c.c_horizon
+           | None -> best
+         in
+         if best > 0. then Some (a, best) else None)
+      ases
+  in
+  let announced = List.exists (fun (_, k) -> k <> None) c.c_events in
+  if c.c_base = None && not announced then None
+  else Some (List.length c.c_events, changes, final, residency, contiguous)
+
+let acc_cell_of_case c =
+  let session = acc_key.Measurement.session in
+  let prefix = acc_key.Measurement.prefix in
+  let acc = Measurement.Acc.create () in
+  Option.iter (fun b -> Measurement.Acc.set_baseline acc (ases b)) c.c_base;
+  List.iter
+    (fun (time, k) ->
+       let kind =
+         match k with
+         | Some l -> Update.Announce (Route.make prefix (List.map Asn.of_int l))
+         | None -> Update.Withdraw prefix
+       in
+       ignore (Measurement.Acc.consume acc { Update.time; session; kind }))
+    c.c_events;
+  Measurement.Acc.seal acc c.c_horizon;
+  Measurement.Acc.cell acc_key acc
+
+let prop_acc_naive_oracle =
+  QCheck.Test.make ~name:"Acc cell = naive per-AS interval recomputation"
+    ~count:500
+    (QCheck.make ~print:print_acc_case acc_case_gen)
+    (fun c ->
+       let int_runs l = List.map (fun (a, d) -> (a, Int64.bits_of_float d)) l in
+       let set_ints s = List.map Asn.to_int (Asn.Set.elements s) in
+       match (naive_acc_cell c, acc_cell_of_case c) with
+       | None, None -> true
+       | Some (updates, changes, final, residency, contiguous), Some cell ->
+           cell.Measurement.updates = updates
+           && cell.Measurement.path_changes = changes
+           && Option.map set_ints cell.Measurement.final_set = final
+           && Option.map set_ints cell.Measurement.baseline
+              = Option.map (List.sort_uniq Int.compare) c.c_base
+           && sorted_runs cell.Measurement.residency = int_runs residency
+           && sorted_runs cell.Measurement.contiguous = int_runs contiguous
+       | Some _, None | None, Some _ -> false)
+
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
 let () =
@@ -740,7 +902,8 @@ let () =
            test_fresh_acc_seal_at_zero;
          Alcotest.test_case "fresh acc reads" `Quick test_fresh_acc_reads;
          Alcotest.test_case "fresh acc first consume" `Quick
-           test_fresh_acc_first_consume ]);
+           test_fresh_acc_first_consume ]
+       @ qsuite [ prop_acc_naive_oracle ]);
       ("experiments",
        [ Alcotest.test_case "T1 dataset" `Quick test_dataset;
          Alcotest.test_case "F2L concentration" `Quick test_concentration;

@@ -561,6 +561,16 @@ let test_qs307_structural () =
     (fires "QS307"
        (Serve_lint.check
           { qs307_base with Serve_lint.capacity = 16; chunk = 64 }));
+  (* The ring bound: exactly max_buckets slots pass, one bucket more
+     fires (the window then divides into max_buckets + 1 buckets). *)
+  let slots n =
+    { qs307_base with
+      Serve_lint.window = float_of_int n; bucket = 1.; threshold = 1. }
+  in
+  check_int "max_buckets slots allowed" 0
+    (List.length (Serve_lint.check (slots Serve_lint.max_buckets)));
+  check_bool "one slot over the ring bound" true
+    (fires "QS307" (Serve_lint.check (slots (Serve_lint.max_buckets + 1))));
   (* Every comparison is false on NaN, and an infinite window is an
      infinite multiple of any bucket: non-finite knobs must fire too. *)
   List.iter

@@ -64,7 +64,9 @@ let test_window_validation () =
     (raises_invalid (mk 600. 77. 120.));
   check_bool "zero threshold rejected" true (raises_invalid (mk 600. 60. 0.));
   check_bool "threshold beyond window rejected" true
-    (raises_invalid (mk 600. 60. 900.))
+    (raises_invalid (mk 600. 60. 900.));
+  check_bool "ring above QS307's bound rejected" true
+    (raises_invalid (mk 3600. 1e-9 120.))
 
 (* ---- Window: ring-buffer path-change counting -------------------------- *)
 
@@ -91,7 +93,21 @@ let test_window_ring () =
   (* Roll the ring a full window past the changes: the rolling sum decays
      to zero without touching the key. *)
   ignore (Window.advance w 800. : Event.t list);
-  check_int "in_window decays" 0 (Window.in_window w key)
+  check_int "in_window decays" 0 (Window.in_window w key);
+  (* A key whose path has not changed has no ring yet and reads 0; its
+     first change, long after the key appeared, counts from there. *)
+  let late = { Measurement.session = s1; prefix = pfx "11.0.0.0/8" } in
+  Window.set_baseline w late (aset [ 1; 2 ]);
+  check_int "ring-less key" 0 (Window.in_window w late);
+  ignore (Window.apply w (ann ~t:900. ~s:s1 late.Measurement.prefix [ 1; 2 ])
+          : Event.t list);
+  check_int "a same-path re-announce counts nothing" 0
+    (Window.in_window w late);
+  ignore (Window.apply w (ann ~t:5000. ~s:s1 late.Measurement.prefix [ 7; 2 ])
+          : Event.t list);
+  check_int "first change counted" 1 (Window.in_window w late);
+  ignore (Window.advance w 5700. : Event.t list);
+  check_int "and decays" 0 (Window.in_window w late)
 
 (* ---- Window: eviction and resurrection vs the batch accumulator -------- *)
 
