@@ -379,6 +379,21 @@ let () =
     let serve_window =
       { Window.window = 120.; bucket = 60.; threshold = 60. }
     in
+    (* The same feed through the whole service: ingest, window, C1c,
+       evidence, registry writes, event batching, and rendering when the
+       sink reads lines. *)
+    let serve_config =
+      { Serve.Config.default with
+        Serve.Config.window = serve_window.Window.window;
+        bucket = serve_window.Window.bucket;
+        threshold = serve_window.Window.threshold }
+    in
+    let serve_pool = Pool.create ~jobs:1 () in
+    let serve_offer sinks () =
+      let t = Serve.create ~config:serve_config ~sinks ~exec:serve_pool () in
+      Array.iter (Serve.offer t) serve_feed;
+      Serve.drain t ~horizon:(float_of_int (Array.length serve_feed))
+    in
     let tests =
       Test.make_grouped ~name:"quicksand"
         [ Test.make ~name:"T1-tor-prefix-mapping"
@@ -471,9 +486,15 @@ let () =
                       ignore (Ingest.push i u : Ingest.push_result);
                       List.iter apply (Ingest.ready i))
                    serve_feed;
-                 List.iter apply (Ingest.flush i))) ]
+                 List.iter apply (Ingest.flush i)));
+          Test.make ~name:"S1-serve-offer"
+            (Staged.stage (serve_offer []));
+          Test.make ~name:"S1-serve-offer-text"
+            (Staged.stage
+               (serve_offer [ Sink.make ~name:"discard" (fun _ -> ()) ])) ]
     in
     print_estimates (estimates tests);
+    Pool.shutdown serve_pool;
 
     (* The valley-free closure is the substrate of every Qs_static bound,
        and the one kernel already expected to work at CAIDA scale — so it

@@ -1,9 +1,11 @@
 (* One registry cell per metric name; one shard per (cell, domain).
    Hot-path writes touch only the writing domain's shard — plain mutable
    fields, no locks — which is safe because a shard is only ever written
-   by the domain that created it.  The registry mutex [mu] guards the
-   name table and the shard lists, both of which change only on a
-   domain's first write to a cell and at read time. *)
+   by the domain that created it.  Each cell owns a domain-local storage
+   key whose slot holds the domain's shard, so a write finds it without
+   a lookup.  The registry mutex [mu] guards the name table and the
+   shard lists, both of which change only on a domain's first write to a
+   cell and at read time. *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -16,12 +18,12 @@ type shard = {
 }
 
 type cell = {
-  id : int;
   name : string;
   help : string;
   kind : kind;
   bounds : float array; (* [||] unless kind = Histogram *)
-  mutable shards : shard list;
+  shards : shard list ref; (* under [mu] *)
+  local : shard Domain.DLS.key;
   mutable g_value : float option;
   mutable regs : int;
 }
@@ -32,7 +34,6 @@ type histogram = cell
 
 let mu = Mutex.create ()
 let table : (string, cell) Hashtbl.t = Hashtbl.create 64
-let next_id = ref 0
 let on = Atomic.make true
 
 let set_enabled b = Atomic.set on b
@@ -66,10 +67,20 @@ let register ~kind ~bounds ?(help = "") name =
           c.regs <- c.regs + 1;
           c
       | None ->
-          let id = !next_id in
-          incr next_id;
+          let shards = ref [] in
+          (* Runs on a domain's first write to the cell, outside [mu]. *)
+          let local =
+            Domain.DLS.new_key (fun () ->
+                let s =
+                  { s_count = 0; s_sum = 0.; s_min = infinity;
+                    s_max = neg_infinity;
+                    s_buckets = Array.make (Array.length bounds + 1) 0 }
+                in
+                locked (fun () -> shards := s :: !shards);
+                s)
+          in
           let c =
-            { id; name; help; kind; bounds; shards = []; g_value = None;
+            { name; help; kind; bounds; shards; local; g_value = None;
               regs = 1 }
           in
           Hashtbl.add table name c;
@@ -87,25 +98,7 @@ let histogram ?(buckets = default_buckets) ?help name =
   done;
   register ~kind:Histogram ~bounds:(Array.copy buckets) ?help name
 
-(* Per-domain shard lookup, keyed by cell id.  The hashtable lives in
-   domain-local storage, so [Hashtbl.find_opt] needs no lock; only the
-   miss path (this domain's first write to the cell) takes [mu] to
-   publish the new shard on the cell's merge list. *)
-let dls : (int, shard) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let shard_of c =
-  let local = Domain.DLS.get dls in
-  match Hashtbl.find_opt local c.id with
-  | Some s -> s
-  | None ->
-      let s =
-        { s_count = 0; s_sum = 0.; s_min = infinity; s_max = neg_infinity;
-          s_buckets = Array.make (Array.length c.bounds + 1) 0 }
-      in
-      Hashtbl.add local c.id s;
-      locked (fun () -> c.shards <- s :: c.shards);
-      s
+let shard_of c = Domain.DLS.get c.local
 
 let incr c =
   if Atomic.get on then begin
@@ -153,7 +146,7 @@ type sample = { name : string; help : string; value : value }
 let merged_locked c =
   match c.kind with
   | Counter ->
-      Counter_v (List.fold_left (fun acc s -> acc + s.s_count) 0 c.shards)
+      Counter_v (List.fold_left (fun acc s -> acc + s.s_count) 0 !(c.shards))
   | Gauge -> Gauge_v c.g_value
   | Histogram ->
       let n = Array.length c.bounds in
@@ -167,7 +160,7 @@ let merged_locked c =
           if s.s_min < !mn then mn := s.s_min;
           if s.s_max > !mx then mx := s.s_max;
           Array.iteri (fun i k -> counts.(i) <- counts.(i) + k) s.s_buckets)
-        c.shards;
+        !(c.shards);
       let buckets =
         Array.init (n + 1) (fun i ->
             ((if i < n then c.bounds.(i) else infinity), counts.(i)))
@@ -229,5 +222,5 @@ let reset_all () =
               s.s_min <- infinity;
               s.s_max <- neg_infinity;
               Array.fill s.s_buckets 0 (Array.length s.s_buckets) 0)
-            c.shards)
+            !(c.shards))
         table)

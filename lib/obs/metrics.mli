@@ -7,9 +7,11 @@
     initialization, and written on the hot path under two guarantees:
 
     {b Domain safety.} Counter increments and histogram observations land
-    in a per-domain shard (one flat write, no locks — the registry keeps
-    one shard per (metric, domain) pair, created lazily on a domain's
-    first write, mirroring the one-workspace-per-domain contract of
+    in a per-domain shard (no lock and no lookup: each metric holds a
+    domain-local storage key for its shard, so after a domain's first
+    write a counter write allocates nothing — the registry keeps one
+    shard per (metric, domain) pair, created lazily on a domain's first
+    write, mirroring the one-workspace-per-domain contract of
     [Qs_exec]). Shards are merged at read time by {!snapshot}; merging
     sums counts bucket-wise, so it is commutative and conserves every
     observation, whatever the worker count was.

@@ -101,6 +101,28 @@ let h_update_seconds =
 
 let evidence_depth = 4
 
+(* A prefix's last [evidence_depth] updates: the next one goes to slot
+   [seen mod evidence_depth], overwriting the oldest. *)
+type ring = { slots : Update.t array; mutable seen : int }
+
+let note_evidence rings (u : Update.t) =
+  let p = Update.prefix u in
+  match Prefix.Table.find rings p with
+  | r ->
+      r.slots.(r.seen mod evidence_depth) <- u;
+      r.seen <- r.seen + 1
+  | exception Not_found ->
+      Prefix.Table.add rings p
+        { slots = Array.make evidence_depth u; seen = 1 }
+
+(* Newest first, built only when an alert asks. *)
+let evidence rings p =
+  match Prefix.Table.find rings p with
+  | exception Not_found -> []
+  | r ->
+      List.init (min r.seen evidence_depth) (fun i ->
+          r.slots.((r.seen - 1 - i) mod evidence_depth))
+
 type t = {
   config : Config.t;
   exec : Pool.t;
@@ -108,9 +130,10 @@ type t = {
   ingest : Ingest.t;
   registry : Alert.registry;
   conformance : Conformance.t;
-  evidence : Update.t list Prefix.Table.t;
+  evidence : ring Prefix.Table.t;
   sinks : Sink.t list;
-  mutable pending : Event.t list;   (* newest first *)
+  events_read : bool;               (* some sink reads events *)
+  mutable pending : Event.t list;   (* newest first; [] unless [events_read] *)
   mutable n_pending : int;
   mutable alerts_log : Alert.t list; (* newest first *)
   mutable n_events : int;
@@ -133,6 +156,7 @@ let create ?(config = Config.default) ?(duration = infinity)
       conformance = Conformance.create ~duration ();
       evidence = Prefix.Table.create 1024;
       sinks;
+      events_read = List.exists Sink.reads sinks;
       pending = [];
       n_pending = 0;
       alerts_log = [];
@@ -141,42 +165,38 @@ let create ?(config = Config.default) ?(duration = infinity)
   in
   Alert.register t.registry
     (Alert.c1c ~learning_period:config.Config.learning_period
-       ~evidence:(fun p ->
-           Option.value ~default:[] (Prefix.Table.find_opt t.evidence p))
-       ());
+       ~evidence:(evidence t.evidence) ());
   t
 
 let alerts t = List.rev t.alerts_log
 
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
-
-let note_evidence t (u : Update.t) =
-  let p = Update.prefix u in
-  let old = Option.value ~default:[] (Prefix.Table.find_opt t.evidence p) in
-  Prefix.Table.replace t.evidence p (u :: take (evidence_depth - 1) old)
-
+(* With no sink reading events, an event is only counted. *)
 let queue_events t evs =
-  List.iter
-    (fun e ->
-       t.pending <- e :: t.pending;
-       t.n_pending <- t.n_pending + 1;
-       t.n_events <- t.n_events + 1;
-       Metrics.incr m_events)
-    evs
+  let n = List.length evs in
+  if n > 0 then begin
+    t.n_events <- t.n_events + n;
+    Metrics.add m_events n;
+    if t.events_read then begin
+      t.pending <- List.rev_append evs t.pending;
+      t.n_pending <- t.n_pending + n
+    end
+  end
 
 let flush_events t =
   if t.n_pending > 0 then begin
-    let arr = Array.of_list (List.rev t.pending) in
+    let events = Array.of_list (List.rev t.pending) in
     t.pending <- [];
     t.n_pending <- 0;
-    (* Rendering is pure per event; chunk it over the pool. Submission
-       order is preserved, so sinks see the stream in order and the
-       output is byte-identical at any worker count. *)
-    let rendered = Pool.map t.exec Event.to_json arr in
-    let batch = Array.mapi (fun i e -> (e, rendered.(i))) arr in
-    List.iter (fun s -> Sink.emit s batch) t.sinks
+    (* Rendered only if a sink reads lines. Rendering is pure per event;
+       chunk it over the pool. Submission order is preserved, so sinks
+       see the stream in order and the output is byte-identical at any
+       worker count. *)
+    let lines =
+      lazy
+        (let rendered = Pool.map t.exec Event.to_json events in
+         Array.mapi (fun i e -> (e, rendered.(i))) events)
+    in
+    List.iter (fun s -> Sink.emit s events lines) t.sinks
   end
 
 let count_alert t (a : Alert.t) =
@@ -191,11 +211,11 @@ let count_alert t (a : Alert.t) =
 let process_one t (u : Update.t) =
   Metrics.incr m_released;
   Conformance.observe t.conformance u;
-  note_evidence t u;
-  let window_events = Window.apply t.window u in
+  note_evidence t.evidence u;
+  queue_events t (Window.apply t.window u);
   let alerts = Alert.observe t.registry u in
   List.iter (count_alert t) alerts;
-  queue_events t (window_events @ List.map (fun a -> Event.Alert a) alerts)
+  queue_events t (List.map (fun a -> Event.Alert a) alerts)
 
 let set_gauges t =
   let is = Ingest.stats t.ingest in

@@ -4,14 +4,16 @@
     rolling-window path-change / extra-AS state for every watched
     (session, prefix) key in bounded memory ({!Window}), and publishes
     events — per-key exposure deltas, C1c hijack/interception alerts,
-    conformance violations — to pluggable {!Sink}s as JSON lines.
+    conformance violations — to pluggable {!Sink}s.
 
     The service is a thin assembly over the subsystem's parts: updates
     enter through {!Ingest} (watermarked reorder buffer with explicit
     backpressure), released updates drive {!Window} and the {!Alert}
-    detector registry, and every event is rendered off the hot path in
-    submission order over a {!Pool.t} — so the emitted stream is
-    byte-identical at any worker count.
+    detector registry. When a subscribed sink reads JSON lines, events
+    are rendered off the hot path in submission order over a {!Pool.t} —
+    so the emitted stream is byte-identical at any worker count; when
+    none does, nothing is rendered, and when no sink reads events at
+    all, they are only counted.
 
     {b Replay equivalence.} [replay] feeds a simulated measurement
     period through the live service — {!Measurement.feed}, the stream

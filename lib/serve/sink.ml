@@ -1,22 +1,37 @@
-type t = {
-  name : string;
-  emit : (Event.t * string) array -> unit;
-  close : unit -> unit;
-}
+type consumer =
+  | Lines of ((Event.t * string) array -> unit)
+  | Events of (Event.t array -> unit)
+  | Nothing
 
-let make ~name ?(close = fun () -> ()) emit = { name; emit; close }
+type t = { name : string; consumer : consumer; close : unit -> unit }
+
+let make ~name ?(close = fun () -> ()) emit =
+  { name; consumer = Lines emit; close }
 
 let name t = t.name
-let emit t batch = if Array.length batch > 0 then t.emit batch
+
+let reads t =
+  match t.consumer with Nothing -> false | Lines _ | Events _ -> true
+
+let emit t events lines =
+  if Array.length events > 0 then
+    match t.consumer with
+    | Lines f -> f (Lazy.force lines)
+    | Events f -> f events
+    | Nothing -> ()
+
 let close t = t.close ()
 
-let null = make ~name:"null" (fun _ -> ())
+let null = { name = "null"; consumer = Nothing; close = (fun () -> ()) }
 
 let memory () =
   let events = ref [] in
   let sink =
-    make ~name:"memory" (fun batch ->
-        Array.iter (fun (e, _) -> events := e :: !events) batch)
+    { name = "memory";
+      consumer =
+        Events
+          (fun batch -> Array.iter (fun e -> events := e :: !events) batch);
+      close = (fun () -> ()) }
   in
   (sink, fun () -> List.rev !events)
 

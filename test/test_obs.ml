@@ -146,6 +146,23 @@ let test_reset_all () =
   Metrics.incr c;
   check_int "handle still live" 1 (counter_value name)
 
+(* A write after a domain's first finds its shard without a lookup and
+   allocates nothing: the hot-path cost serve and the reset filter pay
+   per update. *)
+let test_incr_allocates_nothing () =
+  let name = fresh () in
+  let c = Metrics.counter name in
+  Metrics.incr c;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Metrics.incr c
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every write landed" 10_001 (counter_value name);
+  check_bool
+    (Printf.sprintf "10 000 writes allocate 0 minor words (%.0f)" words)
+    true (words = 0.)
+
 (* ---- qcheck: shard-merge laws ----------------------------------------- *)
 
 let bounds = [| 5.; 50.; 500. |]
@@ -413,7 +430,9 @@ let () =
            test_disabled_writes_are_noops;
          Alcotest.test_case "buckets and quantiles" `Quick
            test_histogram_buckets_and_quantiles;
-         Alcotest.test_case "reset_all" `Quick test_reset_all ]);
+         Alcotest.test_case "reset_all" `Quick test_reset_all;
+         Alcotest.test_case "writes allocate nothing" `Quick
+           test_incr_allocates_nothing ]);
       ("laws",
        [ Alcotest.test_case "quantile monotone" `Quick test_quantile_monotone;
          Alcotest.test_case "merge conserves observations" `Quick

@@ -530,9 +530,13 @@ let test_serve_moas_alert () =
   let t = Serve.create ~config:serve_config ~sinks:[ sink ] ~exec () in
   let s1 = sess 64512 and p = pfx "10.0.0.0/8" in
   (* Learn origin AS65001 inside the 100 s learning period, then move the
-     origin: a MOAS alarm, the paper's C1c control-plane signature. *)
+     origin: a MOAS alarm, the paper's C1c control-plane signature. Six
+     updates on the prefix, so the evidence window has rolled. *)
   List.iter (Serve.offer t)
     [ ann ~t:0. ~s:s1 p [ 7; 65001 ];
+      ann ~t:10. ~s:s1 p [ 8; 65001 ];
+      ann ~t:20. ~s:s1 p [ 7; 65001 ];
+      ann ~t:30. ~s:s1 p [ 8; 65001 ];
       ann ~t:50. ~s:s1 p [ 7; 65001 ];
       ann ~t:300. ~s:s1 p [ 9; 65002 ] ];
   let violations = Serve.drain t ~horizon:600. in
@@ -542,7 +546,11 @@ let test_serve_moas_alert () =
        check_string "detector" "c1c" a.Alert.detector;
        check_string "kind" "moas" a.Alert.kind;
        check_bool "right prefix" true (Prefix.equal a.Alert.prefix p);
-       check_bool "carries evidence" true (a.Alert.evidence <> [])
+       (* The prefix's last four updates, newest first, the alarming
+          one included. *)
+       Alcotest.(check (list (float 0.))) "carries evidence"
+         [ 300.; 50.; 30.; 20. ]
+         (List.map (fun (u : Update.t) -> u.Update.time) a.Alert.evidence)
    | l -> Alcotest.failf "expected one alert, got %d" (List.length l));
   let evs = captured () in
   check_bool "sink saw the alert" true
@@ -550,8 +558,8 @@ let test_serve_moas_alert () =
   check_bool "events were emitted" true (Serve.events_emitted t > 0);
   (* Losslessness of the feed we just pushed. *)
   let st = Ingest.stats (Serve.ingest t) in
-  check_int "all ingested" 3 st.Ingest.ingested;
-  check_int "all released" 3 st.Ingest.released
+  check_int "all ingested" 6 st.Ingest.ingested;
+  check_int "all released" 6 st.Ingest.released
 
 let test_serve_guards () =
   Pool.with_pool ~jobs:1 @@ fun exec ->
@@ -642,24 +650,47 @@ let test_replay_matches_batch () =
 let test_replay_jobs_identity () =
   let s = Lazy.force replay_scenario in
   let extra = replay_attacks s in
-  let run jobs =
+  let run jobs sinks =
     Pool.with_pool ~jobs @@ fun exec ->
-    let sink, captured = Sink.memory () in
-    let r =
-      Serve.replay ~dynamics:replay_dynamics ~extra_updates:extra
-        ~config:replay_config ~sinks:[ sink ] ~exec s
-    in
-    (r, List.map Event.to_json (captured ()))
+    Serve.replay ~dynamics:replay_dynamics ~extra_updates:extra
+      ~config:replay_config ~sinks ~exec s
   in
-  let r1, ev1 = run 1 in
-  let r4, ev4 = run 4 in
+  (* A line-reading sink gets the stream the service renders over the
+     pool; a memory sink gets the events themselves. *)
+  let text () =
+    let lines = ref [] in
+    ( Sink.make ~name:"text" (fun batch ->
+          Array.iter (fun (_, line) -> lines := line :: !lines) batch),
+      fun () -> List.rev !lines )
+  in
+  let run_text jobs =
+    let sink, lines = text () and mem, captured = Sink.memory () in
+    let r = run jobs [ sink; mem ] in
+    (r, lines (), List.map Event.to_json (captured ()))
+  in
+  let r1, ev1, mem1 = run_text 1 in
+  let r4, ev4, mem4 = run_text 4 in
   Alcotest.(check (list string)) "event stream byte-identical" ev1 ev4;
-  check_int "same event count" r1.Serve.r_events r4.Serve.r_events;
-  check_bool "same alerts" true
-    (List.equal Alert.equal r1.Serve.r_alerts r4.Serve.r_alerts);
-  check_bool "same window stats" true (r1.Serve.r_window = r4.Serve.r_window);
-  check_int "same released count" r1.Serve.r_ingest.Ingest.released
-    r4.Serve.r_ingest.Ingest.released
+  Alcotest.(check (list string)) "rendered lines = the events' JSON" mem4 ev4;
+  Alcotest.(check (list string)) "jobs 1: rendered lines = the events' JSON"
+    mem1 ev1;
+  let mem_only, captured = Sink.memory () in
+  let r_mem = run 1 [ mem_only ] in
+  Alcotest.(check (list string)) "memory sink alone sees the same events" ev1
+    (List.map Event.to_json (captured ()));
+  List.iter
+    (fun (name, r) ->
+       check_int (name ^ ": same event count") r1.Serve.r_events
+         r.Serve.r_events;
+       check_bool (name ^ ": same alerts") true
+         (List.equal Alert.equal r1.Serve.r_alerts r.Serve.r_alerts);
+       check_bool (name ^ ": same window stats") true
+         (r1.Serve.r_window = r.Serve.r_window);
+       check_int (name ^ ": same released count")
+         r1.Serve.r_ingest.Ingest.released r.Serve.r_ingest.Ingest.released)
+    [ ("jobs 4", r4); ("memory", r_mem); ("no sink", run 1 []);
+      ("null sink", run 1 [ Sink.null ]) ];
+  check_int "one line per event" r1.Serve.r_events (List.length ev1)
 
 (* Regression: under trace-shaped session churn, replay must draw the
    churn trace from the scenario's "trace-churn" stream exactly as

@@ -46,6 +46,8 @@
 #                         must equal the batch detector's exactly and the
 #                         windowed cells must be bit-identical to
 #                         Measurement.run's (exit 1 on any divergence);
+#                         the --events file must hold one line per event
+#                         the summary reports;
 #  11. quicksand serve --mrt
 #                       — the live service over a recorded feed: an hour of
 #                         Small churn from mrt-dump must decode to one
@@ -118,7 +120,13 @@ dune exec bin/quicksand.exe -- check --suite churn
 
 echo "== quicksand serve --replay --verify-batch (Small, seed 1, half a day)"
 dune exec bin/quicksand.exe -- serve --replay --verify-batch --scale small \
-  --seed 1 --days 0.5 --attacks 4 --quiet
+  --seed 1 --days 0.5 --attacks 4 --events "$tmp/serve.jsonl" \
+  > "$tmp/serve.txt" || { cat "$tmp/serve.txt"; exit 1; }
+cat "$tmp/serve.txt"
+emitted=$(sed -n 's/^serve: .* \([0-9][0-9]*\) events, .*/\1/p' "$tmp/serve.txt")
+written=$(wc -l < "$tmp/serve.jsonl")
+[ -n "$emitted" ] && [ "$emitted" -eq "$written" ] \
+  || { echo "serve wrote $written event lines, reported ${emitted:-no} events"; exit 1; }
 
 echo "== quicksand serve --mrt (an hour of Small churn, then a truncated copy)"
 dune exec bin/quicksand.exe -- mrt-dump --scale small --seed 1 --hours 1 \
