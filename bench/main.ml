@@ -354,7 +354,9 @@ let () =
     let addr = Ipv4.of_string "1.2.3.4" in
     (* A churny synthetic feed for the qs_serve hot path: 64 keys cycling
        through announces and withdrawals over a sub-window timescale, so
-       the ring rolls, timers arm and evictions fire inside the kernel. *)
+       the ring rolls, timers arm and evictions fire inside the kernel.
+       Each round of 64 updates moves every key to the next of four
+       paths, so keys change path and the serve rows render events. *)
     let serve_feed =
       let session = { Update.collector = "rrc00"; peer = Asn.of_int 64512 } in
       let prefixes =
@@ -374,8 +376,22 @@ let () =
             { Update.time; session; kind = Update.Withdraw p }
           else
             { Update.time; session;
-              kind = Update.Announce (Route.make p paths.(i mod 4)) })
+              kind = Update.Announce (Route.make p paths.((i / 64) mod 4)) })
     in
+    (* The rows measure path-change work only if every key changes path:
+       fail before timing anything otherwise. *)
+    let paths_seen = Array.make 64 [] in
+    Array.iteri
+      (fun i u ->
+        match u.Update.kind with
+        | Update.Announce r ->
+            let k = i mod 64 in
+            if not (List.mem r.Route.as_path paths_seen.(k)) then
+              paths_seen.(k) <- r.Route.as_path :: paths_seen.(k)
+        | Update.Withdraw _ -> ())
+      serve_feed;
+    if Array.exists (fun paths -> List.length paths < 2) paths_seen then
+      failwith "bench: serve_feed gives some prefix fewer than 2 paths";
     let serve_window =
       { Window.window = 120.; bucket = 60.; threshold = 60. }
     in

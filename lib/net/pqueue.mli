@@ -3,15 +3,28 @@
     Used by the BGP dynamics simulator for pending timed events and for
     time-ordering emitted updates, by the streaming monitor's window and
     ingest buffer, and by the packet simulator ({!Qs_traffic.Netsim}).
-    Entries pop in (key, arrival) order: every {!push} or {!arm} takes the
-    next arrival number, so ties pop in insertion order.
+
+    {b Order.} Entries pop in (key, arrival number) order. Every {!push}
+    or {!arm} takes the next arrival number, so ties pop in insertion
+    order. {!take_arrival} takes a number without queueing anything, and
+    {!arm_at} queues a handle under a number taken earlier: a caller that
+    holds entries back (the packet simulator keeps one heap entry per link
+    and the rest of the link's packets in its own FIFO) can still have
+    them pop exactly where a {!push} at the moment the number was taken
+    would have put them.
+
+    {b Layout.} The heap itself is three unboxed arrays in heap order:
+    keys (a [Float.Array]), arrival numbers and entry ids. Entries stay
+    put in a table indexed by entry id, which also records each entry's
+    heap slot, and free ids form a list. A sift moves only floats and
+    ints, never an entry, and a handle keeps its entry id while it is
+    queued, so re-keying it writes no entry either.
 
     Keys are stored unboxed; {!due} and {!pop_until} peek at the smallest
     key without allocating. The queue never retains values it no longer
-    holds: popping an entry clears the vacated heap slot, and
-    freshly-grown capacity slots are empty rather than filled with a dummy
-    entry, so long-running simulations do not pin dead events against the
-    GC. *)
+    holds: popping an entry clears its table slot, and freshly-grown
+    capacity is empty rather than filled with a dummy entry, so
+    long-running simulations do not pin dead events against the GC. *)
 
 type 'a t
 
@@ -62,6 +75,19 @@ val arm : 'a t -> 'a handle -> float -> unit
     {!push} at this moment would: a re-armed handle pops after every entry
     already queued at the same key.
     @raise Invalid_argument if [h] is queued in another queue. *)
+
+val take_arrival : 'a t -> int
+(** Takes the next arrival number, as a {!push} at this moment would, and
+    queues nothing: the number is for a later {!arm_at}. *)
+
+val arm_at : 'a t -> 'a handle -> float -> int -> unit
+(** [arm_at q h key seq] queues [h] at [key] under the arrival number
+    [seq], or moves it there if it is already queued. [seq] must come from
+    {!take_arrival} on [q] and be given to one queued entry at a time;
+    [h] then pops exactly where a {!push} at [key] made when [seq] was
+    taken would have.
+    @raise Invalid_argument if [seq] is not a number [q] has handed out,
+    or if [h] is queued in another queue. *)
 
 val cancel : 'a t -> 'a handle -> unit
 (** [cancel q h] takes [h] out of [q]; a no-op if it is not queued.

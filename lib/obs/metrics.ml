@@ -24,7 +24,8 @@ type cell = {
   bounds : float array; (* [||] unless kind = Histogram *)
   shards : shard list ref; (* under [mu] *)
   local : shard Domain.DLS.key;
-  mutable g_value : float option;
+  g_value : Float.Array.t; (* one slot: a gauge's value, stored unboxed *)
+  mutable g_set : bool; (* written since registration or [reset_all] *)
   mutable regs : int;
 }
 
@@ -80,8 +81,8 @@ let register ~kind ~bounds ?(help = "") name =
                 s)
           in
           let c =
-            { name; help; kind; bounds; shards; local; g_value = None;
-              regs = 1 }
+            { name; help; kind; bounds; shards; local;
+              g_value = Float.Array.make 1 0.; g_set = false; regs = 1 }
           in
           Hashtbl.add table name c;
           c)
@@ -113,7 +114,14 @@ let add c n =
     s.s_count <- s.s_count + n
   end
 
-let set c v = if Atomic.get on then locked (fun () -> c.g_value <- Some v)
+(* No lock: a gauge is one unboxed slot and a flag, and concurrent sets
+   race to last-write-wins, which is all a gauge promises. The value is
+   written before the flag, and readers take [mu]. *)
+let set c v =
+  if Atomic.get on then begin
+    Float.Array.set c.g_value 0 v;
+    c.g_set <- true
+  end
 
 let observe c v =
   if Atomic.get on then begin
@@ -147,7 +155,7 @@ let merged_locked c =
   match c.kind with
   | Counter ->
       Counter_v (List.fold_left (fun acc s -> acc + s.s_count) 0 !(c.shards))
-  | Gauge -> Gauge_v c.g_value
+  | Gauge -> Gauge_v (if c.g_set then Some (Float.Array.get c.g_value 0) else None)
   | Histogram ->
       let n = Array.length c.bounds in
       let counts = Array.make (n + 1) 0 in
@@ -214,7 +222,7 @@ let reset_all () =
   locked (fun () ->
       Hashtbl.iter
         (fun _ c ->
-          c.g_value <- None;
+          c.g_set <- false;
           List.iter
             (fun s ->
               s.s_count <- 0;

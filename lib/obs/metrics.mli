@@ -57,6 +57,8 @@ val add : counter -> int -> unit
 (** @raise Invalid_argument if [n < 0] — counters are monotonic. *)
 
 val set : gauge -> float -> unit
+(** Last write wins. Takes no lock and, after the call, allocates
+    nothing: the value is stored unboxed. *)
 
 val observe : histogram -> float -> unit
 

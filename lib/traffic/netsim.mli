@@ -4,7 +4,16 @@
     loss. Each directed link can carry a {e tap} — a tcpdump-like observer
     that sees every packet (with its timestamp) crossing the link in that
     direction. Taps are how the paper's four observation points
-    (client⇄guard, exit⇄server) are realised. *)
+    (client⇄guard, exit⇄server) are realised.
+
+    {b Per-link queues.} Each directed link keeps its in-flight packets
+    itself, in a FIFO ring of (packet, arrival time, arrival number), and
+    the event queue ({!Pqueue}) holds one entry per busy link, keyed by its
+    head packet and re-armed from the next packet after each delivery. A
+    link's arrival times never fall (delivery is in order) and its arrival
+    numbers rise, so its head is its least event, and events run in
+    exactly the order one queue entry per packet would give them. A
+    delivered slot is cleared, so no ring holds on to a dead packet. *)
 
 type node = int
 

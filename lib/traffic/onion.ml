@@ -63,7 +63,7 @@ let rec pump_drain pump =
   let backlog = Tcp.receive_backlog pump.p_from in
   let room = pump_window - Tcp.bytes_queued pump.p_to in
   if room > 0 && backlog > 0 then begin
-    let burst = min room backlog in
+    let burst = Int.min room backlog in
     Tcp.consume pump.p_from burst;
     let scaled = pump.p_scale burst in
     if scaled > 0 then Tcp.send pump.p_to scaled
@@ -166,8 +166,8 @@ let download ~rng ?(profile = default_profile) ?(until = 600.) ?start_delay
         let rec burst_loop net =
           if !remaining > 0 then begin
             let chunk =
-              min !remaining
-                (max 1024 (int_of_float (Rng.exponential rng (1. /. float_of_int mean_burst))))
+              Int.min !remaining
+                (Int.max 1024 (int_of_float (Rng.exponential rng (1. /. float_of_int mean_burst))))
             in
             remaining := !remaining - chunk;
             Tcp.send setup.server_conn chunk;

@@ -58,7 +58,7 @@ let first_port = 10000
 (* --- sending machinery --------------------------------------------- *)
 
 let advertised_window c =
-  max 0 (c.opts.rwnd - (c.delivered - c.consumed))
+  Int.max 0 (c.opts.rwnd - (c.delivered - c.consumed))
 
 let packet c ~seq ~payload =
   { Netsim.src = c.local_ip; dst = c.remote_ip; sport = c.lport; dport = c.rport;
@@ -85,12 +85,12 @@ and on_rto c =
   end
 
 and try_send c =
-  let window = min (int_of_float c.cwnd) (min c.opts.rwnd (max c.peer_wnd 1)) in
+  let window = Int.min (int_of_float c.cwnd) (Int.min c.opts.rwnd (Int.max c.peer_wnd 1)) in
   let continue = ref true in
   while !continue && c.backlog > 0 && c.snd_nxt - c.snd_una < window do
     (* Never let the flight exceed the window, even by a partial segment. *)
     let room = window - (c.snd_nxt - c.snd_una) in
-    let payload = min (min c.opts.mss c.backlog) room in
+    let payload = Int.min (Int.min c.opts.mss c.backlog) room in
     let seq = c.snd_nxt in
     c.snd_nxt <- c.snd_nxt + payload;
     c.backlog <- c.backlog - payload;
@@ -154,14 +154,14 @@ let handle_ack c ack =
           (float_of_int (c.snd_nxt - c.snd_una) *. 0.7);
       c.cwnd <- c.ssthresh +. (3. *. float_of_int c.opts.mss);
       c.sample_seq <- -1;
-      transmit c (packet c ~seq:c.snd_una ~payload:(min c.opts.mss (c.snd_nxt - c.snd_una)))
+      transmit c (packet c ~seq:c.snd_una ~payload:(Int.min c.opts.mss (c.snd_nxt - c.snd_una)))
     end
   end
 
 let rec absorb_ooo c =
   match c.ooo with
   | (s, e) :: rest when s <= c.rcv_nxt ->
-      c.rcv_nxt <- max c.rcv_nxt e;
+      c.rcv_nxt <- Int.max c.rcv_nxt e;
       c.ooo <- rest;
       absorb_ooo c
   | _ -> ()
@@ -173,7 +173,7 @@ let insert_ooo c s e =
     | (s', e') :: rest when s > e' -> (s', e') :: insert rest
     | (s', e') :: rest ->
         (* overlap: merge *)
-        (min s s', max e e') :: rest
+        (Int.min s s', Int.max e e') :: rest
   in
   c.ooo <- insert c.ooo
 
@@ -260,7 +260,7 @@ let make_conn opts net ~local ~peer ~lport ~rport =
 let register ep c =
   let i = c.lport - first_port in
   if i >= Array.length ep.conns then begin
-    let conns = Array.make (max 4 (2 * (i + 1))) None in
+    let conns = Array.make (Int.max 4 (2 * (i + 1))) None in
     Array.blit ep.conns 0 conns 0 (Array.length ep.conns);
     ep.conns <- conns
   end;
@@ -287,12 +287,12 @@ let retransmit_stats c = (c.n_rto, c.n_fast_rtx)
 
 let set_manual_consume c flag =
   c.manual_consume <- flag;
-  if flag then c.consumed <- min c.consumed c.delivered
+  if flag then c.consumed <- Int.min c.consumed c.delivered
 
 let consume c n =
   if n < 0 then invalid_arg "Tcp.consume: negative byte count";
   let before = advertised_window c in
-  c.consumed <- min c.delivered (c.consumed + n);
+  c.consumed <- Int.min c.delivered (c.consumed + n);
   let after = advertised_window c in
   (* Tell the peer the window reopened (window-update ACK), as real stacks
      do when crossing an MSS boundary or leaving zero-window. *)

@@ -2,7 +2,12 @@
 
     A trace records headers only (timestamp, sequence, cumulative ACK,
     payload length) — exactly what an on-path AS sees of SSL/TLS traffic,
-    since TCP headers are not encrypted (§3.3). *)
+    since TCP headers are not encrypted (§3.3).
+
+    Storage is flat: one growable unboxed array per field (times in a
+    [Float.Array], sequence, ACK and payload as ints), so a tap writes
+    four slots and allocates only when the arrays double. {!observations}
+    builds its list on demand. *)
 
 type obs = {
   time : float;
@@ -20,7 +25,8 @@ val tap : t -> float -> Netsim.packet -> unit
     [Netsim.set_tap net ~from ~to_ (Trace.tap trace)]. *)
 
 val observations : t -> obs list
-(** In capture order (time-sorted by construction). *)
+(** In capture order (time-sorted by construction); a fresh list on every
+    call. *)
 
 val length : t -> int
 

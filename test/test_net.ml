@@ -545,6 +545,106 @@ let prop_pqueue_handles_model =
        !ok && queued_agree && length_agree && Pqueue.drain q = model_rest
        && Array.for_all (fun h -> not (Pqueue.queued h)) handles)
 
+(* A reference model with explicit arrival numbers: [Take] takes a number
+   without queueing, [Arm_at] queues a handle under the oldest number
+   taken and not yet used (or under a fresh one when none is left). The
+   model keeps every pending entry as (key, arrival, label) in one list
+   and pops its least element; keys come from a small set, so ties on
+   the key are decided by the arrival numbers, explicit ones included. *)
+type pq_xop =
+  | X_push of int
+  | X_arm of int * int
+  | X_take
+  | X_arm_at of int * int
+  | X_cancel of int
+  | X_pop
+
+let pq_xop_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun k -> X_push k) (int_bound 3));
+        (2, map2 (fun h k -> X_arm (h, k)) (int_bound (pq_handles - 1)) (int_bound 3));
+        (2, return X_take);
+        (3, map2 (fun h k -> X_arm_at (h, k)) (int_bound (pq_handles - 1)) (int_bound 3));
+        (2, map (fun h -> X_cancel h) (int_bound (pq_handles - 1)));
+        (3, return X_pop) ])
+
+let pq_xop_print = function
+  | X_push k -> Printf.sprintf "push %g" pq_keys.(k)
+  | X_arm (h, k) -> Printf.sprintf "arm h%d %g" h pq_keys.(k)
+  | X_take -> "take"
+  | X_arm_at (h, k) -> Printf.sprintf "arm_at h%d %g" h pq_keys.(k)
+  | X_cancel h -> Printf.sprintf "cancel h%d" h
+  | X_pop -> "pop"
+
+let prop_pqueue_arrival_model =
+  QCheck.Test.make ~name:"explicit arrival numbers = list model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pq_xop_print ops))
+       QCheck.Gen.(list_size (int_bound 80) pq_xop_gen))
+    (fun ops ->
+       let q = Pqueue.create () in
+       let handles = Array.init pq_handles (fun h -> Pqueue.handle (Handle h)) in
+       let model = ref [] and next = ref 0 and pushes = ref 0 in
+       (* numbers taken by [X_take] and not yet used, oldest first *)
+       let spare = Queue.create () in
+       let take () =
+         let seq = Pqueue.take_arrival q in
+         if seq <> !next then failwith "take_arrival skipped a number";
+         incr next;
+         seq
+       in
+       let drop label = model := List.filter (fun (_, _, l) -> l <> label) !model in
+       let ok = ref true in
+       List.iter
+         (fun op ->
+            match op with
+            | X_push k ->
+                Pqueue.push q pq_keys.(k) (Pushed !pushes);
+                model := (pq_keys.(k), !next, Pushed !pushes) :: !model;
+                incr next;
+                incr pushes
+            | X_arm (h, k) ->
+                Pqueue.arm q handles.(h) pq_keys.(k);
+                drop (Handle h);
+                model := (pq_keys.(k), !next, Handle h) :: !model;
+                incr next
+            | X_take -> Queue.push (take ()) spare
+            | X_arm_at (h, k) ->
+                let seq = if Queue.is_empty spare then take () else Queue.pop spare in
+                Pqueue.arm_at q handles.(h) pq_keys.(k) seq;
+                drop (Handle h);
+                model := (pq_keys.(k), seq, Handle h) :: !model
+            | X_cancel h ->
+                Pqueue.cancel q handles.(h);
+                drop (Handle h)
+            | X_pop ->
+                let expected =
+                  match List.sort compare !model with
+                  | [] -> None
+                  | ((key, _, label) as top) :: _ ->
+                      model := List.filter (fun e -> e <> top) !model;
+                      Some (key, label)
+                in
+                if Pqueue.pop q <> expected then ok := false)
+         ops;
+       let rest = List.map (fun (key, _, label) -> (key, label)) (List.sort compare !model) in
+       !ok && Pqueue.length q = List.length !model && Pqueue.drain q = rest)
+
+(* An arrival number must be one the queue handed out. *)
+let test_pqueue_arm_at_rejects_untaken () =
+  let q = Pqueue.create () in
+  let h = Pqueue.handle () in
+  Alcotest.check_raises "a number not yet taken"
+    (Invalid_argument "Pqueue.arm_at: arrival number not taken")
+    (fun () -> Pqueue.arm_at q h 1.0 0);
+  let seq = Pqueue.take_arrival q in
+  Pqueue.arm_at q h 1.0 seq;
+  Alcotest.check_raises "a negative number"
+    (Invalid_argument "Pqueue.arm_at: arrival number not taken")
+    (fun () -> Pqueue.arm_at q h 1.0 (-1));
+  check_int "the taken number queued it" 1 (Pqueue.length q)
+
 let test_pqueue_handle_rejects_foreign_queue () =
   let q1 = Pqueue.create () and q2 = Pqueue.create () in
   let h = Pqueue.handle () in
@@ -607,7 +707,10 @@ let () =
          Alcotest.test_case "grow releases value" `Quick
            test_pqueue_grow_releases;
          Alcotest.test_case "handle rejects a foreign queue" `Quick
-           test_pqueue_handle_rejects_foreign_queue ]
+           test_pqueue_handle_rejects_foreign_queue;
+         Alcotest.test_case "arm_at rejects an untaken number" `Quick
+           test_pqueue_arm_at_rejects_untaken ]
        @ qsuite
            [ prop_pqueue_sorts; prop_pqueue_stable_sort;
-             prop_pqueue_pop_until_boundary; prop_pqueue_handles_model ]) ]
+             prop_pqueue_pop_until_boundary; prop_pqueue_handles_model;
+             prop_pqueue_arrival_model ]) ]

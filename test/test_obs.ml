@@ -161,6 +161,21 @@ let test_incr_allocates_nothing () =
   check_int "every write landed" 10_001 (counter_value name);
   check_bool
     (Printf.sprintf "10 000 writes allocate 0 minor words (%.0f)" words)
+    true (words = 0.);
+  (* A gauge write takes no lock and stores the value unboxed. The values
+     are constants, so the call site boxes nothing either. *)
+  let gname = fresh () in
+  let g = Metrics.gauge gname in
+  Metrics.set g 1.;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Metrics.set g (if i land 1 = 0 then 2. else 3.)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool "the last set wins" true
+    (Metrics.value gname = Some (Metrics.Gauge_v (Some 2.)));
+  check_bool
+    (Printf.sprintf "10 000 gauge sets allocate 0 minor words (%.0f)" words)
     true (words = 0.)
 
 (* ---- qcheck: shard-merge laws ----------------------------------------- *)

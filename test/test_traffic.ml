@@ -185,6 +185,149 @@ let prop_netsim_timers_model =
        loop ();
        !fired = !out && Array.for_all (fun t -> not (Netsim.armed t)) timers)
 
+(* Packets and timers against one naive event list. Every link has the
+   same latency and no jitter, so deliveries tie with each other and with
+   timers; one link loses every packet. A delivered packet with a bounce
+   count above zero is sent straight back with one bounce fewer, so links
+   are also fed while the simulation runs, as is the [Mid] event's
+   second program at t = 1. The model keeps every pending delivery and
+   timer as (time, arrival number, event) in one list, where a send takes
+   a number only if its packet survives, and pops the least. *)
+type tie_op =
+  | Tie_send of int * int  (* directed link, bounce count *)
+  | Tie_schedule of int
+  | Tie_arm of int * int
+  | Tie_cancel of int
+
+(* (a, b, loss): links are bidirectional, and 0 <-> 2 loses everything. *)
+let tie_links = [| (0, 1, 0.); (1, 2, 0.); (0, 2, 1.) |]
+let tie_dirs = [| (0, 1); (1, 0); (1, 2); (2, 1); (0, 2); (2, 0) |]
+let tie_latency = 0.5
+
+let tie_loss a b =
+  let l = ref 0. in
+  Array.iter (fun (x, y, loss) -> if (x = a && y = b) || (x = b && y = a) then l := loss)
+    tie_links;
+  !l
+
+let tie_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map2 (fun d b -> Tie_send (d, b)) (int_bound 5) (int_bound 2));
+        (2, map (fun d -> Tie_schedule d) (int_bound 3));
+        (3, map2 (fun k d -> Tie_arm (k, d)) (int_bound (sim_timers - 1)) (int_bound 3));
+        (1, map (fun k -> Tie_cancel k) (int_bound (sim_timers - 1))) ])
+
+let tie_op_print = function
+  | Tie_send (d, b) ->
+      let a, c = tie_dirs.(d) in
+      Printf.sprintf "send %d->%d bounce %d" a c b
+  | Tie_schedule d -> Printf.sprintf "schedule %g" sim_delays.(d)
+  | Tie_arm (k, d) -> Printf.sprintf "arm t%d %g" k sim_delays.(d)
+  | Tie_cancel k -> Printf.sprintf "cancel t%d" k
+
+type tie_label = Packet of int | Tie_scheduled of int | Tie_timer of int | Tie_mid
+
+(* A pending model event: what it logs, and for a packet what it does. *)
+type tie_event = { label : tie_label; hop : (int * int * int) option (* from, to, bounces *) }
+
+let prop_netsim_ties_model =
+  let program = QCheck.Gen.(list_size (int_bound 20) tie_op_gen) in
+  QCheck.Test.make ~name:"link ties = one sorted event list (send, schedule, arm)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         let p ops = String.concat "; " (List.map tie_op_print ops) in
+         Printf.sprintf "at 0: %s | at 1: %s" (p a) (p b))
+       (QCheck.Gen.pair program program))
+    (fun (phase0, phase1) ->
+       (* the simulator *)
+       let net = Netsim.create ~rng:(Rng.of_int 1) () in
+       let nodes = Array.init 3 (fun _ -> Netsim.add_node net) in
+       Array.iter
+         (fun (a, b, loss) -> Netsim.link net nodes.(a) nodes.(b) ~latency:tie_latency ~loss ())
+         tie_links;
+       let fired = ref [] in
+       let record label net = fired := (label, Netsim.now net) :: !fired in
+       let timers = Array.init sim_timers (fun k -> Netsim.timer (record (Tie_timer k))) in
+       let n_packets = ref 0 and n_scheduled = ref 0 in
+       let send net a b bounces =
+         let p =
+           { (mk_packet "10.0.0.1" "10.0.0.2") with
+             Netsim.sport = a; dport = b; seq = !n_packets; payload = bounces }
+         in
+         incr n_packets;
+         Netsim.send net ~from:nodes.(a) ~to_:nodes.(b) p
+       in
+       Array.iteri
+         (fun v node ->
+            Netsim.set_handler net node (fun net p ->
+                record (Packet p.Netsim.seq) net;
+                if p.Netsim.payload > 0 then send net v p.Netsim.sport (p.Netsim.payload - 1)))
+         nodes;
+       let apply net = function
+         | Tie_send (d, b) ->
+             let a, c = tie_dirs.(d) in
+             send net a c b
+         | Tie_schedule d ->
+             Netsim.schedule net sim_delays.(d) (record (Tie_scheduled !n_scheduled));
+             incr n_scheduled
+         | Tie_arm (k, d) -> Netsim.arm net timers.(k) sim_delays.(d)
+         | Tie_cancel k -> Netsim.cancel net timers.(k)
+       in
+       Netsim.schedule net 1.0 (fun net ->
+           record Tie_mid net;
+           List.iter (apply net) phase1);
+       List.iter (apply net) phase0;
+       Netsim.run net;
+       (* the model *)
+       let pending = ref [] and arrival = ref 0 and out = ref [] in
+       let n_packets = ref 0 and n_scheduled = ref 0 in
+       let last = Hashtbl.create 8 in
+       let add time ev =
+         pending := (time, !arrival, ev) :: !pending;
+         incr arrival
+       in
+       let model_send now a b bounces =
+         let id = !n_packets in
+         incr n_packets;
+         if tie_loss a b < 1. then begin
+           let prev = Option.value (Hashtbl.find_opt last (a, b)) ~default:0. in
+           let time = Float.max (now +. tie_latency) prev in
+           Hashtbl.replace last (a, b) time;
+           add time { label = Packet id; hop = Some (a, b, bounces) }
+         end
+       in
+       let drop label = pending := List.filter (fun (_, _, e) -> e.label <> label) !pending in
+       let model_apply now = function
+         | Tie_send (d, b) ->
+             let a, c = tie_dirs.(d) in
+             model_send now a c b
+         | Tie_schedule d ->
+             add (now +. sim_delays.(d)) { label = Tie_scheduled !n_scheduled; hop = None };
+             incr n_scheduled
+         | Tie_arm (k, d) ->
+             drop (Tie_timer k);
+             add (now +. sim_delays.(d)) { label = Tie_timer k; hop = None }
+         | Tie_cancel k -> drop (Tie_timer k)
+       in
+       add 1.0 { label = Tie_mid; hop = None };
+       List.iter (model_apply 0.) phase0;
+       let rec loop () =
+         match List.sort compare !pending with
+         | [] -> ()
+         | ((time, _, ev) as top) :: _ ->
+             pending := List.filter (fun e -> e != top) !pending;
+             out := (ev.label, time) :: !out;
+             (match ev.hop with
+              | Some (a, b, bounces) when bounces > 0 -> model_send time b a (bounces - 1)
+              | Some _ | None -> ());
+             if ev.label = Tie_mid then List.iter (model_apply time) phase1;
+             loop ()
+       in
+       loop ();
+       !fired = !out && Array.for_all (fun t -> not (Netsim.armed t)) timers)
+
 let test_netsim_run_until () =
   let net = Netsim.create ~rng:(Rng.of_int 6) () in
   let fired = ref 0 in
@@ -484,7 +627,7 @@ let () =
          Alcotest.test_case "timer tie order" `Quick test_netsim_timer_tie_order;
          Alcotest.test_case "run until" `Quick test_netsim_run_until;
          Alcotest.test_case "rejects" `Quick test_netsim_rejects ]
-       @ qsuite [ prop_netsim_timers_model ]);
+       @ qsuite [ prop_netsim_timers_model; prop_netsim_ties_model ]);
       ("tcp",
        [ Alcotest.test_case "delivers exact bytes" `Quick test_tcp_delivers_exact_bytes;
          Alcotest.test_case "bidirectional" `Quick test_tcp_bidirectional;

@@ -8,7 +8,11 @@
 #      them): Obj.magic defeats the type system, bare Stdlib.compare is a
 #      polymorphic-comparison trap (NaN-unsound on floats, depth-first on
 #      variants), and `assert false` hides unreachable-state reasoning that
-#      should be an explicit exception;
+#      should be an explicit exception. In lib/net/ and lib/traffic/, the
+#      packet simulator's per-event code, bare `min`/`max` are banned too:
+#      they are the polymorphic Stdlib ones, which (without flambda) call
+#      caml_lessequal and compare_val on every use; write Int.min,
+#      Float.max and so on;
 #   3. raw concurrency primitives (Domain.spawn, Thread.create) must not
 #      appear outside lib/exec/ — every parallel sweep goes through
 #      Qs_exec.Pool, which is where the determinism and per-domain
@@ -52,6 +56,13 @@ if grep -rn --include='*.ml' --include='*.mli' \
      -e 'Obj\.magic' -e 'Stdlib\.compare' -e 'assert false' \
      lib bin examples bench; then
   echo "check_mli: forbidden pattern (Obj.magic / Stdlib.compare / assert false)" >&2
+  fail=1
+fi
+
+if grep -rnE --include='*.ml' \
+     -e "(^|[^A-Za-z0-9_.'])(Stdlib\.)?(min|max)[[:space:]]+[^[:space:]=:;,)]" \
+     lib/net lib/traffic; then
+  echo "check_mli: polymorphic min/max in lib/net/ or lib/traffic/ (use Int.min, Float.max, ...)" >&2
   fail=1
 fi
 
