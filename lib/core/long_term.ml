@@ -26,16 +26,20 @@ type outcome = {
   clients : int;
 }
 
-(* Routing outcomes are cached per (prefix, variant): clients share them,
-   and a day's path is just a forwarding-walk lookup. Client simulations
-   run as pool tasks, so the memo table is a per-domain resource — each
-   domain fills its own copy of the same pure function, which costs a few
-   redundant recomputes but never a cross-domain race (and never changes a
-   result: the cache is invisible to the outputs). *)
+(* Routing outcomes are cached per (origin, variant): clients share them,
+   and a day's path is just a forwarding-walk lookup. Every announcement
+   here is a plain [Announcement.originate], whose routes depend only on
+   the origin (see {!Propagate.Delta}), so one outcome serves all of an
+   origin's prefixes. Client simulations run as pool tasks, so the memo
+   table is a per-domain resource — each domain fills its own copy of the
+   same pure function, which costs a few redundant recomputes but never a
+   cross-domain race (and never changes a result: the cache is invisible
+   to the outputs). *)
 type routing_pool = {
   indexed : As_graph.Indexed.t;
   variants : Link_set.t array;    (* variants.(0) is the healthy state *)
-  caches : (string * int, Propagate.t) Hashtbl.t Pool.per_domain;
+  caches : (int, Propagate.t) Hashtbl.t Pool.per_domain;
+      (* keyed by [origin * |variants| + variant] *)
 }
 
 let make_pool ~rng (scenario : Scenario.t) ~failure_variants =
@@ -53,7 +57,10 @@ let make_pool ~rng (scenario : Scenario.t) ~failure_variants =
 
 let outcome_for pool ann variant =
   let cache = Pool.get pool.caches in
-  let key = (Prefix.to_string ann.Announcement.prefix, variant) in
+  let key =
+    (Asn.to_int ann.Announcement.origin * Array.length pool.variants)
+    + variant
+  in
   match Hashtbl.find_opt cache key with
   | Some o -> o
   | None ->

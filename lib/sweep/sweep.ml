@@ -110,7 +110,7 @@ let set v ~key ~value =
   in
   let as_float k f =
     match float_of_string_opt (String.trim value) with
-    | Some x when Float.is_finite x -> f x
+    | Some x when Float.is_finite x -> f (x +. 0.)  (* -0 binds as 0 *)
     | _ -> bad "%s: not a finite number: %S" k value
   in
   let as_switch k f =

@@ -434,6 +434,43 @@ let test_long_term_designs () =
                (o.Long_term.compromised_fraction *. float_of_int o.Long_term.clients))))
     outs
 
+(* Long_term caches one routing outcome per origin and serves it for
+   every prefix the origin announces: a plain announcement's routes do not
+   depend on which of the origin's prefixes it carries. *)
+let test_long_term_routes_by_origin () =
+  let s = Lazy.force scenario in
+  let graph = s.Scenario.graph in
+  let origin, p1, p2 =
+    match
+      List.find_map
+        (fun a ->
+           match Addressing.prefixes_of s.Scenario.addressing a with
+           | p1 :: p2 :: _ -> Some (a, p1, p2)
+           | _ -> None)
+        (As_graph.ases graph)
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "no AS originates two prefixes"
+  in
+  let links = As_graph.core_links graph in
+  List.iter
+    (fun failed ->
+       let route p =
+         Propagate.compute s.Scenario.indexed ~failed
+           [ Announcement.originate origin p ]
+       in
+       let o1 = route p1 and o2 = route p2 in
+       List.iter
+         (fun a ->
+            check_bool
+              (Printf.sprintf "AS%d: same walk to %s and %s" (Asn.to_int a)
+                 (Prefix.to_string p1) (Prefix.to_string p2))
+              true
+              (Propagate.forwarding_path o1 a = Propagate.forwarding_path o2 a))
+         (As_graph.ases graph))
+    [ Link_set.empty;
+      Link_set.of_list s.Scenario.indexed [ links.(Array.length links / 2) ] ]
+
 let test_long_term_monotone_in_f () =
   let s = Lazy.force scenario in
   let frac f seed =
@@ -921,6 +958,8 @@ let () =
          Alcotest.test_case "X2 route asymmetry" `Quick test_route_asymmetry;
          Alcotest.test_case "M2 guard designs" `Quick test_long_term_designs;
          Alcotest.test_case "M2 monotone in f" `Quick test_long_term_monotone_in_f;
+         Alcotest.test_case "M2 routes depend only on the origin" `Quick
+           test_long_term_routes_by_origin;
          Alcotest.test_case "X3 convergence leak" `Quick test_convergence_leak;
          Alcotest.test_case "GI guard inference" `Quick test_guard_inference ]);
       ("parallel determinism",

@@ -92,6 +92,33 @@ let test_rng_float_bounds () =
     check_bool "in range" true (v >= 0. && v < 2.5)
   done
 
+(* Rng.float and Rng.normal are leaves the hot loops call across a module
+   boundary (the packet simulator's jitter and loss draws, the consensus
+   drift). Built without -opaque and with -inline (the root dune file),
+   they inline into the caller and their results stay unboxed; a build
+   that loses either flag boxes each result, 2 words a draw, and fails
+   here. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.of_int 13 in
+  let sum = ref 0. in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum +. Rng.float rng 2.5
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "10 000 Rng.float draws allocate 0 minor words (%.0f)" words)
+    true (words = 0.);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum +. Rng.normal rng ~mu:1.0 ~sigma:0.5
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "10 000 Rng.normal draws allocate 0 minor words (%.0f)" words)
+    true (words = 0.);
+  check_bool "the draws are finite" true (Float.is_finite !sum)
+
 let test_rng_weighted_index () =
   let rng = Rng.of_int 5 in
   let counts = Array.make 3 0 in
@@ -671,6 +698,8 @@ let () =
          Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
          Alcotest.test_case "int rejects" `Quick test_rng_int_rejects;
          Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
+         Alcotest.test_case "draws allocate nothing" `Quick
+           test_rng_draws_allocate_nothing;
          Alcotest.test_case "weighted index" `Quick test_rng_weighted_index;
          Alcotest.test_case "weighted rejects" `Quick test_rng_weighted_rejects;
          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;

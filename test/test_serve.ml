@@ -711,6 +711,98 @@ let test_replay_trace_churn_matches_batch () =
   Alcotest.(check (list string)) "streaming = batch under trace churn" []
     (Serve.diff_against_batch r m batch)
 
+(* ---- seeded fuzz of the serve config (QS307) ---------------------------- *)
+
+let fuzz_floats =
+  [ nan; -.nan; infinity; neg_infinity; 0.; -0.; -1.; 1e-300; 4.9e-324;
+    Float.epsilon; 0.5; 1.; 60.; 300.; 3600.; 86_400.; 1e12; max_float;
+    -.max_float ]
+
+let fuzz_ints = [ min_int; -1; 0; 1; 2; 512; 65_536; max_int ]
+
+(* Half the draws are edge values; the rest are structured so that a fair
+   share of configs pass QS307 and reach Serve.create. *)
+let fuzz_config rng announced =
+  let f () =
+    if Rng.bool rng then Rng.pick_list rng fuzz_floats
+    else Rng.float rng 7_200.
+  in
+  let bucket =
+    if Rng.bool rng then f () else Rng.pick_list rng [ 0.5; 1.; 60. ]
+  in
+  let window =
+    if Rng.bool rng then f ()
+    else bucket *. float_of_int (Rng.pick_list rng [ 1; 2; 60; 86_400; 86_401 ])
+  in
+  let threshold = if Rng.bool rng then f () else Rng.float rng window in
+  let count () =
+    if Rng.bool rng then Rng.pick_list rng fuzz_ints else 1 + Rng.int rng 64
+  in
+  let capacity = count () in
+  let chunk = count () in
+  let prefix () =
+    if Rng.bool rng then Rng.pick rng announced
+    else
+      Prefix.make
+        (Ipv4.of_int_trunc (Rng.int rng 0x1_0000_0000))
+        (Rng.int rng 33)
+  in
+  { Serve.Config.window; bucket; threshold; slack = f (); capacity; chunk;
+    learning_period = f ();
+    monitored = List.init (Rng.int rng 3) (fun _ -> (prefix (), prefix ())) }
+
+(* The config path behind QS307 is total: Serve_lint.check answers every
+   config with diagnostics or none, with or without a scenario, and never
+   raises; Serve.create accepts exactly the configs the rule passes and
+   rejects the rest with Invalid_argument; an accepted service takes a
+   short feed and drains. *)
+let test_fuzz_serve_config () =
+  let s = Lazy.force replay_scenario in
+  let announced =
+    Array.of_list (List.map fst (Addressing.announced s.Scenario.addressing))
+  in
+  let rng = Rng.of_int 307 in
+  let passed = ref 0 and rejected = ref 0 in
+  let s1 = sess 64512 and p = pfx "10.0.0.0/8" in
+  let feed =
+    [ ann ~t:1. ~s:s1 p [ 64512; 2; 3 ]; ann ~t:90. ~s:s1 p [ 64512; 9; 3 ];
+      wd ~t:200. ~s:s1 p ]
+  in
+  Pool.with_pool ~jobs:1 @@ fun exec ->
+  for i = 1 to 2_000 do
+    let c = fuzz_config rng announced in
+    let fail what e =
+      Alcotest.failf "draw %d: %s raised %s (window %g bucket %g threshold %g \
+                      slack %g capacity %d chunk %d)"
+        i what (Printexc.to_string e) c.Serve.Config.window
+        c.Serve.Config.bucket c.Serve.Config.threshold c.Serve.Config.slack
+        c.Serve.Config.capacity c.Serve.Config.chunk
+    in
+    let view = Serve.Config.view c in
+    (match Serve_lint.check ~scenario:s view with
+     | _ -> ()
+     | exception e -> fail "Serve_lint.check ~scenario" e);
+    match Serve_lint.check view with
+    | exception e -> fail "Serve_lint.check" e
+    | [] -> (
+        incr passed;
+        match Serve.create ~config:c ~exec () with
+        | t ->
+            List.iter (Serve.offer t) feed;
+            ignore (Serve.drain t ~horizon:400. : Conformance.violation list)
+        | exception e -> fail "Serve.create on a config QS307 passes" e)
+    | _ :: _ -> (
+        incr rejected;
+        match Serve.create ~config:c ~exec () with
+        | _ ->
+            Alcotest.failf "draw %d: Serve.create took a config QS307 rejects"
+              i
+        | exception Invalid_argument _ -> ()
+        | exception e -> fail "Serve.create on a config QS307 rejects" e)
+  done;
+  check_bool "some configs pass QS307" true (!passed > 0);
+  check_bool "some configs fail QS307" true (!rejected > 0)
+
 (* ----------------------------------------------------------------------- *)
 
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
@@ -720,6 +812,8 @@ let () =
   Alcotest.run "qs_serve"
     [ ("window",
        [ Alcotest.test_case "config validation" `Quick test_window_validation;
+         Alcotest.test_case "fuzz: serve config is total" `Quick
+           test_fuzz_serve_config;
          Alcotest.test_case "path-change ring" `Quick test_window_ring;
          Alcotest.test_case "evict + resurrect = batch" `Quick
            test_window_evict_resurrect;

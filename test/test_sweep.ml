@@ -95,6 +95,106 @@ let test_dynamics_presets () =
   check_bool "other models leave session churn off" true
     (heavy.Dynamics.session_churn = None)
 
+(* ---- seeded fuzz -------------------------------------------------------- *)
+
+(* Edge-case values every key must take without raising: non-finite and
+   signed-zero floats, numbers past every range and past int/float
+   parsing, empty and blank strings, and junk. *)
+let fuzz_values =
+  [ ""; " "; "nan"; "NaN"; "-nan"; "inf"; "-inf"; "infinity"; "0"; "-0";
+    "-0."; "0.0"; "1"; "-1"; "1.5"; "0.5"; "1e308"; "1e309"; "-1e309";
+    "4.9e-324"; "99999999999999999999999"; "4611686018427387904";
+    "-4611686018427387905"; "0x10"; "1_000"; "true"; "false"; "on"; "off";
+    "small"; "paper"; "heavy"; "trace-pareto"; "live-hourly"; "none";
+    "3/30"; "0/10"; "2/never"; "/"; "3/"; "/30"; "-3/-30"; "3/30/1";
+    "nan/nan"; "1e309/1"; "\000"; "small "; "\xff\xfe" ]
+
+let fuzz_string rng =
+  String.init (Rng.int rng 9) (fun _ -> Char.chr (Rng.int rng 256))
+
+let fuzz_key rng =
+  match Rng.int rng 4 with
+  | 0 -> fuzz_string rng
+  | 1 -> Rng.pick_list rng [ ""; "SEED"; "seed "; "cache"; "guards/n" ]
+  | _ -> fst (Rng.pick_list rng Sweep.known_keys)
+
+let fuzz_value rng =
+  match Rng.int rng 3 with
+  | 0 -> fuzz_string rng
+  | _ -> Rng.pick_list rng fuzz_values
+
+(* Sweep.set answers every binding with Ok or Error, and an accepted
+   binding renders and configures a cell without raising. *)
+let test_fuzz_set () =
+  let rng = Rng.of_int 2027 in
+  let accepted = ref 0 in
+  let v = ref Sweep.default_vars in
+  for i = 1 to 5_000 do
+    let key = fuzz_key rng and value = fuzz_value rng in
+    match Sweep.set !v ~key ~value with
+    | Ok v' ->
+        incr accepted;
+        ignore (Sweep.identity v' : string);
+        ignore (Sweep.canonical_bindings v' : (string * string) list);
+        ignore (Sweep.dynamics v' : Dynamics.config);
+        v := v'
+    | Error "" -> Alcotest.failf "draw %d: %S=%S: empty error" i key value
+    | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "draw %d: Sweep.set %S=%S raised %s" i key value
+          (Printexc.to_string e)
+  done;
+  check_bool "some bindings are accepted" true (!accepted > 0);
+  (* spellings of one value bind one cell identity *)
+  List.iter
+    (fun key ->
+       let id value = Sweep.identity (set_exn Sweep.default_vars key value) in
+       List.iter
+         (fun zero -> check_str (key ^ "=" ^ zero) (id "0") (id zero))
+         [ "-0"; "0.0"; "-0."; " 0" ])
+    [ "adversary"; "threshold" ]
+
+let fuzz_name rng =
+  Rng.pick_list rng
+    ([ "fuzz"; "fuzz-base"; "" ]
+     @ List.map (fun e -> e.Sweep.name) Sweep.builtin)
+
+(* Sweep.validate and Sweep.validate_registry return findings for any
+   entry — unknown keys, junk values, empty axes, missing or cyclic
+   bases, duplicate cells — and never raise. *)
+let test_fuzz_validate () =
+  let rng = Rng.of_int 2028 in
+  let binding () = (fuzz_key rng, fuzz_value rng) in
+  let random_entry name =
+    { Sweep.name;
+      doc = "fuzz";
+      base = (if Rng.bool rng then Some (fuzz_name rng) else None);
+      overlay = List.init (Rng.int rng 4) (fun _ -> binding ());
+      axes =
+        List.init (Rng.int rng 3) (fun _ ->
+            (fuzz_key rng, List.init (Rng.int rng 4) (fun _ -> fuzz_value rng)))
+    }
+  in
+  let findings = ref 0 in
+  for i = 1 to 2_000 do
+    let e = random_entry (fuzz_name rng) in
+    let registry = random_entry "fuzz-base" :: Sweep.builtin in
+    match
+      ( Sweep.validate ~registry e,
+        Sweep.validate_registry (e :: registry),
+        Sweep.cells ~registry e )
+    with
+    | found, _, cells ->
+        findings := !findings + List.length found;
+        if (found = []) <> Result.is_ok cells then
+          Alcotest.failf "draw %d: validate and cells disagree on %S" i
+            e.Sweep.name
+    | exception ex ->
+        Alcotest.failf "draw %d: validating entry %S raised %s" i e.Sweep.name
+          (Printexc.to_string ex)
+  done;
+  check_bool "the fuzz reaches findings" true (!findings > 0)
+
 (* ---- expansion --------------------------------------------------------- *)
 
 let test_expansion_row_major () =
@@ -249,7 +349,11 @@ let () =
            test_set_parses_and_ranges;
          Alcotest.test_case "canonical bindings" `Quick
            test_canonical_bindings;
-         Alcotest.test_case "dynamics presets" `Quick test_dynamics_presets ]);
+         Alcotest.test_case "dynamics presets" `Quick test_dynamics_presets;
+         Alcotest.test_case "fuzz: set returns Ok or Error" `Quick
+           test_fuzz_set;
+         Alcotest.test_case "fuzz: validate never raises" `Quick
+           test_fuzz_validate ]);
       ("expansion",
        [ Alcotest.test_case "row-major order" `Quick test_expansion_row_major;
          Alcotest.test_case "base chain" `Quick test_base_chain;

@@ -2,7 +2,12 @@
 # The CI entry point: everything a green checkmark promises, runnable
 # verbatim on a developer's shell. .github/workflows/ci.yml only calls it.
 #
-#   1. dune build       — the whole tree, warnings-as-errors;
+#   1. dune build       — the whole tree, warnings-as-errors, in the release
+#                         profile dune-workspace selects; first
+#                         `dune printenv .` must show dev's strictness
+#                         (-strict-sequence, -strict-formats, dev's
+#                         warning-error set), which release's :standard
+#                         would drop, and -inline 200;
 #   2. dune runtest     — unit/property/golden suites, the CLI exit-code
 #                         table (test/dune), plus the @lint alias
 #                         (check_mli.sh hygiene gate, quicksand lint
@@ -86,6 +91,14 @@ set -eu
 cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+
+echo "== dune printenv . (release profile, dev's checks, -inline 200)"
+dune printenv . > "$tmp/env.txt"
+for flag in -strict-sequence -strict-formats \
+    @1..3@5..28@30..39@43@46..47@49..57@61..62-40 +8+26+27+32+33 -inline; do
+  grep -qF -- "$flag" "$tmp/env.txt" \
+    || { cat "$tmp/env.txt"; echo "dune printenv . lacks $flag"; exit 1; }
+done
 
 echo "== dune build"
 dune build
