@@ -47,6 +47,28 @@ let out_file =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* A directory the command will create if needed and then fill, checked
+   like [out_file]: the path, or its nearest existing ancestor, must be a
+   directory. *)
+let out_dir =
+  let rec nearest p =
+    let up = Filename.dirname p in
+    if Sys.file_exists p || up = p then p else nearest up
+  in
+  let parse path =
+    let found = nearest path in
+    if path = "" then Error (`Msg "the directory path is empty")
+    else if Sys.is_directory found then Ok path
+    else if found = path then
+      Error (`Msg (Printf.sprintf "%s is not a directory" path))
+    else
+      Error
+        (`Msg
+           (Printf.sprintf "cannot create %s: %s is not a directory" path
+              found))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let at_least lo =
   checked Arg.int (fun n -> n >= lo) (Printf.sprintf "must be >= %d" lo)
 
@@ -1102,12 +1124,8 @@ let sweep_cmd =
   let list_entries () =
     List.iter
       (fun (e : Sweep.entry) ->
-         let cells =
-           match Sweep.cells e with
-           | Ok cs -> string_of_int (List.length cs)
-           | Error _ -> "invalid"
-         in
-         Format.printf "%-18s %7s cells  %s@." e.Sweep.name cells e.Sweep.doc)
+         Format.printf "%-18s %7d cells  %s@." e.Sweep.name
+           (List.length (Sweep.cells e)) e.Sweep.doc)
       Sweep.builtin;
     Format.printf "@.overlay/axis keys:@.";
     List.iter
@@ -1129,37 +1147,22 @@ let sweep_cmd =
                 "quicksand: unknown sweep matrix %S (try --list)@." name;
               Stdlib.exit 2
           | Some entry ->
-              (* Exit code decided inside [with_obs], acted on after it
-                 returns, like lint: [Stdlib.exit] would skip the report
-                 writers. *)
-              let code =
-                with_obs obs (fun () ->
-                    let outcome =
-                      with_exec ~show_stats:(not json) jobs (fun exec ->
-                          Sweep_run.run ~exec entry)
-                    in
-                    match outcome with
-                    | Error invalids ->
-                        List.iter
-                          (fun (i : Sweep.invalid) ->
-                            Format.eprintf "sweep: %s@." i.Sweep.message)
-                          invalids;
-                        2
-                    | Ok t ->
-                        Option.iter
-                          (fun dir ->
-                            let written = Sweep_run.write ~dir t in
-                            Format.eprintf "wrote %d files under %s@."
-                              (List.length written) dir)
-                          out;
-                        if json then print_string (t.Sweep_run.index_json ^ "\n")
-                        else begin
-                          Sweep_run.print_table fmt t;
-                          Format.pp_print_newline fmt ()
-                        end;
-                        0)
-              in
-              if code <> 0 then Stdlib.exit code
+              with_obs obs (fun () ->
+                  let t =
+                    with_exec ~show_stats:(not json) jobs (fun exec ->
+                        Sweep_run.run ~exec entry)
+                  in
+                  Option.iter
+                    (fun dir ->
+                      let written = Sweep_run.write ~dir t in
+                      Format.eprintf "wrote %d files under %s@."
+                        (List.length written) dir)
+                    out;
+                  if json then print_string (t.Sweep_run.index_json ^ "\n")
+                  else begin
+                    Sweep_run.print_table fmt t;
+                    Format.pp_print_newline fmt ()
+                  end)
   in
   let matrix =
     Arg.(value & opt (some string) None
@@ -1167,13 +1170,13 @@ let sweep_cmd =
              ~doc:"Registry entry to expand and run (see $(b,--list)).")
   in
   let out =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some out_dir) None
          & info [ "out" ] ~docv:"DIR"
              ~doc:"Write the results directory: $(i,DIR)/index.json, \
                    $(i,DIR)/table.txt and one \
                    $(i,DIR)/cell-*/{summary.json,metrics.json,fingerprint} \
-                   per cell. Byte-identical across reruns and $(b,--jobs) \
-                   settings.")
+                   per cell, creating $(i,DIR) if needed. Byte-identical \
+                   across reruns and $(b,--jobs) settings.")
   in
   let list =
     Arg.(value & flag & info [ "list" ]

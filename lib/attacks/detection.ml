@@ -74,17 +74,24 @@ let cooled t time key =
       Hashtbl.replace t.cooldown key (time +. cooldown_seconds);
       false
 
+let alarm_prefix a =
+  match a.kind with
+  | Moas { prefix; _ } -> prefix
+  | Sub_prefix { sub; _ } -> sub
+  | Origin_adjacency { prefix; _ } -> prefix
+
 let raise_alarm t time session kind out =
-  let prefix, tag =
+  let a = { time; session; kind } in
+  let prefix = alarm_prefix a in
+  let tag =
     match kind with
-    | Moas { prefix; _ } -> (prefix, "moas")
-    | Sub_prefix { sub; _ } -> (sub, "sub")
-    | Origin_adjacency { prefix; _ } -> (prefix, "adj")
+    | Moas _ -> "moas"
+    | Sub_prefix _ -> "sub"
+    | Origin_adjacency _ -> "adj"
   in
   let key = Prefix.to_string prefix ^ "/" ^ tag in
   if cooled t time key then out
   else begin
-    let a = { time; session; kind } in
     t.raised <- a :: t.raised;
     t.suspicious_prefixes <- (prefix, time) :: t.suspicious_prefixes;
     a :: out

@@ -27,6 +27,10 @@ type alarm = {
 
 val pp_alarm : Format.formatter -> alarm -> unit
 
+val alarm_prefix : alarm -> Prefix.t
+(** The prefix the alarm is about: the contested prefix of a MOAS or
+    origin-adjacency alarm, the more-specific one of a sub-prefix alarm. *)
+
 type t
 
 val create : ?learning_period:float -> unit -> t

@@ -280,16 +280,12 @@ let monitoring ~rng ?(n_attacks = 6) ?(dynamics = Dynamics.short_config)
   let attacked_prefixes =
     List.map (fun (v, _, t) -> (v.Announcement.prefix, t)) attacks
   in
-  let alarm_prefix (a : Detection.alarm) =
-    match a.Detection.kind with
-    | Detection.Moas { prefix; _ } -> prefix
-    | Detection.Sub_prefix { sub; _ } -> sub
-    | Detection.Origin_adjacency { prefix; _ } -> prefix
-  in
   let on_attacked =
     List.filter
       (fun a ->
-         List.exists (fun (p, _) -> Prefix.equal p (alarm_prefix a)) attacked_prefixes)
+         List.exists
+           (fun (p, _) -> Prefix.equal p (Detection.alarm_prefix a))
+           attacked_prefixes)
       alarms
   in
   let delays =
@@ -297,7 +293,7 @@ let monitoring ~rng ?(n_attacks = 6) ?(dynamics = Dynamics.short_config)
       (fun (p, t) ->
          alarms
          |> List.filter (fun a ->
-             Prefix.equal (alarm_prefix a) p && a.Detection.time >= t)
+             Prefix.equal (Detection.alarm_prefix a) p && a.Detection.time >= t)
          |> List.map (fun a -> a.Detection.time -. t)
          |> function [] -> None | l -> Some (List.fold_left Float.min infinity l))
       attacked_prefixes

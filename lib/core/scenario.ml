@@ -69,11 +69,6 @@ let sessions t = Collector.all_sessions t.collectors
 
 let size_to_string = function Paper -> "paper" | Small -> "small"
 
-let size_of_string = function
-  | "paper" -> Some Paper
-  | "small" -> Some Small
-  | _ -> None
-
 (* The canonical identity section: seed, size, and whatever process
    parameters the caller layers on top (churn model, adversary fraction,
    horizon — anything that can make two runs over this scenario diverge).

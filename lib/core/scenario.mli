@@ -35,8 +35,6 @@ val size_to_string : size -> string
 (** ["paper"] or ["small"] — the spelling the CLI and the sweep registry
     use. *)
 
-val size_of_string : string -> size option
-
 val fingerprint : ?exec:Pool.t -> ?params:(string * string) list -> t -> string
 (** A digest over every externally-visible piece of the scenario —
     an identity section (seed, size, and the caller-supplied [params]

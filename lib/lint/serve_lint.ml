@@ -44,47 +44,53 @@ let diag ?context fmt = Diag.msgf serve_config_invalid ?context fmt
    first required to be finite. *)
 let positive x = Float.is_finite x && x > 0.
 
+let window_problem ~window ~bucket =
+  if not (positive window && positive bucket) then
+    Some "window and bucket width must be positive and finite"
+  else
+    let k = Float.round (window /. bucket) in
+    if k < 1. || Float.abs ((k *. bucket) -. window) > 1e-6 *. window then
+      Some "window must be a positive multiple of the bucket width"
+    else if k > float_of_int max_buckets then
+      Some
+        (Printf.sprintf
+           "window / bucket is %g ring slots per key, above the bound of %d: \
+            widen the bucket or shorten the window" k max_buckets)
+    else None
+
+let threshold_problem ~window ~threshold =
+  if not (positive threshold) || (window > 0. && threshold > window) then
+    Some "extra-AS threshold must lie within (0, window]"
+  else None
+
+let slack_problem slack =
+  if not (Float.is_finite slack && slack >= 0.) then
+    Some "ingest slack must be finite and non-negative"
+  else None
+
+let capacity_problem capacity =
+  if capacity <= 0 then Some "ingest queue capacity must be positive"
+  else None
+
 let check ?scenario (v : config_view) =
+  let found context = function
+    | None -> []
+    | Some msg -> [ Diag.make serve_config_invalid ~context msg ]
+  in
   let structural =
-    (if not (positive v.window && positive v.bucket) then
-       [ diag
-           ~context:
-             [ ("window", Printf.sprintf "%g" v.window);
-               ("bucket", Printf.sprintf "%g" v.bucket) ]
-           "window and bucket width must be positive and finite" ]
-     else
-       let k = Float.round (v.window /. v.bucket) in
-       if k < 1. || Float.abs ((k *. v.bucket) -. v.window) > 1e-6 *. v.window
-       then
-         [ diag
-             ~context:
-               [ ("window", Printf.sprintf "%g" v.window);
-                 ("bucket", Printf.sprintf "%g" v.bucket) ]
-             "window must be a positive multiple of the bucket width" ]
-       else if k > float_of_int max_buckets then
-         [ diag
-             ~context:
-               [ ("window", Printf.sprintf "%g" v.window);
-                 ("bucket", Printf.sprintf "%g" v.bucket) ]
-             "window / bucket is %g ring slots per key, above the bound of \
-              %d: widen the bucket or shorten the window" k max_buckets ]
-       else [])
+    found
+      [ ("window", Printf.sprintf "%g" v.window);
+        ("bucket", Printf.sprintf "%g" v.bucket) ]
+      (window_problem ~window:v.window ~bucket:v.bucket)
+    @ found
+        [ ("threshold", Printf.sprintf "%g" v.threshold);
+          ("window", Printf.sprintf "%g" v.window) ]
+        (threshold_problem ~window:v.window ~threshold:v.threshold)
+    @ found [ ("slack", Printf.sprintf "%g" v.slack) ] (slack_problem v.slack)
     @ (if
-         not (positive v.threshold)
-         || (v.window > 0. && v.threshold > v.window)
+         capacity_problem v.capacity <> None || v.chunk <= 0
+         || v.chunk > v.capacity
        then
-         [ diag
-             ~context:
-               [ ("threshold", Printf.sprintf "%g" v.threshold);
-                 ("window", Printf.sprintf "%g" v.window) ]
-             "extra-AS threshold must lie within (0, window]" ]
-       else [])
-    @ (if not (Float.is_finite v.slack && v.slack >= 0.) then
-         [ diag
-             ~context:[ ("slack", Printf.sprintf "%g" v.slack) ]
-             "ingest slack must be finite and non-negative" ]
-       else [])
-    @ (if v.capacity <= 0 || v.chunk <= 0 || v.chunk > v.capacity then
          [ diag
              ~context:
                [ ("capacity", string_of_int v.capacity);

@@ -21,7 +21,27 @@ val max_buckets : int
 (** 86 400: the most ring slots ([window / bucket]) a key may get — a
     day at one-second buckets. Every key whose path changes allocates
     one ring, so an unbounded ratio would ask for more memory than any
-    host has. [Window.create] enforces the same bound. *)
+    host has. *)
+
+(** {1 The config rules}
+
+    Each returns [None] when its knobs are valid, else the problem as
+    {!check} words it. {!check} reports them as QS307; [Window.create]
+    and [Ingest.create] raise [Invalid_argument] on them, so a config no
+    lint saw still cannot reach the ring or the queue. *)
+
+val window_problem : window:float -> bucket:float -> string option
+(** Both finite and positive, the window a whole multiple of the bucket,
+    at most {!max_buckets} buckets. *)
+
+val threshold_problem : window:float -> threshold:float -> string option
+(** Finite and within (0, window]. *)
+
+val slack_problem : float -> string option
+(** Finite and non-negative. *)
+
+val capacity_problem : int -> string option
+(** Positive. *)
 
 val serve_config_invalid : Diag.rule
 (** [QS307-serve-config-invalid]. *)

@@ -1,29 +1,24 @@
 let sweep_entry_invalid =
   { Diag.code = "QS308"; slug = "sweep-entry-invalid";
     severity = Diag.Error;
-    doc = "a sweep registry entry cannot expand into a runnable, \
+    doc = "a sweep registry entry cannot expand into a non-empty, \
            collision-free matrix of cells";
     explain =
-      "The sweep registry is declarative on purpose: an entry is a named \
-       overlay on a base entry plus a matrix of axis values, and \
-       `quicksand sweep` trusts that expanding it yields cells that are \
-       each runnable and pairwise distinct. Everything that can break \
-       that promise is static. An unknown key or an unparseable / \
-       out-of-range value (a churn model that is not calm|baseline|heavy, \
-       an adversary fraction outside [0, 1], a non-positive horizon) \
-       would only surface as a crash mid-sweep, hours into the cheap \
-       cells; an empty axis makes the cartesian product empty, so the \
-       sweep silently runs nothing; a base naming a missing entry, or a \
-       base chain that loops, makes the overlay unresolvable; and two \
-       cells whose canonical bindings collapse onto the same identity \
-       (an axis value repeating the overlay's, or two axis combinations \
-       normalizing to one spelling) would run one cell twice and present \
+      "A sweep registry entry is typed OCaml data: its variables and every \
+       axis value are values of their own types, so a misspelled key or an \
+       unknown churn model does not compile. What types cannot rule out is \
+       what `quicksand sweep` trusts about the expanded matrix: that it has \
+       cells and that each is a distinct run. An empty axis makes the \
+       cartesian product empty, so the sweep silently runs nothing; two \
+       cells whose canonical bindings collapse onto one identity (a value \
+       listed twice on an axis, or one key on two axes, where the later \
+       axis overwrites the earlier) would run one cell twice and present \
        it as two results — the scenario fingerprint digests exactly these \
        bindings, so duplicate identities mean byte-identical results \
-       directories masquerading as distinct measurements. Typical \
-       causes: a typo'd key in a hand-added entry, renaming a base \
-       without updating its dependents, or adding an axis value already \
-       pinned by the overlay." }
+       directories masquerading as distinct measurements; and two entries \
+       with one name make `--matrix NAME` silently pick the first. Typical \
+       causes: copying an entry without renaming it, or extending an axis \
+       with a value it already lists." }
 
 let rules = [ sweep_entry_invalid ]
 

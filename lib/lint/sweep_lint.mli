@@ -1,10 +1,9 @@
 (** QS308: static validation of the sweep scenario registry.
 
-    Registry entries are pure data ({!Sweep.entry}), so everything that
-    can make a [quicksand sweep] run wrong — an unknown key, an
-    out-of-range overlay value, an empty axis, an unresolvable or cyclic
-    base chain, two cells collapsing onto one identity — is detectable
-    without building a single scenario. The rule simply lifts
+    Registry entries are typed data ({!Sweep.entry}), so what can still
+    make a [quicksand sweep] run wrong — a duplicate entry name, an empty
+    axis, two cells collapsing onto one identity — is detectable without
+    building a single scenario. The rule simply lifts
     {!Sweep.validate_registry}'s findings into diagnostics. *)
 
 val sweep_entry_invalid : Diag.rule

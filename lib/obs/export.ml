@@ -16,9 +16,11 @@ let json_escape s =
 
 let json_string ppf s = Format.fprintf ppf "\"%s\"" (json_escape s)
 
-(* %.17g survives a float round-trip; plain integers print bare. *)
+(* %.17g survives a float round-trip; plain integers print bare. JSON has
+   no spelling for a non-finite value, and a sentinel number would lie. *)
 let json_float ppf x =
-  if Float.is_integer x && Float.abs x < 1e15 then
+  if not (Float.is_finite x) then Format.pp_print_string ppf "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then
     Format.fprintf ppf "%.0f" x
   else Format.fprintf ppf "%.17g" x
 

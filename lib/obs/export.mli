@@ -15,6 +15,11 @@ val json_escape : string -> string
 val json_string : Format.formatter -> string -> unit
 (** [json_escape] in double quotes. *)
 
+val json_float : Format.formatter -> float -> unit
+(** A JSON number that reads back as the same float: integers below
+    1e15 print bare, others with 17 significant digits; NaN and the
+    infinities print [null]. *)
+
 val metrics_json : Format.formatter -> Metrics.sample list -> unit
 (** Render a snapshot as a [qs-obs/1] JSON document:
     {v

@@ -26,12 +26,6 @@ let names r = List.map (fun d -> d.name) r.detectors
 
 let observe r u = List.concat_map (fun d -> d.observe u) r.detectors
 
-let alarm_prefix (a : Detection.alarm) =
-  match a.Detection.kind with
-  | Detection.Moas { prefix; _ } -> prefix
-  | Detection.Sub_prefix { sub; _ } -> sub
-  | Detection.Origin_adjacency { prefix; _ } -> prefix
-
 let alarm_kind (a : Detection.alarm) =
   match a.Detection.kind with
   | Detection.Moas _ -> "moas"
@@ -42,7 +36,7 @@ let of_alarm ~detector ?(evidence = []) (a : Detection.alarm) =
   { detector;
     time = a.Detection.time;
     session = a.Detection.session;
-    prefix = alarm_prefix a;
+    prefix = Detection.alarm_prefix a;
     kind = alarm_kind a;
     summary = Format.asprintf "%a" Detection.pp_alarm a;
     evidence }
@@ -54,7 +48,8 @@ let c1c ?learning_period ?(evidence = fun _ -> []) () =
       (fun u ->
          Detection.observe monitor u
          |> List.map (fun a ->
-             of_alarm ~detector:"c1c" ~evidence:(evidence (alarm_prefix a)) a)) }
+             of_alarm ~detector:"c1c"
+               ~evidence:(evidence (Detection.alarm_prefix a)) a)) }
 
 (* Alerts from the same detector over the same alarm stream render
    identically, so alert-set comparisons (streaming vs batch) compare

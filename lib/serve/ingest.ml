@@ -28,9 +28,9 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  if config.capacity <= 0 then
-    invalid_arg "Ingest.create: capacity must be positive";
-  if config.slack < 0. then invalid_arg "Ingest.create: slack must be >= 0";
+  let fail = Option.iter (fun msg -> invalid_arg ("Ingest.create: " ^ msg)) in
+  fail (Serve_lint.capacity_problem config.capacity);
+  fail (Serve_lint.slack_problem config.slack);
   { cfg = config;
     queue = Pqueue.create ();
     ingested = 0;

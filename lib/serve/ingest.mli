@@ -41,8 +41,8 @@ type stats = {
 type t
 
 val create : ?config:config -> unit -> t
-(** @raise Invalid_argument on a non-positive capacity or negative
-    slack. *)
+(** @raise Invalid_argument on a config QS307 rejects: a non-positive
+    capacity, or a slack that is negative or not finite. *)
 
 val config : t -> config
 val watermark : t -> float

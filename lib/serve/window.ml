@@ -54,17 +54,12 @@ type t = {
 }
 
 let create ?(config = default_config) ~watched () =
-  if config.bucket <= 0. || config.window <= 0. then
-    invalid_arg "Window.create: window and bucket must be positive";
-  if config.threshold <= 0. || config.threshold > config.window then
-    invalid_arg "Window.create: threshold must be in (0, window]";
-  let n = Float.round (config.window /. config.bucket) in
-  if Float.abs ((n *. config.bucket) -. config.window) > 1e-6 *. config.window
-  then invalid_arg "Window.create: window must be a multiple of bucket";
-  if n > float_of_int Serve_lint.max_buckets then
-    invalid_arg "Window.create: window / bucket exceeds the ring bound";
+  let { window; bucket; threshold } = config in
+  let fail = Option.iter (fun msg -> invalid_arg ("Window.create: " ^ msg)) in
+  fail (Serve_lint.window_problem ~window ~bucket);
+  fail (Serve_lint.threshold_problem ~window ~threshold);
   { cfg = config;
-    n_buckets = int_of_float n;
+    n_buckets = int_of_float (Float.round (window /. bucket));
     watched;
     entries = Measurement.Key_table.create 4096;
     ghost_tbl = Measurement.Key_table.create 4096;

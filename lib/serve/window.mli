@@ -53,8 +53,8 @@ val create : ?config:config -> watched:(Prefix.t -> bool) -> unit -> t
 (** [watched] selects the prefixes whose keys emit path-change and
     extra-AS events (monitored pairs and Tor prefixes); unwatched keys
     are still accumulated — session medians need every prefix — but stay
-    silent. @raise Invalid_argument on an invalid config (QS307 states
-    the same constraints statically). *)
+    silent. @raise Invalid_argument on a config QS307 rejects
+    ({!Serve_lint.window_problem}, {!Serve_lint.threshold_problem}). *)
 
 val config : t -> config
 

@@ -52,26 +52,11 @@ let churn_to_string = function
   | Trace_pareto -> "trace-pareto"
   | Trace_lognormal -> "trace-lognormal"
 
-let churn_of_string = function
-  | "calm" -> Some Calm
-  | "baseline" -> Some Baseline
-  | "heavy" -> Some Heavy
-  | "trace-pareto" -> Some Trace_pareto
-  | "trace-lognormal" -> Some Trace_lognormal
-  | _ -> None
-
 let consensus_to_string = function
   | Frozen -> "frozen"
   | Frozen_m2 -> "frozen-m2"
   | Live_hourly -> "live-hourly"
   | Live_heavy -> "live-heavy"
-
-let consensus_of_string = function
-  | "frozen" -> Some Frozen
-  | "frozen-m2" -> Some Frozen_m2
-  | "live-hourly" -> Some Live_hourly
-  | "live-heavy" -> Some Live_heavy
-  | _ -> None
 
 let guards_to_string = function
   | No_guards -> "none"
@@ -79,92 +64,9 @@ let guards_to_string = function
       if rotation_days = max_int then Printf.sprintf "%d/never" n
       else Printf.sprintf "%d/%d" n rotation_days
 
-let guards_of_string s =
-  if s = "none" then Some No_guards
-  else
-    match String.index_opt s '/' with
-    | None -> None
-    | Some i ->
-        let n = String.sub s 0 i in
-        let rot = String.sub s (i + 1) (String.length s - i - 1) in
-        (match (int_of_string_opt n, rot) with
-         | Some n, _ when n <= 0 -> None
-         | Some n, "never" -> Some (Guards { n; rotation_days = max_int })
-         | Some n, _ ->
-             (match int_of_string_opt rot with
-              | Some d when d > 0 -> Some (Guards { n; rotation_days = d })
-              | _ -> None)
-         | None, _ -> None)
-
-(* Canonical float rendering: [%g] collapses "1.0"/"1." to "1" and keeps
-   "0.25" exact, so any spelling of a value in a registry entry normalizes
-   to one canonical binding (and thus one fingerprint). *)
+(* [%g] prints 1. as "1" and keeps 0.25 exact: the spelling of every float
+   in a binding label, a slug and a fingerprint. *)
 let float_str f = Printf.sprintf "%g" f
-
-let set v ~key ~value =
-  let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let as_int k f =
-    match int_of_string_opt (String.trim value) with
-    | Some i -> f i
-    | None -> bad "%s: not an integer: %S" k value
-  in
-  let as_float k f =
-    match float_of_string_opt (String.trim value) with
-    | Some x when Float.is_finite x -> f (x +. 0.)  (* -0 binds as 0 *)
-    | _ -> bad "%s: not a finite number: %S" k value
-  in
-  let as_switch k f =
-    match value with
-    | "on" -> f true
-    | "off" -> f false
-    | _ -> bad "%s: expected on | off, got %S" k value
-  in
-  match key with
-  | "size" ->
-      (match Scenario.size_of_string value with
-       | Some s -> Ok { v with size = s }
-       | None -> bad "size: expected small | paper, got %S" value)
-  | "seed" ->
-      as_int "seed" (fun i ->
-          if i < 0 then bad "seed: must be non-negative, got %d" i
-          else Ok { v with seed = i })
-  | "days" ->
-      as_float "days" (fun x ->
-          if x <= 0. || x > 366. then
-            bad "days: must be in (0, 366], got %s" (float_str x)
-          else Ok { v with days = x })
-  | "churn" ->
-      (match churn_of_string value with
-       | Some c -> Ok { v with churn = c }
-       | None ->
-           bad
-             "churn: expected calm | baseline | heavy | trace-pareto | \
-              trace-lognormal, got %S"
-             value)
-  | "consensus" ->
-      (match consensus_of_string value with
-       | Some c -> Ok { v with consensus = c }
-       | None ->
-           bad
-             "consensus: expected frozen | frozen-m2 | live-hourly | \
-              live-heavy, got %S"
-             value)
-  | "delta" -> as_switch "delta" (fun b -> Ok { v with delta = b })
-  | "obs" -> as_switch "obs" (fun b -> Ok { v with obs = b })
-  | "adversary" ->
-      as_float "adversary" (fun x ->
-          if x < 0. || x > 1. then
-            bad "adversary: must be in [0, 1], got %s" (float_str x)
-          else Ok { v with adversary = x })
-  | "guards" ->
-      (match guards_of_string value with
-       | Some g -> Ok { v with guards = g }
-       | None -> bad "guards: expected none | N/D | N/never, got %S" value)
-  | "threshold" ->
-      as_float "threshold" (fun x ->
-          if x < 0. then bad "threshold: must be >= 0, got %s" (float_str x)
-          else Ok { v with threshold = x })
-  | k -> bad "unknown key %S (see `quicksand sweep --list`)" k
 
 (* Sorted by key: adversary, churn, consensus, days, delta, guards, obs,
    threshold. Seed and size are carried by the fingerprint's own
@@ -221,68 +123,117 @@ let dynamics v =
   in
   { base with Dynamics.delta = v.delta }
 
+type axis = { key : string; points : (string * (vars -> vars)) list }
+
+let axis key label set values =
+  { key; points = List.map (fun x -> (label x, fun v -> set v x)) values }
+
+let size = axis "size" Scenario.size_to_string (fun v size -> { v with size })
+let seed = axis "seed" string_of_int (fun v seed -> { v with seed })
+let days = axis "days" float_str (fun v days -> { v with days })
+let churn = axis "churn" churn_to_string (fun v churn -> { v with churn })
+
+let consensus =
+  axis "consensus" consensus_to_string (fun v consensus -> { v with consensus })
+
+let delta = axis "delta" on_off (fun v delta -> { v with delta })
+let obs = axis "obs" on_off (fun v obs -> { v with obs })
+let adversary =
+  axis "adversary" float_str (fun v adversary -> { v with adversary })
+let guards = axis "guards" guards_to_string (fun v guards -> { v with guards })
+
+let threshold =
+  axis "threshold" float_str (fun v threshold -> { v with threshold })
+
 type entry = {
   name : string;
   doc : string;
-  base : string option;
-  overlay : (string * string) list;
-  axes : (string * string list) list;
+  vars : vars;
+  axes : axis list;
 }
 
+let base_small_day =
+  { name = "base-small-day";
+    doc = "one simulated day over the Small scenario, stock everything";
+    vars = { default_vars with size = Scenario.Small; days = 1. };
+    axes = [] }
+
+let churn_day =
+  { name = "churn-day";
+    doc = "base-small-day under the churn-heavy dynamics model";
+    vars = { base_small_day.vars with churn = Heavy };
+    axes = [] }
+
 let builtin =
-  [ { name = "base-small-day";
-      doc = "one simulated day over the Small scenario, stock everything";
-      base = None;
-      overlay = [ ("size", "small"); ("days", "1") ];
-      axes = [] };
-    { name = "churn-day";
-      doc = "base-small-day under the churn-heavy dynamics model";
-      base = Some "base-small-day";
-      overlay = [ ("churn", "heavy") ];
-      axes = [] };
+  [ base_small_day;
+    churn_day;
     { name = "ab-delta";
       doc = "AB-delta ablation: delta repair off vs on over a churn-heavy \
              day (bench times it as the F3L-dynamics-full kernel)";
-      base = Some "churn-day";
-      overlay = [];
-      axes = [ ("delta", [ "off"; "on" ]) ] };
+      vars = churn_day.vars;
+      axes = [ delta [ false; true ] ] };
     { name = "ab-obs";
       doc = "AB-obs ablation: instrumentation off vs on — results must be \
              identical, only the cost may differ (bench times it as the \
              F3L-dynamics-delta-obs-off kernel)";
-      base = Some "churn-day";
-      overlay = [];
-      axes = [ ("obs", [ "off"; "on" ]) ] };
+      vars = churn_day.vars;
+      axes = [ obs [ false; true ] ] };
     { name = "exposure-matrix";
       doc = "the paper's exposure sweep: churn model x adversary fraction \
              x guard policy over one Small day";
-      base = Some "base-small-day";
-      overlay = [];
+      vars = base_small_day.vars;
       axes =
-        [ ("churn", [ "calm"; "baseline"; "heavy" ]);
-          ("adversary", [ "0.02"; "0.05" ]);
-          ("guards", [ "none"; "3/30"; "1/never" ]) ] };
+        [ churn [ Calm; Baseline; Heavy ];
+          adversary [ 0.02; 0.05 ];
+          guards
+            [ No_guards;
+              Guards { n = 3; rotation_days = 30 };
+              Guards { n = 1; rotation_days = max_int } ] ] };
     { name = "churn-trace-day";
       doc = "base-small-day under trace-shaped session churn \
              (lib/churn heavy-tailed up/down sessions)";
-      base = Some "base-small-day";
-      overlay = [ ("churn", "trace-pareto") ];
+      vars = { base_small_day.vars with churn = Trace_pareto };
       axes = [] };
     { name = "m2-consensus";
       doc = "M2 frozen vs living consensus: guard exposure drift when \
              relays arrive, depart and drift in bandwidth each hour";
-      base = Some "base-small-day";
-      overlay = [ ("adversary", "0.05") ];
-      axes = [ ("consensus", [ "frozen-m2"; "live-hourly" ]) ] };
+      vars = { base_small_day.vars with adversary = 0.05 };
+      axes = [ consensus [ Frozen_m2; Live_hourly ] ] };
     { name = "seeds-2x2";
       doc = "tiny CI matrix: two seeds x two churn models over a quarter \
              of a Small day";
-      base = None;
-      overlay = [ ("size", "small"); ("days", "0.25") ];
-      axes = [ ("seed", [ "1"; "2" ]); ("churn", [ "calm"; "heavy" ]) ] } ]
+      vars = { default_vars with size = Scenario.Small; days = 0.25 };
+      axes = [ seed [ 1; 2 ]; churn [ Calm; Heavy ] ] } ]
 
 let find registry name =
   List.find_opt (fun e -> e.name = name) registry
+
+type cell = {
+  index : int;
+  bindings : (string * string) list;
+  vars : vars;
+}
+
+(* Expand axes row-major: the first axis varies slowest, the last fastest,
+   matching how the table reads. Each cell applies its axis values in
+   axis order over the entry's vars. *)
+let cells entry =
+  let combos =
+    List.fold_right
+      (fun a acc ->
+         List.concat_map
+           (fun (label, set) ->
+              List.map
+                (fun (bs, f) -> ((a.key, label) :: bs, fun v -> f (set v)))
+                acc)
+           a.points)
+      entry.axes
+      [ ([], Fun.id) ]
+  in
+  List.mapi
+    (fun index (bindings, apply) ->
+       { index; bindings; vars = apply entry.vars })
+    combos
 
 type invalid = {
   entry : string;
@@ -293,142 +244,43 @@ type invalid = {
 
 let invalid entry problem detail message = { entry; problem; detail; message }
 
-(* Root-first list of entries whose overlays apply in order, or the chain
-   problem. [seen] carries every name already on the chain so a cycle is
-   caught on its first revisit. *)
-let resolve_chain registry entry =
-  let rec go acc seen e =
-    if List.mem e.name seen then Error (`Cycle e.name)
-    else
-      match e.base with
-      | None -> Ok (e :: acc)
-      | Some b ->
-          (match find registry b with
-           | None -> Error (`Unreachable (e.name, b))
-           | Some parent -> go (e :: acc) (e.name :: seen) parent)
+let validate entry =
+  let empty_axes =
+    List.filter_map
+      (fun a ->
+         if a.points = [] then
+           Some
+             (invalid entry.name "empty-axis"
+                [ ("axis", a.key) ]
+                (Printf.sprintf
+                   "%s: axis %S has no values — the matrix would be empty"
+                   entry.name a.key))
+         else None)
+      entry.axes
   in
-  go [] [] entry
-
-(* Expand axes row-major: the first axis varies slowest, the last fastest,
-   matching how the table reads. *)
-let combos axes =
-  List.fold_right
-    (fun (key, values) acc ->
-       List.concat_map
-         (fun v -> List.map (fun rest -> (key, v) :: rest) acc)
-         values)
-    axes [ [] ]
-
-let apply_bindings ~entry ~where v bindings =
-  List.fold_left
-    (fun (v, invalids) (key, value) ->
-       if not (List.mem_assoc key known_keys) then
-         ( v,
-           invalid entry "unknown-key"
-             [ ("where", where); ("key", key) ]
-             (Printf.sprintf "%s: %s binds unknown key %S" entry where key)
-           :: invalids )
-       else
-         match set v ~key ~value with
-         | Ok v -> (v, invalids)
-         | Error msg ->
-             ( v,
-               invalid entry "bad-value"
-                 [ ("where", where); ("key", key); ("value", value) ]
-                 (Printf.sprintf "%s: %s: %s" entry where msg)
-               :: invalids ))
-    (v, []) bindings
-
-let expand registry entry =
-  match resolve_chain registry entry with
-  | Error (`Cycle name) ->
-      Error
-        [ invalid entry.name "base-cycle"
-            [ ("at", name) ]
-            (Printf.sprintf
-               "%s: base chain loops back through %S — entries must form a \
-                tree" entry.name name) ]
-  | Error (`Unreachable (at, base)) ->
-      Error
-        [ invalid entry.name "unreachable-base"
-            [ ("at", at); ("base", base) ]
-            (Printf.sprintf
-               "%s: entry %S names base %S which is not in the registry"
-               entry.name at base) ]
-  | Ok chain ->
-      let empty_axes =
-        List.filter_map
-          (fun (key, values) ->
-             if values = [] then
-               Some
-                 (invalid entry.name "empty-axis"
-                    [ ("axis", key) ]
-                    (Printf.sprintf
-                       "%s: axis %S has no values — the matrix would be \
-                        empty" entry.name key))
-             else None)
-          entry.axes
-      in
-      let base_vars, overlay_invalids =
-        List.fold_left
-          (fun (v, invalids) e ->
-             let where =
-               if e.name = entry.name then "overlay"
-               else Printf.sprintf "overlay (via base %S)" e.name
-             in
-             let v, more = apply_bindings ~entry:entry.name ~where v e.overlay in
-             (v, invalids @ more))
-          (default_vars, []) chain
-      in
-      let cells_rev, axis_invalids, _ =
-        List.fold_left
-          (fun (cells, invalids, index) bindings ->
-             let v, more =
-               apply_bindings ~entry:entry.name ~where:"axes" base_vars
-                 bindings
-             in
-             if more = [] then ((index, bindings, v) :: cells, invalids, index + 1)
-             else (cells, invalids @ more, index + 1))
-          ([], [], 0)
-          (combos entry.axes)
-      in
-      let invalids = empty_axes @ overlay_invalids @ axis_invalids in
-      if invalids <> [] then Error invalids
-      else
-        let cells = List.rev cells_rev in
-        let seen = Hashtbl.create 16 in
-        let dups =
-          List.filter_map
-            (fun (index, bindings, v) ->
-               let id = identity v in
-               match Hashtbl.find_opt seen id with
-               | Some first ->
-                   Some
-                     (invalid entry.name "duplicate-cell"
-                        [ ("identity", id);
-                          ("first", string_of_int first);
-                          ("duplicate", string_of_int index) ]
-                        (Printf.sprintf
-                           "%s: cells %d and %d share identity %s — an axis \
-                            value collapses onto the overlay or another axis \
-                            value, so the matrix would run one cell twice"
-                           entry.name first index id))
-               | None ->
-                   Hashtbl.add seen id index;
-                   ignore bindings;
-                   None)
-            cells
-        in
-        if dups <> [] then Error dups else Ok cells
-
-type cell = {
-  index : int;
-  bindings : (string * string) list;
-  vars : vars;
-}
-
-let validate ?(registry = builtin) entry =
-  match expand registry entry with Ok _ -> [] | Error invalids -> invalids
+  let seen = Hashtbl.create 16 in
+  let dups =
+    List.filter_map
+      (fun c ->
+         let id = identity c.vars in
+         match Hashtbl.find_opt seen id with
+         | Some first ->
+             Some
+               (invalid entry.name "duplicate-cell"
+                  [ ("identity", id);
+                    ("first", string_of_int first);
+                    ("duplicate", string_of_int c.index) ]
+                  (Printf.sprintf
+                     "%s: cells %d and %d share identity %s — two axis \
+                      combinations bind the same variables, so the matrix \
+                      would run one cell twice"
+                     entry.name first c.index id))
+         | None ->
+             Hashtbl.add seen id c.index;
+             None)
+      (cells entry)
+  in
+  empty_axes @ dups
 
 let validate_registry registry =
   let _, dups =
@@ -444,14 +296,7 @@ let validate_registry registry =
          else (e.name :: seen, invalids))
       ([], []) registry
   in
-  List.rev dups @ List.concat_map (validate ~registry) registry
-
-let cells ?(registry = builtin) entry =
-  match expand registry entry with
-  | Error invalids -> Error invalids
-  | Ok cells ->
-      Ok (List.map (fun (index, bindings, vars) -> { index; bindings; vars })
-            cells)
+  List.rev dups @ List.concat_map validate registry
 
 let sanitize s =
   String.map

@@ -1,13 +1,14 @@
-(** The declarative scenario registry behind [quicksand sweep].
+(** The scenario registry behind [quicksand sweep].
 
     The paper's headline numbers are sweeps — exposure and compromise
     probability across topology, churn, adversary and guard-selection
     axes — and every point of such a sweep is a {e cell}: a fully-bound
     set of {!vars} naming one seeded scenario plus the process parameters
     of one measurement over it. A registry {!entry} declares a family of
-    cells as data: a named overlay on a base entry plus a matrix of axis
-    values, so "one more ablation" is a data change, never a code change
-    (the run-workloads registry pattern).
+    cells as typed OCaml data: the entry's {!vars} (usually another
+    entry's, updated in a few fields) plus a matrix of typed axis values,
+    so "one more ablation" is one more record, and a misspelled key or an
+    unknown churn model does not compile.
 
     Everything here is static and deterministic: entries validate without
     building a single scenario ({!validate} is what the QS308 lint rule
@@ -64,12 +65,9 @@ val default_vars : vars
     300 s exposure threshold. *)
 
 val known_keys : (string * string) list
-(** Every overlay/axis key with a one-line description — the vocabulary
-    {!set} accepts and QS308 checks against. *)
-
-val set : vars -> key:string -> value:string -> (vars, string) result
-(** [set v ~key ~value] parses and range-checks one binding; [Error msg]
-    names the problem (unknown key, parse failure, out of range). *)
+(** Every key of {!vars} with a one-line description of its values, as
+    [sweep --list] prints it; the axis constructors below use the same
+    key names. *)
 
 val churn_to_string : churn -> string
 val consensus_to_string : consensus -> string
@@ -93,18 +91,34 @@ val dynamics : vars -> Dynamics.config
 
 (** {1 Registry entries} *)
 
+type axis = private {
+  key : string;
+  points : (string * (vars -> vars)) list;
+      (** per value: its binding label and the update it makes *)
+}
+(** One matrix axis: a key and the values it ranges over. Build axes with
+    the constructors below; each takes the label of a value from the
+    printer of its type ([%g] for floats, [on]/[off] for switches), so
+    labels, slugs and fingerprints share one spelling. *)
+
+val size : Scenario.size list -> axis
+val seed : int list -> axis
+val days : float list -> axis
+val churn : churn list -> axis
+val consensus : consensus list -> axis
+val delta : bool list -> axis
+val obs : bool list -> axis
+val adversary : float list -> axis
+val guards : guards list -> axis
+val threshold : float list -> axis
+
 type entry = {
   name : string;
   doc : string;
-  base : string option;
-      (** inherit another entry's resolved overlay (axes are {e not}
-          inherited — a base contributes bindings only) *)
-  overlay : (string * string) list;
-      (** key/value bindings applied over the base, in order *)
-  axes : (string * string list) list;
-      (** the matrix: each axis is a key with the values it ranges over;
-          cells are the cartesian product, expanded row-major with the
-          last axis fastest *)
+  vars : vars;      (** every cell's variables before its axis values *)
+  axes : axis list;
+      (** the matrix: cells are the cartesian product of the axes,
+          expanded row-major with the last axis fastest *)
 }
 
 val builtin : entry list
@@ -114,28 +128,7 @@ val builtin : entry list
 
 val find : entry list -> string -> entry option
 
-(** {1 Validation and expansion} *)
-
-type invalid = {
-  entry : string;                  (** offending entry name *)
-  problem : string;
-      (** stable slug: ["duplicate-entry"], ["unknown-key"],
-          ["bad-value"], ["empty-axis"], ["unreachable-base"],
-          ["base-cycle"] or ["duplicate-cell"] *)
-  detail : (string * string) list; (** structured context for reporters *)
-  message : string;                (** human-readable description *)
-}
-
-val validate : ?registry:entry list -> entry -> invalid list
-(** Static validation against [registry] (default {!builtin}, used to
-    resolve [base] references): every overlay/axis key known and its
-    value parseable and in range, axes non-empty, the base chain
-    resolvable and acyclic, and the expanded matrix free of duplicate
-    cell identities. Empty = the entry is runnable. *)
-
-val validate_registry : entry list -> invalid list
-(** {!validate} over every entry, plus duplicate-name detection — what
-    the QS308 lint rule reports on. *)
+(** {1 Expansion and validation} *)
 
 type cell = {
   index : int;                       (** position in row-major order *)
@@ -143,10 +136,28 @@ type cell = {
   vars : vars;                       (** fully-resolved variables *)
 }
 
-val cells : ?registry:entry list -> entry -> (cell list, invalid list) result
-(** Expand the entry's matrix into bound cells (base chain applied, then
-    the overlay, then each axis combination). Fails with the {!validate}
-    findings if the entry is invalid. *)
+val cells : entry -> cell list
+(** Expand the entry's matrix into bound cells: each axis combination
+    applied, in axis order, over the entry's {!vars}. An entry with no
+    axes has one cell; one with an empty axis has none. *)
+
+type invalid = {
+  entry : string;                  (** offending entry name *)
+  problem : string;
+      (** stable slug: ["duplicate-entry"], ["empty-axis"] or
+          ["duplicate-cell"] *)
+  detail : (string * string) list; (** structured context for reporters *)
+  message : string;                (** human-readable description *)
+}
+
+val validate : entry -> invalid list
+(** The problems types cannot rule out: an empty axis, and two cells of
+    the expanded matrix with one identity. Empty = every cell runs and
+    no two are the same run. *)
+
+val validate_registry : entry list -> invalid list
+(** {!validate} over every entry, plus duplicate-name detection — what
+    the QS308 lint rule reports on. *)
 
 val slug : cell -> string
 (** The cell's results-directory name: ["cell-007-seed=2,churn=heavy"] —

@@ -4,14 +4,7 @@
 
 let jstr s = "\"" ^ Export.json_escape s ^ "\""
 
-(* Integers print bare, everything else round-trips; non-finite values
-   (F3L's max ratio is +inf on a quiet session) become [null] — JSON has
-   no spelling for them and a sentinel number would lie. *)
-let jfloat x =
-  if not (Float.is_finite x) then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
+let json_float x = Format.asprintf "%a" Export.json_float x
 
 let jobj fields =
   if fields = [] then "{}"
@@ -65,14 +58,14 @@ let m_cell_seconds =
 let vars_fields (v : Sweep.vars) =
   [ ("size", jstr (Scenario.size_to_string v.Sweep.size));
     ("seed", string_of_int v.Sweep.seed);
-    ("days", jfloat v.Sweep.days);
+    ("days", json_float v.Sweep.days);
     ("churn", jstr (Sweep.churn_to_string v.Sweep.churn));
     ("consensus", jstr (Sweep.consensus_to_string v.Sweep.consensus));
     ("delta", if v.Sweep.delta then "true" else "false");
     ("obs", if v.Sweep.obs then "true" else "false");
-    ("adversary", jfloat v.Sweep.adversary);
+    ("adversary", json_float v.Sweep.adversary);
     ("guards", jstr (Sweep.guards_to_string v.Sweep.guards));
-    ("threshold", jfloat v.Sweep.threshold) ]
+    ("threshold", json_float v.Sweep.threshold) ]
 
 let guards_l = function
   | Sweep.No_guards -> 1
@@ -110,24 +103,24 @@ let summary_json_of ~entry ~slug ~fingerprint (c : Sweep.cell)
       ( "f3l",
         jobj_inline
           [ ("cases", string_of_int (List.length f3l.Path_changes.ratios));
-            ("frac_above_one", jfloat f3l.Path_changes.frac_above_one);
-            ("max_ratio", jfloat f3l.Path_changes.max_ratio) ] );
+            ("frac_above_one", json_float f3l.Path_changes.frac_above_one);
+            ("max_ratio", json_float f3l.Path_changes.max_ratio) ] );
       ( "f3r",
         jobj_inline
-          [ ("threshold", jfloat f3r.As_exposure.threshold);
+          [ ("threshold", json_float f3r.As_exposure.threshold);
             ("cases", string_of_int (List.length f3r.As_exposure.extras));
-            ("frac_at_least_2", jfloat f3r.As_exposure.frac_at_least_2);
-            ("frac_above_5", jfloat f3r.As_exposure.frac_above_5);
+            ("frac_at_least_2", json_float f3r.As_exposure.frac_at_least_2);
+            ("frac_above_5", json_float f3r.As_exposure.frac_above_5);
             ("max_extras", string_of_int f3r.As_exposure.max_extras) ] );
       ( "compromise",
         match compromise with
         | None -> "null"
         | Some (static, dynamic) ->
             jobj_inline
-              [ ("f", jfloat v.Sweep.adversary);
+              [ ("f", json_float v.Sweep.adversary);
                 ("l", string_of_int (guards_l v.Sweep.guards));
-                ("static", jfloat static);
-                ("dynamic", jfloat dynamic) ] );
+                ("static", json_float static);
+                ("dynamic", json_float dynamic) ] );
       ( "m2",
         match m2 with
         | None -> "null"
@@ -136,13 +129,13 @@ let summary_json_of ~entry ~slug ~fingerprint (c : Sweep.cell)
               [ ("consensus", jstr (Sweep.consensus_to_string v.Sweep.consensus));
                 ("clients", string_of_int o.Long_term.clients);
                 ("compromised_fraction",
-                 jfloat o.Long_term.compromised_fraction);
+                 json_float o.Long_term.compromised_fraction);
                 ("median_day",
                  (match o.Long_term.median_day with
                   | None -> "null"
                   | Some d -> string_of_int d));
                 ("mean_exposed_per_day",
-                 jfloat o.Long_term.mean_exposed_per_day) ] ) ]
+                 json_float o.Long_term.mean_exposed_per_day) ] ) ]
 
 (* The cell's qs-obs/1 export is rebuilt by hand from the cell's own
    deterministic numbers rather than snapshotted from the process-wide
@@ -295,8 +288,9 @@ let index_json_of (entry : Sweep.entry) results =
       ( "axes",
         jobj_inline
           (List.map
-             (fun (k, values) ->
-               (k, "[" ^ String.concat ", " (List.map jstr values) ^ "]"))
+             (fun (a : Sweep.axis) ->
+               let labels = List.map (fun (l, _) -> jstr l) a.Sweep.points in
+               (a.Sweep.key, "[" ^ String.concat ", " labels ^ "]"))
              entry.Sweep.axes) );
       ( "cells",
         "[\n"
@@ -316,23 +310,24 @@ let index_json_of (entry : Sweep.entry) results =
                results)
         ^ "\n  ]" ) ]
 
-let run ?(registry = Sweep.builtin) ?exec entry =
-  match Sweep.cells ~registry entry with
-  | Error invalids -> Error invalids
-  | Ok cells ->
-      Metrics.incr m_runs;
-      Metrics.add m_cells (List.length cells);
-      let pool = match exec with Some p -> p | None -> Pool.default () in
-      (* [Metrics.set_enabled] is process-global, so a matrix with an
-         obs=off cell must not run cells concurrently — one cell's toggle
-         would silence its neighbours' instrumentation mid-run. Results
-         are vars-pure either way; only the wall-clock differs. *)
-      let serial = List.exists (fun c -> not c.Sweep.vars.Sweep.obs) cells in
-      let results =
-        if serial then List.map (run_cell entry.Sweep.name) cells
-        else Pool.map_list pool (run_cell entry.Sweep.name) cells
-      in
-      Ok { entry; results; index_json = index_json_of entry results }
+let run ?exec entry =
+  (match Sweep.validate entry with
+   | [] -> ()
+   | i :: _ -> invalid_arg ("Sweep_run.run: " ^ i.Sweep.message));
+  let cells = Sweep.cells entry in
+  Metrics.incr m_runs;
+  Metrics.add m_cells (List.length cells);
+  let pool = match exec with Some p -> p | None -> Pool.default () in
+  (* [Metrics.set_enabled] is process-global, so a matrix with an
+     obs=off cell must not run cells concurrently — one cell's toggle
+     would silence its neighbours' instrumentation mid-run. Results
+     are vars-pure either way; only the wall-clock differs. *)
+  let serial = List.exists (fun c -> not c.Sweep.vars.Sweep.obs) cells in
+  let results =
+    if serial then List.map (run_cell entry.Sweep.name) cells
+    else Pool.map_list pool (run_cell entry.Sweep.name) cells
+  in
+  { entry; results; index_json = index_json_of entry results }
 
 let print_table ppf t =
   let open Format in
@@ -364,11 +359,10 @@ let table_string t =
   Buffer.contents buf
 
 let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then
-    begin
-      mkdir_p (Filename.dirname dir);
-      try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-    end
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
 
 let write_file path contents =
   let oc = open_out_bin path in

@@ -48,19 +48,17 @@ type t = {
   index_json : string;         (** the matrix-level [index.json] body *)
 }
 
-val run :
-  ?registry:Sweep.entry list ->
-  ?exec:Pool.t ->
-  Sweep.entry ->
-  (t, Sweep.invalid list) result
-(** Expand and run every cell. Fails with the {!Sweep.validate} findings
-    without running anything if the entry is invalid. *)
+val run : ?exec:Pool.t -> Sweep.entry -> t
+(** Expand and run every cell.
+    @raise Invalid_argument without running a cell if {!Sweep.validate}
+    rejects the entry (QS308 keeps the builtin registry clean). *)
 
 val write : dir:string -> t -> string list
 (** Materialize the results directory:
     [dir/index.json], [dir/table.txt], and per cell
     [dir/<slug>/{summary.json,metrics.json,fingerprint}]. Creates
-    directories as needed, overwrites existing files. Returns the paths
+    directories as needed, overwrites existing files.
+    @raise Sys_error if a directory or file cannot be created. Returns the paths
     written, in writing order. *)
 
 val print_table : Format.formatter -> t -> unit

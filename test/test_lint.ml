@@ -470,8 +470,8 @@ let test_qs308_registered () =
      | None -> false);
   check_bool "by slug too" true (Lint.find_rule "sweep-entry-invalid" <> None)
 
-let sweep_entry ?base ?(overlay = []) ?(axes = []) name =
-  { Sweep.name; doc = "test entry"; base; overlay; axes }
+let sweep_entry ?(axes = []) name =
+  { Sweep.name; doc = "test entry"; vars = Sweep.default_vars; axes }
 
 let test_qs308_builtin_clean () =
   check_int "shipped registry clean" 0 (List.length (Sweep_lint.check ()))
@@ -493,26 +493,15 @@ let test_qs308_fires () =
     check_bool (name ^ " carries slug " ^ slug) true
       (List.mem slug (problems diags))
   in
-  check_problem "unknown key"
-    [ sweep_entry "e" ~overlay:[ ("sise", "small") ] ]
-    "unknown-key";
-  check_problem "bad value"
-    [ sweep_entry "e" ~overlay:[ ("churn", "torrential") ] ]
-    "bad-value";
-  check_problem "out-of-range value"
-    [ sweep_entry "e" ~overlay:[ ("adversary", "1.5") ] ]
-    "bad-value";
   check_problem "empty axis"
-    [ sweep_entry "e" ~axes:[ ("seed", []) ] ]
+    [ sweep_entry "e" ~axes:[ Sweep.seed [] ] ]
     "empty-axis";
-  check_problem "unreachable base"
-    [ sweep_entry "e" ~base:"nowhere" ]
-    "unreachable-base";
-  check_problem "base cycle"
-    [ sweep_entry "a" ~base:"b"; sweep_entry "b" ~base:"a" ]
-    "base-cycle";
   check_problem "duplicate cell"
-    [ sweep_entry "e" ~axes:[ ("churn", [ "heavy"; "heavy" ]) ] ]
+    [ sweep_entry "e" ~axes:[ Sweep.churn [ Sweep.Heavy; Sweep.Heavy ] ] ]
+    "duplicate-cell";
+  check_problem "one key on two axes"
+    [ sweep_entry "e"
+        ~axes:[ Sweep.delta [ false; true ]; Sweep.delta [ true ] ] ]
     "duplicate-cell";
   check_problem "duplicate entry"
     [ sweep_entry "e"; sweep_entry "e" ]

@@ -66,7 +66,14 @@ let test_window_validation () =
   check_bool "threshold beyond window rejected" true
     (raises_invalid (mk 600. 60. 900.));
   check_bool "ring above QS307's bound rejected" true
-    (raises_invalid (mk 3600. 1e-9 120.))
+    (raises_invalid (mk 3600. 1e-9 120.));
+  (* Every comparison is false on NaN: these passed a sign-only check,
+     and a NaN window raised Division_by_zero at the first path change. *)
+  check_bool "NaN window rejected" true (raises_invalid (mk nan 60. 30.));
+  check_bool "infinite window rejected" true
+    (raises_invalid (mk infinity 60. 30.));
+  check_bool "NaN bucket rejected" true (raises_invalid (mk 600. nan 30.));
+  check_bool "NaN threshold rejected" true (raises_invalid (mk 600. 60. nan))
 
 (* ---- Window: ring-buffer path-change counting -------------------------- *)
 
@@ -279,9 +286,15 @@ let test_ingest_validation () =
   check_bool "zero capacity rejected" true
     (raises_invalid (fun () ->
          Ingest.create ~config:{ Ingest.capacity = 0; slack = 10. } ()));
-  check_bool "negative slack rejected" true
-    (raises_invalid (fun () ->
-         Ingest.create ~config:{ Ingest.capacity = 8; slack = -1. } ()))
+  let with_slack slack () =
+    Ingest.create ~config:{ Ingest.capacity = 8; slack } ()
+  in
+  check_bool "negative slack rejected" true (raises_invalid (with_slack (-1.)));
+  (* A NaN or infinite slack made the watermark NaN or -inf: nothing was
+     released before flush and no late update was dropped. *)
+  check_bool "NaN slack rejected" true (raises_invalid (with_slack nan));
+  check_bool "infinite slack rejected" true
+    (raises_invalid (with_slack infinity))
 
 let test_ingest_late_drop () =
   let i = Ingest.create ~config:{ Ingest.capacity = 64; slack = 120. } () in
