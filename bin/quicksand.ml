@@ -39,6 +39,7 @@ let out_file =
   let parse path =
     let dir = Filename.dirname path in
     if path = "-" then Ok path
+    else if path = "" then Error (`Msg "the file path is empty")
     else if Sys.file_exists path && Sys.is_directory path then
       Error (`Msg (Printf.sprintf "%s is a directory, not a file" path))
     else if not (Sys.file_exists dir && Sys.is_directory dir) then
@@ -191,15 +192,13 @@ let with_obs (metrics, metrics_json, trace) f =
     f
 
 (* Run [f] over a fresh pool sized by --jobs (default: the runtime's
-   recommendation) and print the executor stats afterwards. *)
-let with_exec ?(show_stats = true) jobs f =
+   recommendation). The pool reports to the metrics registry only, so
+   stdout is the same at any --jobs. *)
+let with_exec jobs f =
   let jobs =
     match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
   in
-  Pool.with_pool ~jobs (fun exec ->
-      let r = f exec in
-      if show_stats then Format.printf "%a@." Pool.pp_stats (Pool.stats exec);
-      r)
+  Pool.with_pool ~jobs f
 
 let build_scenario seed scale =
   let s = Scenario.build ~seed scale in
@@ -538,10 +537,9 @@ let lint_cmd =
                 (Addressing.count s.Scenario.addressing)
                 (Consensus.n_relays s.Scenario.consensus) seed;
             let diags =
-              (* Stats would corrupt --json output, so only text mode prints
-                 them; the exit below must also happen after the pool is torn
-                 down, hence outside [with_exec]. *)
-              with_exec ~show_stats:(not json) jobs (fun exec ->
+              (* The exit below must happen after the pool is torn down,
+                 hence outside [with_exec]. *)
+              with_exec jobs (fun exec ->
                   Lint.run ?rules ~max_prefixes
                     ~determinism:(not no_determinism) ~exec s)
             in
@@ -655,7 +653,7 @@ let surface_cmd =
         in
         let feas, exposure_sizes, mean_resilience =
           Span.with_ ~name:"surface" (fun () ->
-              with_exec ~show_stats:(not json) jobs (fun exec ->
+              with_exec jobs (fun exec ->
                   let feas =
                     Pool.map_list exec
                       (fun a ->
@@ -826,7 +824,7 @@ let serve_cmd =
                  extra-AS rule (which needs a time-0 table) stays idle. *)
               linted @@ fun () ->
               let data = In_channel.with_open_bin path In_channel.input_all in
-              with_exec ~show_stats:false jobs (fun exec ->
+              with_exec jobs (fun exec ->
                   match
                     Ingest.decode_mrt ~chunk:config.Serve.Config.chunk
                       ~collector ~exec data
@@ -884,7 +882,7 @@ let serve_cmd =
                   extras
                 end
               in
-              with_exec ~show_stats:false jobs (fun exec ->
+              with_exec jobs (fun exec ->
                   let sinks, finish = sinks_of () in
                   let r =
                     Serve.replay ~dynamics ~extra_updates ~sinks ~config
@@ -1149,8 +1147,7 @@ let sweep_cmd =
           | Some entry ->
               with_obs obs (fun () ->
                   let t =
-                    with_exec ~show_stats:(not json) jobs (fun exec ->
-                        Sweep_run.run ~exec entry)
+                    with_exec jobs (fun exec -> Sweep_run.run ~exec entry)
                   in
                   Option.iter
                     (fun dir ->

@@ -15,10 +15,10 @@
 
 let now = Clock.now
 
-(* Registry handles (see lib/obs): counts are exact and scheduling-
-   independent — one [exec.sweeps] increment and one observation per
-   histogram per sweep — while the histogram timing fields carry the
-   wall-clock content of [stats]. *)
+(* Registry handles (see lib/obs), the pool's only report: counts are
+   exact and scheduling-independent — one [exec.sweeps] increment and one
+   observation per histogram per sweep — while the histogram sums carry
+   the wall-clock time. *)
 let m_sweeps = Metrics.counter ~help:"parallel sweeps submitted" "exec.sweeps"
 let m_chunks = Metrics.counter ~help:"chunks across all sweeps" "exec.chunks"
 let m_jobs = Metrics.gauge ~help:"width of the last pool created" "exec.jobs"
@@ -34,16 +34,6 @@ let m_wait_s =
   Metrics.histogram ~help:"summed worker-wait seconds per sweep"
     "exec.wait_seconds"
 
-type domain_stats = { chunks : int; busy : float; wait : float }
-
-type stats = {
-  jobs : int;
-  calls : int;
-  chunks : int;
-  wall : float;
-  domains : domain_stats array;
-}
-
 type job = {
   run_chunk : int -> unit;
   n_chunks : int;
@@ -52,7 +42,6 @@ type job = {
 }
 
 type slot = {
-  mutable s_chunks : int;
   mutable s_busy : float;
   mutable s_wait : float;
 }
@@ -72,10 +61,6 @@ type t = {
   submit : Mutex.t;                (* serializes whole sweeps *)
   active_caller : int Atomic.t;    (* domain id inside a sweep, or -1 *)
   err : exn option Atomic.t;
-  mutable calls : int;             (* protected by [submit] *)
-  mutable chunks_total : int;
-  mutable wall : float;
-  mutable last : stats option;     (* protected by [submit] *)
 }
 
 let jobs t = t.n_jobs
@@ -83,7 +68,7 @@ let jobs t = t.n_jobs
 let self_id () = (Domain.self () :> int)
 
 (* Pull chunks off [job] until the counter runs dry. Runs on workers and on
-   the caller alike; [w] is this domain's stats slot. Task exceptions are
+   the caller alike; [w] is this domain's timing slot. Task exceptions are
    captured (first wins) and re-raised by the submitting caller once the
    sweep drains, so a failing chunk can never wedge the completion count. *)
 let participate t w (job : job) =
@@ -94,7 +79,6 @@ let participate t w (job : job) =
     if c < n then begin
       (try job.run_chunk c
        with e -> ignore (Atomic.compare_and_set t.err None (Some e)));
-      t.slots.(w).s_chunks <- t.slots.(w).s_chunks + 1;
       let completed = 1 + Atomic.fetch_and_add job.completed 1 in
       if completed = n then begin
         Mutex.lock t.m;
@@ -146,14 +130,10 @@ let create ~jobs () =
       shut = false;
       workers = [||];
       worker_ids = Array.make (max 0 (jobs - 1)) (-1);
-      slots = Array.init jobs (fun _ -> { s_chunks = 0; s_busy = 0.; s_wait = 0. });
+      slots = Array.init jobs (fun _ -> { s_busy = 0.; s_wait = 0. });
       submit = Mutex.create ();
       active_caller = Atomic.make (-1);
-      err = Atomic.make None;
-      calls = 0;
-      chunks_total = 0;
-      wall = 0.;
-      last = None }
+      err = Atomic.make None }
   in
   Metrics.set m_jobs (float_of_int jobs);
   t.workers <- Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
@@ -193,6 +173,9 @@ let default () =
 
 (* ---- sweep submission ------------------------------------------------ *)
 
+let busy_total t = Array.fold_left (fun acc s -> acc +. s.s_busy) 0. t.slots
+let wait_total t = Array.fold_left (fun acc s -> acc +. s.s_wait) 0. t.slots
+
 let run_job t ~n_chunks run_chunk =
   if t.shut then invalid_arg "Pool: pool is shut down";
   let self = self_id () in
@@ -201,17 +184,12 @@ let run_job t ~n_chunks run_chunk =
   then invalid_arg "Pool: tasks must not submit work to their own pool";
   Mutex.lock t.submit;
   Atomic.set t.active_caller self;
-  (* Per-call reset marker: remember where every slot stood so the
-     deltas of *this* sweep can be separated from the pool's cumulative
-     totals.  Chunk counts are published before the completion count, so
-     chunk deltas are exact; a worker adds its busy tail *after* its
-     last chunk completes the sweep, so a slow tail may slip into the
-     next sweep's delta — busy/wait deltas are non-negative and sum to
-     the totals over a pool's lifetime, but an individual sweep's is a
-     lower bound (exact at [jobs = 1]).  See [last_sweep]. *)
-  let marks =
-    Array.map (fun s -> (s.s_chunks, s.s_busy, s.s_wait)) t.slots
-  in
+  (* A worker adds its busy tail *after* its last chunk completes the
+     sweep, so a slow tail may slip into the next sweep's difference:
+     each sweep's busy and wait seconds are non-negative lower bounds
+     that sum to the pool's totals over its lifetime (exact at
+     [jobs = 1]). *)
+  let busy0 = busy_total t and wait0 = wait_total t in
   let started = now () in
   Atomic.set t.err None;
   let job =
@@ -232,29 +210,11 @@ let run_job t ~n_chunks run_chunk =
     t.job <- None;
     Mutex.unlock t.m
   end;
-  t.calls <- t.calls + 1;
-  t.chunks_total <- t.chunks_total + n_chunks;
-  let dt = now () -. started in
-  t.wall <- t.wall +. dt;
-  let deltas =
-    Array.mapi
-      (fun i (c0, b0, w0) ->
-        let s = t.slots.(i) in
-        { chunks = s.s_chunks - c0;
-          busy = Float.max 0. (s.s_busy -. b0);
-          wait = Float.max 0. (s.s_wait -. w0) })
-      marks
-  in
-  t.last <-
-    Some { jobs = t.n_jobs; calls = 1; chunks = n_chunks; wall = dt;
-           domains = deltas };
   Metrics.incr m_sweeps;
   Metrics.add m_chunks n_chunks;
-  Metrics.observe m_sweep_s dt;
-  Metrics.observe m_busy_s
-    (Array.fold_left (fun acc d -> acc +. d.busy) 0. deltas);
-  Metrics.observe m_wait_s
-    (Array.fold_left (fun acc d -> acc +. d.wait) 0. deltas);
+  Metrics.observe m_sweep_s (now () -. started);
+  Metrics.observe m_busy_s (Float.max 0. (busy_total t -. busy0));
+  Metrics.observe m_wait_s (Float.max 0. (wait_total t -. wait0));
   let failure = Atomic.get t.err in
   Atomic.set t.active_caller (-1);
   Mutex.unlock t.submit;
@@ -325,52 +285,3 @@ let get r =
       Hashtbl.replace r.table id v;
       Mutex.unlock r.table_m;
       v
-
-(* ---- stats ------------------------------------------------------------ *)
-
-let stats t =
-  Mutex.lock t.submit;
-  let s =
-    { jobs = t.n_jobs;
-      calls = t.calls;
-      chunks = t.chunks_total;
-      wall = t.wall;
-      domains =
-        Array.map
-          (fun s -> { chunks = s.s_chunks; busy = s.s_busy; wait = s.s_wait })
-          t.slots }
-  in
-  Mutex.unlock t.submit;
-  s
-
-let last_sweep t =
-  Mutex.lock t.submit;
-  let s = t.last in
-  Mutex.unlock t.submit;
-  s
-
-let reset_stats t =
-  Mutex.lock t.submit;
-  t.calls <- 0;
-  t.chunks_total <- 0;
-  t.wall <- 0.;
-  t.last <- None;
-  Array.iter
-    (fun s ->
-       s.s_chunks <- 0;
-       s.s_busy <- 0.;
-       s.s_wait <- 0.)
-    t.slots;
-  Mutex.unlock t.submit
-
-let pp_stats ppf s =
-  Format.fprintf ppf "exec pool: jobs=%d calls=%d chunks=%d parallel-wall=%.3fs"
-    s.jobs s.calls s.chunks s.wall;
-  Array.iteri
-    (fun i (d : domain_stats) ->
-       if i = 0 then
-         Format.fprintf ppf "@.  d0 (caller): %d chunks, %.3fs busy" d.chunks d.busy
-       else
-         Format.fprintf ppf "@.  d%d: %d chunks, %.3fs busy, %.3fs waiting" i
-           d.chunks d.busy d.wait)
-    s.domains

@@ -20,9 +20,15 @@
     domain, so a task may freely use {!get} on whatever domain it happens
     to run.
 
-    {b Observability.} {!stats} reports per-domain task counts, busy and
-    queue-wait times, and the accumulated wall time of parallel sections;
-    the bench harness and the CLI [--jobs] subcommands print it.
+    {b Observability.} Each sweep reports to the metrics registry
+    ([lib/obs]) and nowhere else: the [exec.sweeps] and [exec.chunks]
+    counters, the [exec.jobs] gauge, and one observation per sweep in each
+    of the [exec.sweep_seconds] (caller wall time), [exec.busy_seconds]
+    (summed domain busy time) and [exec.wait_seconds] (summed worker wait)
+    histograms. Busy and wait seconds are non-negative lower bounds per
+    sweep (a worker publishes its busy tail after the completion signal,
+    so a slow tail can slip into the next sweep) and exact at [jobs = 1].
+    A [--metrics] dump shows whether workers starve.
 
     Tasks must be pure apart from per-domain resources and their own
     per-item RNG stream; they must not submit work to the pool they run on
@@ -109,39 +115,3 @@ val per_domain : (unit -> 'r) -> 'r per_domain
 val get : 'r per_domain -> 'r
 (** This domain's instance, created on first use. Callable from pool tasks
     and from plain sequential code alike. *)
-
-(** {1 Observability} *)
-
-type domain_stats = {
-  chunks : int;   (** chunks this domain executed *)
-  busy : float;   (** seconds spent running tasks *)
-  wait : float;   (** seconds spent blocked waiting for work (workers only) *)
-}
-
-type stats = {
-  jobs : int;
-  calls : int;            (** map/fold sweeps submitted *)
-  chunks : int;           (** chunks across all sweeps *)
-  wall : float;           (** seconds of caller wall time inside sweeps *)
-  domains : domain_stats array;
-      (** index 0 is the caller; 1.. are the spawned workers *)
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit
-
-val last_sweep : t -> stats option
-(** The per-call delta of the most recent sweep — [calls = 1], [chunks]
-    the sweep's own chunk count, [wall] its caller wall time, [domains]
-    the per-domain progress since the sweep started (the per-call reset
-    marker that makes a reused pool's counters merge-correct). Chunk
-    deltas are exact at any [jobs]; busy/wait deltas are non-negative
-    lower bounds that sum to the cumulative totals over the pool's
-    lifetime (a worker publishes its busy tail after the completion
-    signal, so a slow tail can slip into the next sweep's delta), and
-    are exact at [jobs = 1]. [None] before the first sweep and after
-    {!reset_stats}. *)
-
-val pp_stats : Format.formatter -> stats -> unit
-(** Multi-line human-readable rendering, printed by the bench ablations
-    and the [--jobs] CLI subcommands. *)

@@ -30,8 +30,8 @@ let sample_prefixes ~max_prefixes listing =
     let k = (n + max_prefixes - 1) / max_prefixes in
     List.filteri (fun i _ -> i mod k = 0) listing
 
-let run ?rules ?(max_prefixes = 512) ?(determinism = true) ?serve_config
-    ?exec (s : Scenario.t) =
+let run ?rules ?(max_prefixes = 512) ?(determinism = true) ?exec
+    (s : Scenario.t) =
   let pool = match exec with Some p -> p | None -> Pool.default () in
   let g = s.Scenario.graph in
   let topology = Topology_lint.check g in
@@ -91,14 +91,8 @@ let run ?rules ?(max_prefixes = 512) ?(determinism = true) ?serve_config
     @ Surface_lint.check_vantage surf ~monitors:(Scenario.monitors s) ~origins
     @ Surface_lint.check_overlay g []
   in
-  let serve =
-    match serve_config with
-    | None -> []
-    | Some view -> Serve_lint.check ~scenario:s view
-  in
   let sweep = Sweep_lint.check () in
   let diags =
-    routing @ topology @ addressing @ scenario @ obs @ surface @ serve
-    @ sweep
+    routing @ topology @ addressing @ scenario @ obs @ surface @ sweep
   in
   match rules with None -> diags | Some rules -> select ~rules diags

@@ -21,14 +21,12 @@ val select : rules:string list -> Diag.t list -> Diag.t list
 
 val run :
   ?rules:string list -> ?max_prefixes:int -> ?determinism:bool ->
-  ?serve_config:Serve_lint.config_view ->
   ?exec:Pool.t -> Scenario.t -> Diag.t list
 (** Run every analyzer over a scenario and return the findings,
     filtered to [rules] when given. [max_prefixes] (default 512) bounds
     how many announced prefixes get their routing table recomputed and
     checked — prefixes are sampled evenly and deterministically beyond
-    that. [serve_config] additionally runs the QS307 serve-config checks
-    against the scenario (the CLI passes its effective serve config). [determinism] (default [true]) enables the rebuild-and-compare
+    that. [determinism] (default [true]) enables the rebuild-and-compare
     check (one extra scenario build) and the [QS305] jobs=1-vs-jobs=2
     fingerprint comparison. The per-prefix table recomputations run as
     tasks on [exec] (default {!Pool.default}), each domain using its own

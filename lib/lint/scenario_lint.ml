@@ -37,20 +37,6 @@ let collector_peer_ip =
        that maps sessions back to ASes via addressing will attribute its \
        feed to the wrong AS." }
 
-let update_stream_hygiene =
-  { Diag.code = "QS304"; slug = "update-stream-hygiene";
-    severity = Diag.Error;
-    doc = "an emitted update stream left the measurement horizon or went \
-           backwards in time";
-    explain =
-      "Measurements are defined over a fixed horizon [0, duration], and \
-       stream consumers (churn counters, inter-arrival statistics, the \
-       path-change detector) assume timestamps are non-decreasing the way \
-       a real collector dump's are. An update outside the horizon or a \
-       timestamp regression means the dynamics engine emitted events it \
-       should have clamped or dropped, and windowed statistics would \
-       double-count or miss them." }
-
 let parallel_fingerprint_divergence =
   { Diag.code = "QS305"; slug = "parallel-fingerprint-divergence";
     severity = Diag.Error;
@@ -67,7 +53,7 @@ let parallel_fingerprint_divergence =
 
 let rules =
   [ nondeterministic_build; dead_collector_peer; collector_peer_ip;
-    update_stream_hygiene; parallel_fingerprint_divergence ]
+    parallel_fingerprint_divergence ]
 
 let check_collectors g addressing collectors =
   collectors
@@ -103,36 +89,6 @@ let check_collectors g addressing collectors =
                     c.Collector.name Asn.pp peer Ipv4.pp s.Collector.peer_ip ]
           in
           liveness @ ip))
-
-let check_update_stream ~duration updates =
-  let last = ref neg_infinity in
-  List.concat_map
-    (fun (u : Update.t) ->
-       let t = u.Update.time in
-       let ctx =
-         [ ("time", string_of_float t);
-           ("duration", string_of_float duration);
-           ("session", u.Update.session.Update.collector) ]
-       in
-       let horizon =
-         if t < 0. || t > duration then
-           [ Diag.msgf update_stream_hygiene ~context:ctx
-               "update at t=%g is outside the measurement horizon [0, %g]"
-               t duration ]
-         else []
-       in
-       let order =
-         if t < !last then
-           [ Diag.msgf update_stream_hygiene
-               ~context:(("previous", string_of_float !last) :: ctx)
-               "update at t=%g emitted after one at t=%g (stream must be \
-                non-decreasing)"
-               t !last ]
-         else []
-       in
-       last := Float.max !last t;
-       horizon @ order)
-    updates
 
 let check_parallel_fingerprint ?fingerprint (s : Scenario.t) =
   let fingerprint =

@@ -20,12 +20,6 @@ val collector_peer_ip : Diag.rule
     owned by the peer AS (warning: the collector builder falls back to a
     documentation address when the peer owns no prefix). *)
 
-val update_stream_hygiene : Diag.rule
-(** [QS304]: an update stream violated the emission contract — an update
-    timestamped outside [\[0, duration\]], or timestamps going backwards.
-    {!Dynamics.run} promises both (late-scheduled updates are dropped and
-    counted in [post_horizon_dropped], never emitted). *)
-
 val parallel_fingerprint_divergence : Diag.rule
 (** [QS305]: {!Scenario.fingerprint} computed over a [jobs = 1] pool and a
     [jobs = 2] pool disagreed — the executor's determinism guarantee is
@@ -35,11 +29,6 @@ val rules : Diag.rule list
 
 val check_collectors :
   As_graph.t -> Addressing.t -> Collector.t list -> Diag.t list
-
-val check_update_stream : duration:float -> Update.t list -> Diag.t list
-(** Checks a captured update stream (in emission order) against the
-    [QS304] contract: every timestamp within [\[0, duration\]] and the
-    sequence non-decreasing. *)
 
 val check_determinism : Scenario.t -> Diag.t list
 (** Rebuilds the scenario from its own seed and size and compares

@@ -3,8 +3,8 @@
     The serve subsystem lives above this library in the dependency order
     (it needs [Qs_check]), so the rule operates on a dependency-free
     {!config_view} that [Qs_serve.Serve.Config.view] produces; the CLI
-    lints its effective config at startup and [Lint.run ?serve_config]
-    folds the findings into a whole-scenario pass. *)
+    lints its effective config at startup and [Serve.create] rejects an
+    invalid one. *)
 
 type config_view = {
   window : float;

@@ -250,10 +250,16 @@ let test_conformance_detects_violations () =
   check_int "withdraw-before-announce" 1 (count "withdraw-before-announce")
 
 let test_conformance_clean_stream () =
+  (* Boundary times (0 and the horizon itself) and ties, within a session
+     and across sessions, are all legal. *)
   let c = Conformance.create ~duration:100. () in
-  let a = session 1 in
-  Conformance.observe c (announce a 10. 0);
-  Conformance.observe c (announce a 20. 1);
+  let a = session 1 and b = session 2 in
+  Conformance.observe c (announce a 0. 0);
+  Conformance.observe c (announce a 10. 1);
+  Conformance.observe c (announce b 10. 2);
+  Conformance.observe c (announce a 20. 3);
+  Conformance.observe c (announce a 20. 4);
+  Conformance.observe c (announce b 100. 5);
   Alcotest.(check (list pass)) "no violations" [] (Conformance.finalize c)
 
 let test_conformance_full_pipeline () =

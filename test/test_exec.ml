@@ -1,7 +1,7 @@
 (* Tests for qs_exec: the deterministic domain pool — order preservation,
    seeded-sweep byte-identity across worker counts, submission-order
    reduction, per-domain resource isolation, exception propagation, nested
-   submission detection, and stats accounting. *)
+   submission detection, and the sweep metrics it reports. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -182,82 +182,48 @@ let test_shutdown_rejects () =
   in
   check_bool "shut pool rejects work" true raised
 
-(* ---- stats ------------------------------------------------------------- *)
+(* ---- metrics --------------------------------------------------------- *)
 
-let test_stats_accounting () =
-  Pool.with_pool ~jobs:2 (fun p ->
-      let arr = Array.init 40 (fun i -> i) in
-      ignore (Pool.map ~chunk:4 p (fun x -> x) arr);
-      ignore (Pool.map ~chunk:4 p (fun x -> x) arr);
-      let s = Pool.stats p in
-      check_int "jobs" 2 s.Pool.jobs;
-      check_int "calls" 2 s.Pool.calls;
-      check_int "chunks" 20 s.Pool.chunks;
-      check_int "per-domain chunks sum to total" 20
-        (Array.fold_left (fun acc (d : Pool.domain_stats) -> acc + d.Pool.chunks)
-           0 s.Pool.domains);
-      check_bool "wall non-negative" true (s.Pool.wall >= 0.);
-      let rendered = Format.asprintf "%a" Pool.pp_stats s in
-      check_bool "stats render mentions jobs" true
-        (String.length rendered > 0);
-      Pool.reset_stats p;
-      let s = Pool.stats p in
-      check_int "reset calls" 0 s.Pool.calls;
-      check_int "reset chunks" 0 s.Pool.chunks)
+let counter name =
+  match Metrics.value name with
+  | Some (Metrics.Counter_v n) -> n
+  | _ -> Alcotest.failf "%s is not a counter" name
 
-(* The satellite bugfix: a pool reused across successive map calls must
-   keep each call's busy/wait/chunk deltas separable from the cumulative
-   totals ([Pool.last_sweep] is the per-call reset marker). Chunk deltas
-   are exact at any width; busy/wait deltas are non-negative and bounded
-   by the totals (a worker's busy tail can land after the completion
-   signal), and exact at jobs=1 where everything runs inline. *)
-let test_last_sweep_deltas () =
-  let sum_busy (ds : Pool.domain_stats array) =
-    Array.fold_left (fun a (d : Pool.domain_stats) -> a +. d.Pool.busy) 0. ds
+let hist name =
+  match Metrics.value name with
+  | Some (Metrics.Hist_v h) -> h
+  | _ -> Alcotest.failf "%s is not a histogram" name
+
+(* The registry is the pool's only report: each sweep adds 1 to
+   [exec.sweeps], its chunk count to [exec.chunks] and one observation to
+   each [exec.*_seconds] histogram, at any width. Busy and wait seconds
+   are lower bounds per sweep, so only their sign is checked. *)
+let test_sweep_metrics () =
+  let seconds =
+    [ "exec.sweep_seconds"; "exec.busy_seconds"; "exec.wait_seconds" ]
   in
   List.iter
     (fun jobs ->
        Pool.with_pool ~jobs (fun p ->
-           check_bool "no sweep yet" true (Pool.last_sweep p = None);
            let arr = Array.init 64 (fun i -> i) in
-           let chunk_deltas = ref 0 and busy_deltas = ref 0. in
-           for call = 1 to 4 do
-             ignore (Pool.map ~chunk:2 p (fun x -> x * x) arr);
-             match Pool.last_sweep p with
-             | None -> Alcotest.fail "last_sweep None after a sweep"
-             | Some d ->
-                 check_int "delta calls" 1 d.Pool.calls;
-                 check_int "delta chunks" 32 d.Pool.chunks;
-                 check_bool "delta wall non-negative" true (d.Pool.wall >= 0.);
-                 check_int "per-domain delta chunks sum to sweep chunks" 32
-                   (Array.fold_left
-                      (fun a (ds : Pool.domain_stats) -> a + ds.Pool.chunks)
-                      0 d.Pool.domains);
-                 Array.iter
-                   (fun (ds : Pool.domain_stats) ->
-                      check_bool "delta busy non-negative" true
-                        (ds.Pool.busy >= 0.);
-                      check_bool "delta wait non-negative" true
-                        (ds.Pool.wait >= 0.))
-                   d.Pool.domains;
-                 chunk_deltas := !chunk_deltas + d.Pool.chunks;
-                 busy_deltas := !busy_deltas +. sum_busy d.Pool.domains;
-                 let cum = Pool.stats p in
-                 check_int "cumulative calls" call cum.Pool.calls;
-                 check_bool "delta busy bounded by totals" true
-                   (sum_busy d.Pool.domains
-                    <= sum_busy cum.Pool.domains +. 1e-9)
-           done;
-           let cum = Pool.stats p in
-           check_int "chunk deltas sum to total" cum.Pool.chunks !chunk_deltas;
-           check_bool "busy deltas bounded by total" true
-             (!busy_deltas <= sum_busy cum.Pool.domains +. 1e-6);
-           if jobs = 1 then
-             check_bool "busy deltas sum to total at jobs=1" true
-               (Float.abs (!busy_deltas -. sum_busy cum.Pool.domains) < 1e-6);
-           Pool.reset_stats p;
-           check_bool "reset clears last_sweep" true
-             (Pool.last_sweep p = None)))
+           for call = 1 to 3 do
+             let sweeps = counter "exec.sweeps"
+             and chunks = counter "exec.chunks"
+             and counts = List.map (fun n -> (hist n).Metrics.count) seconds in
+             let chunk = 3 * call in
+             ignore (Pool.map ~chunk p (fun x -> x * x) arr);
+             let at what = Printf.sprintf "%s, jobs=%d call %d" what jobs call in
+             check_int (at "sweeps") (sweeps + 1) (counter "exec.sweeps");
+             check_int (at "chunks") (chunks + ((64 + chunk - 1) / chunk))
+               (counter "exec.chunks");
+             List.iter2
+               (fun n c -> check_int (at n) (c + 1) (hist n).Metrics.count)
+               seconds counts;
+             check_bool (at "busy sum non-negative") true
+               ((hist "exec.busy_seconds").Metrics.sum >= 0.);
+             check_bool (at "wait sum non-negative") true
+               ((hist "exec.wait_seconds").Metrics.sum >= 0.)
+           done))
     [ 1; 4 ]
 
 let () =
@@ -283,7 +249,6 @@ let () =
          Alcotest.test_case "nested submission rejected" `Quick
            test_nested_submission_rejected;
          Alcotest.test_case "shutdown" `Quick test_shutdown_rejects ]);
-      ("stats",
-       [ Alcotest.test_case "accounting" `Quick test_stats_accounting;
-         Alcotest.test_case "last_sweep deltas" `Quick
-           test_last_sweep_deltas ]) ]
+      ("metrics",
+       [ Alcotest.test_case "sweeps report to the registry" `Quick
+           test_sweep_metrics ]) ]

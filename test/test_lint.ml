@@ -256,29 +256,6 @@ let test_dead_collector_peer_fires () =
   check_bool "QS302 fires" true (fires "QS302" diags);
   check_bool "QS303 fires for the documentation IP" true (fires "QS303" diags)
 
-let stream_update t =
-  { Update.time = t;
-    session = { Update.collector = "rrc00"; peer = asn 5 };
-    kind = Update.Withdraw (pfx "203.0.113.0/24") }
-
-let test_update_stream_hygiene_fires () =
-  let late = Scenario_lint.check_update_stream ~duration:100.
-      [ stream_update 10.; stream_update 150. ]
-  in
-  check_bool "QS304 fires past the horizon" true (fires "QS304" late);
-  let backwards = Scenario_lint.check_update_stream ~duration:100.
-      [ stream_update 50.; stream_update 20. ]
-  in
-  check_bool "QS304 fires on a backwards stream" true (fires "QS304" backwards)
-
-let test_update_stream_hygiene_clean () =
-  (* Boundary times (0 and the horizon itself) and ties are all legal. *)
-  let diags = Scenario_lint.check_update_stream ~duration:100.
-      [ stream_update 0.; stream_update 20.; stream_update 20.;
-        stream_update 100. ]
-  in
-  check_int "QS304 silent on a clean stream" 0 (List.length diags)
-
 (* ---- Static surface analyzers (QS401-404) ---------------------------- *)
 
 let diamond_surface () =
@@ -691,11 +668,7 @@ let () =
          Alcotest.test_case "MOAS conflict fires" `Quick test_moas_conflict_fires;
          Alcotest.test_case "unrouted relay fires" `Quick test_unrouted_relay_fires ]);
       ("scenario",
-       [ Alcotest.test_case "update stream hygiene fires" `Quick
-           test_update_stream_hygiene_fires;
-         Alcotest.test_case "update stream hygiene clean" `Quick
-           test_update_stream_hygiene_clean;
-         Alcotest.test_case "dead collector peer fires" `Quick
+       [ Alcotest.test_case "dead collector peer fires" `Quick
            test_dead_collector_peer_fires;
          Alcotest.test_case "clean scenario: no errors" `Quick
            test_clean_scenario_no_errors;

@@ -71,8 +71,8 @@
 #                       — M2 under a living consensus (Small, seed 1, 30
 #                         days): the one CLI path where pool tasks on
 #                         several domains build and share one consensus'
-#                         epochs. The `exec pool:` timing block is
-#                         stripped from its output.
+#                         epochs. Its raw stdout is compared: the pool
+#                         reports timing only to the metrics registry.
 #                       Stages 12-14 each run at jobs=1, jobs=4 and a
 #                       jobs=1 rerun, and the three outputs must be
 #                       byte-identical: fingerprints stable across reruns,
@@ -181,8 +181,7 @@ sweep_to() {
 }
 long_term_to() {
   dune exec bin/quicksand.exe -- long-term --scale small --seed 1 \
-    --horizon 30 --consensus live-hourly --jobs "$1" > "$tmp/long-term.raw"
-  sed '/^exec pool:/,$d' "$tmp/long-term.raw" > "$2"
+    --horizon 30 --consensus live-hourly --jobs "$1" > "$2"
 }
 
 echo "== quicksand sweep --matrix seeds-2x2 (jobs 1 vs 4 vs rerun)"
