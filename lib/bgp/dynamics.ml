@@ -64,17 +64,35 @@ let short_config =
     pathological_prefixes = 1;
     pathological_multiplier = 150. }
 
+type initial = Route.t Prefix.Map.t Update.Session_map.t
+
+(* What time 0 produces on a world, for the delta arm: it draws no random
+   number and reads no config field but [delta], so every run on the
+   world would compute the same. No per-origin route word is kept: a run
+   rebuilds an origin's state from [t0_ann] when churn first reaches it. *)
+type time0 = {
+  t0_current : Route.t option array array;  (* .(pfx).(session) *)
+  t0_initial : initial;
+  t0_full : int;            (* full rebuilds: one cold start per origin *)
+  t0_steps : int;           (* prefix-swap delta steps *)
+  t0_stop : int;
+  t0_frontiers : int array; (* each step's [dynamics.delta_frontier] *)
+  t0_ann : int array;
+      (* origin graph id -> the prefix whose announcement its state held
+         after time 0; -1 for an AS that originates nothing *)
+}
+
 type world = {
   graph : As_graph.t;
   indexed : As_graph.Indexed.t;
   addressing : Addressing.t;
   collectors : Collector.t list;
+  time0 : time0 option Atomic.t;
 }
 
 let make_world graph addressing collectors =
-  { graph; indexed = As_graph.Indexed.of_graph graph; addressing; collectors }
-
-type initial = Route.t Prefix.Map.t Update.Session_map.t
+  { graph; indexed = As_graph.Indexed.of_graph graph; addressing; collectors;
+    time0 = Atomic.make None }
 
 (* Registry mirrors of [stats], bulk-added once per [run] so a process
    that drives several dynamics runs accumulates across them.  The
@@ -159,6 +177,15 @@ type state = {
          of one origin share a single retained fixed point
          ({!Propagate.Delta.update} swaps the announcement metadata in
          O(1)). *)
+  t0_ann : int array;
+      (* origin graph id -> the prefix whose announcement time 0 left in
+         its state, or -1 (an AS that originates nothing, or one the
+         time-0 loop has not reached yet). A run that read the memo
+         rebuilds a state from it on first request. Written only by the
+         time-0 loop. *)
+  mutable t0_frontiers : int list option;
+      (* while time 0 is routed: the frontiers observed so far, newest
+         first, for the memo *)
   trace_entities : Asn.t array;
       (* trace-churn entity index -> origin AS; distinct origins sorted by
          [Asn.compare], empty unless [cfg.session_churn] is set *)
@@ -247,6 +274,17 @@ let outcome_for st p =
       | Some ds -> ds
       | None ->
           let ds = Propagate.Delta.create st.w.indexed in
+          (* A run that read time 0 from the memo first brings the state
+             to its time-0 configuration (no failed link, prepend 0, the
+             announcement time 0 left in it), uncounted: the memo's counts
+             already stand for that rebuild. The request below then does
+             exactly what it does on a state kept since time 0. *)
+          let q = st.t0_ann.(o) in
+          if q >= 0 then
+            ignore
+              (Propagate.Delta.update ds st.delta_scratch
+                 [ Announcement.originate st.origins.(q) st.pfxs.(q)
+                   |> Announcement.with_prepend 0 ]);
           st.states.(o) <- Some ds;
           ds
     in
@@ -259,7 +297,10 @@ let outcome_for st p =
      | Propagate.Delta.Steps { frontier; stop_early; _ } ->
          st.n_delta_steps <- st.n_delta_steps + 1;
          st.n_delta_stop <- st.n_delta_stop + stop_early;
-         Metrics.observe m_delta_frontier (float_of_int frontier));
+         Metrics.observe m_delta_frontier (float_of_int frontier);
+         Option.iter
+           (fun l -> st.t0_frontiers <- Some (frontier :: l))
+           st.t0_frontiers);
     (outcome, Propagate.Delta.version ds)
   end
 
@@ -508,6 +549,56 @@ let poisson_times rng rate duration =
     loop 0. []
   end
 
+(* Time 0: full routing computation, no emissions. Fills [current] and
+   returns the time-0 tables with the frontiers its delta steps observed,
+   in order; with [cfg.delta] it also fills [t0_ann]. *)
+let route_time0 st =
+  if st.cfg.delta then st.t0_frontiers <- Some [];
+  for p = 0 to Array.length st.pfxs - 1 do
+    let outcome, ver = outcome_for st p in
+    st.seen_version.(p) <- ver;
+    if st.cfg.delta then st.t0_ann.(st.origin_key.(p)) <- p;
+    for s_idx = 0 to Array.length st.sessions - 1 do
+      let peer_id = st.peer_ids.(s_idx) in
+      if Propagate.class_code_at_id outcome peer_id >= st.vis_threshold.(s_idx)
+      then
+        st.current.(p).(s_idx) <- Propagate.route_at_id outcome peer_id
+    done
+  done;
+  (* The time-0 tables, read off [current]: one linear [filter_map] per
+     session over a prefix -> indices map built once, instead of a
+     path-copying [add] per visible (session, prefix). Where a prefix is
+     announced twice, the latest announcement visible at the session
+     wins. *)
+  let index = ref Prefix.Map.empty in
+  Array.iteri
+    (fun p pfx ->
+       index :=
+         Prefix.Map.update pfx
+           (fun ps -> Some (p :: Option.value ~default:[] ps))
+           !index)
+    st.pfxs;
+  let initial = ref Update.Session_map.empty in
+  Array.iteri
+    (fun s_idx (session : Collector.session) ->
+       let table =
+         Prefix.Map.filter_map
+           (fun _ ps -> List.find_map (fun p -> st.current.(p).(s_idx)) ps)
+           !index
+       in
+       if not (Prefix.Map.is_empty table) then
+         initial :=
+           Update.Session_map.update session.Collector.id
+             (function
+               | None -> Some table
+               | Some earlier ->
+                   Some (Prefix.Map.union (fun _ _ r -> Some r) earlier table))
+             !initial)
+    st.sessions;
+  let frontiers = Option.value ~default:[] st.t0_frontiers in
+  st.t0_frontiers <- None;
+  (!initial, List.rev frontiers)
+
 let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
   Span.with_ ~name:"dynamics.run" @@ fun () ->
   let sessions = Array.of_list (Collector.all_sessions w.collectors) in
@@ -557,10 +648,17 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
     | Some _ ->
         Array.to_list origins |> List.sort_uniq Asn.compare |> Array.of_list
   in
+  (* Only the delta arm reads or fills the memo: the reference arm stays
+     an independent computation. *)
+  let memo = if cfg.delta then Atomic.get w.time0 else None in
+  let n_as = As_graph.Indexed.n w.indexed in
   let st =
     { cfg; w; rng; sessions; pfxs; origins;
       prepend = Array.make n_pfx 0;
-      current = Array.make_matrix n_pfx (Array.length sessions) None;
+      current =
+        (match memo with
+         | Some m -> Array.map Array.copy m.t0_current
+         | None -> Array.make_matrix n_pfx (Array.length sessions) None);
       previous = Array.make_matrix n_pfx (Array.length sessions) None;
       pfx_of_origin; core_links;
       failed = Link_set.empty;
@@ -583,7 +681,12 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
         Array.map (As_graph.Indexed.id_of_asn w.indexed) origins;
       ann_cache = Array.make n_pfx [];
       seen_version = Array.make n_pfx 0;
-      states = Array.make (As_graph.Indexed.n w.indexed) None;
+      states = Array.make n_as None;
+      t0_ann =
+        (match memo with
+         | Some m -> m.t0_ann
+         | None -> Array.make (if cfg.delta then n_as else 0) (-1));
+      t0_frontiers = None;
       trace_entities;
       trace_revert = Array.make (Array.length trace_entities) None;
       events = Pqueue.create ();
@@ -594,48 +697,35 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       n_dropped = 0;
       resets = [] }
   in
-  (* Time 0: full routing computation, no emissions. *)
-  for p = 0 to n_pfx - 1 do
-    let outcome, ver = outcome_for st p in
-    st.seen_version.(p) <- ver;
-    for s_idx = 0 to Array.length sessions - 1 do
-      let peer_id = st.peer_ids.(s_idx) in
-      if Propagate.class_code_at_id outcome peer_id >= st.vis_threshold.(s_idx)
-      then
-        st.current.(p).(s_idx) <- Propagate.route_at_id outcome peer_id
-    done
-  done;
-  (* The time-0 tables, read off [current]: one linear [filter_map] per
-     session over a prefix -> indices map built once, instead of a
-     path-copying [add] per visible (session, prefix). Where a prefix is
-     announced twice, the latest announcement visible at the session
-     wins. *)
-  let index = ref Prefix.Map.empty in
-  Array.iteri
-    (fun p pfx ->
-       index :=
-         Prefix.Map.update pfx
-           (fun ps -> Some (p :: Option.value ~default:[] ps))
-           !index)
-    pfxs;
-  let initial = ref Update.Session_map.empty in
-  Array.iteri
-    (fun s_idx (session : Collector.session) ->
-       let table =
-         Prefix.Map.filter_map
-           (fun _ ps -> List.find_map (fun p -> st.current.(p).(s_idx)) ps)
-           !index
-       in
-       if not (Prefix.Map.is_empty table) then
-         initial :=
-           Update.Session_map.update session.Collector.id
-             (function
-               | None -> Some table
-               | Some earlier ->
-                   Some (Prefix.Map.union (fun _ _ r -> Some r) earlier table))
-             !initial)
-    sessions;
-  on_initial !initial;
+  let initial =
+    match memo with
+    | Some m ->
+        st.n_full_recomp <- m.t0_full;
+        st.n_delta_steps <- m.t0_steps;
+        st.n_delta_stop <- m.t0_stop;
+        Array.iter
+          (fun f -> Metrics.observe m_delta_frontier (float_of_int f))
+          m.t0_frontiers;
+        m.t0_initial
+    | None ->
+        Span.with_ ~name:"dynamics.time0" @@ fun () ->
+        let initial, frontiers = route_time0 st in
+        (* Published by compare-and-set: a run that loses the race to
+           another domain computed an equal memo and keeps its own. *)
+        if cfg.delta then
+          ignore
+            (Atomic.compare_and_set w.time0 None
+               (Some
+                  { t0_current = Array.map Array.copy st.current;
+                    t0_initial = initial;
+                    t0_full = st.n_full_recomp;
+                    t0_steps = st.n_delta_steps;
+                    t0_stop = st.n_delta_stop;
+                    t0_frontiers = Array.of_list frontiers;
+                    t0_ann = st.t0_ann }));
+        initial
+  in
+  on_initial initial;
   (* Pre-generate the independent event processes. *)
   for p = 0 to n_pfx - 1 do
     let rate = cfg.base_churn_rate *. rate_multiplier.(p) in
@@ -722,7 +812,7 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
   Metrics.add m_delta_steps st.n_delta_steps;
   Metrics.add m_delta_stop st.n_delta_stop;
   Metrics.add m_dropped st.n_dropped;
-  ( !initial,
+  ( initial,
     { churn_events = st.n_churn;
       resets_injected = List.rev st.resets;
       updates_emitted = st.n_updates;

@@ -68,18 +68,45 @@ val default_config : config
 val short_config : config
 (** A 2-day run for tests and examples. *)
 
-type world = {
+type initial = Route.t Prefix.Map.t Update.Session_map.t
+(** Per session: the table at time 0 — the paper's "first path used at the
+    beginning of the month" baseline. *)
+
+type time0
+(** A world's time-0 memo. Time 0 draws no random number and depends only
+    on the world (graph, announced prefixes, collector sessions), so the
+    first [delta] run on a world publishes what it produced and every later
+    one reads it instead of routing time 0 again. The memo holds:
+    - the time-0 route of every (prefix, session), which a run copies into
+      its own working table;
+    - the {!initial} tables, shared (they are immutable);
+    - the time-0 counts: full rebuilds, prefix-swap delta steps and their
+      [dynamics.delta_frontier] observations, which a run adds to its
+      {!stats} and replays into the registry;
+    - per origin, the prefix whose announcement time 0 left in its state.
+
+    It keeps no {!Propagate.Delta} state and no route words: a run creates
+    an origin's state when a perturbation first asks for it, rebuilt at its
+    time-0 configuration (no failed link, prepend 0, that announcement),
+    then applies the request. So {!stats}, the registry and every emitted
+    update are the same whether a run filled the memo or read it. Runs
+    with [delta = false] neither read nor fill it. *)
+
+type world = private {
   graph : As_graph.t;
   indexed : As_graph.Indexed.t;
   addressing : Addressing.t;
   collectors : Collector.t list;
+  time0 : time0 option Atomic.t;
+      (** empty until the first [delta] run on this world; filled once, by
+          compare-and-set, so runs on several domains may race to fill it
+          and the losers keep their own, equal result *)
 }
+(** Private: {!make_world} is the only constructor, so no two worlds with
+    different sessions ever share a memo. *)
 
 val make_world : As_graph.t -> Addressing.t -> Collector.t list -> world
-
-type initial = Route.t Prefix.Map.t Update.Session_map.t
-(** Per session: the table at time 0 — the paper's "first path used at the
-    beginning of the month" baseline. *)
+(** A world with an empty time-0 memo. *)
 
 type stats = {
   churn_events : int;
@@ -90,7 +117,9 @@ type stats = {
   withdraws : int;
   full_recomputations : int;
       (** full propagation runs: one delta cold start per origin and
-          any bails, or every request when [delta] is off. Delta
+          any bails, or every request when [delta] is off. A run that
+          read time 0 from the world's memo counts time 0's cold starts
+          as if it had done them, not the rebuilds it does lazily. Delta
           steps are deliberately {e not} counted here — AB tables
           comparing engines would otherwise lie.
           [full_recomputations + delta_steps] = outcome requests *)
@@ -126,4 +155,5 @@ val run :
     [session_churn] is set (the measurement feed passes the scenario's
     "trace-churn" stream; defaults to a split of [rng]) —
     a dedicated stream, so enabling trace churn never re-times the
-    Poisson processes. *)
+    Poisson processes. With [delta], the time-0 tables come from the
+    world's memo ({!time0}) once a run has filled it. *)

@@ -602,12 +602,11 @@ module Delta = struct
     | Full_rebuild
     | Steps of { links_applied : int; frontier : int; stop_early : int }
 
-  (* Global across states, so no two states ever share a version. *)
-  let version_counter = ref 0
+  (* Global across states, so no two states ever share a version, and
+     atomic: runs on several domains draw from it at once. *)
+  let version_counter = Atomic.make 0
 
-  let fresh_version () =
-    incr version_counter;
-    !version_counter
+  let fresh_version () = Atomic.fetch_and_add version_counter 1 + 1
 
   let create graph =
     check_graph graph;

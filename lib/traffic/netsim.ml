@@ -30,7 +30,9 @@ type timing = {
 type link_dir = {
   dst : node;
   timing : timing;
-  mutable tap : (float -> packet -> unit) option;
+  mutable tap : (t -> packet -> unit) option;
+      (* called with the simulator, not the time: a float passed to an
+         unknown closure would be boxed on every tapped packet *)
   mutable packets : packet array;
   mutable arrivals : Float.Array.t;
   mutable seqs : int array;
@@ -137,7 +139,7 @@ let grow_ring l =
 let send t ~from ~to_ packet =
   let l = get_link t from to_ in
   (match l.tap with
-   | Some tap -> tap t.clock.now packet
+   | Some tap -> tap t packet
    | None -> ());
   let tm = l.timing in
   if Rng.float t.rng 1.0 >= tm.loss then begin

@@ -105,10 +105,10 @@ let build ~rng profile =
   add_link exit server profile.exit_server;
   let g2c = Trace.create () and c2g = Trace.create () in
   let s2e = Trace.create () and e2s = Trace.create () in
-  Netsim.set_tap net ~from:guard ~to_:client (Trace.tap g2c);
-  Netsim.set_tap net ~from:client ~to_:guard (Trace.tap c2g);
-  Netsim.set_tap net ~from:server ~to_:exit (Trace.tap s2e);
-  Netsim.set_tap net ~from:exit ~to_:server (Trace.tap e2s);
+  Netsim.set_tap net ~from:guard ~to_:client (Trace.observe g2c);
+  Netsim.set_tap net ~from:client ~to_:guard (Trace.observe c2g);
+  Netsim.set_tap net ~from:server ~to_:exit (Trace.observe s2e);
+  Netsim.set_tap net ~from:exit ~to_:server (Trace.observe e2s);
   let ep_client = Tcp.attach net client (ip 0) in
   let ep_guard = Tcp.attach net guard (ip 1) in
   let ep_middle = Tcp.attach net middle (ip 2) in

@@ -32,7 +32,7 @@ let grow t =
   t.acks <- ints t.acks;
   t.payloads <- ints t.payloads
 
-let tap t time (p : Netsim.packet) =
+let[@inline] tap t time (p : Netsim.packet) =
   if t.n = Array.length t.seqs then grow t;
   let i = t.n in
   Float.Array.set t.times i time;
@@ -40,6 +40,9 @@ let tap t time (p : Netsim.packet) =
   t.acks.(i) <- p.Netsim.ack;
   t.payloads.(i) <- p.Netsim.payload;
   t.n <- i + 1
+
+(* [tap] is inlined here, so the time is read and stored unboxed. *)
+let observe t net p = tap t (Netsim.now net) p
 
 let observations t =
   List.init t.n (fun i ->

@@ -21,8 +21,12 @@ type t
 val create : unit -> t
 
 val tap : t -> float -> Netsim.packet -> unit
-(** Use as a {!Netsim.set_tap} observer:
-    [Netsim.set_tap net ~from ~to_ (Trace.tap trace)]. *)
+(** [tap t time p] records [p] as seen at [time]. *)
+
+val observe : t -> Netsim.t -> Netsim.packet -> unit
+(** Records a packet at the simulator's current time, allocating nothing
+    until the arrays double. Use as a {!Netsim.set_tap} observer:
+    [Netsim.set_tap net ~from ~to_ (Trace.observe trace)]. *)
 
 val observations : t -> obs list
 (** In capture order (time-sorted by construction); a fresh list on every

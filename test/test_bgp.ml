@@ -747,6 +747,28 @@ let prop_mrt_roundtrip =
            List.equal Prefix.equal nlri u.nlri
        | _ -> false)
 
+(* Versions are drawn from one process-wide counter. Four domains
+   creating states at once must still get pairwise distinct stamps: a
+   reissued stamp could make a caller skip a per-session scan whose
+   routes changed. *)
+let test_delta_versions_distinct_across_domains () =
+  let ix = pair_graph [ 1; 2; 3 ] in
+  let per_domain = 50_000 in
+  let stamps =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Array.init per_domain (fun _ ->
+                Propagate.Delta.version (Propagate.Delta.create ix))))
+    |> List.map Domain.join
+    |> Array.concat
+  in
+  Array.sort Int.compare stamps;
+  let distinct = ref (if Array.length stamps > 0 then 1 else 0) in
+  for i = 1 to Array.length stamps - 1 do
+    if stamps.(i) <> stamps.(i - 1) then incr distinct
+  done;
+  check_int "every stamp distinct" (4 * per_domain) !distinct
+
 let small_world seed =
   let rng = Rng.of_int seed in
   let g = Topo_gen.generate ~rng:(Rng.split rng) Topo_gen.small_params in
@@ -1288,7 +1310,9 @@ let () =
          Alcotest.test_case "restore class-up/len-up re-selects dependents"
            `Quick test_delta_restore_class_up_len_up;
          Alcotest.test_case "unsupported shapes fall back" `Quick
-           test_delta_unsupported_falls_back ]
+           test_delta_unsupported_falls_back;
+         Alcotest.test_case "versions distinct across domains" `Quick
+           test_delta_versions_distinct_across_domains ]
        @ qsuite [ prop_delta_equals_full; prop_delta_frontier_covers_changes ]);
       ("mrt",
        [ Alcotest.test_case "roundtrip" `Quick test_mrt_roundtrip;

@@ -905,6 +905,126 @@ let prop_acc_naive_oracle =
            && sorted_runs cell.Measurement.contiguous = int_runs contiguous
        | Some _, None | None, Some _ -> false)
 
+(* ---- Dynamics: time 0 once per world --------------------------------- *)
+
+(* The registry's [dynamics.*] cells as integers: every counter, and the
+   frontier histogram's count, sum and bucket counts. *)
+let dynamics_registry () =
+  List.concat_map
+    (fun (sample : Metrics.sample) ->
+       if not (String.starts_with ~prefix:"dynamics." sample.Metrics.name)
+       then []
+       else
+         match sample.Metrics.value with
+         | Metrics.Counter_v n -> [ (sample.Metrics.name, n) ]
+         | Metrics.Hist_v h ->
+             (sample.Metrics.name ^ ".count", h.Metrics.count)
+             :: (sample.Metrics.name ^ ".sum", int_of_float h.Metrics.sum)
+             :: Array.to_list
+                  (Array.mapi
+                     (fun i (_, c) ->
+                        (Printf.sprintf "%s.bucket%d" sample.Metrics.name i, c))
+                     h.Metrics.buckets)
+         | Metrics.Gauge_v _ -> [])
+    (Metrics.snapshot ())
+
+(* One run on [s]'s world with the measurement streams: what it emitted,
+   its time-0 tables, its stats, its registry deltas, and whether it
+   routed time 0 itself (a [dynamics.time0] span). *)
+let time0_run cfg (s : Scenario.t) =
+  let before = dynamics_registry () in
+  let updates = ref [] in
+  Span.reset ();
+  Span.set_enabled true;
+  let initial, stats =
+    Fun.protect ~finally:(fun () -> Span.set_enabled false) @@ fun () ->
+    Dynamics.run ~rng:(Scenario.rng_for s "measurement")
+      ~trace_rng:(Scenario.rng_for s "trace-churn") cfg s.Scenario.world
+      ~emit:(fun u -> updates := u :: !updates)
+  in
+  let routed_time0 =
+    List.exists (fun (sp : Span.t) -> sp.Span.name = "dynamics.time0")
+      (Span.drain ())
+  in
+  let deltas =
+    List.map2 (fun (n, b) (_, a) -> (n, a - b)) before (dynamics_registry ())
+  in
+  (List.rev !updates, initial, stats, deltas, routed_time0)
+
+let same_initial =
+  Update.Session_map.equal (Prefix.Map.equal Route.equal)
+
+let check_same_run what (u, i, st, _, _) (u', i', st', _, _) =
+  check_bool (what ^ ": same updates") true (List.equal ( = ) u u');
+  check_bool (what ^ ": same initial tables") true (same_initial i i');
+  check_bool (what ^ ": same stats") true (st = st')
+
+(* A run that reads time 0 from the world's memo emits, returns and
+   reports exactly what the run that filled it did, and what a run on a
+   freshly built world does. *)
+let test_time0_warm_equals_cold () =
+  List.iter
+    (fun (what, cfg) ->
+       let s = Scenario.build ~seed:1 Scenario.Small in
+       let cold = time0_run cfg s in
+       let warm = time0_run cfg s in
+       let fresh = time0_run cfg (Scenario.build ~seed:1 Scenario.Small) in
+       let routed (_, _, _, _, r) = r and deltas (_, _, _, d, _) = d in
+       check_bool (what ^ ": the first run routes time 0") true (routed cold);
+       check_bool (what ^ ": a second run reads the memo") false (routed warm);
+       check_same_run (what ^ ": warm vs cold") cold warm;
+       check_same_run (what ^ ": fresh world vs cold") cold fresh;
+       List.iter2
+         (fun (n, c) (_, w) ->
+            check_int (Printf.sprintf "%s: registry %s warm = cold" what n) c w)
+         (deltas cold) (deltas warm);
+       check_bool (what ^ ": delta frontiers observed") true
+         (List.assoc "dynamics.delta_frontier.count" (deltas cold) > 0))
+    [ ("short", Dynamics.short_config);
+      ("global links",
+       { Dynamics.short_config with Dynamics.global_link_events = 8 });
+      ("session churn",
+       { Dynamics.short_config with
+         Dynamics.session_churn = Some Churn.pareto_day }) ]
+
+(* Four runs race to fill one world's memo: each keeps its own result,
+   equal to a serial run's. *)
+let test_time0_concurrent_cold_runs () =
+  let serial =
+    time0_run tiny_dynamics (Scenario.build ~seed:1 Scenario.Small)
+  in
+  let s = Scenario.build ~seed:1 Scenario.Small in
+  let runs =
+    Pool.with_pool ~jobs:4 (fun exec ->
+        Pool.map ~chunk:1 exec
+          (fun _ ->
+             let updates = ref [] in
+             let initial, stats =
+               Dynamics.run ~rng:(Scenario.rng_for s "measurement")
+                 ~trace_rng:(Scenario.rng_for s "trace-churn") tiny_dynamics
+                 s.Scenario.world ~emit:(fun u -> updates := u :: !updates)
+             in
+             (List.rev !updates, initial, stats, [], false))
+          (Array.init 4 Fun.id))
+  in
+  Array.iteri
+    (fun k run -> check_same_run (Printf.sprintf "run %d vs serial" k) serial run)
+    runs;
+  check_same_run "a later run vs serial" serial (time0_run tiny_dynamics s)
+
+(* The reference arm neither reads nor fills the memo. *)
+let test_time0_reference_arm_untouched () =
+  let s = Scenario.build ~seed:1 Scenario.Small in
+  let memo () = Atomic.get s.Scenario.world.Dynamics.time0 in
+  let off = { tiny_dynamics with Dynamics.delta = false } in
+  let _, _, _, _, routed = time0_run off s in
+  check_bool "delta = false routes time 0" true routed;
+  check_bool "delta = false leaves the memo empty" true (Option.is_none (memo ()));
+  ignore (time0_run tiny_dynamics s);
+  check_bool "a delta run fills it" true (Option.is_some (memo ()));
+  let _, _, _, _, routed = time0_run off s in
+  check_bool "delta = false still routes time 0 itself" true routed
+
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
 let () =
@@ -962,6 +1082,13 @@ let () =
            test_long_term_routes_by_origin;
          Alcotest.test_case "X3 convergence leak" `Quick test_convergence_leak;
          Alcotest.test_case "GI guard inference" `Quick test_guard_inference ]);
+      ("time-0 memo",
+       [ Alcotest.test_case "warm = cold = fresh world" `Quick
+           test_time0_warm_equals_cold;
+         Alcotest.test_case "concurrent cold runs" `Quick
+           test_time0_concurrent_cold_runs;
+         Alcotest.test_case "reference arm untouched" `Quick
+           test_time0_reference_arm_untouched ]);
       ("parallel determinism",
        [ Alcotest.test_case "F3L jobs identity" `Quick
            test_path_changes_jobs_identical;

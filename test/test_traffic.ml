@@ -63,6 +63,34 @@ let test_netsim_tap_sees_everything () =
   Netsim.run net;
   check_int "tap sees all despite loss" 10 !tapped
 
+(* A tap is passed the simulator, not a float time, so tapping a link
+   adds no allocation to its sends: the time a [Trace] records is read
+   and stored unboxed. *)
+let test_netsim_tap_allocates_nothing () =
+  let words ~tapped =
+    let net = Netsim.create ~rng:(Rng.of_int 6) () in
+    let a = Netsim.add_node net and b = Netsim.add_node net in
+    Netsim.link net a b ~latency:0.001 ~jitter:0.002 ();
+    let trace = Trace.create () in
+    if tapped then Netsim.set_tap net ~from:a ~to_:b (Trace.observe trace);
+    let p = mk_packet "10.0.0.1" "10.0.0.2" in
+    let burst n =
+      for _ = 1 to n do Netsim.send net ~from:a ~to_:b p done;
+      Netsim.run net
+    in
+    (* Grows the link's ring and the trace's arrays to 2 048 slots, so
+       the counted burst below fits without growing either. *)
+    burst 1100;
+    let before = Gc.minor_words () in
+    burst 900;
+    let w = Gc.minor_words () -. before in
+    check_int "trace length" (if tapped then 2000 else 0) (Trace.length trace);
+    w
+  in
+  let untapped = words ~tapped:false in
+  Alcotest.(check (float 0.)) "tapped sends allocate as untapped ones"
+    untapped (words ~tapped:true)
+
 let test_netsim_timers () =
   let net = Netsim.create ~rng:(Rng.of_int 5) () in
   let fired = ref [] in
@@ -621,6 +649,8 @@ let () =
          Alcotest.test_case "fifo no reorder" `Quick test_netsim_fifo_no_reorder;
          Alcotest.test_case "loss" `Quick test_netsim_loss;
          Alcotest.test_case "tap before loss" `Quick test_netsim_tap_sees_everything;
+         Alcotest.test_case "tap allocates nothing" `Quick
+           test_netsim_tap_allocates_nothing;
          Alcotest.test_case "timers" `Quick test_netsim_timers;
          Alcotest.test_case "timer re-arm and cancel" `Quick
            test_netsim_timer_rearm_and_cancel;
