@@ -605,8 +605,14 @@ let () =
         mean_outage = 5.;
         mean_global_outage = 5. }
     in
+    (* A fresh world per run: its time-0 memo starts empty, so every row
+       routes time 0 (the full arm cannot read the memo anyway). *)
     let dyn_day cfg () =
-      Dynamics.run ~rng:(Rng.of_int 11) cfg small.Scenario.world ~emit:ignore
+      let world =
+        Dynamics.make_world small.Scenario.graph small.Scenario.addressing
+          small.Scenario.collectors
+      in
+      Dynamics.run ~rng:(Rng.of_int 11) cfg world ~emit:ignore
     in
     let dyn_tests =
       Test.make_grouped ~name:"quicksand"

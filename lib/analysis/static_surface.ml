@@ -1,9 +1,3 @@
-let m_closures = Metrics.counter ~help:"valley-free closures computed" "surface.closures"
-let m_pairs = Metrics.counter ~help:"(client, guard) pairs evaluated" "surface.pairs"
-
-let m_adversaries =
-  Metrics.counter ~help:"candidate adversaries evaluated" "surface.adversaries"
-
 type t = {
   reach : Reach.t;
   cache : Reach.closure Asn.Table.t;
@@ -16,7 +10,7 @@ let closure t a =
   | Some c -> c
   | None ->
       let c = Reach.compute t.reach a in
-      Metrics.incr m_closures;
+      Metrics.incr Manifest.surface_closures;
       Asn.Table.add t.cache a c;
       c
 
@@ -56,8 +50,8 @@ type feasibility = {
 }
 
 let feasibility t ~pairs adversary =
-  Metrics.incr m_adversaries;
-  Metrics.add m_pairs (List.length pairs);
+  Metrics.incr Manifest.surface_adversaries;
+  Metrics.add Manifest.surface_pairs (List.length pairs);
   (* The return-path leg of interception does not depend on the pair, so
      hoist it out of the per-pair loop. *)
   let returnable victim = can_hear t ~listener:adversary ~origin:victim in

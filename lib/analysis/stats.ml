@@ -30,9 +30,3 @@ let minimum xs = List.fold_left Float.min infinity (check xs)
 let maximum xs = List.fold_left Float.max neg_infinity (check xs)
 
 let of_ints = List.map float_of_int
-
-let summary xs =
-  let xs = check xs in
-  Printf.sprintf "n=%d mean=%.3g p50=%.3g p75=%.3g p95=%.3g max=%.3g"
-    (List.length xs) (mean xs) (median xs) (percentile xs 75.)
-    (percentile xs 95.) (maximum xs)

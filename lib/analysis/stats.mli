@@ -15,6 +15,3 @@ val minimum : float list -> float
 val maximum : float list -> float
 
 val of_ints : int list -> float list
-
-val summary : float list -> string
-(** "n=… mean=… p50=… p75=… p95=… max=…" — for logs and reports. *)

@@ -158,10 +158,6 @@ let observe t (u : Update.t) =
       learn b route;
       List.rev out
 
-let alarms t = List.rev t.raised
-
-let watched t p = Prefix.Table.mem t.baselines p
-
 let suspicious t ?(since = neg_infinity) p =
   List.exists
     (fun (q, time) -> time >= since && (Prefix.equal p q || Prefix.overlaps p q))

@@ -42,12 +42,6 @@ val observe : t -> Update.t -> alarm list
     An anomaly keeps a per-(prefix, kind) cool-down so one event does not
     raise hundreds of identical alarms across sessions. *)
 
-val alarms : t -> alarm list
-(** All alarms raised so far, oldest first. *)
-
-val watched : t -> Prefix.t -> bool
-(** Has the monitor learned a baseline for this prefix? *)
-
 val suspicious : t -> ?since:float -> Prefix.t -> bool
 (** Has this prefix (or a covering one) an alarm at/after [since]
     (default: any time)? This is what relay selection consults. *)

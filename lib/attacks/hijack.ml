@@ -6,9 +6,6 @@ type t = {
   capture_fraction : float;
 }
 
-let m_runs =
-  Metrics.counter ~help:"hijack propagations simulated" "attack.hijack.runs"
-
 let build outcome ~victim ~attacker ~attacker_index =
   let captured = Propagate.captured outcome attacker_index in
   let routed = Propagate.routed_count outcome in
@@ -22,7 +19,7 @@ let same_prefix graph ?failed ?rov ~victim ~attacker () =
   let victim_origin = victim.Announcement.origin in
   if Asn.equal attacker victim_origin then
     invalid_arg "Hijack.same_prefix: attacker is the victim";
-  Metrics.incr m_runs;
+  Metrics.incr Manifest.attack_hijack_runs;
   let bogus = Announcement.originate attacker victim.Announcement.prefix in
   let outcome = Propagate.compute graph ?failed ?rov [ victim; bogus ] in
   build outcome ~victim:victim_origin ~attacker ~attacker_index:1
@@ -34,7 +31,7 @@ let more_specific graph ?failed ?rov ~victim ~attacker ~sub () =
   if not (Prefix.subsumes victim.Announcement.prefix sub)
      || Prefix.equal victim.Announcement.prefix sub
   then invalid_arg "Hijack.more_specific: sub must be strictly inside the victim prefix";
-  Metrics.incr m_runs;
+  Metrics.incr Manifest.attack_hijack_runs;
   (* The more-specific travels on its own; anyone who hears it prefers it
      by longest-prefix match, whatever the AS path looks like. *)
   let bogus = Announcement.originate attacker sub in

@@ -50,15 +50,11 @@ let summarize graph outcome ~victim_origin ~attacker =
     feasible = Option.is_some return_path && nontrivial;
     return_path = (if nontrivial then return_path else None) }
 
-let m_runs =
-  Metrics.counter ~help:"interception attempts simulated"
-    "attack.interception.runs"
-
 let run graph ?failed ?rov ?scope ~victim ~attacker () =
   let victim_origin = victim.Announcement.origin in
   if Asn.equal attacker victim_origin then
     invalid_arg "Interception.run: attacker is the victim";
-  Metrics.incr m_runs;
+  Metrics.incr Manifest.attack_interception_runs;
   let base_bogus =
     Announcement.originate attacker victim.Announcement.prefix
     |> Announcement.with_fake_suffix [ victim_origin ]

@@ -94,27 +94,6 @@ let make_world graph addressing collectors =
   { graph; indexed = As_graph.Indexed.of_graph graph; addressing; collectors;
     time0 = Atomic.make None }
 
-(* Registry mirrors of [stats], bulk-added once per [run] so a process
-   that drives several dynamics runs accumulates across them.  The
-   regression suite pins these against the returned record. *)
-let m_churn = Metrics.counter ~help:"churn events applied" "dynamics.churn_events"
-let m_updates = Metrics.counter ~help:"updates emitted" "dynamics.updates_emitted"
-let m_ann = Metrics.counter ~help:"announcements emitted" "dynamics.announces"
-let m_wd = Metrics.counter ~help:"withdrawals emitted" "dynamics.withdraws"
-let m_full_recomp =
-  Metrics.counter ~help:"full route recomputations" "dynamics.full_recomputations"
-let m_delta_steps =
-  Metrics.counter ~help:"incremental delta repairs" "dynamics.delta_steps"
-let m_delta_stop =
-  Metrics.counter ~help:"delta link repairs proven no-ops"
-    "dynamics.delta_stop_early"
-let m_delta_frontier =
-  Metrics.histogram ~help:"ASes touched per delta step"
-    ~buckets:[| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024.;
-                2048.; 4096. |]
-    "dynamics.delta_frontier"
-let m_dropped = Metrics.counter ~help:"updates dropped past horizon" "dynamics.post_horizon_dropped"
-
 type stats = {
   churn_events : int;
   resets_injected : (Update.session_id * float * float) list;
@@ -297,7 +276,8 @@ let outcome_for st p =
      | Propagate.Delta.Steps { frontier; stop_early; _ } ->
          st.n_delta_steps <- st.n_delta_steps + 1;
          st.n_delta_stop <- st.n_delta_stop + stop_early;
-         Metrics.observe m_delta_frontier (float_of_int frontier);
+         Metrics.observe Manifest.dynamics_delta_frontier
+           (float_of_int frontier);
          Option.iter
            (fun l -> st.t0_frontiers <- Some (frontier :: l))
            st.t0_frontiers);
@@ -704,7 +684,8 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
         st.n_delta_steps <- m.t0_steps;
         st.n_delta_stop <- m.t0_stop;
         Array.iter
-          (fun f -> Metrics.observe m_delta_frontier (float_of_int f))
+          (fun f ->
+             Metrics.observe Manifest.dynamics_delta_frontier (float_of_int f))
           m.t0_frontiers;
         m.t0_initial
     | None ->
@@ -804,14 +785,14 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
      past it). Emit only up to [duration]; count the rest as dropped. *)
   drain st cfg.duration;
   st.n_dropped <- st.n_dropped + Pqueue.length st.outq;
-  Metrics.add m_churn st.n_churn;
-  Metrics.add m_updates st.n_updates;
-  Metrics.add m_ann st.n_ann;
-  Metrics.add m_wd st.n_wd;
-  Metrics.add m_full_recomp st.n_full_recomp;
-  Metrics.add m_delta_steps st.n_delta_steps;
-  Metrics.add m_delta_stop st.n_delta_stop;
-  Metrics.add m_dropped st.n_dropped;
+  Metrics.add Manifest.dynamics_churn_events st.n_churn;
+  Metrics.add Manifest.dynamics_updates_emitted st.n_updates;
+  Metrics.add Manifest.dynamics_announces st.n_ann;
+  Metrics.add Manifest.dynamics_withdraws st.n_wd;
+  Metrics.add Manifest.dynamics_full_recomputations st.n_full_recomp;
+  Metrics.add Manifest.dynamics_delta_steps st.n_delta_steps;
+  Metrics.add Manifest.dynamics_delta_stop_early st.n_delta_stop;
+  Metrics.add Manifest.dynamics_post_horizon_dropped st.n_dropped;
   ( initial,
     { churn_events = st.n_churn;
       resets_injected = List.rev st.resets;

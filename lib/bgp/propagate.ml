@@ -111,8 +111,6 @@ type t = {
   rov_deployers : Asn.Set.t;  (* ASes that drop RPKI-invalid routes *)
 }
 
-let prefix t = t.pfx
-
 let rec last_exn = function
   | [ x ] -> x
   | _ :: rest -> last_exn rest
@@ -463,6 +461,11 @@ let forwarding_path t a =
       in
       Some (walk i [])
   | Some _ | None -> None
+
+let forwarding_set t a =
+  match forwarding_path t a with
+  | Some walk -> Asn.Set.of_list walk
+  | None -> Asn.Set.empty
 
 let class_code_at_id t i = cls_of t.word.(i)
 

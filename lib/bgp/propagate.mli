@@ -82,8 +82,6 @@ val compute :
     2{^20} - 2 ASes, a claimed path whose length plus the graph size
     exceeds 2{^20} - 1, or more than 2{^19} announcements. *)
 
-val prefix : t -> Prefix.t
-
 val has_route : t -> Asn.t -> bool
 
 val route_at : t -> Asn.t -> Route.t option
@@ -123,6 +121,9 @@ val forwarding_path : t -> Asn.t -> Asn.t list option
     wherever its route terminates: [a] first, terminating origin last (with
     no prepending repetitions — this is the actual AS-level forwarding
     walk, not the control-plane path). [None] if no route. *)
+
+val forwarding_set : t -> Asn.t -> Asn.Set.t
+(** The ASes of {!forwarding_path} as a set; empty if no route. *)
 
 val route_class_at : t -> Asn.t -> [ `Origin | `Customer | `Peer | `Provider ] option
 (** How the AS learned its selected route; drives collector feed

@@ -6,11 +6,6 @@ type roa = {
 
 type validity = Valid | Invalid | Not_found
 
-let validity_to_string = function
-  | Valid -> "valid"
-  | Invalid -> "invalid"
-  | Not_found -> "not-found"
-
 type t = { roas : roa list Prefix_trie.t; count : int }
 
 let empty = { roas = Prefix_trie.empty; count = 0 }

@@ -24,8 +24,6 @@ type roa = {
 
 type validity = Valid | Invalid | Not_found
 
-val validity_to_string : validity -> string
-
 type t
 
 val empty : t

@@ -16,13 +16,6 @@ type stats = {
   bursts : (Update.session_id * float * float) list;
 }
 
-(* Registry mirrors of the filter's accounting; the regression suite
-   pins them against [stats] (pushed = passed + dropped + buffered). *)
-let m_pushed = Metrics.counter ~help:"updates entering the filter" "session_reset.pushed"
-let m_passed = Metrics.counter ~help:"updates emitted by the filter" "session_reset.passed"
-let m_dropped = Metrics.counter ~help:"updates dropped as table transfer" "session_reset.dropped"
-let m_bursts = Metrics.counter ~help:"table-transfer bursts detected" "session_reset.bursts"
-
 type session_state = {
   id : Update.session_id;
   table : unit Prefix.Table.t;          (* prefixes ever seen on the session *)
@@ -119,7 +112,7 @@ let release t horizon =
       |> List.iter (fun u ->
           t.emit u;
           t.passed <- t.passed + 1;
-          Metrics.incr m_passed)
+          Metrics.incr Manifest.session_reset_passed)
 
 let advance t now = release t (now -. t.config.window)
 
@@ -131,14 +124,14 @@ let burst_threshold t s =
 let drop_buffer t s =
   let n = Queue.length s.buffer in
   t.dropped <- t.dropped + n;
-  Metrics.add m_dropped n;
+  Metrics.add Manifest.session_reset_dropped n;
   s.stale <- s.stale + n;
   Queue.clear s.buffer;
   Prefix.Table.reset s.window_prefixes
 
 let push t u =
   t.pushed <- t.pushed + 1;
-  Metrics.incr m_pushed;
+  Metrics.incr Manifest.session_reset_pushed;
   let now = u.Update.time in
   advance t now;
   let s = state t u.Update.session in
@@ -147,12 +140,12 @@ let push t u =
     if now -. s.last_time > t.config.quiet_gap then begin
       (* Transfer over; this update is the first normal one after it. *)
       t.bursts <- (s.id, s.burst_start, s.last_time) :: t.bursts;
-      Metrics.incr m_bursts;
+      Metrics.incr Manifest.session_reset_bursts;
       s.in_burst <- false;
       enqueue t s u
     end else begin
       t.dropped <- t.dropped + 1;
-      Metrics.incr m_dropped
+      Metrics.incr Manifest.session_reset_dropped
     end
   end else begin
     enqueue t s u;
@@ -173,7 +166,7 @@ let flush t =
   |> List.sort (fun a b -> Update.session_compare a.id b.id)
   |> List.iter (fun s ->
       t.bursts <- (s.id, s.burst_start, s.last_time) :: t.bursts;
-      Metrics.incr m_bursts;
+      Metrics.incr Manifest.session_reset_bursts;
       s.in_burst <- false);
   release t infinity
 

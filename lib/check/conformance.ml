@@ -174,11 +174,11 @@ let check_measurement (m : Measurement.t) =
               fs.Session_reset.buffered));
   List.rev !out
 
-let run ?dynamics ?filter ?no_filter ?extra_updates scenario =
+let run ?dynamics ?no_filter ?extra_updates scenario =
   let dcfg = Option.value ~default:Dynamics.default_config dynamics in
   let t = create ~duration:dcfg.Dynamics.duration () in
   let m =
-    Measurement.run ~dynamics:dcfg ?filter ?no_filter ?extra_updates
+    Measurement.run ~dynamics:dcfg ?no_filter ?extra_updates
       ~observe:(observe t) scenario
   in
   let violations =

@@ -57,7 +57,6 @@ val check_measurement : Measurement.t -> violation list
 
 val run :
   ?dynamics:Dynamics.config ->
-  ?filter:Session_reset.config ->
   ?no_filter:bool ->
   ?extra_updates:Update.t list ->
   Scenario.t -> Measurement.t * violation list * int

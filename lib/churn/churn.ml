@@ -92,9 +92,6 @@ type event = {
   action : action;
 }
 
-let m_events = Metrics.counter "churn.trace_events" ~help:"trace churn events generated"
-let m_entities = Metrics.counter "churn.trace_entities" ~help:"entities given trace churn sessions"
-
 let compare_event a b =
   match Float.compare a.time b.time with
   | 0 -> (
@@ -131,8 +128,8 @@ let generate ~rng config ~entities ~duration =
     done
   done;
   let sorted = List.stable_sort compare_event (List.rev !events) in
-  Metrics.add m_events (List.length sorted);
-  Metrics.add m_entities entities;
+  Metrics.add Manifest.churn_trace_events (List.length sorted);
+  Metrics.add Manifest.churn_trace_entities entities;
   sorted
 
 let to_string events =

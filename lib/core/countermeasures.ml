@@ -16,10 +16,7 @@ type selection_eval = {
 (* The AS set of the data-plane walk from [from_as] towards [ann]'s prefix
    under the given failure state. *)
 let segment_ases indexed ?failed ~from_as ann =
-  let outcome = Propagate.compute indexed ?failed [ ann ] in
-  match Propagate.forwarding_path outcome from_as with
-  | Some walk -> Asn.Set.of_list walk
-  | None -> Asn.Set.empty
+  Propagate.forwarding_set (Propagate.compute indexed ?failed [ ann ]) from_as
 
 (* Entry-segment exposure of a candidate guard: ASes on the client->guard
    walk in the healthy state plus under each failure variant — the

@@ -43,8 +43,6 @@ let consensus_part (scenario : Scenario.t) =
     per_session_tor_median = 0.;
     per_session_tor_max = 0 }
 
-let of_scenario = consensus_part
-
 let compute (m : Measurement.t) =
   let scenario = m.Measurement.scenario in
   let base = consensus_part scenario in

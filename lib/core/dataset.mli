@@ -27,9 +27,5 @@ val compute : Measurement.t -> t
 (** Uses the measurement's visibility data plus the scenario's consensus
     and Tor-prefix mapping. *)
 
-val of_scenario : Scenario.t -> t
-(** The consensus-only subset (visibility fields are 0) — cheap, no
-    measurement run needed. *)
-
 val print : Format.formatter -> t -> unit
 (** The T1 table, paper value vs measured, one row per statistic. *)

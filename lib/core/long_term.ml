@@ -70,11 +70,6 @@ let outcome_for pool ann variant =
       Hashtbl.replace cache key o;
       o
 
-let walk_set pool ann variant from_as =
-  match Propagate.forwarding_path (outcome_for pool ann variant) from_as with
-  | Some walk -> Asn.Set.of_list walk
-  | None -> Asn.Set.empty
-
 let draw_malicious ~rng ~f scenario =
   List.fold_left
     (fun acc a ->
@@ -130,8 +125,11 @@ let simulate_client ~rng ~config ~pool ~malicious ?living
     (match Scenario.guard_announcement scenario entry with
      | None -> ()
      | Some entry_ann ->
-         let entry_set = walk_set pool entry_ann variant client_as in
-         let exit_set = walk_set pool dest_ann variant exit.Relay.asn in
+         let walk_set ann from_as =
+           Propagate.forwarding_set (outcome_for pool ann variant) from_as
+         in
+         let entry_set = walk_set entry_ann client_as in
+         let exit_set = walk_set dest_ann exit.Relay.asn in
          exposed_total :=
            !exposed_total +. float_of_int (Asn.Set.cardinal entry_set);
          incr exposed_days;

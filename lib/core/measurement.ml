@@ -354,7 +354,7 @@ module Acc = struct
     | Some start -> Float.max closed (at -. start)
 end
 
-let feed ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
+let feed ?(dynamics = Dynamics.default_config) ?(no_filter = false)
     ?(extra_updates = []) ~baseline scenario consume =
   (* Merge the (time-sorted) attack updates into the stream. *)
   let pending_extra = ref extra_updates in
@@ -375,7 +375,7 @@ let feed ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
   in
   let filter_state =
     if no_filter then None
-    else Some (Session_reset.create ?config:filter ~emit:downstream ())
+    else Some (Session_reset.create ~emit:downstream ())
   in
   let emit =
     match filter_state with
@@ -412,16 +412,7 @@ let feed ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
   flush_extra_until infinity;
   (initial, dyn_stats, Option.map Session_reset.stats filter_state)
 
-(* Registry mirrors: one bulk add per [run], so counts are exact at any
-   worker count and accumulate across repeated measurements. *)
-let m_updates =
-  Metrics.counter ~help:"updates consumed by measurement" "measurement.updates"
-
-let m_cells =
-  Metrics.counter ~help:"(session, prefix) cells materialized"
-    "measurement.cells"
-
-let run ?(dynamics = Dynamics.default_config) ?filter ?no_filter
+let run ?(dynamics = Dynamics.default_config) ?no_filter
     ?extra_updates ?observe scenario =
   Span.with_ ~name:"measurement.run" @@ fun () ->
   let n_consumed = ref 0 in
@@ -441,7 +432,7 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?no_filter
     ignore (Acc.consume (get_acc key) u : Acc.event)
   in
   let initial, dyn_stats, filter_stats =
-    feed ~dynamics ?filter ?no_filter ?extra_updates
+    feed ~dynamics ?no_filter ?extra_updates
       ~baseline:(fun key set -> Acc.set_baseline (get_acc key) set)
       scenario consume
   in
@@ -467,8 +458,8 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?no_filter
              cell :: out)
       table []
   in
-  Metrics.add m_updates !n_consumed;
-  Metrics.add m_cells (List.length cells);
+  Metrics.add Manifest.measurement_updates !n_consumed;
+  Metrics.add Manifest.measurement_cells (List.length cells);
   { scenario; duration; initial; cells; dyn_stats; filter_stats; visibility;
     n_sessions = List.length (Scenario.sessions scenario) }
 

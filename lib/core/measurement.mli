@@ -128,7 +128,6 @@ type t = {
 
 val feed :
   ?dynamics:Dynamics.config ->
-  ?filter:Session_reset.config ->
   ?no_filter:bool ->
   ?extra_updates:Update.t list ->
   baseline:(key -> Asn.Set.t -> unit) ->
@@ -147,7 +146,6 @@ val feed :
 
 val run :
   ?dynamics:Dynamics.config ->
-  ?filter:Session_reset.config ->
   ?no_filter:bool ->
   ?extra_updates:Update.t list ->
   ?observe:(Update.t -> unit) ->

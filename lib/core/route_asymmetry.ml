@@ -16,10 +16,7 @@ type t = {
 }
 
 let walk_set indexed ann from_as =
-  let outcome = Propagate.compute indexed [ ann ] in
-  match Propagate.forwarding_path outcome from_as with
-  | Some walk -> Asn.Set.of_list walk
-  | None -> Asn.Set.empty
+  Propagate.forwarding_set (Propagate.compute indexed [ ann ]) from_as
 
 let compute ~rng ?(n_pairs = 40) ?(f = 0.05) (scenario : Scenario.t) =
   let indexed = scenario.Scenario.indexed in

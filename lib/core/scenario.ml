@@ -37,11 +37,9 @@ let client_candidates indexed addressing (consensus : Consensus.t) =
   in
   Array.of_list (collect (I.n indexed - 1) [])
 
-let m_builds = Metrics.counter ~help:"scenarios built" "scenario.builds"
-
 let build ~seed size =
   Span.with_ ~name:"scenario.build" @@ fun () ->
-  Metrics.incr m_builds;
+  Metrics.incr Manifest.scenario_builds;
   let rng = Rng.of_int seed in
   let topo_rng = Rng.split rng in
   let addr_rng = Rng.split rng in

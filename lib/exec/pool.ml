@@ -15,25 +15,6 @@
 
 let now = Clock.now
 
-(* Registry handles (see lib/obs), the pool's only report: counts are
-   exact and scheduling-independent — one [exec.sweeps] increment and one
-   observation per histogram per sweep — while the histogram sums carry
-   the wall-clock time. *)
-let m_sweeps = Metrics.counter ~help:"parallel sweeps submitted" "exec.sweeps"
-let m_chunks = Metrics.counter ~help:"chunks across all sweeps" "exec.chunks"
-let m_jobs = Metrics.gauge ~help:"width of the last pool created" "exec.jobs"
-
-let m_sweep_s =
-  Metrics.histogram ~help:"caller wall seconds per sweep" "exec.sweep_seconds"
-
-let m_busy_s =
-  Metrics.histogram ~help:"summed domain-busy seconds per sweep"
-    "exec.busy_seconds"
-
-let m_wait_s =
-  Metrics.histogram ~help:"summed worker-wait seconds per sweep"
-    "exec.wait_seconds"
-
 type job = {
   run_chunk : int -> unit;
   n_chunks : int;
@@ -135,7 +116,7 @@ let create ~jobs () =
       active_caller = Atomic.make (-1);
       err = Atomic.make None }
   in
-  Metrics.set m_jobs (float_of_int jobs);
+  Metrics.set Manifest.exec_jobs (float_of_int jobs);
   t.workers <- Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
   t
 
@@ -210,11 +191,13 @@ let run_job t ~n_chunks run_chunk =
     t.job <- None;
     Mutex.unlock t.m
   end;
-  Metrics.incr m_sweeps;
-  Metrics.add m_chunks n_chunks;
-  Metrics.observe m_sweep_s (now () -. started);
-  Metrics.observe m_busy_s (Float.max 0. (busy_total t -. busy0));
-  Metrics.observe m_wait_s (Float.max 0. (wait_total t -. wait0));
+  Metrics.incr Manifest.exec_sweeps;
+  Metrics.add Manifest.exec_chunks n_chunks;
+  Metrics.observe Manifest.exec_sweep_seconds (now () -. started);
+  Metrics.observe Manifest.exec_busy_seconds
+    (Float.max 0. (busy_total t -. busy0));
+  Metrics.observe Manifest.exec_wait_seconds
+    (Float.max 0. (wait_total t -. wait0));
   let failure = Atomic.get t.err in
   Atomic.set t.active_caller (-1);
   Mutex.unlock t.submit;

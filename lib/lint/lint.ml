@@ -1,6 +1,6 @@
 let all_rules =
   Routing_lint.rules @ Topology_lint.rules @ Addressing_lint.rules
-  @ Scenario_lint.rules @ Obs_lint.rules @ Surface_lint.rules
+  @ Scenario_lint.rules @ Surface_lint.rules
   @ Serve_lint.rules @ Sweep_lint.rules
 
 let find_rule selector =
@@ -65,7 +65,6 @@ let run ?rules ?(max_prefixes = 512) ?(determinism = true) ?exec
          @ Scenario_lint.check_parallel_fingerprint s
        else [])
   in
-  let obs = Obs_lint.check (Metrics.registrations ()) in
   (* Static-surface sweep over a deterministic evenly-spaced sample of
      plausible monitored pairs: stub client ASes hosting no relays,
      crossed with the guard-prefix origin ASes. Cheap (one cached closure
@@ -93,6 +92,6 @@ let run ?rules ?(max_prefixes = 512) ?(determinism = true) ?exec
   in
   let sweep = Sweep_lint.check () in
   let diags =
-    routing @ topology @ addressing @ scenario @ obs @ surface @ sweep
+    routing @ topology @ addressing @ scenario @ surface @ sweep
   in
   match rules with None -> diags | Some rules -> select ~rules diags

@@ -66,8 +66,6 @@ let nth p i =
   if i < 0 || i >= size p then invalid_arg "Prefix.nth: index out of range";
   Ipv4.add p.net i
 
-let default = { net = Ipv4.of_int_trunc 0; len = 0 }
-
 module Key = struct
   type nonrec t = t
   let compare = compare

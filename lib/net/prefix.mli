@@ -62,9 +62,6 @@ val nth : t -> int -> Ipv4.t
 (** [nth p i] is the [i]-th address of [p].
     @raise Invalid_argument if [i < 0 || i >= size p]. *)
 
-val default : t
-(** The default route [0.0.0.0/0]. *)
-
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 module Table : Hashtbl.S with type key = t

@@ -54,8 +54,6 @@ let rec find_at depth p t =
 
 let find p t = find_at 0 p t
 
-let mem p t = Option.is_some (find p t)
-
 let matches addr t =
   (* Walk the 32-bit path of [addr], collecting every stored value on the
      way; most specific first means deepest first. *)
@@ -94,8 +92,6 @@ let fold f t init =
         go (depth + 1) (bits lor (1 lsl (31 - depth))) one acc
   in
   go 0 0 t init
-
-let iter f t = fold (fun p v () -> f p v) t ()
 
 let cardinal t = fold (fun _ _ n -> n + 1) t 0
 

@@ -26,8 +26,6 @@ val remove : Prefix.t -> 'a t -> 'a t
 val find : Prefix.t -> 'a t -> 'a option
 (** Exact-match lookup. *)
 
-val mem : Prefix.t -> 'a t -> bool
-
 val longest_match : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
 (** [longest_match addr t] returns the most specific stored prefix
     containing [addr], with its value. *)
@@ -42,7 +40,6 @@ val covered : Prefix.t -> 'a t -> (Prefix.t * 'a) list
 val fold : (Prefix.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** In increasing {!Prefix.compare} order of keys. *)
 
-val iter : (Prefix.t -> 'a -> unit) -> 'a t -> unit
 val cardinal : 'a t -> int
 val to_list : 'a t -> (Prefix.t * 'a) list
 val of_list : (Prefix.t * 'a) list -> 'a t

@@ -4,10 +4,6 @@ let source = Atomic.make default
 
 let now () = (Atomic.get source) ()
 
-let set_source f = Atomic.set source f
-
-let reset () = Atomic.set source default
-
 let with_source f g =
   let old = Atomic.exchange source f in
   Fun.protect ~finally:(fun () -> Atomic.set source old) g

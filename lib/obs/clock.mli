@@ -11,12 +11,6 @@ val now : unit -> float
 (** Seconds since the epoch, from the current source (default:
     [Unix.gettimeofday]). *)
 
-val set_source : (unit -> float) -> unit
-(** Replace the clock source process-wide. Affects every domain. *)
-
-val reset : unit -> unit
-(** Restore the real wall clock. *)
-
 val with_source : (unit -> float) -> (unit -> 'a) -> 'a
 (** [with_source f g] runs [g] with [f] installed as the clock source and
     restores the previous source afterwards, whatever [g] does. *)

@@ -26,7 +26,6 @@ type cell = {
   local : shard Domain.DLS.key;
   g_value : Float.Array.t; (* one slot: a gauge's value, stored unboxed *)
   mutable g_set : bool; (* written since registration or [reset_all] *)
-  mutable regs : int;
 }
 
 type counter = cell
@@ -43,49 +42,32 @@ let enabled () = Atomic.get on
 let default_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.; 10.; 100. |]
 
-let kind_name = function
-  | Counter -> "counter"
-  | Gauge -> "gauge"
-  | Histogram -> "histogram"
-
 let locked f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let register ~kind ~bounds ?(help = "") name =
   locked (fun () ->
-      match Hashtbl.find_opt table name with
-      | Some c ->
-          if c.kind <> kind then
-            invalid_arg
-              (Printf.sprintf "Qs_obs.Metrics: %s already registered as a %s"
-                 name (kind_name c.kind));
-          if kind = Histogram && c.bounds <> bounds then
-            invalid_arg
-              (Printf.sprintf
-                 "Qs_obs.Metrics: %s already registered with other buckets"
-                 name);
-          c.regs <- c.regs + 1;
-          c
-      | None ->
-          let shards = ref [] in
-          (* Runs on a domain's first write to the cell, outside [mu]. *)
-          let local =
-            Domain.DLS.new_key (fun () ->
-                let s =
-                  { s_count = 0; s_sum = 0.; s_min = infinity;
-                    s_max = neg_infinity;
-                    s_buckets = Array.make (Array.length bounds + 1) 0 }
-                in
-                locked (fun () -> shards := s :: !shards);
-                s)
-          in
-          let c =
-            { name; help; kind; bounds; shards; local;
-              g_value = Float.Array.make 1 0.; g_set = false; regs = 1 }
-          in
-          Hashtbl.add table name c;
-          c)
+      if Hashtbl.mem table name then
+        invalid_arg ("Qs_obs.Metrics: " ^ name ^ " is already registered");
+      let shards = ref [] in
+      (* Runs on a domain's first write to the cell, outside [mu]. *)
+      let local =
+        Domain.DLS.new_key (fun () ->
+            let s =
+              { s_count = 0; s_sum = 0.; s_min = infinity;
+                s_max = neg_infinity;
+                s_buckets = Array.make (Array.length bounds + 1) 0 }
+            in
+            locked (fun () -> shards := s :: !shards);
+            s)
+      in
+      let c =
+        { name; help; kind; bounds; shards; local;
+          g_value = Float.Array.make 1 0.; g_set = false }
+      in
+      Hashtbl.add table name c;
+      c)
 
 let counter ?help name = register ~kind:Counter ~bounds:[||] ?help name
 let gauge ?help name = register ~kind:Gauge ~bounds:[||] ?help name
@@ -212,11 +194,6 @@ let quantile h q =
      with Exit -> ());
     !res
   end
-
-let registrations () =
-  locked (fun () ->
-      Hashtbl.fold (fun name c acc -> (name, c.regs) :: acc) table []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 let reset_all () =
   locked (fun () ->

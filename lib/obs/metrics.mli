@@ -1,10 +1,9 @@
 (** The process-wide metrics registry.
 
-    Every subsystem registers its telemetry here — monotonic counters,
-    gauges, and fixed-bucket histograms — under a stable dotted name
-    ([Manifest.names] is the declared schema; the QS306 lint rule checks
-    the live registry against it). Handles are registered once, at module
-    initialization, and written on the hot path under two guarantees:
+    Monotonic counters, gauges, and fixed-bucket histograms under stable
+    dotted names. Every shipped handle is registered once, at module
+    initialization of {!Manifest}, which is therefore the schema; handles
+    are written on the hot path under two guarantees:
 
     {b Domain safety.} Counter increments and histogram observations land
     in a per-domain shard (no lock and no lookup: each metric holds a
@@ -22,11 +21,10 @@
     fields of {!hist_view} so exports can mask them; with a frozen
     {!Clock} they are exact zeros.
 
-    Registration is idempotent: registering an already-registered name
-    with the same kind returns the existing handle (and bumps the
-    registration count that QS306 inspects); a kind mismatch raises
-    [Invalid_argument]. Names under ["test."] are reserved for test
-    suites and ignored by the manifest check. *)
+    Registering a name the registry already holds raises
+    [Invalid_argument], whatever its kind, so a metric declared twice
+    fails at start-up. Names under ["test."] are reserved for test
+    suites. *)
 
 type counter
 type gauge
@@ -35,8 +33,9 @@ type histogram
 (** {1 Registration} *)
 
 val counter : ?help:string -> string -> counter
-(** [counter name] registers (or retrieves) the monotonic counter
-    [name]. *)
+(** [counter name] registers the monotonic counter [name].
+    @raise Invalid_argument if [name] is already registered (so do
+    {!gauge} and {!histogram}). *)
 
 val gauge : ?help:string -> string -> gauge
 (** [gauge name] registers a last-write-wins instantaneous value. *)
@@ -47,8 +46,7 @@ val histogram : ?buckets:float array -> ?help:string -> string -> histogram
     or in the implicit overflow bucket. [buckets] must be strictly
     increasing and non-empty (default: nine decades from 1e-6 to 100,
     suitable for seconds).
-    @raise Invalid_argument on an unsorted or empty bucket array, or if
-    [name] is already registered with different buckets. *)
+    @raise Invalid_argument on an unsorted or empty bucket array. *)
 
 (** {1 Hot-path writes} *)
 
@@ -98,11 +96,6 @@ val quantile : hist_view -> float -> float
     cumulative count reaches [q * count] (the overflow bucket reads as
     the observed maximum). Monotone in [q]; [0.] on an empty histogram.
     @raise Invalid_argument unless [0 <= q <= 1]. *)
-
-val registrations : unit -> (string * int) list
-(** [(name, times registered)] for every metric, sorted by name — the
-    QS306 rule's input. A count above 1 means two subsystems claimed the
-    same name. *)
 
 val reset_all : unit -> unit
 (** Zero every shard and unset every gauge (registrations survive). Test

@@ -25,8 +25,6 @@ type dstate = {
 let mu = Mutex.create ()
 let all : dstate list ref = ref []
 
-let m_spans = Metrics.counter ~help:"spans recorded" "obs.spans"
-
 let dls : dstate Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let d =
@@ -56,7 +54,7 @@ let with_ ~name f =
         d.out <-
           { name; path; depth; domain = d.dom; start; dur; alloc_bytes }
           :: d.out;
-        Metrics.incr m_spans)
+        Metrics.incr Manifest.obs_spans)
       f
   end
 

@@ -22,8 +22,6 @@ let register r d =
     invalid_arg (Printf.sprintf "Alert.register: duplicate detector %S" d.name);
   r.detectors <- r.detectors @ [ d ]
 
-let names r = List.map (fun d -> d.name) r.detectors
-
 let observe r u = List.concat_map (fun d -> d.observe u) r.detectors
 
 let alarm_kind (a : Detection.alarm) =

@@ -31,8 +31,6 @@ val register : registry -> detector -> unit
 (** Appends; observation order is registration order.
     @raise Invalid_argument on a duplicate name. *)
 
-val names : registry -> string list
-
 val observe : registry -> Update.t -> t list
 (** Feed one released update to every detector, concatenating alerts in
     registration order. *)

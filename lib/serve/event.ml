@@ -25,13 +25,6 @@ let time = function
   | Alert a -> Some a.Alert.time
   | Violation _ -> None
 
-let label = function
-  | Path_change _ -> "path_change"
-  | Extra_as _ -> "extra_as"
-  | Evicted _ -> "evicted"
-  | Alert _ -> "alert"
-  | Violation _ -> "violation"
-
 let esc = Export.json_escape
 
 let num f = Printf.sprintf "%.6f" f

@@ -36,9 +36,6 @@ type t =
 val time : t -> float option
 (** Event time ([None] for violations, which are end-of-stream). *)
 
-val label : t -> string
-(** Stable event-kind tag, the ["event"] field of {!to_json}. *)
-
 val to_json : t -> string
 (** One JSON object, no trailing newline. Pure; safe to render on pool
     workers. *)

@@ -35,70 +35,6 @@ module Config = struct
   let ingest_config t = { Ingest.capacity = t.capacity; slack = t.slack }
 end
 
-(* The whole serve.* health surface registers here — one module, so one
-   reference to any [Serve] value initializes every name the manifest
-   declares (the linker only initializes referenced modules; QS306
-   cross-checks manifest and registry in both directions). *)
-let m_ingested =
-  Metrics.counter ~help:"updates offered to the serve ingest queue"
-    "serve.ingested"
-
-let m_released =
-  Metrics.counter ~help:"updates released past the watermark into the window"
-    "serve.released"
-
-let m_dropped_late =
-  Metrics.counter ~help:"updates dropped as older than the watermark"
-    "serve.dropped_late"
-
-let m_dropped_overflow =
-  Metrics.counter ~help:"updates dropped on a full ingest queue"
-    "serve.dropped_overflow"
-
-let g_queue_depth =
-  Metrics.gauge ~help:"updates currently buffered in the ingest queue"
-    "serve.queue_depth"
-
-let g_watermark_lag =
-  Metrics.gauge ~help:"seconds between the newest ingested update and the \
-                       window's watermark"
-    "serve.watermark_lag"
-
-let g_live_keys =
-  Metrics.gauge ~help:"(session, prefix) keys live in the sliding window"
-    "serve.live_keys"
-
-let g_ghost_keys =
-  Metrics.gauge ~help:"evicted keys parked as ghosts" "serve.ghost_keys"
-
-let m_evictions =
-  Metrics.counter ~help:"window evictions of dead keys" "serve.evictions"
-
-let m_events =
-  Metrics.counter ~help:"events emitted on the subscription channel"
-    "serve.events"
-
-let m_alerts = Metrics.counter ~help:"alerts raised" "serve.alerts"
-
-let m_alerts_moas =
-  Metrics.counter ~help:"MOAS alerts raised" "serve.alerts_moas"
-
-let m_alerts_subprefix =
-  Metrics.counter ~help:"sub-prefix alerts raised" "serve.alerts_subprefix"
-
-let m_alerts_adjacency =
-  Metrics.counter ~help:"origin-adjacency alerts raised"
-    "serve.alerts_adjacency"
-
-let m_violations =
-  Metrics.counter ~help:"conformance violations on the live stream"
-    "serve.violations"
-
-let h_update_seconds =
-  Metrics.histogram
-    ~help:"wall seconds per released update (batch average, timing-derived)"
-    "serve.update_seconds"
-
 let evidence_depth = 4
 
 (* A prefix's last [evidence_depth] updates: the next one goes to slot
@@ -175,7 +111,7 @@ let queue_events t evs =
   let n = List.length evs in
   if n > 0 then begin
     t.n_events <- t.n_events + n;
-    Metrics.add m_events n;
+    Metrics.add Manifest.serve_events n;
     if t.events_read then begin
       t.pending <- List.rev_append evs t.pending;
       t.n_pending <- t.n_pending + n
@@ -201,15 +137,15 @@ let flush_events t =
 
 let count_alert t (a : Alert.t) =
   t.alerts_log <- a :: t.alerts_log;
-  Metrics.incr m_alerts;
+  Metrics.incr Manifest.serve_alerts;
   match a.Alert.kind with
-  | "moas" -> Metrics.incr m_alerts_moas
-  | "subprefix" -> Metrics.incr m_alerts_subprefix
-  | "origin-adjacency" -> Metrics.incr m_alerts_adjacency
+  | "moas" -> Metrics.incr Manifest.serve_alerts_moas
+  | "subprefix" -> Metrics.incr Manifest.serve_alerts_subprefix
+  | "origin-adjacency" -> Metrics.incr Manifest.serve_alerts_adjacency
   | _ -> ()
 
 let process_one t (u : Update.t) =
-  Metrics.incr m_released;
+  Metrics.incr Manifest.serve_released;
   Conformance.observe t.conformance u;
   note_evidence t.evidence u;
   queue_events t (Window.apply t.window u);
@@ -217,15 +153,17 @@ let process_one t (u : Update.t) =
   List.iter (count_alert t) alerts;
   queue_events t (List.map (fun a -> Event.Alert a) alerts)
 
+(* The serve.* health surface is written through the [Manifest] handles,
+   which declare all sixteen names. *)
 let set_gauges t =
   let is = Ingest.stats t.ingest in
   let ws = Window.stats t.window in
-  Metrics.set g_queue_depth (float_of_int is.Ingest.queued);
+  Metrics.set Manifest.serve_queue_depth (float_of_int is.Ingest.queued);
   if is.Ingest.max_seen > neg_infinity then
-    Metrics.set g_watermark_lag
+    Metrics.set Manifest.serve_watermark_lag
       (Float.max 0. (is.Ingest.max_seen -. Window.watermark t.window));
-  Metrics.set g_live_keys (float_of_int ws.Window.live);
-  Metrics.set g_ghost_keys (float_of_int ws.Window.ghosts)
+  Metrics.set Manifest.serve_live_keys (float_of_int ws.Window.live);
+  Metrics.set Manifest.serve_ghost_keys (float_of_int ws.Window.ghosts)
 
 let pump t =
   let due = Ingest.ready t.ingest in
@@ -234,18 +172,18 @@ let pump t =
     let t0 = Clock.now () in
     List.iter (process_one t) due;
     let dt = Clock.now () -. t0 in
-    Metrics.observe h_update_seconds (dt /. float_of_int n);
+    Metrics.observe Manifest.serve_update_seconds (dt /. float_of_int n);
     set_gauges t;
     if t.n_pending >= max 1 t.config.Config.chunk then flush_events t
   end;
   n
 
 let offer t u =
-  Metrics.incr m_ingested;
+  Metrics.incr Manifest.serve_ingested;
   (match Ingest.push t.ingest u with
    | `Accepted -> ()
-   | `Dropped_late -> Metrics.incr m_dropped_late
-   | `Dropped_overflow -> Metrics.incr m_dropped_overflow);
+   | `Dropped_late -> Metrics.incr Manifest.serve_dropped_late
+   | `Dropped_overflow -> Metrics.incr Manifest.serve_dropped_overflow);
   ignore (pump t : int)
 
 let drain ?initial t ~horizon =
@@ -255,7 +193,7 @@ let drain ?initial t ~horizon =
   List.iter (process_one t) rest;
   queue_events t (Window.drain t.window ~horizon);
   let violations = Conformance.finalize ?initial t.conformance in
-  Metrics.add m_violations (List.length violations);
+  Metrics.add Manifest.serve_violations (List.length violations);
   queue_events t
     (List.map
        (fun (v : Conformance.violation) ->
@@ -265,7 +203,7 @@ let drain ?initial t ~horizon =
        violations);
   (* Window evictions may have happened before this final accounting;
      mirror the total into the registry once, at end of stream. *)
-  Metrics.add m_evictions (Window.stats t.window).Window.evictions;
+  Metrics.add Manifest.serve_evictions (Window.stats t.window).Window.evictions;
   set_gauges t;
   flush_events t;
   List.iter Sink.close t.sinks;
@@ -297,7 +235,7 @@ let watched_of config scenario p =
        (fun (c, g) -> Prefix.equal c p || Prefix.equal g p)
        config.Config.monitored
 
-let replay ?(dynamics = Dynamics.default_config) ?filter ?no_filter
+let replay ?(dynamics = Dynamics.default_config) ?no_filter
     ?extra_updates ?(sinks = []) ?(config = Config.default) ~exec
     scenario =
   Span.with_ ~name:"serve.replay" @@ fun () ->
@@ -307,7 +245,7 @@ let replay ?(dynamics = Dynamics.default_config) ?filter ?no_filter
       ~exec ()
   in
   let initial, dyn_stats, filter_stats =
-    Measurement.feed ~dynamics ?filter ?no_filter ?extra_updates
+    Measurement.feed ~dynamics ?no_filter ?extra_updates
       ~baseline:(Window.set_baseline t.window) scenario (offer t)
   in
   let violations = drain ~initial t ~horizon:duration in
@@ -325,15 +263,15 @@ let replay ?(dynamics = Dynamics.default_config) ?filter ?no_filter
 (* ------------------------------------------------------------------ *)
 (* Batch reference arm.                                                *)
 
-let batch_alerts ?(dynamics = Dynamics.default_config) ?filter
-    ?(no_filter = false) ?(extra_updates = []) ~learning_period scenario =
+let batch_alerts ?(dynamics = Dynamics.default_config) ?(no_filter = false)
+    ?(extra_updates = []) ~learning_period scenario =
   (* The reset filter emits in global time order, so the batch detector
      consumes the [observe] hook directly — the very sequence the
      service's watermark releases. *)
   let monitor = Detection.create ~learning_period () in
   let batch = ref [] in
   let m =
-    Measurement.run ~dynamics ?filter ~no_filter ~extra_updates
+    Measurement.run ~dynamics ~no_filter ~extra_updates
       ~observe:(fun u ->
           List.iter
             (fun a -> batch := Alert.of_alarm ~detector:"c1c" a :: !batch)

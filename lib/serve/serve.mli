@@ -94,8 +94,8 @@ type replay_result = {
 }
 
 val replay :
-  ?dynamics:Dynamics.config -> ?filter:Session_reset.config ->
-  ?no_filter:bool -> ?extra_updates:Update.t list -> ?sinks:Sink.t list ->
+  ?dynamics:Dynamics.config -> ?no_filter:bool ->
+  ?extra_updates:Update.t list -> ?sinks:Sink.t list ->
   ?config:Config.t -> exec:Pool.t -> Scenario.t -> replay_result
 (** Run a whole simulated measurement period through the live service:
     {!create}, then {!Measurement.feed} with the time-0 tables going to
@@ -106,9 +106,9 @@ val replay :
     bounded slack never drops a straggler. *)
 
 val batch_alerts :
-  ?dynamics:Dynamics.config -> ?filter:Session_reset.config ->
-  ?no_filter:bool -> ?extra_updates:Update.t list ->
-  learning_period:float -> Scenario.t -> Measurement.t * Alert.t list
+  ?dynamics:Dynamics.config -> ?no_filter:bool ->
+  ?extra_updates:Update.t list -> learning_period:float -> Scenario.t ->
+  Measurement.t * Alert.t list
 (** The batch reference arm: run {!Measurement.run} over the same feed
     and hand its [observe] stream to one {!Detection} monitor. The feed
     is already in global time order, the order the service's watermark

@@ -49,12 +49,6 @@ type t = {
   index_json : string;
 }
 
-let m_runs = Metrics.counter ~help:"sweep matrices executed" "sweep.runs"
-let m_cells = Metrics.counter ~help:"sweep cells executed" "sweep.cells"
-
-let m_cell_seconds =
-  Metrics.histogram ~help:"wall-clock per sweep cell" "sweep.cell_seconds"
-
 let vars_fields (v : Sweep.vars) =
   [ ("size", jstr (Scenario.size_to_string v.Sweep.size));
     ("seed", string_of_int v.Sweep.seed);
@@ -188,7 +182,7 @@ let run_cell entry_name (c : Sweep.cell) =
   Fun.protect
     ~finally:(fun () ->
       Metrics.set_enabled prev_enabled;
-      Metrics.observe m_cell_seconds (Clock.now () -. t0))
+      Metrics.observe Manifest.sweep_cell_seconds (Clock.now () -. t0))
   @@ fun () ->
   Metrics.set_enabled v.Sweep.obs;
   (* Intra-cell stages run on an inline jobs=1 pool: this function may
@@ -315,8 +309,8 @@ let run ?exec entry =
    | [] -> ()
    | i :: _ -> invalid_arg ("Sweep_run.run: " ^ i.Sweep.message));
   let cells = Sweep.cells entry in
-  Metrics.incr m_runs;
-  Metrics.add m_cells (List.length cells);
+  Metrics.incr Manifest.sweep_runs;
+  Metrics.add Manifest.sweep_cells (List.length cells);
   let pool = match exec with Some p -> p | None -> Pool.default () in
   (* [Metrics.set_enabled] is process-global, so a matrix with an
      obs=off cell must not run cells concurrently — one cell's toggle

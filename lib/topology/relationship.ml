@@ -10,8 +10,6 @@ let to_string = function
   | Provider -> "provider"
   | Peer -> "peer"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let equal a b =
   match (a, b) with
   | Customer, Customer | Provider, Provider | Peer, Peer -> true

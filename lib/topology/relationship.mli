@@ -13,7 +13,6 @@ val invert : t -> t
     [invert Customer = Provider], [invert Peer = Peer]. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 val export_allowed : learned_from:t -> to_:t -> bool

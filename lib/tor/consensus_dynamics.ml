@@ -79,13 +79,6 @@ type t = {
   built : epoch option Atomic.t array;
 }
 
-let m_epochs = Metrics.counter "consensus.epochs"
-    ~help:"consensus epochs generated"
-let m_joined = Metrics.counter "consensus.relays_joined"
-    ~help:"relay arrivals across generated epochs"
-let m_departed = Metrics.counter "consensus.relays_departed"
-    ~help:"relay departures across generated epochs"
-
 (* Knuth's product-of-uniforms Poisson sampler; our arrival rates are a
    handful per epoch, far from the exp(-lambda) underflow regime. *)
 let poisson rng lambda =
@@ -197,12 +190,13 @@ let generate ~rng ?(params = default_params) ~gen ~n_epochs g addressing base =
           let arrivals = List.init (poisson rng params.arrival_rate) (fun _ -> new_relay ()) in
           List.iter append arrivals;
           let departures = List.rev !departures in
-          Metrics.add m_joined (List.length arrivals);
-          Metrics.add m_departed (List.length departures);
+          Metrics.add Manifest.consensus_relays_joined (List.length arrivals);
+          Metrics.add Manifest.consensus_relays_departed
+            (List.length departures);
           { arrivals; departures; bandwidths = snapshot () }
         end)
   in
-  Metrics.add m_epochs n_epochs;
+  Metrics.add Manifest.consensus_epochs n_epochs;
   { params;
     roster = Array.sub !roster 0 !n_slots;
     died = Array.sub !died 0 !n_slots;

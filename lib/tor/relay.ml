@@ -46,4 +46,3 @@ let pp ppf t =
     (String.concat "," (List.map flag_to_string t.flags))
 
 let equal a b = Ipv4.equal a.ip b.ip
-let compare a b = Ipv4.compare a.ip b.ip

@@ -26,5 +26,3 @@ val flag_of_string : string -> flag option
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 (** Relays are identified by their IP address. *)
-
-val compare : t -> t -> int

@@ -575,47 +575,6 @@ let test_qs307_monitored_pairs () =
   check_int "pairs unchecked without a scenario" 0
     (List.length (Serve_lint.check (view [ (pfx "203.0.113.0/24", client) ])))
 
-(* ---- Observability registry (QS306) ---------------------------------- *)
-
-let test_qs306_registered () =
-  check_bool "QS306 in the registry" true
-    (match Lint.find_rule "QS306" with
-     | Some r -> r.Diag.slug = "metric-registry-mismatch"
-     | None -> false);
-  check_bool "by slug too" true
-    (Lint.find_rule "metric-registry-mismatch" <> None)
-
-let test_qs306_fires () =
-  let manifest = [ "a.declared"; "a.dup"; "b.never_registered" ] in
-  let regs = [ ("a.declared", 1); ("a.dup", 2); ("c.undeclared", 1) ] in
-  let diags = Obs_lint.check ~manifest regs in
-  check_bool "QS306 fires" true (fires "QS306" diags);
-  check_int "one finding per defect" 3 (List.length diags);
-  let problems =
-    List.filter_map (fun d -> List.assoc_opt "problem" d.Diag.context) diags
-    |> List.sort compare
-  in
-  check_bool "all three defect classes" true
-    (problems = [ "duplicate"; "never-registered"; "undeclared" ])
-
-let test_qs306_clean_and_exemptions () =
-  check_int "matching registry is clean" 0
-    (List.length
-       (Obs_lint.check ~manifest:[ "a"; "b" ] [ ("a", 1); ("b", 1) ]));
-  (* test.* names are reserved for suites: neither the undeclared nor the
-     duplicate check may fire on them *)
-  check_int "test.* registrations exempt" 0
-    (List.length (Obs_lint.check ~manifest:[ "a" ] [ ("a", 1); ("test.x", 5) ]))
-
-let test_qs306_live_registry_clean () =
-  (* Linking qs_lint force-links every instrumented module, so the live
-     registry in this binary must match the manifest exactly (the test.*
-     cells other suites register never appear here — test binaries are
-     one process per suite). *)
-  let diags = Obs_lint.check (Metrics.registrations ()) in
-  List.iter (fun d -> Format.eprintf "unexpected: %a@." Diag.pp d) diags;
-  check_int "live registry matches the manifest" 0 (List.length diags)
-
 let test_lint_run_jobs_identical () =
   (* The per-prefix sampling sweep must report the same findings, in the
      same order, at any worker count (determinism off: one scenario
@@ -706,11 +665,4 @@ let () =
          Alcotest.test_case "QS307 structural checks" `Quick
            test_qs307_structural;
          Alcotest.test_case "QS307 monitored pairs" `Quick
-           test_qs307_monitored_pairs ]);
-      ("observability",
-       [ Alcotest.test_case "QS306 registered" `Quick test_qs306_registered;
-         Alcotest.test_case "QS306 fires" `Quick test_qs306_fires;
-         Alcotest.test_case "QS306 clean and exemptions" `Quick
-           test_qs306_clean_and_exemptions;
-         Alcotest.test_case "QS306 live registry clean" `Quick
-           test_qs306_live_registry_clean ]) ]
+           test_qs307_monitored_pairs ]) ]

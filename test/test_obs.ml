@@ -1,4 +1,4 @@
-(* Tests for qs_obs: registration idempotence, hot-path write semantics,
+(* Tests for qs_obs: registration rejects repeats, hot-path write semantics,
    quantile readout, shard-merge conservation (qcheck, through the real
    pool at several worker counts), span nesting, the clock shim, the
    registry-vs-legacy-stats pins, and the golden metrics snapshot.
@@ -15,16 +15,6 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
-
-(* Metric cells are registered at module initialization, and the linker
-   only initializes modules this binary references.  Touch one value per
-   instrumented module the tests below don't already use, so the golden
-   snapshot pins the complete manifest, not the subset this suite happens
-   to exercise. *)
-let () =
-  let force : 'a. 'a -> unit = fun _ -> () in
-  force Hijack.is_captured;
-  force Interception.run
 
 let counter_value name =
   match Metrics.value name with
@@ -46,36 +36,36 @@ let fresh =
 
 (* ---- registration ----------------------------------------------------- *)
 
+let raises f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+(* Registering a name a second time leaves the registry exactly as the
+   first registration left it: the repeat raises, the first handle still
+   owns the one cell, and its value is untouched. *)
 let test_registration_idempotent () =
   let name = fresh () in
-  let a = Metrics.counter name in
-  let b = Metrics.counter name in
-  Metrics.incr a;
-  Metrics.add b 2;
-  check_int "both handles hit one cell" 3 (counter_value name);
-  check_bool "registration count visible" true
-    (List.mem_assoc name (Metrics.registrations ())
-     && List.assoc name (Metrics.registrations ()) = 2)
+  let c = Metrics.counter name in
+  Metrics.incr c;
+  let before = Metrics.value name in
+  check_bool "same kind raises" true (raises (fun () -> Metrics.counter name));
+  check_bool "cell unchanged by the repeat" true (Metrics.value name = before);
+  Metrics.incr c;
+  check_int "first handle still live" 2 (counter_value name);
+  check_bool "shipped names are taken" true
+    (raises (fun () -> Metrics.counter "dynamics.updates_emitted"))
 
 let test_registration_kind_mismatch () =
   let name = fresh () in
   let _ = Metrics.counter name in
-  let raised =
-    try
-      ignore (Metrics.gauge name);
-      false
-    with Invalid_argument _ -> true
-  in
-  check_bool "kind mismatch rejected" true raised;
+  check_bool "kind mismatch rejected" true
+    (raises (fun () -> Metrics.gauge name));
   let hname = fresh () in
   let _ = Metrics.histogram ~buckets:[| 1.; 2. |] hname in
-  let raised =
-    try
-      ignore (Metrics.histogram ~buckets:[| 1.; 3. |] hname);
-      false
-    with Invalid_argument _ -> true
-  in
-  check_bool "bucket mismatch rejected" true raised
+  check_bool "bucket mismatch rejected" true
+    (raises (fun () -> Metrics.histogram ~buckets:[| 1.; 3. |] hname))
 
 let test_counter_rejects_negative () =
   let c = Metrics.counter (fresh ()) in
@@ -141,8 +131,8 @@ let test_reset_all () =
   Metrics.incr c;
   Metrics.reset_all ();
   check_int "reset zeroes" 0 (counter_value name);
-  check_bool "registrations survive reset" true
-    (List.mem_assoc name (Metrics.registrations ()));
+  check_bool "registration survives reset" true
+    (Metrics.value name <> None);
   Metrics.incr c;
   check_int "handle still live" 1 (counter_value name)
 
@@ -391,6 +381,9 @@ let golden = {gold|{
   "attack.interception.runs": 0,
   "churn.trace_entities": 0,
   "churn.trace_events": 0,
+  "consensus.epochs": 0,
+  "consensus.relays_departed": 0,
+  "consensus.relays_joined": 0,
   "dynamics.announces": 21636,
   "dynamics.churn_events": 883,
   "dynamics.delta_steps": 10962,
@@ -405,19 +398,41 @@ let golden = {gold|{
   "measurement.updates": 26678,
   "obs.spans": 0,
   "scenario.builds": 1,
+  "serve.alerts": 0,
+  "serve.alerts_adjacency": 0,
+  "serve.alerts_moas": 0,
+  "serve.alerts_subprefix": 0,
+  "serve.dropped_late": 0,
+  "serve.dropped_overflow": 0,
+  "serve.events": 0,
+  "serve.evictions": 0,
+  "serve.ingested": 0,
+  "serve.released": 0,
+  "serve.violations": 0,
   "session_reset.bursts": 7,
   "session_reset.dropped": 1986,
   "session_reset.passed": 26678,
-  "session_reset.pushed": 28664
+  "session_reset.pushed": 28664,
+  "surface.adversaries": 0,
+  "surface.closures": 0,
+  "surface.pairs": 0,
+  "sweep.cells": 0,
+  "sweep.runs": 0
 },
 "gauges": {
-  "exec.jobs": <jobs-dependent>
+  "exec.jobs": <jobs-dependent>,
+  "serve.ghost_keys": null,
+  "serve.live_keys": null,
+  "serve.queue_depth": null,
+  "serve.watermark_lag": null
 },
 "histograms": {
   "dynamics.delta_frontier": {"count": 10962, <timing and buckets masked>,
   "exec.busy_seconds": {"count": 1, <timing and buckets masked>,
   "exec.sweep_seconds": {"count": 1, <timing and buckets masked>,
-  "exec.wait_seconds": {"count": 1, <timing and buckets masked>
+  "exec.wait_seconds": {"count": 1, <timing and buckets masked>,
+  "serve.update_seconds": {"count": 0, <timing and buckets masked>,
+  "sweep.cell_seconds": {"count": 0, <timing and buckets masked>
 }
 }
 |gold}

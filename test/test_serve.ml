@@ -609,19 +609,13 @@ let replay_attacks s =
        ~duration:replay_dynamics.Dynamics.duration s)
 
 (* Every feed input the replay forwards to [Measurement.feed]: the filter
-   on and off, a reset-heavy month, and a non-default filter config. *)
+   on and off, with and without a reset-heavy month. *)
 let replay_variants =
   let resets = { replay_dynamics with Dynamics.resets_per_session = 4. } in
-  let filter =
-    { Session_reset.window = 300.; min_prefixes = 20; table_fraction = 0.3;
-      quiet_gap = 90. }
-  in
-  [ ("default", replay_dynamics, None, false);
-    ("unfiltered", replay_dynamics, None, true);
-    ("resets", resets, None, false);
-    ("resets unfiltered", resets, None, true);
-    ("filter config", replay_dynamics, Some filter, false);
-    ("filter config, resets", resets, Some filter, false) ]
+  [ ("default", replay_dynamics, false);
+    ("unfiltered", replay_dynamics, true);
+    ("resets", resets, false);
+    ("resets unfiltered", resets, true) ]
 
 let test_replay_matches_batch () =
   let s = Lazy.force replay_scenario in
@@ -629,13 +623,13 @@ let test_replay_matches_batch () =
   check_bool "attacks were injected" true (extra <> []);
   Pool.with_pool ~jobs:2 @@ fun exec ->
   List.iter
-    (fun (name, dynamics, filter, no_filter) ->
+    (fun (name, dynamics, no_filter) ->
        let r =
-         Serve.replay ~dynamics ?filter ~no_filter ~extra_updates:extra
+         Serve.replay ~dynamics ~no_filter ~extra_updates:extra
            ~config:replay_config ~exec s
        in
        let m, batch =
-         Serve.batch_alerts ~dynamics ?filter ~no_filter ~extra_updates:extra
+         Serve.batch_alerts ~dynamics ~no_filter ~extra_updates:extra
            ~learning_period:replay_config.Serve.Config.learning_period s
        in
        let label what = name ^ ": " ^ what in

@@ -37,6 +37,10 @@
 #      derived from them there, so a `{ s with Scenario.consensus = ... }`
 #      record update anywhere else would leave those stale. (Consensus.t is
 #      private, so its own derived pools need no such rule.)
+#   8. metrics are registered only in lib/obs/manifest.ml (the schema) and
+#      lib/obs/metrics.ml (the registry): a Metrics.counter, .gauge or
+#      .histogram call anywhere else in shipped code is a metric the schema
+#      does not declare (test/ may register test.* names).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -102,6 +106,14 @@ if grep -rnE --include='*.ml' \
      -e 'with Scenario\.[^}]*\b(graph|addressing|consensus) *=([^=]|$)' \
      lib bin examples bench test qsbench | grep -v '^lib/core/scenario\.ml:'; then
   echo "check_mli: record update of a Scenario field with derived data outside lib/core/scenario.ml (use Scenario.build)" >&2
+  fail=1
+fi
+
+if grep -rnE --include='*.ml' \
+     -e 'Metrics\.(counter|gauge|histogram)\b' \
+     lib bin examples bench \
+    | grep -vE '^lib/obs/(manifest|metrics)\.ml:'; then
+  echo "check_mli: metric registered outside lib/obs/manifest.ml (declare it in Qs_obs.Manifest)" >&2
   fail=1
 fi
 
