@@ -1,6 +1,6 @@
-type key = { session : Update.session_id; prefix : Prefix.t }
+type key = Cell_template.key = { session : Update.session_id; prefix : Prefix.t }
 
-type cell = {
+type cell = Cell_template.cell = {
   key : key;
   baseline : Asn.Set.t option;
   updates : int;
@@ -21,16 +21,9 @@ type t = {
   n_sessions : int;
 }
 
-module Key_table = Hashtbl.Make (struct
-    type t = key
+module Key_table = Cell_template.Key_table
 
-    let equal a b =
-      Update.session_equal a.session b.session && Prefix.equal a.prefix b.prefix
-
-    let hash k = (Hashtbl.hash k.session.Update.collector * 31)
-                 + (Asn.hash k.session.Update.peer * 7)
-                 + Prefix.hash k.prefix
-  end)
+let iter_baselines = Cell_template.iter_baselines
 
 (* The per-key accumulator is the unit both the batch pipeline below and
    the qs_serve sliding window build on: one key's statistics depend only
@@ -82,12 +75,7 @@ module Acc = struct
 
   let fresh_path acc = Option.value ~default:Asn.Set.empty acc.a_baseline
 
-  (* Sealing a fresh cell at [h] credits each baseline AS [h -. 0.] and
-     closes its run at that length, both only when positive — and
-     [h > 0.] is that very test, -0. included. *)
-  let sealed_runs acc h =
-    if h > 0. then Asn.Set.fold (fun a l -> (a, h) :: l) (fresh_path acc) []
-    else []
+  let sealed_runs acc h = Cell_template.sealed_runs (fresh_path acc) h
 
   let slots acc =
     match acc.a_body with
@@ -355,7 +343,7 @@ module Acc = struct
 end
 
 let feed ?(dynamics = Dynamics.default_config) ?(no_filter = false)
-    ?(extra_updates = []) ~baseline scenario consume =
+    ?(extra_updates = []) ~on_initial scenario consume =
   (* Merge the (time-sorted) attack updates into the stream. *)
   let pending_extra = ref extra_updates in
   let flush_extra_until time =
@@ -382,20 +370,17 @@ let feed ?(dynamics = Dynamics.default_config) ?(no_filter = false)
     | Some f -> Session_reset.push f
     | None -> downstream
   in
-  (* Baselines and reset-filter table sizes come from the time-0 tables,
-     registered before any update flows. *)
+  (* Reset-filter table sizes and the consumer's baselines come from the
+     time-0 tables, registered before any update flows. *)
   let on_initial initial =
-    Update.Session_map.iter
-      (fun session table0 ->
-         (match filter_state with
-          | Some f ->
-              Session_reset.preload_table f session (Prefix.Map.cardinal table0)
-          | None -> ());
-         Prefix.Map.iter
-           (fun prefix route ->
-              baseline { session; prefix } (Route.as_set route))
-           table0)
-      initial
+    (match filter_state with
+     | Some f ->
+         Update.Session_map.iter
+           (fun session table0 ->
+              Session_reset.preload_table f session (Prefix.Map.cardinal table0))
+           initial
+     | None -> ());
+    on_initial initial
   in
   let initial, dyn_stats =
     (* The trace-churn generator (when [dynamics.session_churn] is set)
@@ -416,47 +401,95 @@ let run ?(dynamics = Dynamics.default_config) ?no_filter
     ?extra_updates ?observe scenario =
   Span.with_ ~name:"measurement.run" @@ fun () ->
   let n_consumed = ref 0 in
-  let table : Acc.t Key_table.t = Key_table.create 65536 in
-  let get_acc key =
-    match Key_table.find_opt table key with
-    | Some a -> a
-    | None ->
-        let a = Acc.create () in
-        Key_table.replace table key a;
-        a
+  (* Seeded from the time-0 cell template by [on_initial], before any
+     update: [table] maps every key to its index, time-0 keys first in
+     the template's order, and [accs.(i)] is key [i]'s accumulator once
+     an update has touched it ([untouched] until then). *)
+  let tpl = ref None in
+  let table = ref (Key_table.create 1) in
+  let untouched = Acc.create () in
+  let accs = ref [||] and n_keys = ref 0 in
+  let on_initial initial =
+    let t =
+      Cell_template.for_run ~share:dynamics.Dynamics.delta
+        scenario.Scenario.cell_template initial
+    in
+    tpl := Some t;
+    table := Cell_template.seed t;
+    n_keys := Cell_template.length t;
+    accs := Array.make (!n_keys + 64) untouched
+  in
+  let acc_at i =
+    let a = !accs.(i) in
+    if a != untouched then a
+    else begin
+      let a = Acc.create () in
+      (match !tpl with
+       | Some t when i < Cell_template.length t ->
+           Acc.set_baseline a (Cell_template.baseline t i)
+       | Some _ | None -> ());
+      !accs.(i) <- a;
+      a
+    end
+  in
+  let index_of key =
+    match Key_table.find !table key with
+    | i -> i
+    | exception Not_found ->
+        let i = !n_keys in
+        if i = Array.length !accs then begin
+          let grown = Array.make (i + (i / 2)) untouched in
+          Array.blit !accs 0 grown 0 i;
+          accs := grown
+        end;
+        Key_table.add !table key i;
+        incr n_keys;
+        i
   in
   let consume (u : Update.t) =
     incr n_consumed;
     (match observe with Some f -> f u | None -> ());
     let key = { session = u.Update.session; prefix = Update.prefix u } in
-    ignore (Acc.consume (get_acc key) u : Acc.event)
+    ignore (Acc.consume (acc_at (index_of key)) u : Acc.event)
   in
   let initial, dyn_stats, filter_stats =
-    feed ~dynamics ?no_filter ?extra_updates
-      ~baseline:(fun key set -> Acc.set_baseline (get_acc key) set)
-      scenario consume
+    feed ~dynamics ?no_filter ?extra_updates ~on_initial scenario consume
+  in
+  let t =
+    match !tpl with
+    | Some t -> t
+    | None -> invalid_arg "Measurement.run: no time-0 tables"
   in
   let duration = dynamics.Dynamics.duration in
-  let visibility = Prefix.Table.create 4096 in
+  let sealed = Cell_template.sealed_at t duration in
+  let visibility = Cell_template.visibility t in
+  let n0 = Cell_template.length t and accs = !accs in
   let cells =
     Key_table.fold
-      (fun key acc out ->
-         (* A key that only ever saw withdrawals carries no routing state:
-            no baseline, no route, nothing a collector could measure.
-            Materializing it would skew per-cell counts, so drop it. *)
-         match
-           (if Acc.materializes acc then Acc.seal acc duration);
-           Acc.cell key acc
-         with
-         | None -> out
-         | Some cell ->
-             let cur =
-               Option.value ~default:0
-                 (Prefix.Table.find_opt visibility key.prefix)
-             in
-             Prefix.Table.replace visibility key.prefix (cur + 1);
-             cell :: out)
-      table []
+      (fun key i out ->
+         let acc = accs.(i) in
+         if acc == untouched then Cell_template.sealed_cell t sealed i :: out
+         else
+           (* A key that only ever saw withdrawals carries no routing
+              state: no baseline, no route, nothing a collector could
+              measure. Materializing it would skew per-cell counts, so
+              drop it. *)
+           match
+             (if Acc.materializes acc then Acc.seal acc duration);
+             Acc.cell key acc
+           with
+           | None -> out
+           | Some cell ->
+               (* the template counts every time-0 key *)
+               if i >= n0 then begin
+                 let cur =
+                   Option.value ~default:0
+                     (Prefix.Table.find_opt visibility key.prefix)
+                 in
+                 Prefix.Table.replace visibility key.prefix (cur + 1)
+               end;
+               cell :: out)
+      !table []
   in
   Metrics.add Manifest.measurement_updates !n_consumed;
   Metrics.add Manifest.measurement_cells (List.length cells);

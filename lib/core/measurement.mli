@@ -13,9 +13,9 @@
     are merged in time order — that is how the §5 monitoring experiments
     inject hijacks into an otherwise normal month. *)
 
-type key = { session : Update.session_id; prefix : Prefix.t }
+type key = Cell_template.key = { session : Update.session_id; prefix : Prefix.t }
 
-type cell = {
+type cell = Cell_template.cell = {
   key : key;
   baseline : Asn.Set.t option;   (** AS set of the initial route *)
   updates : int;                 (** updates seen post-filter — announcements
@@ -32,9 +32,13 @@ type cell = {
     at time 0 or at least one announcement. A key that only ever saw
     withdrawals is not materialized. *)
 
-module Key_table : Hashtbl.S with type key = key
+module Key_table = Cell_template.Key_table
 (** Hash tables over measurement keys — shared with the [Qs_serve]
     sliding window so both sides key state identically. *)
+
+val iter_baselines : Dynamics.initial -> (key -> Asn.Set.t -> unit) -> unit
+(** Every time-0 route as its key and baseline AS set, in the order
+    {!run} numbers keys ({!Cell_template.iter_baselines}). *)
 
 (** Incremental per-key accumulator — the unit the batch pipeline below
     and the [Qs_serve] sliding window both build on. A key's statistics
@@ -130,13 +134,13 @@ val feed :
   ?dynamics:Dynamics.config ->
   ?no_filter:bool ->
   ?extra_updates:Update.t list ->
-  baseline:(key -> Asn.Set.t -> unit) ->
+  on_initial:(Dynamics.initial -> unit) ->
   Scenario.t -> (Update.t -> unit) ->
   Dynamics.initial * Dynamics.stats * Session_reset.stats option
 (** The measurement feed, the one stream that {!run} and [Qs_serve]'s
     replay both consume. Simulates [dynamics] on the scenario's
     "measurement" RNG stream (trace churn on its "trace-churn" stream),
-    hands every time-0 table route to [baseline] before any update flows,
+    hands the time-0 tables to [on_initial] before any update flows,
     drops session-reset artifacts (unless [no_filter], the ablation) and
     merges the time-sorted [extra_updates] in. The consumer sees every
     post-filter update in global time order: the dynamics stream is
@@ -153,7 +157,21 @@ val run :
 (** Runs the full pipeline: accumulates {!feed} per key and seals every
     cell at the horizon (deterministic given the scenario). [observe]
     sees every update {!Acc.consume} does, in the same order — attach
-    monitors here. *)
+    monitors here.
+
+    Keys are seeded from the scenario's time-0 cell template
+    ({!Cell_template.seed}), so cells are listed in the order of a table
+    filled key by key: time-0 keys in {!iter_baselines} order, then each
+    later key as an update first names it. An {!Acc} exists only for a
+    key an update touched; every other time-0 key contributes the
+    template's shared sealed cell for the horizon ([duration]), and
+    visibility starts from a copy of the template's counts. The first
+    [delta] run on a world builds the template and publishes it
+    ({!Cell_template.for_run}); later [delta] runs, whose time-0 tables
+    are the world's memo and so physically the template's source, reuse
+    it. A [delta = false] run builds a private template from its own
+    tables. The cells, their order and every count are those of one
+    accumulator per key, whichever way a run is seeded. *)
 
 val pp_dynamics_summary : Format.formatter -> t -> unit
 (** Three-line summary of the run's {!Dynamics.stats}: update counts,

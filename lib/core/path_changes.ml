@@ -8,8 +8,14 @@ type t = {
   busiest : (Prefix.t * Update.session_id * int) option;
 }
 
-let compare_keys (ca, pa) (cb, pb) =
-  match String.compare ca cb with 0 -> Int.compare pa pb | c -> c
+module Session_table = Hashtbl.Make (struct
+    type t = Update.session_id
+
+    let equal = Update.session_equal
+
+    let hash (s : t) =
+      (Hashtbl.hash s.Update.collector * 31) + Asn.hash s.Update.peer
+  end)
 
 (* One session's statistics, computed independently of every other
    session — the parallel unit of [compute]. *)
@@ -37,20 +43,20 @@ let median_changes cells =
 let compute ?exec (m : Measurement.t) =
   Span.with_ ~name:"path_changes.compute" @@ fun () ->
   let pool = match exec with Some p -> p | None -> Pool.default () in
-  (* Group cells by session. *)
-  let by_session = Hashtbl.create 128 in
+  (* Group cells by session: one lookup per cell. *)
+  let by_session = Session_table.create 128 in
   List.iter
     (fun (c : Measurement.cell) ->
        let id = c.Measurement.key.Measurement.session in
-       let key = (id.Update.collector, Asn.to_int id.Update.peer) in
-       let cur = Option.value ~default:[] (Hashtbl.find_opt by_session key) in
-       Hashtbl.replace by_session key (c :: cur))
+       match Session_table.find by_session id with
+       | cells -> cells := c :: !cells
+       | exception Not_found -> Session_table.add by_session id (ref [ c ]))
     m.Measurement.cells;
   (* Canonical session order: results no longer depend on hash-table
      iteration order, so the reduce below is stable at any worker count. *)
   let sessions =
-    Hashtbl.fold (fun key cells acc -> (key, cells) :: acc) by_session []
-    |> List.sort (fun (a, _) (b, _) -> compare_keys a b)
+    Session_table.fold (fun id cells acc -> (id, !cells) :: acc) by_session []
+    |> List.sort (fun (a, _) (b, _) -> Update.session_compare a b)
     |> Array.of_list
   in
   let stats =

@@ -11,6 +11,7 @@ type t = {
   tor_prefixes : Tor_prefix.t;
   client_ases : Asn.t array;
   world : Dynamics.world;
+  cell_template : Cell_template.slot;
 }
 
 (* Stub ASes that host no relay and originate a prefix, in id order —
@@ -61,7 +62,7 @@ let build ~seed size =
   let indexed = world.Dynamics.indexed in
   { seed; size; graph; indexed; addressing; collectors; consensus;
     tor_prefixes; client_ases = client_candidates indexed addressing consensus;
-    world }
+    world; cell_template = Cell_template.empty_slot () }
 
 let sessions t = Collector.all_sessions t.collectors
 

@@ -25,6 +25,13 @@ type t = {
           would leave it stale, so tools/check_mli.sh rejects one outside
           scenario.ml. Shared, never copied — do not mutate it. *)
   world : Dynamics.world;
+  cell_template : Cell_template.slot;
+      (** [world]'s time-0 cell template, empty until the first [delta]
+          [Measurement.run] over this scenario fills it (see
+          {!Cell_template.for_run}). It depends on [world] alone, so a
+          seed-only record update shares it, as it shares [world]'s
+          time-0 memo; tools/check_mli.sh rejects a record update of
+          either field outside scenario.ml. *)
 }
 
 val build : seed:int -> size -> t

@@ -192,7 +192,7 @@ let quantile h q =
          end
        done
      with Exit -> ());
-    !res
+    Float.min h.max (Float.max h.min !res)
   end
 
 let reset_all () =

@@ -94,7 +94,10 @@ val value : string -> value option
 val quantile : hist_view -> float -> float
 (** [quantile h q] is the upper bound of the first bucket at which the
     cumulative count reaches [q * count] (the overflow bucket reads as
-    the observed maximum). Monotone in [q]; [0.] on an empty histogram.
+    the observed maximum), clamped to [\[h.min, h.max\]]: a bucket's
+    bound can lie above every observation, and no quantile reads outside
+    the observed range. Monotone in [q]; [0.] on an empty histogram, and
+    [0.] over observations that are all 0 (a frozen clock's timings).
     @raise Invalid_argument unless [0 <= q <= 1]. *)
 
 val reset_all : unit -> unit

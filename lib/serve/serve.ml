@@ -246,7 +246,9 @@ let replay ?(dynamics = Dynamics.default_config) ?no_filter
   in
   let initial, dyn_stats, filter_stats =
     Measurement.feed ~dynamics ?no_filter ?extra_updates
-      ~baseline:(Window.set_baseline t.window) scenario (offer t)
+      ~on_initial:(fun initial ->
+          Measurement.iter_baselines initial (Window.set_baseline t.window))
+      scenario (offer t)
   in
   let violations = drain ~initial t ~horizon:duration in
   { r_config = config;

@@ -6,6 +6,7 @@ type entry = {
 
 type t = {
   by_prefix : entry Prefix.Map.t;
+  tor : unit Prefix.Table.t;  (* the keys of [by_prefix], for [is_tor_prefix] *)
   by_relay_ip : (int, Prefix.t * Asn.t) Hashtbl.t;  (* keyed by Ipv4.to_int *)
   unmapped : int;
 }
@@ -27,7 +28,9 @@ let compute addressing consensus =
            by_prefix := Prefix.Map.add prefix entry !by_prefix
        | None -> incr unmapped)
     (Consensus.guard_or_exit consensus);
-  { by_prefix = !by_prefix; by_relay_ip; unmapped = !unmapped }
+  let tor = Prefix.Table.create (2 * Prefix.Map.cardinal !by_prefix) in
+  Prefix.Map.iter (fun p _ -> Prefix.Table.replace tor p ()) !by_prefix;
+  { by_prefix = !by_prefix; tor; by_relay_ip; unmapped = !unmapped }
 
 let entries t = List.map snd (Prefix.Map.bindings t.by_prefix)
 
@@ -45,4 +48,4 @@ let relays_per_prefix t =
   Prefix.Map.fold (fun _ e acc -> List.length e.relays :: acc) t.by_prefix []
   |> List.sort Int.compare
 
-let is_tor_prefix t p = Prefix.Map.mem p t.by_prefix
+let is_tor_prefix t p = Prefix.Table.mem t.tor p

@@ -37,3 +37,6 @@ val relays_per_prefix : t -> int list
     maximum 33. *)
 
 val is_tor_prefix : t -> Prefix.t -> bool
+(** A hash-table lookup ({!compute} builds the table once): F3L and F3R
+    ask it once per measurement cell. Read-only, so pool tasks may share
+    it. *)

@@ -1025,6 +1025,194 @@ let test_time0_reference_arm_untouched () =
   let _, _, _, _, routed = time0_run off s in
   check_bool "delta = false still routes time 0 itself" true routed
 
+(* ---- time-0 cell template -------------------------------------------- *)
+
+(* Every field of a cell, floats by their bits and lists in their order. *)
+let cell_text (c : Measurement.cell) =
+  let set = function
+    | Some s -> String.concat "," (List.map Asn.to_string (Asn.Set.elements s))
+    | None -> "-"
+  in
+  let runs l =
+    String.concat ","
+      (List.map (fun (a, d) -> Printf.sprintf "%s:%h" (Asn.to_string a) d) l)
+  in
+  let k = c.Measurement.key in
+  Printf.sprintf "%s %s %s %d %d %s %s %s %s"
+    k.Measurement.session.Update.collector
+    (Asn.to_string k.Measurement.session.Update.peer)
+    (Prefix.to_string k.Measurement.prefix) c.Measurement.updates
+    c.Measurement.path_changes (set c.Measurement.baseline)
+    (set c.Measurement.final_set) (runs c.Measurement.residency)
+    (runs c.Measurement.contiguous)
+
+let visibility_list (m : Measurement.t) =
+  Prefix.Table.fold (fun p n l -> (p, n) :: l) m.Measurement.visibility []
+  |> List.sort (fun (p, _) (q, _) -> Prefix.compare p q)
+
+(* Equal cells in equal order, equal visibility and filter stats. *)
+let check_same_cells what (a : Measurement.t) (b : Measurement.t) =
+  check_int (what ^ ": cell count") (List.length a.Measurement.cells)
+    (List.length b.Measurement.cells);
+  List.iter2
+    (fun c c' -> Alcotest.(check string) (what ^ ": cell") (cell_text c) (cell_text c'))
+    a.Measurement.cells b.Measurement.cells;
+  check_bool (what ^ ": visibility") true
+    (List.equal ( = ) (visibility_list a) (visibility_list b));
+  check_bool (what ^ ": filter stats") true
+    (a.Measurement.filter_stats = b.Measurement.filter_stats)
+
+(* The cells and visibility of [Measurement.run] computed without a
+   template: one accumulator per key, time-0 keys first, sealed in a fold
+   over a table filled key by key (the order [run] promises). *)
+let acc_reference ~dynamics ~extra_updates s =
+  let table = Measurement.Key_table.create 65536 in
+  let acc key =
+    match Measurement.Key_table.find_opt table key with
+    | Some a -> a
+    | None ->
+        let a = Measurement.Acc.create () in
+        Measurement.Key_table.replace table key a;
+        a
+  in
+  ignore
+    (Measurement.feed ~dynamics ~extra_updates
+       ~on_initial:(fun initial ->
+           Measurement.iter_baselines initial (fun key set ->
+               Measurement.Acc.set_baseline (acc key) set))
+       s
+       (fun u ->
+          let key = { Measurement.session = u.Update.session; prefix = Update.prefix u } in
+          ignore (Measurement.Acc.consume (acc key) u : Measurement.Acc.event)));
+  let visibility = Prefix.Table.create 16 in
+  let cells =
+    Measurement.Key_table.fold
+      (fun key a out ->
+         if Option.is_some (Measurement.Acc.baseline a)
+         || Measurement.Acc.announces a > 0
+         then Measurement.Acc.seal a dynamics.Dynamics.duration;
+         match Measurement.Acc.cell key a with
+         | None -> out
+         | Some c ->
+             let p = key.Measurement.prefix in
+             Prefix.Table.replace visibility p
+               (1 + Option.value ~default:0 (Prefix.Table.find_opt visibility p));
+             c :: out)
+      table []
+  in
+  (cells, visibility)
+
+let check_against_acc what ~dynamics ~extra_updates s (m : Measurement.t) =
+  let cells, visibility = acc_reference ~dynamics ~extra_updates s in
+  check_same_cells what m
+    { m with Measurement.cells = cells; visibility }
+
+let template (s : Scenario.t) = Atomic.get s.Scenario.cell_template
+
+(* Some cell of [b] is physically one of [a]'s, position by position: the
+   two runs share the template's sealed cells. *)
+let shares_cells (a : Measurement.t) (b : Measurement.t) =
+  List.length a.Measurement.cells = List.length b.Measurement.cells
+  && List.exists2 ( == ) a.Measurement.cells b.Measurement.cells
+
+(* Attack-style updates that reach past the time-0 keys: an announcement
+   and a lone withdrawal for keys time 0 never held, and a withdrawal of a
+   time-0 key. *)
+let template_extras () =
+  let m =
+    Measurement.run ~dynamics:tiny_dynamics (Scenario.build ~seed:1 Scenario.Small)
+  in
+  let session, table0 = Update.Session_map.min_binding m.Measurement.initial in
+  let held, _ = Prefix.Map.min_binding table0 in
+  let fresh = Prefix.of_string "203.0.113.0/24" in
+  let lone = Prefix.of_string "198.51.100.0/24" in
+  [ { Update.time = 500.; session; kind = Update.Withdraw held };
+    { Update.time = 1000.; session;
+      kind =
+        Update.Announce (Route.make fresh [ session.Update.peer; Asn.of_int 65000 ]) };
+    { Update.time = 1500.; session; kind = Update.Withdraw lone } ]
+
+(* A run that seeds from the template lists the cells, visibility and
+   filter stats of the run that built it, and of the reference arm on a
+   freshly built world. *)
+let test_template_warm_equals_cold () =
+  let extras = template_extras () in
+  List.iter
+    (fun (what, cfg, extra_updates) ->
+       let run cfg s = Measurement.run ~dynamics:cfg ~extra_updates s in
+       let s = Scenario.build ~seed:1 Scenario.Small in
+       let cold = run cfg s in
+       let built = template s in
+       check_bool (what ^ ": the first run fills the template") true
+         (Option.is_some built);
+       let warm = run cfg s in
+       check_bool (what ^ ": a second run keeps it") true
+         (match (built, template s) with
+          | Some a, Some b -> a == b
+          | _ -> false);
+       check_bool (what ^ ": warm shares sealed cells") true (shares_cells cold warm);
+       let fresh = run cfg (Scenario.build ~seed:1 Scenario.Small) in
+       let reference =
+         run { cfg with Dynamics.delta = false } (Scenario.build ~seed:1 Scenario.Small)
+       in
+       check_same_cells (what ^ ": warm vs cold") cold warm;
+       check_same_cells (what ^ ": fresh world vs cold") fresh cold;
+       check_same_cells (what ^ ": reference arm vs cold") reference cold;
+       check_against_acc (what ^ ": accumulators vs warm") ~dynamics:cfg
+         ~extra_updates s warm;
+       check_bool (what ^ ": same dynamics stats") true
+         (cold.Measurement.dyn_stats = warm.Measurement.dyn_stats))
+    [ ("short", Dynamics.short_config, []);
+      ("extra updates", Dynamics.short_config, extras);
+      ("tiny", tiny_dynamics, extras) ]
+
+(* The reference arm neither reads nor fills the template. *)
+let test_template_reference_arm_untouched () =
+  let s = Scenario.build ~seed:1 Scenario.Small in
+  let off = { tiny_dynamics with Dynamics.delta = false } in
+  ignore (Measurement.run ~dynamics:off s);
+  check_bool "delta = false leaves the template empty" true
+    (Option.is_none (template s));
+  let on = Measurement.run ~dynamics:tiny_dynamics s in
+  let built = template s in
+  check_bool "a delta run fills it" true (Option.is_some built);
+  let full = Measurement.run ~dynamics:off s in
+  check_bool "delta = false keeps the delta run's template" true
+    (match (built, template s) with Some a, Some b -> a == b | _ -> false);
+  check_bool "delta = false shares no sealed cell" false (shares_cells on full);
+  check_same_cells "delta = false vs delta" on full
+
+(* Two horizons on one world: each run seals at its own. *)
+let test_template_two_horizons () =
+  let day = { tiny_dynamics with Dynamics.duration = 86400. } in
+  let fresh cfg = Measurement.run ~dynamics:cfg (Scenario.build ~seed:1 Scenario.Small) in
+  let s = Scenario.build ~seed:1 Scenario.Small in
+  List.iter
+    (fun (what, cfg) ->
+       let m = Measurement.run ~dynamics:cfg s in
+       check_same_cells what (fresh cfg) m;
+       check_against_acc (what ^ ": accumulators") ~dynamics:cfg
+         ~extra_updates:[] s m)
+    [ ("12 h", tiny_dynamics); ("1 day", day); ("12 h again", tiny_dynamics);
+      ("12 h warm", tiny_dynamics) ]
+
+(* Four runs race to build one world's template: each lists a serial
+   run's cells. *)
+let test_template_concurrent_runs () =
+  let serial = Measurement.run ~dynamics:tiny_dynamics (Scenario.build ~seed:1 Scenario.Small) in
+  let s = Scenario.build ~seed:1 Scenario.Small in
+  let runs =
+    Pool.with_pool ~jobs:4 (fun exec ->
+        Pool.map ~chunk:1 exec
+          (fun _ -> Measurement.run ~dynamics:tiny_dynamics s)
+          (Array.init 4 Fun.id))
+  in
+  Array.iteri
+    (fun k m -> check_same_cells (Printf.sprintf "run %d vs serial" k) serial m)
+    runs;
+  check_same_cells "a later run vs serial" serial
+    (Measurement.run ~dynamics:tiny_dynamics s)
+
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
 let () =
@@ -1089,6 +1277,14 @@ let () =
            test_time0_concurrent_cold_runs;
          Alcotest.test_case "reference arm untouched" `Quick
            test_time0_reference_arm_untouched ]);
+      ("time-0 template",
+       [ Alcotest.test_case "warm = cold = fresh world" `Quick
+           test_template_warm_equals_cold;
+         Alcotest.test_case "reference arm untouched" `Quick
+           test_template_reference_arm_untouched;
+         Alcotest.test_case "two horizons" `Quick test_template_two_horizons;
+         Alcotest.test_case "concurrent runs" `Quick
+           test_template_concurrent_runs ]);
       ("parallel determinism",
        [ Alcotest.test_case "F3L jobs identity" `Quick
            test_path_changes_jobs_identical;

@@ -125,6 +125,29 @@ let test_histogram_buckets_and_quantiles () =
   in
   check_bool "q outside [0,1] rejected" true raised
 
+(* A bucket's bound can lie outside every observation: quantiles read
+   inside [min, max] (a pool's busy time once read p50 = 0.1 s above a
+   0.036 s max). *)
+let test_quantile_clamped () =
+  let name = fresh () in
+  let h = Metrics.histogram ~buckets:[| 0.1; 1. |] name in
+  List.iter (Metrics.observe h) [ 0.02; 0.036 ];
+  let v = hist_value name in
+  List.iter
+    (fun q ->
+       check_bool (Printf.sprintf "p%g <= max" (100. *. q)) true
+         (Metrics.quantile v q = 0.036))
+    [ 0.5; 0.9; 0.99 ];
+  let name = fresh () in
+  let h = Metrics.histogram ~buckets:[| 1e-6; 1. |] name in
+  Metrics.observe h 0.;
+  check_bool "all-zero observations read 0" true
+    (Metrics.quantile (hist_value name) 0.5 = 0.);
+  let name = fresh () in
+  let h = Metrics.histogram ~buckets:[| 1.; 10. |] name in
+  List.iter (Metrics.observe h) [ 5.; 6. ];
+  check_bool "p0 in [min, max]" true (Metrics.quantile (hist_value name) 0. = 6.)
+
 let test_reset_all () =
   let name = fresh () in
   let c = Metrics.counter name in
@@ -460,6 +483,8 @@ let () =
            test_disabled_writes_are_noops;
          Alcotest.test_case "buckets and quantiles" `Quick
            test_histogram_buckets_and_quantiles;
+         Alcotest.test_case "quantiles within [min, max]" `Quick
+           test_quantile_clamped;
          Alcotest.test_case "reset_all" `Quick test_reset_all;
          Alcotest.test_case "writes allocate nothing" `Quick
            test_incr_allocates_nothing ]);

@@ -36,7 +36,9 @@
 #      Scenario.build: client_ases, tor_prefixes, world and indexed are
 #      derived from them there, so a `{ s with Scenario.consensus = ... }`
 #      record update anywhere else would leave those stale. (Consensus.t is
-#      private, so its own derived pools need no such rule.)
+#      private, so its own derived pools need no such rule.) The same holds
+#      for world and cell_template: the template is derived from the
+#      world's time-0 tables, and a seed-only update must share both.
 #   8. metrics are registered only in lib/obs/manifest.ml (the schema) and
 #      lib/obs/metrics.ml (the registry): a Metrics.counter, .gauge or
 #      .histogram call anywhere else in shipped code is a metric the schema
@@ -103,7 +105,7 @@ if grep -rn --include='*.ml' --include='*.mli' \
 fi
 
 if grep -rnE --include='*.ml' \
-     -e 'with Scenario\.[^}]*\b(graph|addressing|consensus) *=([^=]|$)' \
+     -e 'with Scenario\.[^}]*\b(graph|addressing|consensus|world|cell_template) *=([^=]|$)' \
      lib bin examples bench test qsbench | grep -v '^lib/core/scenario\.ml:'; then
   echo "check_mli: record update of a Scenario field with derived data outside lib/core/scenario.ml (use Scenario.build)" >&2
   fail=1
