@@ -37,3 +37,10 @@ module Session_map = Map.Make (struct
     type t = session_id
     let compare = session_compare
   end)
+
+module Session_table = Hashtbl.Make (struct
+    type t = session_id
+
+    let equal = session_equal
+    let hash s = (Hashtbl.hash s.collector * 31) + Asn.hash s.peer
+  end)

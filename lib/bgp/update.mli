@@ -27,3 +27,7 @@ val is_announce : t -> bool
 val pp : Format.formatter -> t -> unit
 
 module Session_map : Map.S with type key = session_id
+
+module Session_table : Hashtbl.S with type key = session_id
+(** Hash tables over sessions, for the analyses that group cells by
+    session in one pass. *)

@@ -15,35 +15,50 @@ let compute ?(threshold = 300.) ?exec (m : Measurement.t) =
      the paper (the baseline is "the first path used at the beginning of
      the month"). *)
   let cases =
-    m.Measurement.cells
-    |> List.filter (fun (c : Measurement.cell) ->
-        Measurement.is_tor m c.Measurement.key.Measurement.prefix
-        && c.Measurement.baseline <> None)
-    |> Array.of_list
+    List.filter
+      (fun (c : Measurement.cell) ->
+         Measurement.is_tor m c.Measurement.key.Measurement.prefix
+         && c.Measurement.baseline <> None)
+      m.Measurement.cells
   in
-  (* The residency scans are the expensive part and are independent per
-     cell; the union/extras accumulation below stays sequential in cell
-     order, so the result matches the single-threaded one exactly. *)
+  (* A cell that saw no update holds only its baseline, so its extra-AS
+     set is empty: only the others are scanned. The scans are independent
+     per cell; the union/extras accumulation below stays sequential in
+     cell order, so the result matches the single-threaded one exactly. *)
   let sets =
-    Pool.map pool (fun c -> Measurement.extra_ases ~threshold c) cases
+    List.filter (fun (c : Measurement.cell) -> c.Measurement.updates > 0) cases
+    |> Array.of_list
+    |> Pool.map pool (fun c -> Measurement.extra_ases ~threshold c)
   in
-  let extras = ref [] in
+  let extras = ref [] and next = ref 0 in
   let union = Prefix.Table.create 256 in
-  Array.iteri
-    (fun i (c : Measurement.cell) ->
+  List.iter
+    (fun (c : Measurement.cell) ->
        let p = c.Measurement.key.Measurement.prefix in
-       let set = sets.(i) in
-       extras := Asn.Set.cardinal set :: !extras;
-       let cur =
-         Option.value ~default:Asn.Set.empty (Prefix.Table.find_opt union p)
+       let set =
+         if c.Measurement.updates = 0 then Asn.Set.empty
+         else begin
+           incr next;
+           sets.(!next - 1)
+         end
        in
-       Prefix.Table.replace union p (Asn.Set.union cur set))
+       extras := Asn.Set.cardinal set :: !extras;
+       (* A prefix enters the table at its first case, so the union's
+          listing order does not depend on which sets are empty. *)
+       match Prefix.Table.find_opt union p with
+       | None -> Prefix.Table.add union p set
+       | Some cur ->
+           if not (Asn.Set.is_empty set) then
+             Prefix.Table.replace union p (Asn.Set.union cur set))
     cases;
   let extras = !extras in
   let samples = List.map float_of_int extras in
   let ccdf = Ccdf.of_samples (match samples with [] -> [ 0. ] | s -> s) in
   let n = float_of_int (max 1 (List.length extras)) in
-  let count f = float_of_int (List.length (List.filter f extras)) /. n in
+  let count f =
+    float_of_int (List.fold_left (fun k e -> if f e then k + 1 else k) 0 extras)
+    /. n
+  in
   { threshold;
     extras;
     ccdf;

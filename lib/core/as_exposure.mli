@@ -20,9 +20,11 @@ type t = {
 }
 
 val compute : ?threshold:float -> ?exec:Pool.t -> Measurement.t -> t
-(** Default threshold 300 s (the paper's 5-minute rule). The per-case
-    residency scans run as tasks on [exec] (default {!Pool.default});
-    accumulation stays sequential in cell order, so the result is
-    byte-identical at any worker count. *)
+(** Default threshold 300 s (the paper's 5-minute rule). Only cases
+    that saw an update are scanned: a cell with no update holds its
+    baseline alone (see {!Measurement.cell}), so it has no extra AS. The
+    scans run as tasks on [exec] (default {!Pool.default}); accumulation
+    stays sequential in cell order, so the result is byte-identical at
+    any worker count. *)
 
 val print : Format.formatter -> t -> unit

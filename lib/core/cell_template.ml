@@ -55,10 +55,6 @@ let iter_baselines (initial : Dynamics.initial) f =
          table0)
     initial
 
-let unbuilt_key =
-  { session = { Update.collector = ""; peer = Asn.of_int 0 };
-    prefix = Prefix.host (Ipv4.of_int_trunc 0) }
-
 (* The sealed cells of one horizon, slot [i] for time-0 key [i]: [unbuilt]
    until a run first emits that key untouched. Runs on several domains may
    fill one slot at once; each writes an equal cell. *)
@@ -66,7 +62,7 @@ type sealed = { horizon : float; cells : cell array }
 
 type t = {
   source : Dynamics.initial;
-  keys : key array;               (* by index *)
+  keys : int Key_table.t;         (* key -> index; never written after [build] *)
   baselines : Asn.Set.t array;    (* by index *)
   visibility : int Prefix.Table.t;
   sealed : sealed option Atomic.t;
@@ -76,17 +72,21 @@ type slot = t option Atomic.t
 
 let empty_slot () = Atomic.make None
 
+(* The table is filled key by key in index order, at the size
+   [Measurement.run] has always given its table, so a fold over it, or
+   over a copy that later keys were added to, lists keys where a run
+   that filled its own table key by key always did. *)
 let build initial =
   let n =
     Update.Session_map.fold (fun _ table0 n -> n + Prefix.Map.cardinal table0)
       initial 0
   in
-  let keys = Array.make n unbuilt_key in
+  let keys = Key_table.create 65536 in
   let baselines = Array.make n Asn.Set.empty in
   let visibility = Prefix.Table.create 4096 in
   let i = ref 0 in
   iter_baselines initial (fun key set ->
-      keys.(!i) <- key;
+      Key_table.add keys key !i;
       baselines.(!i) <- set;
       incr i;
       let cur =
@@ -105,18 +105,15 @@ let for_run ~share slot initial =
       if share then ignore (Atomic.compare_and_set slot current (Some t));
       t
 
-(* The size is the one [Measurement.run] always gave its table. *)
-let seed t =
-  let table = Key_table.create 65536 in
-  Array.iteri (fun i key -> Key_table.add table key i) t.keys;
-  table
-
+let keys t = t.keys
 let length t = Array.length t.baselines
 let baseline t i = t.baselines.(i)
 let visibility t = Prefix.Table.copy t.visibility
 
 let unbuilt =
-  { key = unbuilt_key;
+  { key =
+      { session = { Update.collector = ""; peer = Asn.of_int 0 };
+        prefix = Prefix.host (Ipv4.of_int_trunc 0) };
     baseline = None; updates = 0; path_changes = 0; residency = [];
     contiguous = []; final_set = None }
 
@@ -130,7 +127,7 @@ let sealed_at t horizon =
       Atomic.set t.sealed (Some s);
       s
 
-let sealed_cell t s i =
+let sealed_cell t s key i =
   let c = s.cells.(i) in
   if c != unbuilt then c
   else begin
@@ -138,7 +135,7 @@ let sealed_cell t s i =
     let runs = sealed_runs base s.horizon in
     let set = Some base in
     let c =
-      { key = t.keys.(i); baseline = set; updates = 0; path_changes = 0; residency = runs;
+      { key; baseline = set; updates = 0; path_changes = 0; residency = runs;
         contiguous = runs; final_set = set }
     in
     s.cells.(i) <- c;

@@ -39,11 +39,10 @@ val iter_baselines : Dynamics.initial -> (key -> Asn.Set.t -> unit) -> unit
 type t
 (** A time-0 cell template: built from one {!Dynamics.initial} (its
     source), immutable but for the lazily built sealed cells. Keys are
-    numbered [0 .. length - 1] in {!iter_baselines} order. It keeps the
-    keys and their baselines in two arrays, not a hash table: each run
-    builds its own table from them ({!seed}), so a one-run process keeps
-    two words per key after its run, not a table's four and its bucket
-    array. *)
+    numbered [0 .. length - 1] in {!iter_baselines} order. It owns its
+    key -> index table, which runs read and never write, so runs on
+    several domains share it; at Paper scale (115 823 keys) the table is
+    ~4 MB and stays as long as the scenario does. *)
 
 type slot = t option Atomic.t
 (** Where a scenario keeps its world's template ([Scenario.t]'s
@@ -59,11 +58,13 @@ val for_run : share:bool -> slot -> Dynamics.initial -> t
     [delta = false] arm's) never match a source, so a run that passes
     [share:false] neither reads nor fills the slot. *)
 
-val seed : t -> int Key_table.t
-(** A new key -> index table holding the time-0 keys, added in index
-    order to a table of the size [Measurement.run] has always used: the
-    buckets of a table filled key by key, so a run that adds its later
-    keys lists them in a fold exactly where it always did. *)
+val keys : t -> int Key_table.t
+(** The time-0 keys and their indexes, added in index order to a table
+    of the size [Measurement.run] has always used: the buckets of a
+    table filled key by key. Read only: a run that must add a key adds
+    it to a {!Key_table.copy}, which keeps each bucket's order, so a
+    fold over the copy lists every key where a table filled key by key
+    would. *)
 
 val length : t -> int
 (** Number of time-0 keys. *)
@@ -82,8 +83,9 @@ val sealed_at : t -> float -> sealed
     (a template keeps the horizon last asked for). A run reads it once
     and keeps it, so runs at other horizons never change its cells. *)
 
-val sealed_cell : t -> sealed -> int -> cell
-(** The cell of time-0 key [i] when no update touched it, sealed at the
-    set's horizon: its baseline as [baseline] and [final_set], no update,
-    no change, {!sealed_runs} as residency and runs. Built on first
-    request and shared by every later one. *)
+val sealed_cell : t -> sealed -> key -> int -> cell
+(** [sealed_cell t s key i]: the cell of time-0 key [key], numbered [i],
+    when no update touched it, sealed at the set's horizon: its baseline
+    as [baseline] and [final_set], no update, no change, {!sealed_runs}
+    as residency and runs. Built on first request and shared by every
+    later one. *)

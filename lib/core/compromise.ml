@@ -42,18 +42,23 @@ let compute ~rng ?exec ?(fs = [ 0.01; 0.02; 0.05; 0.1 ])
 let baseline_path_ases = 4
 (* "the number of ASes crossed in the Internet is around 4, on average" *)
 
+(* The means of the per-case probabilities, each summed from the last
+   case to the first and then divided by the case count: that order and
+   those operations fix the bits that sweep summaries print, so the
+   static term, the same for every case, is still added once per case. *)
 let exposure_based ~f ~l (exposure : As_exposure.t) =
-  let probs_static, probs_dynamic =
-    List.fold_left
-      (fun (s, d) extra ->
-         ( Anonymity.multi_guard_probability ~f ~x:baseline_path_ases ~l :: s,
-           Anonymity.multi_guard_probability ~f ~x:(baseline_path_ases + extra) ~l
-           :: d ))
-      ([], []) exposure.As_exposure.extras
-  in
-  match probs_static with
-  | [] -> (0., 0.)
-  | _ -> (Stats.mean probs_static, Stats.mean probs_dynamic)
+  match Array.of_list exposure.As_exposure.extras with
+  | [||] -> (0., 0.)
+  | extras ->
+      let prob x = Anonymity.multi_guard_probability ~f ~x ~l in
+      let static = prob baseline_path_ases in
+      let sum_static = ref 0. and sum_dynamic = ref 0. in
+      for i = Array.length extras - 1 downto 0 do
+        sum_static := !sum_static +. static;
+        sum_dynamic := !sum_dynamic +. prob (baseline_path_ases + extras.(i))
+      done;
+      let n = float_of_int (Array.length extras) in
+      (!sum_static /. n, !sum_dynamic /. n)
 
 let print ppf t =
   Format.fprintf ppf "M1: compromise probability 1-(1-f)^(l*x)@.";

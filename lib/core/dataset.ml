@@ -53,15 +53,26 @@ let compute (m : Measurement.t) =
   let visibilities =
     List.map (fun p -> Measurement.visibility_fraction m p) tor_prefixes
   in
-  (* Tor prefixes learned per session. *)
+  (* Tor prefixes learned per session, counted in one pass over the
+     cells. *)
+  let learned = Update.Session_table.create 128 in
+  List.iter
+    (fun (c : Measurement.cell) ->
+       if Measurement.is_tor m c.Measurement.key.Measurement.prefix
+       && (c.Measurement.baseline <> None || c.Measurement.updates > 0)
+       then begin
+         let id = c.Measurement.key.Measurement.session in
+         match Update.Session_table.find learned id with
+         | n -> incr n
+         | exception Not_found -> Update.Session_table.add learned id (ref 1)
+       end)
+    m.Measurement.cells;
   let per_session =
     Scenario.sessions scenario
     |> List.map (fun (s : Collector.session) ->
-        Measurement.cells_for_session m s.Collector.id
-        |> List.filter (fun c ->
-            Measurement.is_tor m c.Measurement.key.Measurement.prefix
-            && (c.Measurement.baseline <> None || c.Measurement.updates > 0))
-        |> List.length)
+        match Update.Session_table.find learned s.Collector.id with
+        | n -> !n
+        | exception Not_found -> 0)
   in
   { base with
     mean_visibility = (match visibilities with [] -> 0. | v -> Stats.mean v);

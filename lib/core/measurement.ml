@@ -401,12 +401,14 @@ let run ?(dynamics = Dynamics.default_config) ?no_filter
     ?extra_updates ?observe scenario =
   Span.with_ ~name:"measurement.run" @@ fun () ->
   let n_consumed = ref 0 in
-  (* Seeded from the time-0 cell template by [on_initial], before any
+  (* Set from the time-0 cell template by [on_initial], before any
      update: [table] maps every key to its index, time-0 keys first in
      the template's order, and [accs.(i)] is key [i]'s accumulator once
-     an update has touched it ([untouched] until then). *)
+     an update has touched it ([untouched] until then). [table] is the
+     template's own until an update names a key outside time 0; the run
+     then adds it, and every later one, to a copy. *)
   let tpl = ref None in
-  let table = ref (Key_table.create 1) in
+  let table = ref (Key_table.create 1) and owned = ref false in
   let untouched = Acc.create () in
   let accs = ref [||] and n_keys = ref 0 in
   let on_initial initial =
@@ -415,7 +417,7 @@ let run ?(dynamics = Dynamics.default_config) ?no_filter
         scenario.Scenario.cell_template initial
     in
     tpl := Some t;
-    table := Cell_template.seed t;
+    table := Cell_template.keys t;
     n_keys := Cell_template.length t;
     accs := Array.make (!n_keys + 64) untouched
   in
@@ -441,6 +443,10 @@ let run ?(dynamics = Dynamics.default_config) ?no_filter
           let grown = Array.make (i + (i / 2)) untouched in
           Array.blit !accs 0 grown 0 i;
           accs := grown
+        end;
+        if not !owned then begin
+          table := Key_table.copy !table;
+          owned := true
         end;
         Key_table.add !table key i;
         incr n_keys;
@@ -468,7 +474,7 @@ let run ?(dynamics = Dynamics.default_config) ?no_filter
     Key_table.fold
       (fun key i out ->
          let acc = accs.(i) in
-         if acc == untouched then Cell_template.sealed_cell t sealed i :: out
+         if acc == untouched then Cell_template.sealed_cell t sealed key i :: out
          else
            (* A key that only ever saw withdrawals carries no routing
               state: no baseline, no route, nothing a collector could
@@ -509,9 +515,6 @@ let pp_dynamics_summary ppf t =
     (if s.Dynamics.delta_steps = 0 then " (delta disabled or unused)" else "")
     s.Dynamics.post_horizon_dropped t.duration
     s.Dynamics.final_failed
-
-let cells_for_session t session =
-  List.filter (fun c -> Update.session_equal c.key.session session) t.cells
 
 let is_tor t p = Tor_prefix.is_tor_prefix t.scenario.Scenario.tor_prefixes p
 

@@ -30,7 +30,10 @@ type cell = Cell_template.cell = {
 }
 (** Cells exist only for keys that carried routing state: a baseline route
     at time 0 or at least one announcement. A key that only ever saw
-    withdrawals is not materialized. *)
+    withdrawals is not materialized. A cell with [updates = 0] holds its
+    baseline and nothing else: [residency] and [contiguous] name only
+    baseline ASes, so {!extra_ases} of it is empty — the analyses skip
+    the scan for such cells. *)
 
 module Key_table = Cell_template.Key_table
 (** Hash tables over measurement keys — shared with the [Qs_serve]
@@ -65,8 +68,10 @@ module Acc : sig
 
   val set_baseline : t -> Asn.Set.t -> unit
   (** Register the time-0 table route: sets the baseline AS set, the
-      current path, and starts contiguous runs at t = 0. Call before any
-      update flows. *)
+      current path, and starts contiguous runs at t = 0. Call at most
+      once, on a new accumulator, before any update flows: an
+      accumulator that then sees no update seals to its baseline alone,
+      which is what makes {!cell}'s zero-update cells hold no extra AS. *)
 
   val consume : t -> Update.t -> event
   (** Feed one update (per-key time order). Counts it, credits residency
@@ -159,27 +164,28 @@ val run :
     sees every update {!Acc.consume} does, in the same order — attach
     monitors here.
 
-    Keys are seeded from the scenario's time-0 cell template
-    ({!Cell_template.seed}), so cells are listed in the order of a table
+    Keys are read from the scenario's time-0 cell template's table
+    ({!Cell_template.keys}), so cells are listed in the order of a table
     filled key by key: time-0 keys in {!iter_baselines} order, then each
-    later key as an update first names it. An {!Acc} exists only for a
-    key an update touched; every other time-0 key contributes the
-    template's shared sealed cell for the horizon ([duration]), and
-    visibility starts from a copy of the template's counts. The first
-    [delta] run on a world builds the template and publishes it
-    ({!Cell_template.for_run}); later [delta] runs, whose time-0 tables
-    are the world's memo and so physically the template's source, reuse
-    it. A [delta = false] run builds a private template from its own
-    tables. The cells, their order and every count are those of one
-    accumulator per key, whichever way a run is seeded. *)
+    later key as an update first names it. The run reads the template's
+    table and never writes it; only when an update names a key outside
+    time 0 does it copy the table ({!Key_table.copy} keeps each bucket's
+    order) and add that key, and every later one, to the copy. An {!Acc}
+    exists only for a key an update touched; every other time-0 key
+    contributes the template's shared sealed cell for the horizon
+    ([duration]), and visibility starts from a copy of the template's
+    counts. The first [delta] run on a world builds the template and
+    publishes it ({!Cell_template.for_run}); later [delta] runs, whose
+    time-0 tables are the world's memo and so physically the template's
+    source, reuse it. A [delta = false] run builds a private template
+    from its own tables. The cells, their order and every count are
+    those of one accumulator per key, whichever way a run is seeded. *)
 
 val pp_dynamics_summary : Format.formatter -> t -> unit
 (** Three-line summary of the run's {!Dynamics.stats}: update counts,
     full recomputations and delta steps, and the horizon accounting
     (post-horizon drops, links still failed at the end). Printed by
     [quicksand path-changes] and the benchmarks. *)
-
-val cells_for_session : t -> Update.session_id -> cell list
 
 val is_tor : t -> Prefix.t -> bool
 

@@ -8,14 +8,15 @@ type t = {
   busiest : (Prefix.t * Update.session_id * int) option;
 }
 
-module Session_table = Hashtbl.Make (struct
-    type t = Update.session_id
-
-    let equal = Update.session_equal
-
-    let hash (s : t) =
-      (Hashtbl.hash s.Update.collector * 31) + Asn.hash s.Update.peer
-  end)
+(* One session's cells, gathered in the one pass over every cell: its
+   nonzero path-change counts (zeros are only counted) and its Tor
+   cells' (prefix, changes), latest cell first. *)
+type session_cells = {
+  id : Update.session_id;
+  mutable zeros : int;
+  mutable nonzero : int list;
+  mutable tor : (Prefix.t * int) list;
+}
 
 (* One session's statistics, computed independently of every other
    session — the parallel unit of [compute]. *)
@@ -25,94 +26,95 @@ type session_stats = {
   s_tor : (Prefix.t * float * int) list;   (* (prefix, ratio, changes) *)
 }
 
-(* [Stats.median] of the cells' path-change counts, without boxing: the
-   counts sort as ints, and [Stats.percentile]'s interpolation is applied
-   to the two middle values, so the result is the same float. *)
-let median_changes cells =
-  let counts = Array.make (List.length cells) 0 in
-  List.iteri (fun i c -> counts.(i) <- c.Measurement.path_changes) cells;
-  Array.sort Int.compare counts;
-  let n = Array.length counts in
+(* [Stats.median] of the session's path-change counts, the same float:
+   [Stats.percentile]'s interpolation applied to the two middle values of
+   the sorted counts. Counts are never negative, so the zeros come first
+   in sorted order and only the nonzero ones are sorted. *)
+let median_changes s =
+  let sorted = Array.of_list s.nonzero in
+  Array.sort Int.compare sorted;
+  let nth k = if k < s.zeros then 0 else sorted.(k - s.zeros) in
+  let n = s.zeros + Array.length sorted in
   let rank = 0.5 *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor rank) in
   let hi = min (n - 1) (lo + 1) in
   let frac = rank -. float_of_int lo in
-  let a = float_of_int counts.(lo) and b = float_of_int counts.(hi) in
+  let a = float_of_int (nth lo) and b = float_of_int (nth hi) in
   a +. (frac *. (b -. a))
 
 let compute ?exec (m : Measurement.t) =
   Span.with_ ~name:"path_changes.compute" @@ fun () ->
   let pool = match exec with Some p -> p | None -> Pool.default () in
-  (* Group cells by session: one lookup per cell. *)
-  let by_session = Session_table.create 128 in
+  (* One pass over the cells: one session lookup and one Tor lookup per
+     cell. *)
+  let by_session = Update.Session_table.create 128 in
   List.iter
     (fun (c : Measurement.cell) ->
        let id = c.Measurement.key.Measurement.session in
-       match Session_table.find by_session id with
-       | cells -> cells := c :: !cells
-       | exception Not_found -> Session_table.add by_session id (ref [ c ]))
+       let s =
+         match Update.Session_table.find by_session id with
+         | s -> s
+         | exception Not_found ->
+             let s = { id; zeros = 0; nonzero = []; tor = [] } in
+             Update.Session_table.add by_session id s;
+             s
+       in
+       let changes = c.Measurement.path_changes in
+       if changes = 0 then s.zeros <- s.zeros + 1
+       else s.nonzero <- changes :: s.nonzero;
+       let p = c.Measurement.key.Measurement.prefix in
+       if Measurement.is_tor m p then s.tor <- (p, changes) :: s.tor)
     m.Measurement.cells;
   (* Canonical session order: results no longer depend on hash-table
      iteration order, so the reduce below is stable at any worker count. *)
   let sessions =
-    Session_table.fold (fun id cells acc -> (id, !cells) :: acc) by_session []
-    |> List.sort (fun (a, _) (b, _) -> Update.session_compare a b)
+    Update.Session_table.fold (fun _ s acc -> s :: acc) by_session []
+    |> List.sort (fun a b -> Update.session_compare a.id b.id)
     |> Array.of_list
   in
   let stats =
     Pool.map pool
-      (fun (_, cells) ->
-         match cells with
-         | [] -> None
-         | (first : Measurement.cell) :: _ ->
-             let session = first.Measurement.key.Measurement.session in
-             let median = median_changes cells in
-             (* Ratios are only defined where the session's median is
-                nonzero; the paper's sessions all saw background churn. We
-                floor the median at 1 change to keep ratios finite, which
-                only makes the comparison harder for Tor prefixes. *)
-             let denom = Float.max 1. median in
-             let tor =
-               List.filter_map
-                 (fun (c : Measurement.cell) ->
-                    let p = c.Measurement.key.Measurement.prefix in
-                    if Measurement.is_tor m p then
-                      Some (p,
-                            float_of_int c.Measurement.path_changes /. denom,
-                            c.Measurement.path_changes)
-                    else None)
-                 cells
-             in
-             Some { s_id = session; s_median = median; s_tor = tor })
+      (fun s ->
+         let median = median_changes s in
+         (* Ratios are only defined where the session's median is
+            nonzero; the paper's sessions all saw background churn. We
+            floor the median at 1 change to keep ratios finite, which
+            only makes the comparison harder for Tor prefixes. *)
+         let denom = Float.max 1. median in
+         { s_id = s.id; s_median = median;
+           s_tor =
+             List.map
+               (fun (p, changes) -> (p, float_of_int changes /. denom, changes))
+               s.tor })
       sessions
   in
-  let ratios = ref [] in
+  let ratios = ref [] and above = ref 0 in
   let per_session_median = ref [] in
   let beating = Prefix.Table.create 256 in   (* Tor prefix -> beat somewhere *)
   let tor_seen = Prefix.Table.create 256 in
   let busiest = ref None in
   Array.iter
-    (function
-      | None -> ()
-      | Some s ->
-          per_session_median := (s.s_id, s.s_median) :: !per_session_median;
-          List.iter
-            (fun (p, r, changes) ->
-               Prefix.Table.replace tor_seen p ();
-               ratios := r :: !ratios;
-               if r > 1. then Prefix.Table.replace beating p ();
-               match !busiest with
-               | Some (_, _, best) when best >= changes -> ()
-               | _ -> busiest := Some (p, s.s_id, changes))
-            s.s_tor)
+    (fun s ->
+       per_session_median := (s.s_id, s.s_median) :: !per_session_median;
+       List.iter
+         (fun (p, r, changes) ->
+            Prefix.Table.replace tor_seen p ();
+            ratios := r :: !ratios;
+            if r > 1. then begin
+              incr above;
+              Prefix.Table.replace beating p ()
+            end;
+            match !busiest with
+            | Some (_, _, best) when best >= changes -> ()
+            | _ -> busiest := Some (p, s.s_id, changes))
+         s.s_tor)
     stats;
   let ratios = !ratios in
   let ccdf = Ccdf.of_samples (match ratios with [] -> [ 0. ] | r -> r) in
   let n = float_of_int (max 1 (List.length ratios)) in
-  let above = List.length (List.filter (fun r -> r > 1.) ratios) in
   let tor_count = max 1 (Prefix.Table.length tor_seen) in
   { ratios; ccdf;
-    frac_above_one = float_of_int above /. n;
+    frac_above_one = float_of_int !above /. n;
     max_ratio = List.fold_left Float.max 0. ratios;
     frac_tor_beating_median_somewhere =
       float_of_int (Prefix.Table.length beating) /. float_of_int tor_count;

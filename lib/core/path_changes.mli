@@ -21,9 +21,13 @@ type t = {
 }
 
 val compute : ?exec:Pool.t -> Measurement.t -> t
-(** Per-session statistics run as tasks on [exec] (default
-    {!Pool.default}); sessions are processed in a canonical sorted order
-    and reduced sequentially, so the result — including tie-breaks in
-    [busiest] — is identical at any worker count. *)
+(** One pass over the cells groups them by session, keeping each
+    session's nonzero path-change counts and its Tor cells; a session's
+    median counts its zeros and sorts only the nonzero counts, which
+    gives the float a sort of every count gives. Per-session statistics
+    run as tasks on [exec] (default {!Pool.default}); sessions are
+    processed in a canonical sorted order and reduced sequentially, so
+    the result — including tie-breaks in [busiest] — is identical at any
+    worker count. *)
 
 val print : Format.formatter -> t -> unit

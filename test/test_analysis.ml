@@ -129,6 +129,55 @@ let prop_ccdf_in_unit_interval =
        let v = Ccdf.at c q in
        v >= 0. && v <= 1.)
 
+(* The CCDF sorts only its non-+0 samples; the reference sorts them all.
+   Without nan or -0 every float of the two must be equal, bit for bit. *)
+let ccdf_sample ~neg_zero =
+  let open QCheck.Gen in
+  frequency
+    ([ (6, return 0.);
+       (3, map float_of_int (int_range (-3) 40));
+       (2, float_range (-5.) 5.);
+       (1, oneofl [ infinity; neg_infinity; max_float; -.min_float; 1e-300 ]) ]
+     @ if neg_zero then [ (3, return (-0.)) ] else [])
+  |> map (fun x -> if (not neg_zero) && x = 0. then 0. else x)
+
+let ccdf_probes xs = [ 0.; -0.; 1.; -1.; 0.5; 1e9; infinity; neg_infinity ] @ xs
+
+let bits_of_at c probes =
+  List.map (fun x -> Int64.bits_of_float (Ccdf.at c x)) probes
+
+let prop_ccdf_reference =
+  QCheck.Test.make ~name:"ccdf = sort-based reference, bit for bit" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list float)
+       QCheck.Gen.(list_size (int_range 0 80) (ccdf_sample ~neg_zero:false)))
+    (fun xs ->
+       let c = Ccdf.of_samples xs and r = Analysis_reference.Ccdf.of_samples xs in
+       let bits_points l =
+         List.map (fun (x, p) -> (Int64.bits_of_float x, Int64.bits_of_float p)) l
+       in
+       let probes = ccdf_probes xs in
+       Ccdf.size c = Analysis_reference.Ccdf.size r
+       && bits_points (Ccdf.points c) = bits_points (Analysis_reference.Ccdf.points r)
+       && bits_of_at c probes
+          = List.map
+              (fun x -> Int64.bits_of_float (Analysis_reference.Ccdf.at r x))
+              probes)
+
+(* With -0 among the samples the two may order +0 and -0 apart, but
+   every size and tail mass agrees. *)
+let prop_ccdf_reference_neg_zero =
+  QCheck.Test.make ~name:"ccdf with -0: size and at = reference" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list float)
+       QCheck.Gen.(list_size (int_range 0 80) (ccdf_sample ~neg_zero:true)))
+    (fun xs ->
+       let c = Ccdf.of_samples xs and r = Analysis_reference.Ccdf.of_samples xs in
+       let probes = ccdf_probes xs in
+       Ccdf.size c = Analysis_reference.Ccdf.size r
+       && bits_of_at c probes
+          = List.map
+              (fun x -> Int64.bits_of_float (Analysis_reference.Ccdf.at r x))
+              probes)
+
 (* ---- Correlation ------------------------------------------------------ *)
 
 let test_pearson_perfect () =
@@ -290,7 +339,9 @@ let () =
            test_ccdf_quantile_boundaries;
          Alcotest.test_case "empty sample is total" `Quick
            test_ccdf_empty_total ]
-       @ qsuite [ prop_ccdf_in_unit_interval ]);
+       @ qsuite
+           [ prop_ccdf_in_unit_interval; prop_ccdf_reference;
+             prop_ccdf_reference_neg_zero ]);
       ("correlation",
        [ Alcotest.test_case "pearson perfect" `Quick test_pearson_perfect;
          Alcotest.test_case "constant series" `Quick test_pearson_constant_series;

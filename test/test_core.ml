@@ -1196,22 +1196,246 @@ let test_template_two_horizons () =
     [ ("12 h", tiny_dynamics); ("1 day", day); ("12 h again", tiny_dynamics);
       ("12 h warm", tiny_dynamics) ]
 
-(* Four runs race to build one world's template: each lists a serial
-   run's cells. *)
+(* A run whose extra updates name keys outside time 0 adds them to a copy
+   of the template's table: the template keeps its time-0 keys, and a
+   plain run after it lists a fresh world's cells. *)
+let test_template_key_adding_run () =
+  let s = Scenario.build ~seed:1 Scenario.Small in
+  let plain () = Measurement.run ~dynamics:tiny_dynamics s in
+  let first = plain () in
+  let t =
+    match template s with Some t -> t | None -> Alcotest.fail "no template"
+  in
+  let n0 = Cell_template.length t in
+  let _, extra_updates =
+    Countermeasures.inject_hijacks ~rng:(Rng.of_int 7)
+      ~duration:tiny_dynamics.Dynamics.duration s
+  in
+  let hijacked = Measurement.run ~dynamics:tiny_dynamics ~extra_updates s in
+  check_bool "the hijacks add keys" true
+    (List.length hijacked.Measurement.cells > n0);
+  check_against_acc "key-adding run vs accumulators" ~dynamics:tiny_dynamics
+    ~extra_updates s hijacked;
+  check_int "the template keeps its time-0 keys" n0
+    (Measurement.Key_table.length (Cell_template.keys t));
+  check_bool "and stays the world's" true
+    (match template s with Some t' -> t' == t | None -> false);
+  let after = plain () in
+  check_same_cells "a plain run after it vs a fresh world"
+    (Measurement.run ~dynamics:tiny_dynamics (Scenario.build ~seed:1 Scenario.Small))
+    after;
+  check_same_cells "a plain run after it vs the first" first after
+
+(* Four runs race to build one world's template, one of them adding keys
+   outside time 0: each lists its serial run's cells. *)
 let test_template_concurrent_runs () =
-  let serial = Measurement.run ~dynamics:tiny_dynamics (Scenario.build ~seed:1 Scenario.Small) in
+  let extras = template_extras () in
+  let run ?extra_updates s = Measurement.run ~dynamics:tiny_dynamics ?extra_updates s in
+  let serial = run (Scenario.build ~seed:1 Scenario.Small) in
+  let serial_adding = run ~extra_updates:extras (Scenario.build ~seed:1 Scenario.Small) in
+  let adds k = k = 2 in
   let s = Scenario.build ~seed:1 Scenario.Small in
   let runs =
     Pool.with_pool ~jobs:4 (fun exec ->
         Pool.map ~chunk:1 exec
-          (fun _ -> Measurement.run ~dynamics:tiny_dynamics s)
+          (fun k -> if adds k then run ~extra_updates:extras s else run s)
           (Array.init 4 Fun.id))
   in
+  check_bool "the key-adding run adds keys" true
+    (List.length runs.(2).Measurement.cells > List.length serial.Measurement.cells);
   Array.iteri
-    (fun k m -> check_same_cells (Printf.sprintf "run %d vs serial" k) serial m)
+    (fun k m ->
+       check_same_cells (Printf.sprintf "run %d vs serial" k)
+         (if adds k then serial_adding else serial) m)
     runs;
-  check_same_cells "a later run vs serial" serial
-    (Measurement.run ~dynamics:tiny_dynamics s)
+  check_same_cells "a later run vs serial" serial (run s)
+
+(* ---- Linear analyses = the sort-based references ------------------------ *)
+
+module R = Analysis_reference
+
+let bits = Int64.bits_of_float
+let session_text s = Format.asprintf "%a" Update.pp_session s
+
+(* Every float by its bits and every list in its order. *)
+let f3l_text (ratios, points, size, fracs, medians, busiest) =
+  Printf.sprintf "ratios %s\npoints %s\nsize %d\nfracs %s\nmedians %s\nbusiest %s"
+    (String.concat " " (List.map (fun r -> Int64.to_string (bits r)) ratios))
+    (String.concat " "
+       (List.map (fun (x, p) -> Printf.sprintf "%Ld:%Ld" (bits x) (bits p)) points))
+    size
+    (String.concat " " (List.map (fun f -> Int64.to_string (bits f)) fracs))
+    (String.concat " "
+       (List.map (fun (s, m) -> Printf.sprintf "%s=%Ld" (session_text s) (bits m))
+          medians))
+    (match busiest with
+     | None -> "-"
+     | Some (p, s, n) -> Printf.sprintf "%s %s %d" (Prefix.to_string p) (session_text s) n)
+
+let f3l_of (t : Path_changes.t) =
+  f3l_text
+    ( t.Path_changes.ratios, Ccdf.points t.Path_changes.ccdf,
+      Ccdf.size t.Path_changes.ccdf,
+      [ t.Path_changes.frac_above_one; t.Path_changes.max_ratio;
+        t.Path_changes.frac_tor_beating_median_somewhere ],
+      t.Path_changes.per_session_median, t.Path_changes.busiest )
+
+let f3l_of_reference (r : R.f3l) =
+  f3l_text
+    ( r.R.ratios, R.Ccdf.points r.R.ccdf, R.Ccdf.size r.R.ccdf,
+      [ r.R.frac_above_one; r.R.max_ratio; r.R.frac_tor_beating_median_somewhere ],
+      r.R.per_session_median, r.R.busiest )
+
+let f3r_text (extras, points, size, fracs, max_extras, union) =
+  Printf.sprintf "extras %s\npoints %s\nsize %d\nfracs %s\nmax %d\nunion %s"
+    (String.concat " " (List.map string_of_int extras))
+    (String.concat " "
+       (List.map (fun (x, p) -> Printf.sprintf "%Ld:%Ld" (bits x) (bits p)) points))
+    size
+    (String.concat " " (List.map (fun f -> Int64.to_string (bits f)) fracs))
+    max_extras
+    (String.concat " "
+       (List.map (fun (p, n) -> Printf.sprintf "%s=%d" (Prefix.to_string p) n) union))
+
+let f3r_of (t : As_exposure.t) =
+  f3r_text
+    ( t.As_exposure.extras, Ccdf.points t.As_exposure.ccdf,
+      Ccdf.size t.As_exposure.ccdf,
+      [ t.As_exposure.frac_at_least_2; t.As_exposure.frac_above_5 ],
+      t.As_exposure.max_extras, t.As_exposure.per_prefix_union )
+
+let f3r_of_reference (r : R.f3r) =
+  f3r_text
+    ( r.R.extras, R.Ccdf.points r.R.e_ccdf, R.Ccdf.size r.R.e_ccdf,
+      [ r.R.frac_at_least_2; r.R.frac_above_5 ], r.R.max_extras,
+      r.R.per_prefix_union )
+
+let m1_pairs = [ (0.05, 3); (0.01, 1); (0.2, 2) ]
+
+let m1_text pairs =
+  String.concat " "
+    (List.map (fun (s, d) -> Printf.sprintf "%Ld/%Ld" (bits s) (bits d)) pairs)
+
+(* F3L, F3R at three thresholds and M1 at three (f, l) pairs, each with
+   its reference, at jobs 1 and 2: the texts that differ, or []. *)
+let analysis_mismatches (m : Measurement.t) =
+  List.concat_map
+    (fun jobs ->
+       Pool.with_pool ~jobs (fun exec ->
+           let f3l =
+             if String.equal (f3l_of (Path_changes.compute ~exec m))
+                 (f3l_of_reference (R.path_changes ~exec m))
+             then []
+             else [ Printf.sprintf "F3L at jobs %d" jobs ]
+           in
+           f3l
+           @ List.concat_map
+               (fun threshold ->
+                  let t = As_exposure.compute ~threshold ~exec m in
+                  let r = R.as_exposure ~threshold ~exec m in
+                  let m1 =
+                    List.map (fun (f, l) -> Compromise.exposure_based ~f ~l t) m1_pairs
+                  and m1_reference =
+                    List.map (fun (f, l) -> R.exposure_based ~f ~l r.R.extras) m1_pairs
+                  in
+                  (if String.equal (f3r_of t) (f3r_of_reference r) then []
+                   else [ Printf.sprintf "F3R at %g s, jobs %d" threshold jobs ])
+                  @
+                  if String.equal (m1_text m1) (m1_text m1_reference) then []
+                  else [ Printf.sprintf "M1 at %g s, jobs %d" threshold jobs ])
+               [ 60.; 300.; 1800. ]))
+    [ 1; 2 ]
+
+let check_analyses what m =
+  Alcotest.(check (list string)) (what ^ ": analyses = references") []
+    (analysis_mismatches m)
+
+(* [hours] of the default month at its density, as a benchmark period. *)
+let month_period hours =
+  let d = Dynamics.default_config in
+  let k = hours /. 720. in
+  { d with
+    Dynamics.duration = hours *. 3600.;
+    base_churn_rate = d.Dynamics.base_churn_rate *. k;
+    global_link_events = int_of_float (float_of_int d.Dynamics.global_link_events *. k);
+    resets_per_session = d.Dynamics.resets_per_session *. k }
+
+let test_analyses_small_period () =
+  let m =
+    Measurement.run ~dynamics:(month_period 24.) (Scenario.build ~seed:1 Scenario.Small)
+  in
+  check_bool "some cell changed path" true
+    (List.exists (fun c -> c.Measurement.path_changes > 0) m.Measurement.cells);
+  check_analyses "Small, a day at month density" m
+
+let test_analyses_paper_hour () =
+  let m =
+    Measurement.run ~dynamics:(month_period 1.) (Scenario.build ~seed:1 Scenario.Paper)
+  in
+  check_analyses "Paper, an hour at month density" m
+
+(* Cells over a few sessions and prefixes, Tor and not: most counts zero
+   and the rest small, so medians and [busiest] tie; some keys without a
+   baseline. A cell with no update holds its baseline alone, as every
+   cell [Measurement.run] lists does. *)
+let cells_gen (m : Measurement.t) =
+  let open QCheck.Gen in
+  let sc = m.Measurement.scenario in
+  let sessions =
+    List.filteri (fun i _ -> i < 4)
+      (List.map (fun (s : Collector.session) -> s.Collector.id) (Scenario.sessions sc))
+  in
+  let tor =
+    List.filteri (fun i _ -> i < 3)
+      (List.map (fun e -> e.Tor_prefix.prefix) (Tor_prefix.entries sc.Scenario.tor_prefixes))
+  in
+  let other =
+    List.filteri (fun i _ -> i < 3)
+      (List.sort_uniq Prefix.compare
+         (List.filter_map
+            (fun c ->
+               let p = c.Measurement.key.Measurement.prefix in
+               if Measurement.is_tor m p then None else Some p)
+            m.Measurement.cells))
+  in
+  let asns = map Asn.of_int (int_range 1 10) in
+  let set = map Asn.Set.of_list (list_size (int_range 1 4) asns) in
+  let cell =
+    let* session = oneofl sessions in
+    let* prefix = oneofl (tor @ other) in
+    let* changes =
+      frequency [ (6, return 0); (3, int_range 1 3); (1, int_range 4 40) ]
+    in
+    let* baseline = frequency [ (4, map Option.some set); (1, return None) ] in
+    let* updates =
+      match baseline with
+      | None -> int_range (Int.max 1 changes) (changes + 5)
+      | Some _ ->
+          if changes > 0 then int_range changes (changes + 5)
+          else frequency [ (3, return 0); (2, int_range 1 5) ]
+    in
+    let+ runs =
+      match baseline with
+      | Some base when updates = 0 -> return (Cell_template.sealed_runs base 3600.)
+      | _ ->
+          list_size (int_range 0 6)
+            (pair asns (oneofl [ 0.5; 60.; 299.; 300.; 301.; 1800.; 3600. ]))
+    in
+    { Measurement.key = { Measurement.session; prefix };
+      baseline; updates; path_changes = (if updates = 0 then 0 else changes);
+      residency = runs; contiguous = runs; final_set = baseline }
+  in
+  list_size (int_range 0 60) cell
+
+let prop_analyses_generated =
+  let gen = lazy (cells_gen (Lazy.force measurement)) in
+  QCheck.Test.make ~name:"F3L/F3R/M1 = references on generated cells" ~count:150
+    (QCheck.make ~print:(fun cells -> Printf.sprintf "%d cells" (List.length cells))
+       (fun st -> Lazy.force gen st))
+    (fun cells ->
+       match analysis_mismatches { (Lazy.force measurement) with Measurement.cells } with
+       | [] -> true
+       | l -> QCheck.Test.fail_report (String.concat ", " l))
 
 let qsuite = List.map (fun t -> QCheck_alcotest.to_alcotest t)
 
@@ -1283,8 +1507,16 @@ let () =
          Alcotest.test_case "reference arm untouched" `Quick
            test_template_reference_arm_untouched;
          Alcotest.test_case "two horizons" `Quick test_template_two_horizons;
+         Alcotest.test_case "key-adding run leaves it" `Quick
+           test_template_key_adding_run;
          Alcotest.test_case "concurrent runs" `Quick
            test_template_concurrent_runs ]);
+      ("linear analyses",
+       [ Alcotest.test_case "Small period = references" `Quick
+           test_analyses_small_period;
+         Alcotest.test_case "Paper hour = references" `Quick
+           test_analyses_paper_hour ]
+       @ qsuite [ prop_analyses_generated ]);
       ("parallel determinism",
        [ Alcotest.test_case "F3L jobs identity" `Quick
            test_path_changes_jobs_identical;

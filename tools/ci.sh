@@ -67,22 +67,27 @@
 #                         summary.json must carry the qs-sweep/1 schema;
 #  13. quicksand sweep --matrix churn-trace-day
 #                       — the trace-shaped churn day;
-#  14. quicksand long-term --consensus live-hourly
+#  14. quicksand sweep --matrix exposure-matrix
+#                       — churn model x adversary fraction x guard
+#                         policy over a Small day (18 cells): the one
+#                         entry whose --out prints M1's and F3R's floats
+#                         at full precision;
+#  15. quicksand long-term --consensus live-hourly
 #                       — M2 under a living consensus (Small, seed 1, 30
 #                         days): the one CLI path where pool tasks on
 #                         several domains build and share one consensus'
 #                         epochs. Its raw stdout is compared: the pool
 #                         reports timing only to the metrics registry.
-#                       Stages 12-14 each run at jobs=1, jobs=4 and a
+#                       Stages 12-15 each run at jobs=1, jobs=4 and a
 #                       jobs=1 rerun, and the three outputs must be
 #                       byte-identical: fingerprints stable across reruns,
 #                       results independent of the worker count;
-#  15. bench/main.exe --scale small --no-micro
+#  16. bench/main.exe --scale small --no-micro
 #                       — the reproduction harness: every table, figure
 #                         and ablation section on the Small scenario
 #                         (~5 s). Its output must end in its `done in`
 #                         line;
-#  16. dune build @qsbench/smoke
+#  17. dune build @qsbench/smoke
 #                       — every benchmark workload at smoke size, one
 #                         plain and one staged rep each, with every
 #                         result-digest and accounting check and every
@@ -196,6 +201,11 @@ done
 
 echo "== quicksand sweep --matrix churn-trace-day (jobs 1 vs 4 vs rerun)"
 jobs_identical trace sweep_to churn-trace-day
+
+# The one registry entry whose --out prints M1's and F3R's floats at full
+# precision.
+echo "== quicksand sweep --matrix exposure-matrix (jobs 1 vs 4 vs rerun)"
+jobs_identical exposure sweep_to exposure-matrix
 
 echo "== quicksand long-term --consensus live-hourly (jobs 1 vs 4 vs rerun)"
 jobs_identical long-term long_term_to
